@@ -17,7 +17,7 @@ COVER_FLOOR_INGEST ?= 85
 COVER_FLOOR_QOE   ?= 80
 COVER_FLOOR_ALERT ?= 80
 
-.PHONY: all vet staticcheck build test race fuzz-smoke cover bench bench-json bench-check proto-list trace-smoke impair-smoke shard-smoke daemon-smoke ci
+.PHONY: all vet staticcheck build test race fuzz-smoke cover bench bench-json bench-check perfbench-check proto-list trace-smoke impair-smoke shard-smoke daemon-smoke ci
 
 all: build
 
@@ -146,6 +146,15 @@ bench-json:
 bench-check:
 	$(GO) run ./cmd/rtcbench -baseline BENCH_hotpath.json
 
+# Vet and test the end-to-end benchmark (perfbench/, a nested module
+# that replaces rtcc with this checkout). `go test ./...` above does not
+# reach it, so this is what catches an API change that breaks the
+# benchmark's build; its tests run each workload briefly, untraced and
+# traced.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test -count=1 ./...
+
 # List the registered wire protocols: one row per handler with family,
 # demultiplexing precedence, fuzz target, and wire fingerprint. The
 # registry golden test (protolist_test.go) keeps this listing honest:
@@ -154,4 +163,4 @@ bench-check:
 proto-list:
 	$(GO) run ./cmd/rtccheck -protocols
 
-ci: vet staticcheck build race fuzz-smoke cover trace-smoke impair-smoke shard-smoke daemon-smoke bench-check
+ci: vet staticcheck build race fuzz-smoke cover trace-smoke impair-smoke shard-smoke daemon-smoke bench-check perfbench-check

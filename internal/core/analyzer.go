@@ -42,16 +42,6 @@ type AnalyzerConfig struct {
 	// payload bytes instead of copying them. Readers that reuse their
 	// frame buffer must leave it false.
 	FramesStable bool
-	// EvictIdle, when positive, finalizes the pipeline state of streams
-	// idle for longer than this: their buffered payloads are inspected,
-	// checked, and released, so resident memory is bounded by the
-	// active streams. A stream that wakes up again resumes its
-	// per-stream contexts. Eviction trades the strict batch guarantee
-	// of one DPI pass over the whole stream for bounded memory: output
-	// is still deterministic, and differs from batch only when an RTP
-	// SSRC first validates in a later chunk than it was sighted in.
-	// Incompatible with KeepPayloads.
-	EvictIdle time.Duration
 	// Pool, when non-nil, copies kept UDP payloads into per-stream
 	// arenas drawn from this pool instead of heap-allocating each copy,
 	// and releases a stream's arena when its payloads are dropped (an
@@ -163,7 +153,6 @@ type Analyzer struct {
 	// window to Close.
 	windowKnown      bool
 	winStart, winEnd time.Time
-	blocklist        []string
 	// preCallPairs accumulates address pairs active before CallStart,
 	// the stage-2 local-IP rule's evidence.
 	preCallPairs map[[2]netip.Addr]bool
@@ -174,6 +163,9 @@ type Analyzer struct {
 	// pkt is decode scratch: Feed is single-goroutine, so one reusable
 	// Packet removes the per-frame layer allocations.
 	pkt layers.Packet
+	// one is Feed's one-element batch, a field so that Feed hands
+	// FeedBatch a slice without allocating one per frame.
+	one [1]Datagram
 
 	// trace is the capture's decision-trace context (nil when
 	// Options.Tracer is nil). All emission happens from Feed or the
@@ -190,52 +182,40 @@ func NewAnalyzer(cfg AnalyzerConfig, opts Options) (*Analyzer, error) {
 	if cfg.CallEnd.Before(cfg.CallStart) {
 		return nil, errors.New("core: call window end precedes start")
 	}
-	if cfg.EvictIdle > 0 && cfg.KeepPayloads {
+	if opts.EvictIdle > 0 && cfg.KeepPayloads {
 		return nil, errors.New("core: KeepPayloads is incompatible with EvictIdle")
 	}
 	if cfg.Pool != nil && cfg.KeepPayloads {
 		return nil, errors.New("core: KeepPayloads is incompatible with Pool (the batch result would retain released buffers)")
 	}
-	fcfg := filterpipe.Config{WindowSlack: opts.WindowSlack, SNIBlocklist: opts.SNIBlocklist}
 	a := &Analyzer{
 		cfg:          cfg,
 		opts:         opts,
 		table:        flow.NewTable(),
 		states:       make(map[flow.Key]*streamState),
 		engine:       opts.engine(),
-		blocklist:    fcfg.Blocklist(),
 		preCallPairs: make(map[[2]netip.Addr]bool),
-		trace:        obs.New(opts.Tracer, cfg.Label, opts.TraceSampling, opts.Metrics),
+		trace:        obs.New(opts.Tracer, cfg.Label, obs.Sampling{}, opts.Metrics),
 		am:           newAnalyzerMetrics(opts.Metrics, cfg.Label),
 	}
 	a.windowKnown = !(cfg.DefaultWindowToSpan && cfg.CallStart.IsZero())
 	if a.windowKnown {
-		slack := fcfg.Slack()
-		a.winStart = cfg.CallStart.Add(-slack)
-		a.winEnd = cfg.CallEnd.Add(slack)
+		a.winStart = cfg.CallStart.Add(-filterpipe.DefaultWindowSlack)
+		a.winEnd = cfg.CallEnd.Add(filterpipe.DefaultWindowSlack)
 	}
 	return a, nil
 }
 
-// Feed advances the pipeline by one captured frame. Decode failures are
-// tolerated and counted, exactly as in the batch path; the returned
-// error is reserved for misuse (feeding a closed Analyzer).
+// Feed advances the pipeline by one captured frame: a one-element
+// FeedBatch. Decode failures are tolerated and counted, exactly as in
+// the batch path; the returned error is reserved for misuse (feeding a
+// closed Analyzer, or an ExternalSeq one).
 func (a *Analyzer) Feed(ts time.Time, frame []byte) error {
-	if a.closed {
-		return errors.New("core: Feed after Close")
-	}
 	if a.cfg.ExternalSeq {
 		return errors.New("core: Feed requires FeedBatch under ExternalSeq (no Seq to consume)")
 	}
-	start := a.am.feedSeconds.Start()
-	defer a.am.feedSeconds.ObserveSince(start)
-	a.feedSeq++
-	a.arrival++
-	a.feedOne(ts, frame, a.arrival)
-	if a.cfg.EvictIdle > 0 {
-		a.evictIdle(ts)
-	}
-	return nil
+	a.one[0] = Datagram{Timestamp: ts, Frame: frame}
+	return a.FeedBatch(a.one[:])
 }
 
 // Datagram is one captured frame with its timestamp, the unit of
@@ -251,10 +231,11 @@ type Datagram struct {
 }
 
 // FeedBatch advances the pipeline over a slice of frames, amortizing
-// the per-packet overhead Feed cannot avoid (the feed-latency probe
-// and the per-call bookkeeping) and giving the same-stream fast path
-// its best hit rate. Output is identical to feeding the datagrams one
-// at a time — batching changes scheduling, never results.
+// the per-call overhead (the feed-latency probe, the eviction sweep,
+// and the per-stream bookkeeping) over the batch and giving the
+// same-stream fast path its best hit rate. Output is identical to
+// feeding the datagrams one at a time — batching changes scheduling,
+// never results.
 //
 // Unless FramesStable is set, every frame is copied out (to the pool's
 // arenas in pool mode) before FeedBatch returns, so the caller may
@@ -277,7 +258,7 @@ func (a *Analyzer) FeedBatch(batch []Datagram) error {
 		}
 		a.feedOne(batch[i].Timestamp, batch[i].Frame, seq)
 	}
-	if a.cfg.EvictIdle > 0 {
+	if a.opts.EvictIdle > 0 {
 		a.evictIdle(batch[len(batch)-1].Timestamp)
 	}
 	a.am.feedSeconds.ObserveSince(start)
@@ -480,7 +461,7 @@ func (a *Analyzer) removableNow(s *flow.Stream, st *streamState) bool {
 	if filterpipe.NonRTCPorts[s.Key.A.Port] || filterpipe.NonRTCPorts[s.Key.B.Port] {
 		return true
 	}
-	if st.sniOK && filterpipe.MatchesBlocklist(st.sni, a.blocklist) {
+	if st.sniOK && filterpipe.MatchesBlocklist(st.sni, filterpipe.DefaultSNIBlocklist) {
 		return true
 	}
 	if !a.windowKnown {
@@ -507,7 +488,7 @@ func (a *Analyzer) removableNow(s *flow.Stream, st *streamState) bool {
 // threshold, walking the recency list from its least-recent end.
 func (a *Analyzer) evictIdle(now time.Time) {
 	for st := a.recHead; st != nil; {
-		if now.Sub(st.s.LastSeen) <= a.cfg.EvictIdle {
+		if now.Sub(st.s.LastSeen) <= a.opts.EvictIdle {
 			break
 		}
 		next := st.next
@@ -601,12 +582,10 @@ func (a *Analyzer) finalize() (*CaptureAnalysis, error) {
 	cm.workers.Set(int64(a.opts.workers()))
 
 	fres := filterpipe.RunWithSNI(a.table, filterpipe.Config{
-		CallStart:    callStart,
-		CallEnd:      callEnd,
-		WindowSlack:  a.opts.WindowSlack,
-		SNIBlocklist: a.opts.SNIBlocklist,
-		Metrics:      a.opts.Metrics,
-		Trace:        a.trace,
+		CallStart: callStart,
+		CallEnd:   callEnd,
+		Metrics:   a.opts.Metrics,
+		Trace:     a.trace,
 	}, func(s *flow.Stream) (string, bool) {
 		st := a.states[s.Key]
 		if st == nil {

@@ -185,9 +185,8 @@ func TestHotPathAllocs(t *testing.T) {
 			LinkType:  pcap.LinkTypeRaw,
 			CallStart: time.Unix(1700000000, 0),
 			CallEnd:   time.Unix(1700000000, 0).Add(time.Hour),
-			EvictIdle: time.Millisecond,
 			Pool:      bufpool.Global(),
-		}, Options{SkipFindings: true})
+		}, Options{SkipFindings: true, EvictIdle: time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}

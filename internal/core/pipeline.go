@@ -31,10 +31,6 @@ import (
 type Options struct {
 	// MaxOffset is the DPI's k parameter; zero selects the paper's 200.
 	MaxOffset int
-	// WindowSlack is forwarded to the filter; zero selects the default.
-	WindowSlack time.Duration
-	// SNIBlocklist overrides the default blocklist when non-nil.
-	SNIBlocklist []string
 	// SkipFindings disables the behavioural-findings detectors.
 	SkipFindings bool
 	// Workers bounds the analysis worker pool. RunMatrix fans capture
@@ -57,10 +53,17 @@ type Options struct {
 	// provisionally-RTC UDP streams until DPI consumes them. Turn it on
 	// when the caller reads Filter.RTC[i].Packets afterwards.
 	KeepPayloads bool
-	// EvictIdle bounds AnalyzePCAP's resident memory: streams idle
-	// longer than this are finalized mid-capture and their buffers
-	// released (see AnalyzerConfig.EvictIdle for the trade-off). Zero
-	// keeps the strict single-finalization behavior.
+	// EvictIdle, when positive, finalizes the pipeline state of streams
+	// idle for longer than this: their buffered payloads are inspected,
+	// checked, and released, so resident memory is bounded by the
+	// active streams. A stream that wakes up again resumes its
+	// per-stream contexts. Eviction trades the strict batch guarantee
+	// of one DPI pass over the whole stream for bounded memory: output
+	// is still deterministic, and differs from batch only when an RTP
+	// SSRC first validates in a later chunk than it was sighted in.
+	// Zero keeps the strict single-finalization behavior. NewAnalyzer
+	// rejects it with AnalyzerConfig.KeepPayloads, which AnalyzeCapture
+	// always sets.
 	EvictIdle time.Duration
 	// Registry selects the protocol-driver set the whole pipeline —
 	// DPI extraction, compliance judging, findings observation — runs
@@ -78,10 +81,6 @@ type Options struct {
 	// not trace (its captures are analyzed concurrently and would
 	// interleave on one sink); trace single captures.
 	Tracer obs.Tracer
-	// TraceSampling bounds each stream span's event retention (zero
-	// selects the defaults; see obs.Sampling). Failing verdicts always
-	// bypass sampling.
-	TraceSampling obs.Sampling
 	// QoE, when non-nil, runs the header-free QoE estimator over every
 	// final-RTC UDP stream (frame rate, bitrate, inter-frame gap
 	// jitter, stall heuristic from datagram sizes and timings only; see
@@ -188,11 +187,9 @@ func BatchAnalyzeCapture(in CaptureInput, opts Options) (*CaptureAnalysis, error
 	cm.workers.Set(int64(opts.workers()))
 
 	fres := filterpipe.Run(table, filterpipe.Config{
-		CallStart:    in.CallStart,
-		CallEnd:      in.CallEnd,
-		WindowSlack:  opts.WindowSlack,
-		SNIBlocklist: opts.SNIBlocklist,
-		Metrics:      opts.Metrics,
+		CallStart: in.CallStart,
+		CallEnd:   in.CallEnd,
+		Metrics:   opts.Metrics,
 	})
 
 	ca := &CaptureAnalysis{
@@ -522,7 +519,6 @@ func AnalyzePCAP(r io.Reader, label string, callStart, callEnd time.Time, opts O
 		CallEnd:             callEnd,
 		DefaultWindowToSpan: true,
 		KeepPayloads:        opts.KeepPayloads,
-		EvictIdle:           opts.EvictIdle,
 	}
 	if !opts.KeepPayloads {
 		cfg.Pool = bufpool.Global()

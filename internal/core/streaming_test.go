@@ -240,8 +240,13 @@ func TestAnalyzerMisuse(t *testing.T) {
 	if _, err := NewAnalyzer(AnalyzerConfig{CallStart: t0, CallEnd: t0.Add(-time.Second)}, Options{}); err == nil {
 		t.Error("inverted call window accepted")
 	}
-	if _, err := NewAnalyzer(AnalyzerConfig{KeepPayloads: true, EvictIdle: time.Second}, Options{}); err == nil {
+	if _, err := NewAnalyzer(AnalyzerConfig{KeepPayloads: true}, Options{EvictIdle: time.Second}); err == nil {
 		t.Error("KeepPayloads with EvictIdle accepted")
+	}
+	// AnalyzeCapture retains payloads, so it cannot evict: the knob is
+	// rejected rather than silently ignored.
+	if _, err := AnalyzeCapture(CaptureInput{}, Options{EvictIdle: time.Second}); err == nil {
+		t.Error("AnalyzeCapture with EvictIdle accepted")
 	}
 
 	cap := streamingCapture(t, appsim.Zoom, appsim.WiFiP2P, 1)

@@ -80,8 +80,8 @@ func TestTraceEvictionDeterministic(t *testing.T) {
 		a, err := NewAnalyzer(AnalyzerConfig{
 			Label: in.Label, LinkType: in.LinkType,
 			CallStart: in.CallStart, CallEnd: in.CallEnd,
-			FramesStable: true, EvictIdle: 500 * time.Millisecond,
-		}, Options{Workers: workers, Tracer: w})
+			FramesStable: true,
+		}, Options{Workers: workers, Tracer: w, EvictIdle: 500 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}

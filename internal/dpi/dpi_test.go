@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"github.com/rtc-compliance/rtcc/internal/ice"
+	"github.com/rtc-compliance/rtcc/internal/proto"
 	"github.com/rtc-compliance/rtcc/internal/quicwire"
 	"github.com/rtc-compliance/rtcc/internal/rtcp"
 	"github.com/rtc-compliance/rtcc/internal/rtp"
@@ -264,7 +265,8 @@ func TestMaxOffsetLimit(t *testing.T) {
 }
 
 func TestProtocolFilter(t *testing.T) {
-	e := &Engine{MaxOffset: 200, Protocols: []Protocol{ProtoSTUN}}
+	stunOnly := proto.Default().Without(ProtoChannelData, ProtoRTP, ProtoRTCP, ProtoQUIC, ProtoDTLS)
+	e := &Engine{MaxOffset: 200, Registry: stunOnly}
 	res := e.Inspect(rtpPacket(1, 1, []byte("x")), nil)
 	if res.Class != ClassFullyProprietary {
 		t.Errorf("RTP matched with STUN-only filter: %+v", res)

@@ -1,6 +1,7 @@
 package filterpipe
 
 import (
+	"net/netip"
 	"testing"
 	"time"
 
@@ -143,20 +144,34 @@ func TestBlocklistedSNIRemoved(t *testing.T) {
 }
 
 func TestWindowSlackDefault(t *testing.T) {
-	cfg := Config{}
-	if cfg.Slack() != DefaultWindowSlack {
-		t.Error("default slack wrong")
+	// Stage 1 expands the call window by DefaultWindowSlack on both
+	// sides: a stream starting just inside the slack survives, one
+	// starting just outside it is removed by the timespan rule.
+	src := netip.MustParseAddr("203.0.113.7")
+	table := flow.NewTable()
+	add := func(ts time.Time, dst string) {
+		frame := layers.EncodeUDPv4(src, netip.MustParseAddr(dst), 50000, 3478, []byte{1})
+		pkt, err := layers.Decode(pcap.LinkTypeRaw, frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		table.Add(ts, pkt)
 	}
-	cfg.WindowSlack = time.Second
-	if cfg.Slack() != time.Second {
-		t.Error("explicit slack ignored")
+	inside := t0.Add(-DefaultWindowSlack + 100*time.Millisecond)
+	outside := t0.Add(-DefaultWindowSlack - 100*time.Millisecond)
+	add(inside, "198.51.100.1")
+	add(outside, "198.51.100.2")
+	add(t0.Add(time.Second), "198.51.100.1")
+	add(t0.Add(time.Second), "198.51.100.2")
+	res := Run(table, Config{CallStart: t0, CallEnd: t0.Add(5 * time.Second)})
+	if len(res.RTC) != 1 || !res.RTC[0].FirstSeen.Equal(inside) {
+		t.Fatalf("RTC = %v, want only the stream starting inside the slack", res.RTC)
 	}
-	if len(cfg.Blocklist()) == 0 {
+	if len(res.RemovedStreams) != 1 || res.Removed[res.RemovedStreams[0].Key].Rule != RuleTimespan {
+		t.Fatalf("removed = %v, want one timespan removal", res.Removed)
+	}
+	if len(DefaultSNIBlocklist) == 0 {
 		t.Error("default blocklist empty")
-	}
-	cfg.SNIBlocklist = []string{"x"}
-	if len(cfg.Blocklist()) != 1 {
-		t.Error("explicit blocklist ignored")
 	}
 }
 

@@ -46,7 +46,6 @@ func AnalyzePCAP(r io.Reader, label string, callStart, callEnd time.Time, opts c
 		CallEnd:             callEnd,
 		DefaultWindowToSpan: true,
 		KeepPayloads:        opts.KeepPayloads,
-		EvictIdle:           opts.EvictIdle,
 	}
 	if !opts.KeepPayloads {
 		acfg.Pool = bufpool.Global()

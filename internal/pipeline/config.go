@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"github.com/rtc-compliance/rtcc/internal/alert"
-	"github.com/rtc-compliance/rtcc/internal/appsim"
 )
 
 // Source kinds accepted by Config.Source.Kind.
@@ -32,9 +31,6 @@ const (
 	// SourceLive receives encapsulated frames on a UDP socket (the
 	// rtclive mirror protocol).
 	SourceLive = "live"
-	// SourceAppsim generates a synthetic capture with the application
-	// emulators and analyzes it in memory.
-	SourceAppsim = "appsim"
 )
 
 // Execution modes derived from Exec: serial (workers<=1, shards<=1),
@@ -91,7 +87,7 @@ type Config struct {
 
 // Source names the capture input.
 type Source struct {
-	// Kind selects the source: pcap, live, or appsim.
+	// Kind selects the source: pcap or live.
 	Kind string `json:"kind"`
 	// Path is the capture file (pcap kind).
 	Path string `json:"path"`
@@ -115,14 +111,6 @@ type Source struct {
 	MaxFrames int `json:"max_frames"`
 	// Reorder is the live reorder-buffer depth (0 selects 256).
 	Reorder int `json:"reorder"`
-
-	// App, Network, Seed, CallDuration, and Rate parameterize the
-	// appsim source.
-	App          string   `json:"app"`
-	Network      string   `json:"network"`
-	Seed         uint64   `json:"seed"`
-	CallDuration Duration `json:"call_duration"`
-	Rate         int      `json:"rate"`
 }
 
 // Exec names the execution mode and its knobs.
@@ -136,9 +124,6 @@ type Exec struct {
 	// Policy is the shard back-pressure policy: "block" (lossless,
 	// default) or "drop" (live shedding, every shed datagram counted).
 	Policy string `json:"policy"`
-	// QueueDepth and BatchSize tune the shard queues (0 = defaults).
-	QueueDepth int `json:"queue_depth"`
-	BatchSize  int `json:"batch_size"`
 	// EvictIdle finalizes streams idle this long to bound memory
 	// (0 = off).
 	EvictIdle Duration `json:"evict_idle"`
@@ -299,10 +284,6 @@ func (s Source) EffectiveLabel() string {
 	switch s.Kind {
 	case SourceLive:
 		return "live"
-	case SourceAppsim:
-		if s.App != "" {
-			return s.App
-		}
 	case SourcePCAP:
 		if s.Path != "" {
 			return filepath.Base(s.Path)
@@ -325,23 +306,16 @@ func (c *Config) Validate() error {
 		if c.Source.Listen == "" {
 			return fmt.Errorf("pipeline: source.kind %q requires source.listen", c.Source.Kind)
 		}
-	case SourceAppsim:
-		if _, err := ParseApp(c.Source.App); err != nil {
-			return fmt.Errorf("pipeline: source.app: %w", err)
-		}
-		if _, err := ParseNetwork(c.Source.Network); err != nil {
-			return fmt.Errorf("pipeline: source.network: %w", err)
-		}
 	case "":
-		return fmt.Errorf("pipeline: source.kind is required (pcap, live, or appsim)")
+		return fmt.Errorf("pipeline: source.kind is required (pcap or live)")
 	default:
-		return fmt.Errorf("pipeline: unknown source.kind %q (pcap, live, or appsim)", c.Source.Kind)
+		return fmt.Errorf("pipeline: unknown source.kind %q (pcap or live)", c.Source.Kind)
 	}
 	if _, _, err := c.Source.Window(); err != nil {
 		return err
 	}
-	if c.Exec.Workers < 0 || c.Exec.Shards < 0 {
-		return fmt.Errorf("pipeline: exec.workers and exec.shards must be non-negative")
+	if err := c.checkNonNegative(); err != nil {
+		return err
 	}
 	if _, err := c.Exec.policy(); err != nil {
 		return err
@@ -372,37 +346,35 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("pipeline: alerts.rules.%s: qoe_floor rules need analysis.qoe: true (trend points carry no QoE fields otherwise)", r.Name)
 		}
 	}
-	if c.Alerts.Retries < 0 {
-		return fmt.Errorf("pipeline: alerts.retries must be non-negative")
-	}
-	if c.Alerts.Backoff < 0 {
-		return fmt.Errorf("pipeline: alerts.backoff must be non-negative")
-	}
 	return nil
 }
 
-// ParseApp resolves an application name case-insensitively, tolerating
-// removed spaces ("googlemeet").
-func ParseApp(s string) (appsim.App, error) {
-	for _, a := range appsim.Apps {
-		if strings.EqualFold(string(a), s) || strings.EqualFold(strings.ReplaceAll(string(a), " ", ""), s) {
-			return a, nil
+// checkNonNegative rejects negative counts and durations, which every
+// consumer would otherwise read as "stop at once" or "never": a
+// negative source.max_frames, for one, ends a collection before its
+// first read.
+func (c *Config) checkNonNegative() error {
+	for _, f := range []struct {
+		key string
+		v   int64
+	}{
+		{"source.idle", int64(c.Source.Idle)},
+		{"source.max_frames", int64(c.Source.MaxFrames)},
+		{"source.reorder", int64(c.Source.Reorder)},
+		{"exec.workers", int64(c.Exec.Workers)},
+		{"exec.shards", int64(c.Exec.Shards)},
+		{"exec.evict_idle", int64(c.Exec.EvictIdle)},
+		{"analysis.max_offset", int64(c.Analysis.MaxOffset)},
+		{"daemon.epoch", int64(c.Daemon.Epoch)},
+		{"daemon.trend_keep", int64(c.Daemon.TrendKeep)},
+		{"alerts.retries", int64(c.Alerts.Retries)},
+		{"alerts.backoff", int64(c.Alerts.Backoff)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("pipeline: %s must be non-negative", f.key)
 		}
 	}
-	return "", fmt.Errorf("unknown app %q", s)
-}
-
-// ParseNetwork resolves a network-configuration name.
-func ParseNetwork(s string) (appsim.Network, error) {
-	switch strings.ToLower(s) {
-	case "wifi-p2p", "wifip2p":
-		return appsim.WiFiP2P, nil
-	case "wifi-relay", "wifirelay":
-		return appsim.WiFiRelay, nil
-	case "cellular", "cell":
-		return appsim.Cellular, nil
-	}
-	return 0, fmt.Errorf("unknown network %q (wifi-p2p, wifi-relay, cellular)", s)
+	return nil
 }
 
 // LoadFile reads a config file over cfg: keys present in the file

@@ -108,6 +108,10 @@ func TestLoadFileRejectsUnknownKeys(t *testing.T) {
 	for _, tc := range []struct{ name, content string }{
 		{"p.json", `{"source": {"kind": "pcap", "path": "x", "typo_key": 1}}`},
 		{"p.yaml", "source:\n  kind: pcap\n  path: x\nexcec:\n  shards: 2\n"},
+		// Keys outside the schema — shard-queue knobs, the appsim
+		// source's parameters — fail loudly instead of being ignored.
+		{"queue.yaml", "source:\n  kind: pcap\n  path: x\nexec:\n  queue_depth: 16\n"},
+		{"appsim.json", `{"source": {"kind": "appsim", "app": "Zoom", "network": "wifi-p2p"}}`},
 	} {
 		var cfg Config
 		err := LoadFile(&cfg, writeConfig(t, tc.name, tc.content))
@@ -180,15 +184,7 @@ func TestValidateErrors(t *testing.T) {
 		{func(c *Config) { c.Source.Kind = "udp" }, "unknown source.kind"},
 		{func(c *Config) { c.Source.Kind = SourcePCAP }, "requires source.path"},
 		{func(c *Config) { c.Source.Kind = SourceLive }, "requires source.listen"},
-		{func(c *Config) {
-			c.Source.Kind = SourceAppsim
-			c.Source.App = "NoSuchApp"
-		}, "unknown app"},
-		{func(c *Config) {
-			c.Source.Kind = SourceAppsim
-			c.Source.App = "Zoom"
-			c.Source.Network = "dialup"
-		}, "unknown network"},
+		{func(c *Config) { c.Source.Kind = "appsim" }, "unknown source.kind"},
 		{func(c *Config) {
 			c.Source.Kind = SourcePCAP
 			c.Source.Path = "x"
@@ -204,6 +200,51 @@ func TestValidateErrors(t *testing.T) {
 			c.Source.Path = "x"
 			c.Source.Start = "yesterday"
 		}, "bad source.start"},
+		{func(c *Config) {
+			c.Source.Kind = SourceLive
+			c.Source.Listen = ":0"
+			c.Source.MaxFrames = -1
+		}, "source.max_frames must be non-negative"},
+		{func(c *Config) {
+			c.Source.Kind = SourceLive
+			c.Source.Listen = ":0"
+			c.Source.Reorder = -1
+		}, "source.reorder must be non-negative"},
+		{func(c *Config) {
+			c.Source.Kind = SourceLive
+			c.Source.Listen = ":0"
+			c.Source.Idle = Duration(-time.Second)
+		}, "source.idle must be non-negative"},
+		{func(c *Config) {
+			c.Source.Kind = SourcePCAP
+			c.Source.Path = "x"
+			c.Exec.Workers = -1
+		}, "exec.workers must be non-negative"},
+		{func(c *Config) {
+			c.Source.Kind = SourcePCAP
+			c.Source.Path = "x"
+			c.Exec.Shards = -1
+		}, "exec.shards must be non-negative"},
+		{func(c *Config) {
+			c.Source.Kind = SourcePCAP
+			c.Source.Path = "x"
+			c.Exec.EvictIdle = Duration(-time.Second)
+		}, "exec.evict_idle must be non-negative"},
+		{func(c *Config) {
+			c.Source.Kind = SourcePCAP
+			c.Source.Path = "x"
+			c.Analysis.MaxOffset = -1
+		}, "analysis.max_offset must be non-negative"},
+		{func(c *Config) {
+			c.Source.Kind = SourceLive
+			c.Source.Listen = ":0"
+			c.Daemon.Epoch = Duration(-time.Second)
+		}, "daemon.epoch must be non-negative"},
+		{func(c *Config) {
+			c.Source.Kind = SourceLive
+			c.Source.Listen = ":0"
+			c.Daemon.TrendKeep = -1
+		}, "daemon.trend_keep must be non-negative"},
 	}
 	for i, tc := range cases {
 		var cfg Config
@@ -223,10 +264,6 @@ func TestEffectiveLabel(t *testing.T) {
 	s = Source{Kind: SourceLive, Listen: ":0"}
 	if got := s.EffectiveLabel(); got != "live" {
 		t.Fatalf("live label = %q", got)
-	}
-	s = Source{Kind: SourceAppsim, App: "Discord"}
-	if got := s.EffectiveLabel(); got != "Discord" {
-		t.Fatalf("appsim label = %q", got)
 	}
 	s.Label = "override"
 	if got := s.EffectiveLabel(); got != "override" {

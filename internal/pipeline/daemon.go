@@ -199,6 +199,9 @@ func (d *Daemon) Run() error {
 	close(d.started)
 	fmt.Fprintf(d.out, "daemon: collecting on %s (epoch %v, trend %s)\n",
 		d.col.Addr(), d.cfg.Daemon.epoch(), trendName(store))
+	if n := store.TornLines(); n > 0 {
+		fmt.Fprintf(d.out, "daemon: trend: dropped %d torn final line(s) from %s (interrupted append)\n", n, store.Path())
+	}
 	if d.srv != nil {
 		fmt.Fprintf(d.out, "daemon: metrics and /compliance/trend on http://%s\n", d.srv.Addr())
 	}

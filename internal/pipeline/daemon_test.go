@@ -283,6 +283,32 @@ func TestDaemonTrendSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestDaemonStartsOverTornTrend: a crash mid-append leaves a torn
+// final trend line; the restarted daemon drops it, says so once, and
+// runs.
+func TestDaemonStartsOverTornTrend(t *testing.T) {
+	dir := t.TempDir()
+	cfgPath := filepath.Join(dir, "daemon.yaml")
+	trendPath := filepath.Join(dir, "trend.jsonl")
+	if err := os.WriteFile(cfgPath, []byte(daemonConfig("alpha", 1, trendPath, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	complete := `{"ts":"2026-07-06T12:00:00Z","app":"alpha","messages":1}` + "\n"
+	if err := os.WriteFile(trendPath, []byte(complete+`{"ts":"2026-07-06T12:01:00Z","app":"al`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := &syncBuf{}
+	d, errCh := startDaemon(t, cfgPath, out)
+	waitLog(t, out, "dropped 1 torn final line(s)")
+	stopDaemon(t, d, errCh)
+	if n := strings.Count(out.String(), "torn final line"); n != 1 {
+		t.Fatalf("torn-line notice logged %d times, want once; log:\n%s", n, out.String())
+	}
+	if b, err := os.ReadFile(trendPath); err != nil || string(b) != complete {
+		t.Fatalf("trend file after restart = %q (%v), want only the complete line", b, err)
+	}
+}
+
 // TestNewDaemonRejects pins the daemon-specific config validation.
 func TestNewDaemonRejects(t *testing.T) {
 	dir := t.TempDir()

@@ -15,7 +15,6 @@ import (
 	"github.com/rtc-compliance/rtcc/internal/obs"
 	"github.com/rtc-compliance/rtcc/internal/pcap"
 	"github.com/rtc-compliance/rtcc/internal/qoe"
-	"github.com/rtc-compliance/rtcc/internal/trace"
 	"github.com/rtc-compliance/rtcc/internal/trend"
 )
 
@@ -125,10 +124,8 @@ func (r *Runner) Sharded() bool { return r.cfg.Exec.Shards > 1 }
 // ShardConfig assembles the ingest-tier configuration.
 func (r *Runner) ShardConfig() ingest.Config {
 	return ingest.Config{
-		Shards:     r.cfg.Exec.Shards,
-		QueueDepth: r.cfg.Exec.QueueDepth,
-		BatchSize:  r.cfg.Exec.BatchSize,
-		Policy:     r.policy(),
+		Shards: r.cfg.Exec.Shards,
+		Policy: r.policy(),
 	}
 }
 
@@ -159,71 +156,22 @@ func (r *Runner) AnalyzeReader(rd io.Reader, label string, callStart, callEnd ti
 	return core.AnalyzePCAP(rd, label, callStart, callEnd, r.Options())
 }
 
-// AnalyzeInput routes one in-memory capture through the selected
-// engine.
-func (r *Runner) AnalyzeInput(in core.CaptureInput) (*core.CaptureAnalysis, error) {
-	if r.Sharded() {
-		return ingest.AnalyzeCapture(in, r.Options(), r.ShardConfig())
-	}
-	return core.AnalyzeCapture(in, r.Options())
-}
-
-// RunOnce executes the configured one-shot source (pcap or appsim) and
-// returns its analysis. Live sources run through LiveSession/Daemon
-// instead.
+// RunOnce analyzes the configured pcap source. Live sources run
+// through LiveSession/Daemon instead.
 func (r *Runner) RunOnce() (*core.CaptureAnalysis, error) {
-	switch r.cfg.Source.Kind {
-	case SourcePCAP:
-		f, err := os.Open(r.cfg.Source.Path)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: %w", err)
-		}
-		defer f.Close()
-		start, end, err := r.cfg.Source.Window()
-		if err != nil {
-			return nil, err
-		}
-		return r.AnalyzeReader(f, r.cfg.Source.EffectiveLabel(), start, end)
-	case SourceAppsim:
-		in, err := r.GenerateInput()
-		if err != nil {
-			return nil, err
-		}
-		return r.AnalyzeInput(in)
+	if r.cfg.Source.Kind != SourcePCAP {
+		return nil, fmt.Errorf("pipeline: source.kind %q is not a one-shot source", r.cfg.Source.Kind)
 	}
-	return nil, fmt.Errorf("pipeline: source.kind %q is not a one-shot source", r.cfg.Source.Kind)
-}
-
-// GenerateInput builds the appsim source's synthetic capture.
-func (r *Runner) GenerateInput() (core.CaptureInput, error) {
-	app, err := ParseApp(r.cfg.Source.App)
+	f, err := os.Open(r.cfg.Source.Path)
 	if err != nil {
-		return core.CaptureInput{}, fmt.Errorf("pipeline: source.app: %w", err)
+		return nil, fmt.Errorf("pipeline: %w", err)
 	}
-	network, err := ParseNetwork(r.cfg.Source.Network)
+	defer f.Close()
+	start, end, err := r.cfg.Source.Window()
 	if err != nil {
-		return core.CaptureInput{}, fmt.Errorf("pipeline: source.network: %w", err)
+		return nil, err
 	}
-	dur := r.cfg.Source.CallDuration.Std()
-	if dur <= 0 {
-		dur = 30 * time.Second
-	}
-	cap, err := trace.Generate(trace.CaptureConfig{
-		App:          app,
-		Network:      network,
-		Seed:         r.cfg.Source.Seed,
-		Start:        time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC),
-		CallDuration: dur,
-		MediaRate:    r.cfg.Source.Rate,
-	})
-	if err != nil {
-		return core.CaptureInput{}, err
-	}
-	in := cap.Input()
-	if r.cfg.Source.Label != "" {
-		in.Label = r.cfg.Source.Label
-	}
-	return in, nil
+	return r.AnalyzeReader(f, r.cfg.Source.EffectiveLabel(), start, end)
 }
 
 // Accounting is the ingest conservation ledger for one session: every
@@ -358,10 +306,8 @@ func (r *Runner) NewLiveSession() (*LiveSession, error) {
 		LinkType:            pcap.LinkTypeRaw,
 		DefaultWindowToSpan: true,
 		FramesStable:        true, // each decapsulated frame is freshly allocated
-		EvictIdle:           r.cfg.Exec.EvictIdle.Std(),
 	}
 	opts := r.Options()
-	opts.EvictIdle = 0 // live eviction rides AnalyzerConfig, not the pcap reader knob
 	s := &LiveSession{batch: make([]core.Datagram, 0, liveBatchCap)}
 	if r.Sharded() {
 		scfg := r.ShardConfig()

@@ -13,8 +13,10 @@ package trend
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strconv"
@@ -69,13 +71,17 @@ type Store struct {
 	path   string
 	keep   int
 	points []Point
+	torn   int
 }
 
 // Open loads (or creates) the store at path, replaying any existing
-// points into the ring. keep bounds the ring (<=0 selects DefaultKeep);
-// the file itself is append-only and never truncated. An empty path
-// keeps the series in memory only (the ring still serves queries, but
-// nothing survives a restart).
+// points into the ring. keep bounds the ring (<=0 selects DefaultKeep).
+// The file is append-only, with one exception: an unterminated final
+// line is a torn write (a crash mid-Append), so Open truncates the file
+// to the end of the last complete line, drops the partial point, and
+// counts it (TornLines). A malformed complete line is an error. An
+// empty path keeps the series in memory only (the ring still serves
+// queries, but nothing survives a restart).
 func Open(path string, keep int) (*Store, error) {
 	if keep <= 0 {
 		keep = DefaultKeep
@@ -88,26 +94,11 @@ func Open(path string, keep int) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trend: %w", err)
 	}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var p Point
-		if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("trend: %s:%d: %w", path, line, err)
-		}
-		s.add(p)
-	}
-	if err := sc.Err(); err != nil {
+	if err := s.replay(f); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("trend: %s: %w", path, err)
 	}
-	if _, err := f.Seek(0, 2); err != nil {
+	if _, err := f.Seek(0, io.SeekEnd); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("trend: %w", err)
 	}
@@ -115,6 +106,39 @@ func Open(path string, keep int) (*Store, error) {
 	s.w = bufio.NewWriter(f)
 	return s, nil
 }
+
+// replay loads f's complete lines into the ring and cuts off a torn
+// final line.
+func (s *Store) replay(f *os.File) error {
+	r := bufio.NewReader(f)
+	var end int64 // offset just past the last complete line
+	for line := 1; ; line++ {
+		b, err := r.ReadBytes('\n')
+		if err == io.EOF {
+			if len(b) == 0 {
+				return nil
+			}
+			s.torn++
+			return f.Truncate(end)
+		}
+		if err != nil {
+			return err
+		}
+		end += int64(len(b))
+		if len(bytes.TrimRight(b, "\r\n")) == 0 {
+			continue
+		}
+		var p Point
+		if err := json.Unmarshal(b, &p); err != nil {
+			return fmt.Errorf("line %d: %w", line, err)
+		}
+		s.add(p)
+	}
+}
+
+// TornLines reports how many torn final lines Open cut off the file
+// (0 or 1): each is one point a crash kept from being persisted.
+func (s *Store) TornLines() int { return s.torn }
 
 // add pushes p onto the ring, evicting the oldest past keep.
 func (s *Store) add(p Point) {

@@ -91,6 +91,65 @@ func TestOpenRejectsCorruptLine(t *testing.T) {
 	}
 }
 
+func TestOpenTruncatesTornLine(t *testing.T) {
+	// A crash mid-Append leaves an unterminated final line: Open must
+	// drop it rather than refuse to start, and the next Append must
+	// begin on a fresh line.
+	path := filepath.Join(t.TempDir(), "trend.jsonl")
+	var content []byte
+	for i := 1; i <= 2; i++ {
+		b, err := json.Marshal(pt("Zoom", uint64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		content = append(append(content, b...), '\n')
+	}
+	whole := len(content)
+	third, err := json.Marshal(pt("Zoom", 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	content = append(content, third[:len(third)/2]...)
+	if err := writeFile(path, string(content)); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Open(path, 0)
+	if err != nil {
+		t.Fatalf("Open with a torn final line: %v", err)
+	}
+	if got := len(s.Points()); got != 2 {
+		t.Fatalf("got %d points, want the 2 complete ones", got)
+	}
+	if s.TornLines() != 1 {
+		t.Fatalf("TornLines = %d, want 1", s.TornLines())
+	}
+	if fi, err := os.Stat(path); err != nil {
+		t.Fatal(err)
+	} else if fi.Size() != int64(whole) {
+		t.Fatalf("file is %d bytes, want %d (cut to the last complete line)", fi.Size(), whole)
+	}
+	if err := s.Append(pt("Zoom", 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	pts := s2.Points()
+	if len(pts) != 3 || pts[2].Fed != 3 {
+		t.Fatalf("reopen: got %+v, want 3 points ending with fed=3", pts)
+	}
+	if s2.TornLines() != 0 {
+		t.Fatalf("reopen: TornLines = %d, want 0", s2.TornLines())
+	}
+}
+
 func TestHandlerFilters(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trend.jsonl")
 	s, err := Open(path, 0)

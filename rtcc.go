@@ -88,10 +88,6 @@ type Tracer = obs.Tracer
 // carry and the JSONL export serializes one-per-line.
 type TraceEvent = obs.Event
 
-// TraceSampling bounds per-stream trace retention (head/tail; failing
-// verdicts always kept). The zero value selects the defaults.
-type TraceSampling = obs.Sampling
-
 // TraceBuffer is an in-memory trace sink backing -explain queries.
 type TraceBuffer = obs.Buffer
 
@@ -194,9 +190,11 @@ func ImpairProfileByName(name string) (ImpairProfile, bool) {
 	return natsim.ProfileByName(name)
 }
 
-// Options configures an analysis run (DPI offset limit, filter window
-// slack, SNI blocklist, worker-pool size). Workers=0 uses every CPU,
-// Workers=1 forces the serial path; results are identical either way.
+// Options configures an analysis run (DPI offset limit, worker-pool
+// size, idle eviction, protocol registry, and the metrics, trace, and
+// QoE sinks). The filter's call-window slack and SNI blocklist are the
+// paper's fixed §3.2 values. Workers=0 uses every CPU, Workers=1 forces
+// the serial path; results are identical either way.
 type Options = core.Options
 
 // CaptureAnalysis is the per-capture analysis result: filter
@@ -425,7 +423,7 @@ var (
 )
 
 // Declarative pipeline layer. One PipelineConfig — loadable from a
-// JSON or YAML file — names the capture source (pcap, live, appsim),
+// JSON or YAML file — names the capture source (pcap or live),
 // the execution mode (serial, parallel workers, or flow-hash shards),
 // and the sinks (report, decision trace, metrics, JSONL verdicts); a
 // PipelineRunner executes it through the serial or sharded engine.
