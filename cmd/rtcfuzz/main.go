@@ -64,11 +64,11 @@ func run(pcapPath, outDir string, n int, seed uint64, strategy string, keepSeeds
 		return err
 	}
 	defer f.Close()
-	r, err := pcap.NewReader(f)
+	r, err := pcap.NewCaptureReader(f)
 	if err != nil {
 		return err
 	}
-	frames, err := r.ReadAll()
+	frames, linkType, err := r.ReadAll()
 	if err != nil {
 		return err
 	}
@@ -76,7 +76,7 @@ func run(pcapPath, outDir string, n int, seed uint64, strategy string, keepSeeds
 	// Harvest validated messages per stream.
 	table := flow.NewTable()
 	for _, fr := range frames {
-		pkt, err := layers.Decode(r.LinkType(), fr.Data)
+		pkt, err := layers.Decode(linkType, fr.Data)
 		if err != nil {
 			continue
 		}

@@ -96,16 +96,7 @@ func runReplay(args []string) error {
 	}
 	defer stopMetrics()
 
-	f, err := os.Open(*v.pcapPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r, err := pcap.NewReader(f)
-	if err != nil {
-		return err
-	}
-	frames, err := r.ReadAll()
+	frames, err := readReplayFrames(*v.pcapPath)
 	if err != nil {
 		return err
 	}
@@ -126,6 +117,30 @@ func runReplay(args []string) error {
 	}
 	fmt.Printf("replayed %d frames to %s in %v\n", len(frames), *v.to, time.Since(begin).Round(time.Millisecond))
 	return nil
+}
+
+// readReplayFrames reads a classic pcap or pcapng capture for replay.
+// The collector decodes every frame as raw IP, so a capture with any
+// other link type is rejected rather than replayed as undecodable
+// frames.
+func readReplayFrames(path string) ([]pcap.Packet, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	r, err := pcap.NewCaptureReader(f)
+	if err != nil {
+		return nil, err
+	}
+	frames, linkType, err := r.ReadAll()
+	if err != nil {
+		return nil, err
+	}
+	if linkType != pcap.LinkTypeRaw {
+		return nil, fmt.Errorf("%s has link type %v; the collector decodes raw IP (%v) only", path, linkType, pcap.LinkTypeRaw)
+	}
+	return frames, nil
 }
 
 // collectVals is the collect subcommand's flag surface.

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"net/netip"
 	"time"
 
 	"github.com/rtc-compliance/rtcc/internal/bufpool"
@@ -149,13 +148,9 @@ type Analyzer struct {
 	arrival           uint64
 	firstSeq, lastSeq uint64
 
-	// windowKnown is false only while DefaultWindowToSpan defers the
-	// window to Close.
-	windowKnown      bool
-	winStart, winEnd time.Time
-	// preCallPairs accumulates address pairs active before CallStart,
-	// the stage-2 local-IP rule's evidence.
-	preCallPairs map[[2]netip.Addr]bool
+	// ev is the §3.2 filter evidence gathered so far, over table. Its
+	// window stays unknown while DefaultWindowToSpan defers it to Close.
+	ev *filterpipe.Evidence
 
 	active, peak int
 	closed       bool
@@ -189,19 +184,17 @@ func NewAnalyzer(cfg AnalyzerConfig, opts Options) (*Analyzer, error) {
 		return nil, errors.New("core: KeepPayloads is incompatible with Pool (the batch result would retain released buffers)")
 	}
 	a := &Analyzer{
-		cfg:          cfg,
-		opts:         opts,
-		table:        flow.NewTable(),
-		states:       make(map[flow.Key]*streamState),
-		engine:       opts.engine(),
-		preCallPairs: make(map[[2]netip.Addr]bool),
-		trace:        obs.New(opts.Tracer, cfg.Label, obs.Sampling{}, opts.Metrics),
-		am:           newAnalyzerMetrics(opts.Metrics, cfg.Label),
+		cfg:    cfg,
+		opts:   opts,
+		table:  flow.NewTable(),
+		states: make(map[flow.Key]*streamState),
+		engine: opts.engine(),
+		trace:  obs.New(opts.Tracer, cfg.Label, obs.Sampling{}, opts.Metrics),
+		am:     newAnalyzerMetrics(opts.Metrics, cfg.Label),
 	}
-	a.windowKnown = !(cfg.DefaultWindowToSpan && cfg.CallStart.IsZero())
-	if a.windowKnown {
-		a.winStart = cfg.CallStart.Add(-filterpipe.DefaultWindowSlack)
-		a.winEnd = cfg.CallEnd.Add(filterpipe.DefaultWindowSlack)
+	a.ev = filterpipe.NewEvidence(a.table)
+	if !(cfg.DefaultWindowToSpan && cfg.CallStart.IsZero()) {
+		a.ev.SetWindow(cfg.CallStart, cfg.CallEnd)
 	}
 	return a, nil
 }
@@ -352,9 +345,7 @@ func (a *Analyzer) feedOne(ts time.Time, frame []byte, seq uint64) {
 	}
 	a.lastKey, a.lastSt = key, st
 
-	if a.windowKnown && ts.Before(a.cfg.CallStart) {
-		a.preCallPairs[filterpipe.PairKey(key.A.Addr, key.B.Addr)] = true
-	}
+	a.ev.Observe(ts, key)
 	if proto == layers.IPProtocolTCP && !st.sniOK && len(pkt.Payload) > 0 {
 		if sni, err := tlsinspect.SNI(pkt.Payload); err == nil {
 			st.sni, st.sniOK = sni, true
@@ -377,17 +368,22 @@ func (a *Analyzer) feedOne(ts time.Time, frame []byte, seq uint64) {
 			a.recencyPushBack(st)
 			a.streamLive(+1)
 		}
-		if !st.removed && a.removableNow(s, st) {
-			st.removed = true
-			if !a.cfg.KeepPayloads {
-				s.Packets = nil
-			}
-			st.insp = nil
-			if st.arena != nil {
-				// The records and inspector buffer are gone; the copies
-				// are dead, so the chunks go back to the pool.
-				st.arena.Release()
-				st.arena = nil
+		// The online filter: a rule the stream fails on partial
+		// evidence still fails it at Close (filterpipe.Evidence), so
+		// its payloads can go now.
+		if !st.removed {
+			if rule, _ := a.ev.Check(s, st.sni); rule != "" {
+				st.removed = true
+				if !a.cfg.KeepPayloads {
+					s.Packets = nil
+				}
+				st.insp = nil
+				if st.arena != nil {
+					// The records and inspector buffer are gone; the
+					// copies are dead, so the chunks go back to the pool.
+					st.arena.Release()
+					st.arena = nil
+				}
 			}
 		}
 	}
@@ -449,39 +445,6 @@ func (a *Analyzer) streamLive(delta int) {
 		a.peak = a.active
 		a.am.activePeak.Set(int64(a.peak))
 	}
-}
-
-// removableNow evaluates the filter rules that can already be decided
-// online. Every rule here is monotone — the evidence (stream span,
-// 3-tuple spans, pre-call pairs, a blocklisted SNI, a well-known port)
-// only accumulates — so a true verdict is guaranteed to hold at Close,
-// which is what makes dropping the stream's payloads safe. The final
-// stage/rule attribution is recomputed by the full filter at Close.
-func (a *Analyzer) removableNow(s *flow.Stream, st *streamState) bool {
-	if filterpipe.NonRTCPorts[s.Key.A.Port] || filterpipe.NonRTCPorts[s.Key.B.Port] {
-		return true
-	}
-	if st.sniOK && filterpipe.MatchesBlocklist(st.sni, filterpipe.DefaultSNIBlocklist) {
-		return true
-	}
-	if !a.windowKnown {
-		return false
-	}
-	if s.FirstSeen.Before(a.winStart) || s.LastSeen.After(a.winEnd) {
-		return true
-	}
-	for _, tt := range s.DstTuples {
-		if sp, ok := a.table.ThreeTupleSpan(tt); ok &&
-			(sp.First.Before(a.winStart) || sp.Last.After(a.winEnd)) {
-			return true
-		}
-	}
-	if filterpipe.IsLocalScope(s.Key.A.Addr) || filterpipe.IsLocalScope(s.Key.B.Addr) {
-		if a.preCallPairs[filterpipe.PairKey(s.Key.A.Addr, s.Key.B.Addr)] {
-			return true
-		}
-	}
-	return false
 }
 
 // evictIdle finalizes and evicts streams idle past the configured
@@ -546,6 +509,11 @@ func (a *Analyzer) dropRecords(s *flow.Stream) {
 	s.Packets = nil
 }
 
+// ErrNoDecodable is the error Close wraps when frames were fed but none
+// decoded to a transport packet: a capture (or a daemon epoch) of
+// nothing but malformed or non-IP traffic.
+var ErrNoDecodable = errors.New("core: no decodable transport packets")
+
 // Close reconciles the online verdicts against the full two-stage
 // filter and assembles the capture analysis. The filter re-judges every
 // stream from its summaries (plus the feed-time SNI), so provisional
@@ -571,7 +539,7 @@ func (a *Analyzer) finalize() (*CaptureAnalysis, error) {
 		callStart, callEnd = a.firstTS, a.lastTS
 	}
 	if a.table.Len() == 0 && a.frames > 0 {
-		return nil, fmt.Errorf("core: no decodable transport packets (%d frames, %d decode errors)", a.frames, a.decodeErrs)
+		return nil, fmt.Errorf("%w (%d frames, %d decode errors)", ErrNoDecodable, a.frames, a.decodeErrs)
 	}
 
 	cm := newCaptureMetrics(a.opts.Metrics, a.cfg.Label)

@@ -22,14 +22,15 @@ import (
 //     insertion order a serial analyzer would have used.
 //
 // The merge constructs a synthetic Analyzer holding the union of the
-// shard state — stream table, per-stream pipeline state, 3-tuple
-// spans, pre-call address pairs, frame tallies — and then runs the
-// very finalize step Close runs. Per-shard online filter verdicts are
-// safe to carry over because every online rule is monotone on evidence
-// that only grows from shard to union; the final two-stage filter then
-// re-judges every stream against the full merged evidence. The result
-// is therefore byte-identical to a serial Analyzer fed the same
-// datagrams in Seq order — by construction, not by testing alone.
+// shard state — stream table, per-stream pipeline state, filter
+// evidence (3-tuple spans, pre-call address pairs), frame tallies —
+// and then runs the very finalize step Close runs. Per-shard online
+// filter verdicts are safe to carry over because every online rule is
+// monotone on evidence that only grows from shard to union; the final
+// two-stage filter then re-judges every stream against the full merged
+// evidence. The result is therefore byte-identical to a serial Analyzer
+// fed the same datagrams in Seq order — by construction, not by testing
+// alone.
 //
 // The shards are consumed: their state now belongs to the merged
 // analysis and they are marked closed.
@@ -84,10 +85,11 @@ func MergeAnalyzers(shards []*Analyzer) (*CaptureAnalysis, error) {
 		}
 	}
 
-	// Span union first, so stream absorption can re-point each stream's
+	// Filter evidence first — the 3-tuple span union and the pre-call
+	// pairs — so stream absorption can re-point each stream's
 	// per-direction span memos at the merged (full-evidence) spans.
 	for _, sh := range shards {
-		m.table.AbsorbSpans(sh.table)
+		m.ev.Absorb(sh.ev)
 	}
 
 	// Rebuild the serial insertion order: each stream was created by
@@ -109,12 +111,6 @@ func MergeAnalyzers(shards []*Analyzer) (*CaptureAnalysis, error) {
 			return nil, err
 		}
 		m.states[st.s.Key] = st
-	}
-
-	for _, sh := range shards {
-		for pair := range sh.preCallPairs {
-			m.preCallPairs[pair] = true
-		}
 	}
 	return m.finalize()
 }

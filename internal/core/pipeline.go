@@ -6,7 +6,6 @@
 package core
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -176,7 +175,7 @@ func BatchAnalyzeCapture(in CaptureInput, opts Options) (*CaptureAnalysis, error
 		table.Add(p.Timestamp, &pkt)
 	}
 	if table.Len() == 0 && len(in.Packets) > 0 {
-		return nil, fmt.Errorf("core: no decodable transport packets (%d frames, %d decode errors)", len(in.Packets), decodeErrs)
+		return nil, fmt.Errorf("%w (%d frames, %d decode errors)", ErrNoDecodable, len(in.Packets), decodeErrs)
 	}
 
 	cm := newCaptureMetrics(opts.Metrics, in.Label)
@@ -432,72 +431,42 @@ type FrameSink interface {
 	Close() (*CaptureAnalysis, error)
 }
 
-// StreamCapture reads a capture stream — classic pcap or pcapng,
-// detected from the leading magic — and feeds it incrementally through
-// a FrameSink: records are decoded into a small ring of reusable frame
+// StreamCapture reads a capture stream — classic pcap or pcapng (see
+// pcap.CaptureReader) — and feeds it incrementally through a
+// FrameSink: records are decoded into a small ring of reusable frame
 // buffers and delivered in batches, so memory holds per-stream state
-// instead of the whole file. The sink is created by open once the
-// capture's link type is known (for pcapng, from the first packet,
-// matching the historical ReadAll behavior for single-interface
-// files). Returns the sink's Close result.
+// instead of the whole file. The sink is created by open with the link
+// type of the first frame (the capture's link type when it has none).
+// Returns the sink's Close result.
 func StreamCapture(r io.Reader, open func(pcap.LinkType) (FrameSink, error)) (*CaptureAnalysis, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(4)
+	cr, err := pcap.NewCaptureReader(r)
 	if err != nil {
-		return nil, fmt.Errorf("core: read capture header: %w", err)
+		return nil, err
 	}
 	ring := newFrameRing()
 	var sink FrameSink
-	if pcap.IsPCAPNG(head) {
-		ngr, err := pcap.NewNGReader(br)
+	for {
+		pkt, linkType, err := cr.ReadPacketInto(ring.slot())
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
 			return nil, err
-		}
-		for {
-			pkt, linkType, err := ngr.ReadPacketInto(ring.slot())
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			if sink == nil {
-				if sink, err = open(linkType); err != nil {
-					return nil, err
-				}
-			}
-			if ring.add(pkt.Timestamp, pkt.Data) {
-				if err := ring.flush(sink); err != nil {
-					return nil, err
-				}
-			}
 		}
 		if sink == nil {
-			if sink, err = open(ngr.LinkType()); err != nil {
+			if sink, err = open(linkType); err != nil {
 				return nil, err
 			}
 		}
-	} else {
-		pr, err := pcap.NewReader(br)
-		if err != nil {
-			return nil, err
-		}
-		if sink, err = open(pr.LinkType()); err != nil {
-			return nil, err
-		}
-		for {
-			pkt, err := pr.ReadPacketInto(ring.slot())
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
+		if ring.add(pkt.Timestamp, pkt.Data) {
+			if err := ring.flush(sink); err != nil {
 				return nil, err
 			}
-			if ring.add(pkt.Timestamp, pkt.Data) {
-				if err := ring.flush(sink); err != nil {
-					return nil, err
-				}
-			}
+		}
+	}
+	if sink == nil {
+		if sink, err = open(cr.LinkType()); err != nil {
+			return nil, err
 		}
 	}
 	if err := ring.flush(sink); err != nil {
@@ -532,32 +501,13 @@ func AnalyzePCAP(r io.Reader, label string, callStart, callEnd time.Time, opts O
 // BatchAnalyzePCAP is the original read-everything-then-analyze path,
 // retained as the baseline for the streaming memory benchmarks.
 func BatchAnalyzePCAP(r io.Reader, label string, callStart, callEnd time.Time, opts Options) (*CaptureAnalysis, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(4)
+	cr, err := pcap.NewCaptureReader(r)
 	if err != nil {
-		return nil, fmt.Errorf("core: read capture header: %w", err)
+		return nil, err
 	}
-	var pkts []pcap.Packet
-	var linkType pcap.LinkType
-	if pcap.IsPCAPNG(head) {
-		ngr, err := pcap.NewNGReader(br)
-		if err != nil {
-			return nil, err
-		}
-		pkts, linkType, err = ngr.ReadAll()
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		pr, err := pcap.NewReader(br)
-		if err != nil {
-			return nil, err
-		}
-		linkType = pr.LinkType()
-		pkts, err = pr.ReadAll()
-		if err != nil {
-			return nil, err
-		}
+	pkts, linkType, err := cr.ReadAll()
+	if err != nil {
+		return nil, err
 	}
 	in := CaptureInput{
 		Label:     label,

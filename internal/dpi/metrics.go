@@ -5,22 +5,16 @@ import (
 	"github.com/rtc-compliance/rtcc/internal/proto"
 )
 
-// engineMetrics holds the resolved instrument handles for one
-// InspectStream run. The zero value (nil registry) is inert: every
-// handle is a no-op, so the per-datagram cost of disabled metrics is a
+// engineMetrics holds the resolved instruments for one stream
+// inspector. The zero value (nil registry) is inert: every instrument
+// is a nil no-op, so the per-datagram cost of disabled metrics is a
 // handful of nil-receiver branches.
-//
-// The counters are handles into sharded counters: every stream
-// inspector increments a private cache-line-padded cell, and the
-// registry folds the cells at snapshot time. With dozens of workers
-// finalizing streams concurrently, plain atomic counters would
-// serialise them all on a handful of cache lines.
 type engineMetrics struct {
 	// classes is indexed by Class.
-	classes [3]metrics.CounterHandle
-	// messages is indexed by Protocol (unregistered IDs stay inert).
-	messages [proto.MaxIDs]metrics.CounterHandle
-	attempts metrics.CounterHandle
+	classes [3]*metrics.Counter
+	// messages is indexed by Protocol (unregistered IDs stay nil).
+	messages [proto.MaxIDs]*metrics.Counter
+	attempts *metrics.Counter
 	latency  *metrics.Histogram
 }
 
@@ -30,13 +24,13 @@ func (e *Engine) metricsHandles() engineMetrics {
 		return engineMetrics{}
 	}
 	var m engineMetrics
-	m.classes[ClassFullyProprietary] = r.Sharded("dpi_datagrams_total", metrics.L("class", "fully_proprietary")).Handle()
-	m.classes[ClassStandard] = r.Sharded("dpi_datagrams_total", metrics.L("class", "standard")).Handle()
-	m.classes[ClassProprietaryHeader] = r.Sharded("dpi_datagrams_total", metrics.L("class", "proprietary_header")).Handle()
+	m.classes[ClassFullyProprietary] = r.Counter("dpi_datagrams_total", metrics.L("class", "fully_proprietary"))
+	m.classes[ClassStandard] = r.Counter("dpi_datagrams_total", metrics.L("class", "standard"))
+	m.classes[ClassProprietaryHeader] = r.Counter("dpi_datagrams_total", metrics.L("class", "proprietary_header"))
 	for _, meta := range e.registry().Metas() {
-		m.messages[meta.ID] = r.Sharded("dpi_messages_total", metrics.L("proto", meta.Slug)).Handle()
+		m.messages[meta.ID] = r.Counter("dpi_messages_total", metrics.L("proto", meta.Slug))
 	}
-	m.attempts = r.Sharded("dpi_offset_shift_attempts_total").Handle()
+	m.attempts = r.Counter("dpi_offset_shift_attempts_total")
 	m.latency = r.Histogram("dpi_inspect_seconds", nil)
 	return m
 }

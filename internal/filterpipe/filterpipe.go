@@ -38,10 +38,10 @@ var DefaultSNIBlocklist = []string{
 	"itunes.apple.com",
 }
 
-// NonRTCPorts is the port-based exclusion set, following the paper's
+// nonRTCPorts is the port-based exclusion set, following the paper's
 // examples (DNS 53, DHCP 67/547, SSDP 1900) extended with the standard
 // local-service ports from the IANA registry.
-var NonRTCPorts = map[uint16]bool{
+var nonRTCPorts = map[uint16]bool{
 	53:   true, // DNS
 	67:   true, // DHCP
 	68:   true, // DHCP client
@@ -121,46 +121,145 @@ func Run(table *flow.Table, cfg Config) *Result {
 // byte-identical to the batch result without retaining TCP payloads.
 func RunWithSNI(table *flow.Table, cfg Config, sni func(*flow.Stream) (string, bool)) *Result {
 	res := &Result{Removed: make(map[flow.Key]Removal)}
-	winStart := cfg.CallStart.Add(-DefaultWindowSlack)
-	winEnd := cfg.CallEnd.Add(DefaultWindowSlack)
-
 	streams := table.Streams()
-	tally(&res.RawUDP, &res.RawTCP, streams)
-
-	// Stage 1: timespan alignment.
-	var survivors []*flow.Stream
-	var stage1 []*flow.Stream
+	ev := NewEvidence(table)
+	ev.SetWindow(cfg.CallStart, cfg.CallEnd)
 	for _, s := range streams {
-		first, last := s.Span()
-		if first.Before(winStart) || last.After(winEnd) {
-			res.Removed[s.Key] = Removal{Stage: 1, Rule: RuleTimespan,
-				Detail: "stream span not enclosed in the expanded call window"}
+		// A stream's first packet is its earliest, so this marks
+		// exactly the pairs some packet saw before the call.
+		ev.Observe(s.FirstSeen, s.Key)
+	}
+
+	var stage1, stage2 []*flow.Stream
+	for _, s := range streams {
+		var name string
+		if s.Key.Proto == layers.IPProtocolTCP {
+			name, _ = sni(s)
+		}
+		rule, tt := ev.Check(s, name)
+		switch rule {
+		case "":
+			res.RTC = append(res.RTC, s)
+			continue
+		case RuleTimespan:
 			stage1 = append(stage1, s)
-			continue
-		}
-		survivors = append(survivors, s)
-	}
-	tally(&res.Stage1UDP, &res.Stage1TCP, stage1)
-
-	// Pre-compute stage-2 inputs.
-	outsideTuples := outsideWindowTuples(table, winStart, winEnd)
-	preCallPairs := preCallAddrPairs(streams, cfg.CallStart)
-
-	var stage2 []*flow.Stream
-	for _, s := range survivors {
-		if removal, removed := stage2Check(s, outsideTuples, preCallPairs, sni); removed {
-			res.Removed[s.Key] = removal
+		default:
 			stage2 = append(stage2, s)
-			continue
 		}
-		res.RTC = append(res.RTC, s)
+		res.Removed[s.Key] = removal(rule, tt, name)
 	}
+	tally(&res.RawUDP, &res.RawTCP, streams)
+	tally(&res.Stage1UDP, &res.Stage1TCP, stage1)
 	tally(&res.Stage2UDP, &res.Stage2TCP, stage2)
 	tally(&res.RTCUDP, &res.RTCTCP, res.RTC)
 	res.RemovedStreams = append(stage1, stage2...)
 	record(cfg.Metrics, res)
 	emitTrace(cfg.Trace, res)
 	return res
+}
+
+// removal spells out a failed rule for the result and the trace.
+func removal(rule Rule, tt flow.ThreeTuple, sni string) Removal {
+	switch rule {
+	case RuleTimespan:
+		return Removal{Stage: 1, Rule: rule, Detail: "stream span not enclosed in the expanded call window"}
+	case RuleThreeTuple:
+		return Removal{Stage: 2, Rule: rule, Detail: "destination 3-tuple " + tt.String() + " active outside the call window"}
+	case RuleSNI:
+		return Removal{Stage: 2, Rule: rule, Detail: "SNI " + sni + " is blocklisted"}
+	case RuleLocalIP:
+		return Removal{Stage: 2, Rule: rule, Detail: "local address pair also active pre-call"}
+	}
+	return Removal{Stage: 2, Rule: RulePort, Detail: "well-known non-RTC port"}
+}
+
+// Evidence is what the §3.2 rules judge a stream against: the call
+// window expanded by DefaultWindowSlack, the destination 3-tuple spans
+// of the stream table, and the address pairs active before the call.
+// RunWithSNI builds it from a finished table; the streaming analyzer
+// grows it packet by packet and asks the same Check during feed. Every
+// piece only grows as packets arrive, and no rule can stop firing on
+// grown evidence, so a rule Check reports on partial evidence still
+// fails the stream on the full evidence.
+type Evidence struct {
+	table *flow.Table
+	// windowKnown is false until SetWindow: the window of an
+	// unannotated capture is its span, known only at Close, and until
+	// then Check decides just the window-free rules (SNI and port).
+	windowKnown      bool
+	callStart        time.Time
+	winStart, winEnd time.Time
+	preCall          map[[2]netip.Addr]bool
+}
+
+// NewEvidence returns empty evidence over table's 3-tuple spans, with
+// the call window not yet known.
+func NewEvidence(table *flow.Table) *Evidence {
+	return &Evidence{table: table, preCall: make(map[[2]netip.Addr]bool)}
+}
+
+// SetWindow fixes the annotated call window; the rules expand it by
+// DefaultWindowSlack on both sides.
+func (e *Evidence) SetWindow(callStart, callEnd time.Time) {
+	e.windowKnown = true
+	e.callStart = callStart
+	e.winStart = callStart.Add(-DefaultWindowSlack)
+	e.winEnd = callEnd.Add(DefaultWindowSlack)
+}
+
+// Observe records a packet at ts on the stream keyed k: a packet before
+// the call marks the stream's address pair as active pre-call, the
+// local-IP rule's evidence. A no-op while the window is unknown.
+func (e *Evidence) Observe(ts time.Time, k flow.Key) {
+	if e.windowKnown && ts.Before(e.callStart) {
+		e.preCall[pairKey(k.A.Addr, k.B.Addr)] = true
+	}
+}
+
+// Absorb unions o into e: its table's 3-tuple spans and its pre-call
+// pairs. It is the evidence half of the cross-shard merge; both sides
+// must share the call window.
+func (e *Evidence) Absorb(o *Evidence) {
+	e.table.AbsorbSpans(o.table)
+	for pair := range o.preCall {
+		e.preCall[pair] = true
+	}
+}
+
+// Check returns the first §3.2 rule stream s fails on the evidence so
+// far, in the paper's order — timespan (stage 1), then 3-tuple timing,
+// TLS SNI, local IP and port (stage 2) — or "" when it fails none. For
+// RuleThreeTuple it also returns the offending destination 3-tuple. sni
+// is the stream's first TLS ClientHello SNI, "" when none was seen.
+func (e *Evidence) Check(s *flow.Stream, sni string) (Rule, flow.ThreeTuple) {
+	if e.windowKnown {
+		if s.FirstSeen.Before(e.winStart) || s.LastSeen.After(e.winEnd) {
+			return RuleTimespan, flow.ThreeTuple{}
+		}
+		// Persistent services rebind source ports but keep their
+		// destination 3-tuple. DstTuples is in first-occurrence order,
+		// so the first match is the tuple the first matching packet
+		// would have reported.
+		for _, tt := range s.DstTuples {
+			if sp, ok := e.table.ThreeTupleSpan(tt); ok &&
+				(sp.First.Before(e.winStart) || sp.Last.After(e.winEnd)) {
+				return RuleThreeTuple, tt
+			}
+		}
+	}
+	if sni != "" && s.Key.Proto == layers.IPProtocolTCP && MatchesBlocklist(sni, DefaultSNIBlocklist) {
+		return RuleSNI, flow.ThreeTuple{}
+	}
+	// Link-local, unique-local or private endpoints whose pair was also
+	// active pre-call: LAN management chatter, not P2P media.
+	if (isLocalScope(s.Key.A.Addr) || isLocalScope(s.Key.B.Addr)) &&
+		e.preCall[pairKey(s.Key.A.Addr, s.Key.B.Addr)] {
+		return RuleLocalIP, flow.ThreeTuple{}
+	}
+	if nonRTCPorts[s.Key.A.Port] || nonRTCPorts[s.Key.B.Port] {
+		return RulePort, flow.ThreeTuple{}
+	}
+	return "", flow.ThreeTuple{}
 }
 
 // emitTrace emits the per-stream filter verdicts of a completed run:
@@ -239,78 +338,13 @@ func tally(udp, tcp *flow.Counts, streams []*flow.Stream) {
 	*tcp = flow.Count(t)
 }
 
-// outsideWindowTuples collects destination 3-tuples observed outside the
-// expanded call window (§3.2.2: persistent services rebind source ports
-// but keep their destination 3-tuple).
-func outsideWindowTuples(table *flow.Table, winStart, winEnd time.Time) map[flow.ThreeTuple]bool {
-	out := make(map[flow.ThreeTuple]bool)
-	for _, tt := range table.ThreeTuples() {
-		span, ok := table.ThreeTupleSpan(tt)
-		if !ok {
-			continue
-		}
-		if span.First.Before(winStart) || span.Last.After(winEnd) {
-			out[tt] = true
-		}
-	}
-	return out
-}
-
-// preCallAddrPairs collects unordered address pairs seen before the call
-// started, used by the local-IP rule to distinguish LAN management
-// chatter from legitimate P2P media.
-func preCallAddrPairs(streams []*flow.Stream, callStart time.Time) map[[2]netip.Addr]bool {
-	out := make(map[[2]netip.Addr]bool)
-	for _, s := range streams {
-		if !s.FirstSeen.Before(callStart) {
-			continue
-		}
-		out[PairKey(s.Key.A.Addr, s.Key.B.Addr)] = true
-	}
-	return out
-}
-
-// PairKey returns the canonical (sorted) form of an unordered address
+// pairKey returns the canonical (sorted) form of an unordered address
 // pair, the key of the pre-call pair set.
-func PairKey(a, b netip.Addr) [2]netip.Addr {
+func pairKey(a, b netip.Addr) [2]netip.Addr {
 	if b.Compare(a) < 0 {
 		a, b = b, a
 	}
 	return [2]netip.Addr{a, b}
-}
-
-// stage2Check applies the four intra-call heuristics in the paper's
-// order.
-func stage2Check(s *flow.Stream, outsideTuples map[flow.ThreeTuple]bool, preCallPairs map[[2]netip.Addr]bool, sniOf func(*flow.Stream) (string, bool)) (Removal, bool) {
-	// 1. 3-tuple timing: any packet destination matching a 3-tuple seen
-	// outside the window. DstTuples is the distinct destinations in
-	// first-occurrence order, so the first match here is the same tuple
-	// the first matching packet would have reported.
-	for _, tt := range s.DstTuples {
-		if outsideTuples[tt] {
-			return Removal{Stage: 2, Rule: RuleThreeTuple,
-				Detail: "destination 3-tuple " + tt.String() + " active outside the call window"}, true
-		}
-	}
-	// 2. TLS SNI blocklist (TCP streams only).
-	if s.Key.Proto == layers.IPProtocolTCP {
-		if sni, ok := sniOf(s); ok && MatchesBlocklist(sni, DefaultSNIBlocklist) {
-			return Removal{Stage: 2, Rule: RuleSNI, Detail: "SNI " + sni + " is blocklisted"}, true
-		}
-	}
-	// 3. Local IP: link-local/unique-local/private endpoints whose pair
-	// also appeared pre-call.
-	if IsLocalScope(s.Key.A.Addr) || IsLocalScope(s.Key.B.Addr) {
-		if preCallPairs[PairKey(s.Key.A.Addr, s.Key.B.Addr)] {
-			return Removal{Stage: 2, Rule: RuleLocalIP,
-				Detail: "local address pair also active pre-call"}, true
-		}
-	}
-	// 4. Port-based exclusion.
-	if NonRTCPorts[s.Key.A.Port] || NonRTCPorts[s.Key.B.Port] {
-		return Removal{Stage: 2, Rule: RulePort, Detail: "well-known non-RTC port"}, true
-	}
-	return Removal{}, false
 }
 
 // streamSNI extracts the SNI from the first ClientHello found in the
@@ -338,10 +372,10 @@ func MatchesBlocklist(sni string, blocklist []string) bool {
 	return false
 }
 
-// IsLocalScope reports whether an address is IPv6 link-local
+// isLocalScope reports whether an address is IPv6 link-local
 // (fe80::/10), unique-local (fc00::/7), IPv4 private, or multicast —
 // the scopes §3.2.2's local-IP rule targets.
-func IsLocalScope(a netip.Addr) bool {
+func isLocalScope(a netip.Addr) bool {
 	return a.IsLinkLocalUnicast() || a.IsLinkLocalMulticast() || a.IsMulticast() ||
 		a.IsPrivate()
 }

@@ -11,7 +11,6 @@ package flow
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"time"
 
 	"github.com/rtc-compliance/rtcc/internal/layers"
@@ -316,26 +315,6 @@ func (t *Table) ThreeTupleSpan(tt ThreeTuple) (Span, bool) {
 		return Span{}, false
 	}
 	return *sp, true
-}
-
-// ThreeTuples returns all observed destination 3-tuples in a stable
-// order.
-func (t *Table) ThreeTuples() []ThreeTuple {
-	out := make([]ThreeTuple, 0, len(t.threeTuples))
-	for tt := range t.threeTuples {
-		out = append(out, tt)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Proto != b.Proto {
-			return a.Proto < b.Proto
-		}
-		if c := a.Addr.Compare(b.Addr); c != 0 {
-			return c < 0
-		}
-		return a.Port < b.Port
-	})
-	return out
 }
 
 // Counts summarizes a set of streams for reporting.

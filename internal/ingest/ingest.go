@@ -44,6 +44,14 @@ const (
 	Drop
 )
 
+// String names the policy as the pipeline config spells it.
+func (p Policy) String() string {
+	if p == Drop {
+		return "drop"
+	}
+	return "block"
+}
+
 // Config parameterizes the sharded tier. The zero value selects one
 // shard per CPU, a queue depth of 8 batches, and 64-datagram batches
 // with lossless back-pressure.

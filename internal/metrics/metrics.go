@@ -125,7 +125,6 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	sharded    map[string]*ShardedCounter
 }
 
 // NewRegistry returns an empty registry.

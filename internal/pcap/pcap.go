@@ -1,4 +1,4 @@
-// Package pcap reads and writes classic libpcap capture files.
+// Package pcap reads and writes libpcap capture files.
 //
 // The paper captures iPhone traffic with Wireshark through Apple's Remote
 // Virtual Interface; the on-disk artifact is a pcap file. This package is
@@ -6,12 +6,15 @@
 // pcap files and cmd/rtccheck reads them, so the analysis half of the
 // pipeline also works on real captures produced by tcpdump/Wireshark.
 //
-// Both the microsecond (0xA1B2C3D4) and nanosecond (0xA1B23C4D) variants
-// are supported, in either byte order. pcapng is intentionally out of
-// scope; `tshark -F pcap` converts losslessly for our link types.
+// Classic pcap is supported in its microsecond (0xA1B2C3D4) and
+// nanosecond (0xA1B23C4D) variants, in either byte order, and pcapng
+// (Wireshark's default) through NGReader. CaptureReader detects which
+// of the two a file holds; the analysis pipeline and every binary that
+// reads a capture open it through CaptureReader.
 package pcap
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -234,4 +237,66 @@ func (r *Reader) ReadAll() ([]Packet, error) {
 		}
 		pkts = append(pkts, p)
 	}
+}
+
+// CaptureReader reads a capture in either on-disk format — classic pcap
+// or pcapng, told apart by the leading magic — and hands back each
+// frame with its link type.
+type CaptureReader struct {
+	classic *Reader
+	ng      *NGReader
+}
+
+// NewCaptureReader detects the format from the first four bytes of r
+// and parses the file header.
+func NewCaptureReader(r io.Reader) (*CaptureReader, error) {
+	br := bufio.NewReader(r)
+	head, err := br.Peek(4)
+	if err != nil {
+		return nil, fmt.Errorf("pcap: read capture header: %w", err)
+	}
+	if IsPCAPNG(head) {
+		ng, err := NewNGReader(br)
+		if err != nil {
+			return nil, err
+		}
+		return &CaptureReader{ng: ng}, nil
+	}
+	classic, err := NewReader(br)
+	if err != nil {
+		return nil, err
+	}
+	return &CaptureReader{classic: classic}, nil
+}
+
+// LinkType reports the capture's link type: the file header's for
+// classic pcap, the first interface's for pcapng (LinkTypeRaw until an
+// interface block has been read).
+func (c *CaptureReader) LinkType() LinkType {
+	if c.ng != nil {
+		return c.ng.LinkType()
+	}
+	return c.classic.LinkType()
+}
+
+// ReadPacketInto returns the next frame and its link type, or io.EOF
+// at a clean end of file. The frame's Data aliases *buf, as with
+// Reader.ReadPacketInto.
+func (c *CaptureReader) ReadPacketInto(buf *[]byte) (Packet, LinkType, error) {
+	if c.ng != nil {
+		return c.ng.ReadPacketInto(buf)
+	}
+	p, err := c.classic.ReadPacketInto(buf)
+	return p, c.classic.linkType, err
+}
+
+// ReadAll reads every remaining frame. The link type is the first
+// frame's for pcapng (LinkTypeRaw for a file without frames) and the
+// file header's for classic pcap.
+func (c *CaptureReader) ReadAll() ([]Packet, LinkType, error) {
+	if c.ng != nil {
+		return c.ng.ReadAll()
+	}
+	pkts, err := c.classic.ReadAll()
+	return pkts, c.classic.linkType, err
 }

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"github.com/rtc-compliance/rtcc/internal/alert"
+	"github.com/rtc-compliance/rtcc/internal/core"
 	"github.com/rtc-compliance/rtcc/internal/live"
 	"github.com/rtc-compliance/rtcc/internal/metrics"
 	"github.com/rtc-compliance/rtcc/internal/trend"
@@ -80,7 +82,9 @@ const defaultDaemonIdle = time.Second
 
 // NewDaemon loads the config file and prepares (but does not start)
 // the service. The config must name a live source; trace sinks are
-// rejected because a daemon has no end-of-run to flush them at.
+// rejected because a daemon has no end-of-run to flush them at, and a
+// verdict sink because each epoch's verdict line is its trend point,
+// which daemon.trend_file already persists.
 func NewDaemon(cfgPath string, out io.Writer) (*Daemon, error) {
 	d := &Daemon{cfgPath: cfgPath, out: out, started: make(chan struct{})}
 	cfg, err := d.loadConfig()
@@ -105,6 +109,9 @@ func (d *Daemon) loadConfig() (Config, error) {
 	}
 	if cfg.Sinks.TraceOut != "" || cfg.Sinks.Explain != "" {
 		return cfg, fmt.Errorf("pipeline: daemon cannot run trace sinks (sinks.trace_out, sinks.explain): there is no end-of-run to flush them at")
+	}
+	if cfg.Sinks.Verdicts != "" {
+		return cfg, fmt.Errorf("pipeline: daemon cannot write sinks.verdicts: each epoch's verdict line is its trend point, which daemon.trend_file persists")
 	}
 	return cfg, nil
 }
@@ -194,7 +201,8 @@ func (d *Daemon) Run() error {
 	if d.runner, err = NewRunner(d.cfg, d.reg); err != nil {
 		return err
 	}
-	defer d.runner.Close()
+	// A reload swaps d.runner, so close whichever runner is current.
+	defer func() { d.runner.Close() }()
 
 	close(d.started)
 	fmt.Fprintf(d.out, "daemon: collecting on %s (epoch %v, trend %s)\n",
@@ -335,7 +343,11 @@ func (d *Daemon) runEpoch() error {
 	}
 	acct := sess.Accounting()
 	ca, err := sess.Close()
-	if err != nil {
+	// An epoch of nothing but undecodable frames (hostile or malformed
+	// traffic) has no compliance to record, but it must not stop the
+	// daemon; every other Close error is fatal.
+	undecodable := errors.Is(err, core.ErrNoDecodable)
+	if err != nil && !undecodable {
 		return err
 	}
 	d.mu.Lock()
@@ -350,14 +362,16 @@ func (d *Daemon) runEpoch() error {
 	case d.reloadReq.Load():
 		reason = "reload"
 	}
+	if undecodable {
+		fmt.Fprintf(d.out, "daemon: epoch closed (%s): app=%s fed=%d analyzed=%d dropped=%d, no trend point: %v\n",
+			reason, d.cfg.Source.EffectiveLabel(), acct.Fed, acct.Analyzed, acct.Dropped, err)
+		return nil
+	}
 	if acct.Fed == 0 {
 		return nil // a quiet epoch leaves no trend point
 	}
 	p := Point(time.Now().UTC(), reason, ca, acct)
 	if err := d.store.Append(p); err != nil {
-		return err
-	}
-	if err := d.runner.WriteVerdict(p.Time, reason, ca, acct); err != nil {
 		return err
 	}
 	fmt.Fprintf(d.out, "daemon: epoch closed (%s): app=%s fed=%d analyzed=%d dropped=%d types=%d/%d\n",
@@ -406,10 +420,7 @@ func (d *Daemon) healthzHandler() http.Handler {
 		if d.lastReload != nil && !d.lastReload.OK {
 			h.Status = "degraded"
 		}
-		h.Backpressure.Policy = d.cfg.Exec.Policy
-		if h.Backpressure.Policy == "" {
-			h.Backpressure.Policy = "block"
-		}
+		h.Backpressure.Policy = d.cfg.Exec.livePolicy().String()
 		h.Backpressure.Shards = d.cfg.Exec.Shards
 		if h.Backpressure.Shards < 1 {
 			h.Backpressure.Shards = 1 // serial path: one analyzer

@@ -309,12 +309,87 @@ func TestDaemonStartsOverTornTrend(t *testing.T) {
 	}
 }
 
+// TestDaemonSurvivesUndecodableEpoch: an epoch of nothing but
+// undecodable frames (hostile or malformed traffic) is logged and
+// banked, writes no trend point, and leaves the daemon running; the
+// next real epoch is analyzed and appended as usual.
+func TestDaemonSurvivesUndecodableEpoch(t *testing.T) {
+	dir := t.TempDir()
+	cfgPath := filepath.Join(dir, "daemon.yaml")
+	trendPath := filepath.Join(dir, "trend.jsonl")
+	if err := os.WriteFile(cfgPath, []byte(daemonConfig("alpha", 1, trendPath, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := &syncBuf{}
+	d, errCh := startDaemon(t, cfgPath, out)
+	addr := d.Addr()
+
+	junk := make([]pcap.Packet, 50)
+	for i := range junk {
+		junk[i] = pcap.Packet{
+			Timestamp: time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC).Add(time.Duration(i) * time.Millisecond),
+			Data:      []byte{0xde, 0xad, 0xbe, 0xef},
+		}
+	}
+	sent := feedFrames(t, addr, junk)
+	waitFed(t, d, sent)
+	waitLog(t, out, "no trend point: core: no decodable transport packets")
+
+	call := feedFrames(t, addr, testFrames(t, 5))
+	sent += call
+	waitFed(t, d, sent)
+	stopDaemon(t, d, errCh)
+
+	total := d.Total()
+	if total.Fed != sent || total.Fed != total.Analyzed+total.Dropped {
+		t.Fatalf("ledger %+v, want fed = analyzed + dropped = %d", total, sent)
+	}
+	pts := readTrendFile(t, trendPath)
+	if len(pts) == 0 {
+		t.Fatal("the real epoch appended no trend point")
+	}
+	var fed uint64
+	for _, p := range pts {
+		fed += p.Fed
+	}
+	if fed != call {
+		t.Fatalf("trend points account for %d datagrams, want the call's %d", fed, call)
+	}
+}
+
+// TestHealthzLiveDefaultPolicy: a sharded daemon without exec.policy
+// runs its live sessions under drop, and /healthz says so.
+func TestHealthzLiveDefaultPolicy(t *testing.T) {
+	dir := t.TempDir()
+	cfgPath := filepath.Join(dir, "daemon.yaml")
+	cfg := "source:\n  kind: live\n  listen: \"127.0.0.1:0\"\n  idle: 100ms\n" +
+		"exec:\n  shards: 2\n" +
+		"daemon:\n  epoch: 250ms\n" +
+		"sinks:\n  metrics_addr: \"127.0.0.1:0\"\n"
+	if err := os.WriteFile(cfgPath, []byte(cfg), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, errCh := startDaemon(t, cfgPath, &syncBuf{})
+	defer stopDaemon(t, d, errCh)
+	var health struct {
+		Backpressure struct {
+			Policy string `json:"policy"`
+			Shards int    `json:"shards"`
+		} `json:"backpressure"`
+	}
+	getJSON(t, "http://"+d.MetricsAddr()+"/healthz", &health)
+	if health.Backpressure.Policy != "drop" || health.Backpressure.Shards != 2 {
+		t.Fatalf("healthz backpressure = %+v, want drop on 2 shards", health.Backpressure)
+	}
+}
+
 // TestNewDaemonRejects pins the daemon-specific config validation.
 func TestNewDaemonRejects(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range []struct{ name, content, wantErr string }{
 		{"pcap-source", "source:\n  kind: pcap\n  path: x.pcap\n", `requires source.kind "live"`},
 		{"trace-sink", "source:\n  kind: live\n  listen: \":0\"\nsinks:\n  trace_out: t.jsonl\n", "trace sinks"},
+		{"verdict-sink", "source:\n  kind: live\n  listen: \":0\"\nsinks:\n  verdicts: v.jsonl\n", "daemon.trend_file"},
 	} {
 		path := filepath.Join(dir, tc.name+".yaml")
 		if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {

@@ -145,6 +145,19 @@ func (r *Runner) policy() ingest.Policy {
 	return p
 }
 
+// livePolicy resolves the policy a live session runs under: the
+// configured one, else Drop on the sharded tier, because a stalled live
+// producer loses mirror packets upstream invisibly while Drop counts
+// every shed datagram. The serial path analyzes inline and sheds
+// nothing, which is Block.
+func (e Exec) livePolicy() ingest.Policy {
+	if e.Policy == "" && e.Shards > 1 {
+		return ingest.Drop
+	}
+	p, _ := e.policy()
+	return p
+}
+
 // AnalyzeReader routes one pcap/pcapng stream through the engine the
 // Config selects: the sharded ingest tier when exec.shards > 1, the
 // streaming serial path otherwise. Results are byte-identical either
@@ -297,9 +310,7 @@ const liveBatchCap = 64
 
 // NewLiveSession builds the analyzer for one live session. The live
 // path always analyzes raw-IP frames with the call window defaulted to
-// the received span; the sharded tier uses the drop policy unless the
-// Config names one, because a stalled live producer loses mirror
-// packets upstream invisibly while Drop counts every shed datagram.
+// the received span; the sharded tier runs under Exec.livePolicy.
 func (r *Runner) NewLiveSession() (*LiveSession, error) {
 	acfg := core.AnalyzerConfig{
 		Label:               r.cfg.Source.EffectiveLabel(),
@@ -311,9 +322,7 @@ func (r *Runner) NewLiveSession() (*LiveSession, error) {
 	s := &LiveSession{batch: make([]core.Datagram, 0, liveBatchCap)}
 	if r.Sharded() {
 		scfg := r.ShardConfig()
-		if r.cfg.Exec.Policy == "" {
-			scfg.Policy = ingest.Drop
-		}
+		scfg.Policy = r.cfg.Exec.livePolicy()
 		sh, err := ingest.New(acfg, opts, scfg)
 		if err != nil {
 			return nil, err

@@ -35,7 +35,6 @@ import (
 	"os"
 	"time"
 
-	"github.com/rtc-compliance/rtcc/internal/alert"
 	"github.com/rtc-compliance/rtcc/internal/appsim"
 	"github.com/rtc-compliance/rtcc/internal/bufpool"
 	"github.com/rtc-compliance/rtcc/internal/core"
@@ -46,13 +45,11 @@ import (
 	"github.com/rtc-compliance/rtcc/internal/natsim"
 	"github.com/rtc-compliance/rtcc/internal/obs"
 	"github.com/rtc-compliance/rtcc/internal/pcap"
-	"github.com/rtc-compliance/rtcc/internal/pipeline"
 	"github.com/rtc-compliance/rtcc/internal/proto"
 	_ "github.com/rtc-compliance/rtcc/internal/proto/protoall"
 	"github.com/rtc-compliance/rtcc/internal/qoe"
 	"github.com/rtc-compliance/rtcc/internal/report"
 	"github.com/rtc-compliance/rtcc/internal/trace"
-	"github.com/rtc-compliance/rtcc/internal/trend"
 )
 
 // MetricsRegistry collects pipeline observability counters, gauges, and
@@ -61,21 +58,8 @@ import (
 // never changes analysis output.
 type MetricsRegistry = metrics.Registry
 
-// MetricsSnapshot is a point-in-time copy of a registry's instruments.
-type MetricsSnapshot = metrics.Snapshot
-
-// MetricsServer is a running observability HTTP endpoint.
-type MetricsServer = metrics.Server
-
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
-
-// ServeMetrics exposes a registry over HTTP: /metrics (JSON snapshot),
-// /debug/vars (expvar), and /debug/pprof. Close the returned server
-// when done.
-func ServeMetrics(addr string, r *MetricsRegistry) (*MetricsServer, error) {
-	return metrics.Serve(addr, r)
-}
 
 // Tracer receives the pipeline's decision trace: per-stream filter
 // verdicts, Algorithm 1 probe steps, datagram classifications,
@@ -179,12 +163,6 @@ type MatrixOptions = trace.MatrixOptions
 // via CaptureConfig.Impair or MatrixOptions.Impair.
 type ImpairProfile = natsim.Profile
 
-// ImpairStats is the accounting of one impairment application.
-type ImpairStats = natsim.ImpairStats
-
-// ImpairProfiles lists the named standard impairment profiles.
-func ImpairProfiles() []ImpairProfile { return natsim.StandardProfiles() }
-
 // ImpairProfileByName resolves a standard impairment profile by name.
 func ImpairProfileByName(name string) (ImpairProfile, bool) {
 	return natsim.ProfileByName(name)
@@ -255,12 +233,6 @@ func Analyze(cap *Capture, opts Options) (*CaptureAnalysis, error) {
 	return core.AnalyzeCapture(cap.Input(), opts)
 }
 
-// AnalyzeSharded runs the same pipeline through the sharded ingest
-// tier: identical output to Analyze, computed on scfg.Shards cores.
-func AnalyzeSharded(cap *Capture, opts Options, scfg ShardConfig) (*CaptureAnalysis, error) {
-	return ingest.AnalyzeCapture(cap.Input(), opts, scfg)
-}
-
 // LinkType identifies the layer-2 framing of frames fed to an
 // Analyzer.
 type LinkType = pcap.LinkType
@@ -308,11 +280,6 @@ func AnalyzePCAP(r io.Reader, label string, callStart, callEnd time.Time, opts O
 	return core.AnalyzePCAP(r, label, callStart, callEnd, opts)
 }
 
-// FrameSink is the capture-ingestion contract: both the serial
-// Analyzer and the ShardedAnalyzer implement it, so capture readers
-// can swap one concurrency story for the other without changes.
-type FrameSink = core.FrameSink
-
 // ShardedAnalyzer routes datagrams by flow 5-tuple onto N single-writer
 // Analyzer shards fed through bounded queues, and merges the shard
 // states at Close. Output is byte-identical to a serial Analyzer fed
@@ -349,13 +316,6 @@ func NewShardedAnalyzer(cfg AnalyzerConfig, opts Options, scfg ShardConfig) (*Sh
 // tier: same result as AnalyzePCAP, computed on scfg.Shards cores.
 func AnalyzePCAPSharded(r io.Reader, label string, callStart, callEnd time.Time, opts Options, scfg ShardConfig) (*CaptureAnalysis, error) {
 	return ingest.AnalyzePCAP(r, label, callStart, callEnd, opts, scfg)
-}
-
-// MergeAnalyzers folds fed (not yet closed) ExternalSeq Analyzer shards
-// into one capture analysis — the cross-shard merge behind
-// ShardedAnalyzer.Close, exported for custom sharding arrangements.
-func MergeAnalyzers(shards []*Analyzer) (*CaptureAnalysis, error) {
-	return core.MergeAnalyzers(shards)
 }
 
 // AnalyzeFile analyzes a pcap file.
@@ -418,41 +378,12 @@ var (
 	RenderFigure4 = report.Figure4
 	// RenderFigure5 renders type-based compliance ratios.
 	RenderFigure5 = report.Figure5
-	// RenderViolations renders the per-criterion violation tally.
-	RenderViolations = report.Violations
 )
 
-// Declarative pipeline layer. One PipelineConfig — loadable from a
-// JSON or YAML file — names the capture source (pcap or live),
-// the execution mode (serial, parallel workers, or flow-hash shards),
-// and the sinks (report, decision trace, metrics, JSONL verdicts); a
-// PipelineRunner executes it through the serial or sharded engine.
-// Every cmd/ entry point, including the rtclive compliance daemon, is
-// built on this layer.
-type (
-	// PipelineConfig is the declarative session description.
-	PipelineConfig = pipeline.Config
-	// PipelineRunner executes one validated PipelineConfig.
-	PipelineRunner = pipeline.Runner
-	// ComplianceDaemon is the reloadable always-on service behind
-	// `rtclive daemon`: epoch-rotated live analysis with a persisted
-	// per-app compliance trend.
-	ComplianceDaemon = pipeline.Daemon
-	// TrendPoint is one epoch's compliance summary — the record both
-	// the daemon's /compliance/trend series and the JSONL verdict
-	// stream use.
-	TrendPoint = trend.Point
-)
-
-// Header-free QoE estimation and compliance alerting. QoEConfig on
-// Options (or `analysis.qoe: true` in a pipeline config) estimates
-// per-stream media features — frame rate, bitrate, inter-frame gap
-// jitter, stalls — from packet timing and sizes alone, deterministic
-// across worker and shard counts; AlertRule instances in the daemon
-// config page through log/webhook/exec sinks when an app's
-// type-compliance regresses between trend points or a QoE floor is
-// crossed, with debounce/hysteresis and exactly-once-per-episode
-// firing.
+// Header-free QoE estimation. QoEConfig on Options (or `analysis.qoe:
+// true` in a pipeline config) estimates per-stream media features —
+// frame rate, bitrate, inter-frame gap jitter, stalls — from packet
+// timing and sizes alone, deterministic across worker and shard counts.
 type (
 	// QoEConfig enables header-free QoE estimation; the zero value
 	// uses the default frame/stall gap thresholds and media gates.
@@ -464,31 +395,4 @@ type (
 	QoEStreamFeatures = qoe.StreamFeatures
 	// QoESummary is the capture-level roll-up over media streams.
 	QoESummary = qoe.Summary
-	// AlertRule is one declarative alert rule (compliance_drop or
-	// qoe_floor) as configured under alerts.rules.
-	AlertRule = alert.Rule
-	// AlertEvent is one fire/resolve transition delivered to sinks.
-	AlertEvent = alert.Event
-	// AlertEngine evaluates rules against trend points with per-
-	// (rule, app) debounce/hysteresis state.
-	AlertEngine = alert.Engine
-)
-
-var (
-	// NewAlertEngine builds an engine from a rule set; the registry
-	// may be nil (alert counters off).
-	NewAlertEngine = alert.NewEngine
-	// SummarizeQoE rolls per-stream features up into the media-only
-	// capture summary (nil when no stream passes the media gate).
-	SummarizeQoE = qoe.Summarize
-)
-
-var (
-	// LoadPipelineConfig layers a JSON or YAML config file over cfg,
-	// rejecting unknown keys.
-	LoadPipelineConfig = pipeline.LoadFile
-	// NewPipelineRunner validates a config and opens its sinks.
-	NewPipelineRunner = pipeline.NewRunner
-	// NewComplianceDaemon prepares a daemon from a config file path.
-	NewComplianceDaemon = pipeline.NewDaemon
 )
