@@ -17,9 +17,16 @@ COVER_FLOOR_INGEST ?= 85
 COVER_FLOOR_QOE   ?= 80
 COVER_FLOOR_ALERT ?= 80
 
-.PHONY: all vet staticcheck build test race fuzz-smoke cover bench bench-json bench-check perfbench-check proto-list trace-smoke impair-smoke shard-smoke daemon-smoke ci
+.PHONY: all fmt vet staticcheck build test race fuzz-smoke cover bench bench-json bench-check perfbench-check proto-list trace-smoke impair-smoke shard-smoke daemon-smoke ci
 
 all: build
+
+# Formatting gate: fails, listing the files, when gofmt would change any
+# tracked Go source (or cannot parse one).
+fmt:
+	@files=$$(git ls-files '*.go') || exit 1; \
+	bad=$$(gofmt -l $$files) || exit 1; \
+	if [ -n "$$bad" ]; then echo "gofmt needed:"; echo "$$bad"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -47,6 +54,7 @@ race:
 # mutation budget. `go test -fuzz` accepts one target per invocation.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzInspect -fuzztime=$(FUZZTIME) ./internal/dpi
+	$(GO) test -run='^$$' -fuzz=FuzzParityWithBaseline -fuzztime=$(FUZZTIME) ./internal/dpi
 	$(GO) test -run='^$$' -fuzz='FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/stun
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeChannelData -fuzztime=$(FUZZTIME) ./internal/stun
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeCompound -fuzztime=$(FUZZTIME) ./internal/rtcp
@@ -148,4 +156,4 @@ perfbench-check:
 proto-list:
 	$(GO) run ./cmd/rtccheck -protocols
 
-ci: vet staticcheck build race fuzz-smoke cover trace-smoke impair-smoke shard-smoke daemon-smoke bench-check perfbench-check
+ci: fmt vet staticcheck build race fuzz-smoke cover trace-smoke impair-smoke shard-smoke daemon-smoke bench-check perfbench-check

@@ -138,8 +138,8 @@ type Engine struct {
 	Adaptive bool
 	// Metrics, when non-nil, receives per-datagram instrumentation
 	// from InspectStream: offset-shift attempts, classification
-	// outcomes, extracted message counts, and extraction latency. Nil
-	// disables collection at zero cost.
+	// outcomes, extracted message counts, and the latency of both scan
+	// passes. Nil disables collection at zero cost.
 	Metrics *metrics.Registry
 	// Registry selects the protocol set to probe with; nil means the
 	// process-wide default registry. Registry.Without restricts it.
@@ -250,17 +250,14 @@ func (e *Engine) Inspect(payload []byte, ctx *StreamContext) Result {
 // (RFC 7983-style demultiplexing) skips probers whose wire format
 // cannot start with that byte.
 //
-// The match is written through out rather than returned: matchAt runs
-// once per candidate offset of every payload, and returning a Message
-// by value made the scan loop zero and copy ~100 bytes per miss —
-// the hot path's single largest cost before the out-parameter form.
+// A match is written through out, with its Offset set; a miss leaves
+// out untouched, as every prober's does (DESIGN.md §11).
 func (e *Engine) matchAt(reg *proto.Registry, payload []byte, i int, st *proto.StreamState, out *Message) bool {
 	c := proto.Candidate{Payload: payload, Offset: i}
 	probers := reg.ProbersFor(payload[i])
 	for k := range probers {
-		if m, ok := probers[k].Validate(c, st); ok {
-			m.Offset = i
-			*out = m
+		if probers[k].Validate(c, st, out) {
+			out.Offset = i
 			return true
 		}
 	}

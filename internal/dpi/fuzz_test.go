@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"testing"
 
+	"github.com/rtc-compliance/rtcc/internal/ice"
+	"github.com/rtc-compliance/rtcc/internal/proto"
+	"github.com/rtc-compliance/rtcc/internal/quicwire"
 	"github.com/rtc-compliance/rtcc/internal/rtcp"
 	"github.com/rtc-compliance/rtcc/internal/rtp"
 )
@@ -72,5 +75,69 @@ func FuzzInspect(f *testing.F) {
 		// The strict baseline must never find more than... anything; it
 		// just must not panic.
 		StrictEngine{}.Inspect(data)
+	})
+}
+
+// FuzzParityWithBaseline differentially fuzzes the registry engine
+// against the frozen pre-registry chain (baseline_bench_test.go): the
+// same datagrams, fed in order through one stream context each, must
+// extract the same messages at the same offsets. The probers' raw-byte
+// gates may only reject what their full validators would reject, so a
+// gate that skips a real candidate shows up here as a divergence. The
+// baseline predates DTLS, so the registry side runs without it.
+func FuzzParityWithBaseline(f *testing.F) {
+	corpus := dispatchCorpus()
+	for i := range corpus {
+		f.Add(corpus[i], corpus[(i+1)%len(corpus)], corpus[(i+2)%len(corpus)])
+	}
+
+	// Strong second candidates inside an RTP payload, each next to a
+	// one-byte near miss the gates must reject: a cookie STUN header
+	// (cookie bit flipped), a same-SSRC RTP header with a new sequence
+	// number (SSRC byte changed), and an RTCP SR from the SSRC the first
+	// datagram made known (packet type moved to 191 and 224).
+	with := func(b []byte, i int, v byte) []byte {
+		b = append([]byte(nil), b...)
+		b[i] = v
+		return b
+	}
+	stunMsg := ice.ServerBindingRequest(ice.NewRand(7)).Raw
+	inner := rtpPacket(9, 3, bytes.Repeat([]byte{0x33}, 40))
+	sr := rtcp.EncodeSR(&rtcp.SenderReport{SSRC: 9, Info: rtcp.SenderInfo{NTPTimestamp: 1}})
+	pad := bytes.Repeat([]byte{0x5a}, 24)
+	known := rtpPacket(9, 1, pad)
+	for _, in := range [][]byte{
+		stunMsg, with(stunMsg, 4, stunMsg[4]^0x01),
+		inner, with(inner, 11, inner[11]^0x01),
+		sr, with(sr, 1, 191), with(sr, 1, 224),
+	} {
+		outer := rtpPacket(9, 2, append(append([]byte(nil), pad...), in...))
+		f.Add(known, outer, rtpPacket(9, 4, pad))
+	}
+
+	// QUIC long headers the version gate accepts (1, Version
+	// Negotiation's 0) and rejects (2), and a truncation below the
+	// 7-byte minimum.
+	dcid := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	short := quicwire.BuildShort(dcid, bytes.Repeat([]byte{7}, 40))
+	v1 := quicwire.BuildLong(quicwire.TypeInitial, quicwire.Version1, dcid, []byte{9}, nil, bytes.Repeat([]byte{0}, 64))
+	f.Add(v1, short, v1[:6])
+	f.Add(quicwire.BuildVersionNegotiation(dcid, []byte{9}, []uint32{quicwire.Version1}), short, []byte{})
+	f.Add(quicwire.BuildLong(quicwire.TypeInitial, 2, dcid, []byte{9}, nil, bytes.Repeat([]byte{0}, 64)), short, []byte{})
+
+	reg := proto.Default().Without(proto.DTLS)
+	f.Fuzz(func(t *testing.T, a, b, c []byte) {
+		e := &Engine{MaxOffset: 200, Registry: reg}
+		ctx := NewStreamContext()
+		be := &baselineEngine{MaxOffset: 200}
+		bctx := newBaselineContext()
+		var got, want []Result
+		for _, p := range [][]byte{a, b, c} {
+			got = append(got, e.Inspect(p, ctx))
+			want = append(want, be.Inspect(p, bctx))
+		}
+		if g, w := summarize(got), summarize(want); g != w {
+			t.Fatalf("registry engine diverged from frozen baseline:\nregistry: %s\nbaseline: %s", g, w)
+		}
 	})
 }

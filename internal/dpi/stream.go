@@ -1,6 +1,8 @@
 package dpi
 
 import (
+	"time"
+
 	"github.com/rtc-compliance/rtcc/internal/obs"
 	"github.com/rtc-compliance/rtcc/internal/proto"
 )
@@ -63,6 +65,9 @@ type StreamInspector struct {
 	// overwrites the previous chunk's results, which the pipeline has
 	// consumed by then (DESIGN.md §14).
 	results []Result
+	// scanTime holds each buffered datagram's pass-1 time while pass 2
+	// runs (filled only when metrics are on).
+	scanTime []time.Duration
 	// drainedAttempts tracks how many shift attempts have already been
 	// recorded, so chunked Finalize calls add only the delta.
 	drainedAttempts int
@@ -116,9 +121,8 @@ func (si *StreamInspector) scanOne(payload []byte) {
 		consumed := 0
 		probers := si.reg.Pass1ProbersFor(payload[i])
 		for k := range probers {
-			p := &probers[k]
-			if c2, ok := p.Probe(c, si.scan); ok {
-				consumed = c2.Length
+			if n, ok := probers[k].Probe(c, si.scan); ok {
+				consumed = n
 				break
 			}
 		}
@@ -133,11 +137,12 @@ func (si *StreamInspector) scanOne(payload []byte) {
 // Pending reports how many fed datagrams await Finalize.
 func (si *StreamInspector) Pending() int { return len(si.payloads) }
 
-// Finalize runs pass 2 over the buffered datagrams with the
-// validated-SSRC set as currently known, records the per-datagram
-// metrics, releases the payload buffer, and returns one Result per
-// buffered datagram in feed order. The inspector remains usable: later
-// Feeds start a new chunk that continues the same stream state.
+// Finalize runs pass 1 and then pass 2 over the buffered datagrams
+// (pass 2 with the validated-SSRC set as known after pass 1), records
+// the per-datagram metrics, releases the payload buffer, and returns
+// one Result per buffered datagram in feed order. The inspector remains
+// usable: later Feeds start a new chunk that continues the same stream
+// state.
 //
 // The returned slice (and the message storage behind it) is a
 // per-inspector scratch buffer, valid only until the next Finalize on
@@ -152,16 +157,26 @@ func (si *StreamInspector) Finalize() []Result {
 	si.ctx.State.Epoch++
 	si.ctx.Span = si.span
 	// Pass 1: one batched sweep over the chunk, tallying validation
-	// evidence in feed order before any pass-2 decision is made.
+	// evidence in feed order before any pass-2 decision is made. With
+	// metrics on, each datagram's scan time is kept for its
+	// dpi_inspect_seconds sample, which covers both passes.
+	timed := si.m.latency != nil
+	si.scanTime = si.scanTime[:0]
 	for _, p := range si.payloads {
+		start := si.m.latency.Start()
 		si.scanOne(p)
+		if timed {
+			si.scanTime = append(si.scanTime, time.Since(start))
+		}
 	}
 	si.ctx.State.ValidatedSSRC = si.scan.ValidatedSSRC
 	out := si.results[:0]
-	for _, p := range si.payloads {
+	for i, p := range si.payloads {
 		start := si.m.latency.Start()
 		r := si.e.Inspect(p, si.ctx)
-		si.m.latency.ObserveSince(start)
+		if timed {
+			si.m.latency.ObserveDuration(si.scanTime[i] + time.Since(start))
+		}
 		si.m.classes[r.Class].Inc()
 		for _, msg := range r.Messages {
 			if int(msg.Protocol) < len(si.m.messages) {

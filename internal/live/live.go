@@ -387,8 +387,8 @@ func (h frameHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h frameHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *frameHeap) Push(x any)        { *h = append(*h, x.(frameEntry)) }
+func (h frameHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *frameHeap) Push(x any)   { *h = append(*h, x.(frameEntry)) }
 func (h *frameHeap) Pop() any {
 	old := *h
 	n := len(old)

@@ -48,12 +48,20 @@ func TestShutdownGraceful(t *testing.T) {
 	}
 }
 
-// TestShutdownDeadline verifies the hard-close fallback: a connection
-// that never finishes its request must not hold Shutdown past the
-// context deadline.
+// TestShutdownDeadline verifies the hard-close fallback: a request
+// still being served at the context deadline must not hold Shutdown
+// past it. The test waits until the server holds the request (its
+// handler has started), not for time to pass, so Shutdown always finds
+// an active connection.
 func TestShutdownDeadline(t *testing.T) {
-	r := NewRegistry()
-	srv, err := Serve("127.0.0.1:0", r)
+	started := make(chan struct{})
+	release := make(chan struct{})
+	defer close(release)
+	hang := http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		close(started)
+		<-release
+	})
+	srv, err := ServeWith("127.0.0.1:0", NewRegistry(), map[string]http.Handler{"/hang": hang})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,10 +70,13 @@ func TestShutdownDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// A partial request keeps the connection active from the server's
-	// point of view.
-	if _, err := conn.Write([]byte("GET /metrics HTTP/1.1\r\n")); err != nil {
+	if _, err := conn.Write([]byte("GET /hang HTTP/1.1\r\nHost: x\r\n\r\n")); err != nil {
 		t.Fatal(err)
+	}
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("server never started serving the request")
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
@@ -73,7 +84,7 @@ func TestShutdownDeadline(t *testing.T) {
 	start := time.Now()
 	err = srv.Shutdown(ctx)
 	if err == nil {
-		t.Fatal("Shutdown returned nil despite a hung connection")
+		t.Fatal("Shutdown returned nil despite a request in flight")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("Shutdown took %v, deadline fallback did not fire", elapsed)

@@ -51,8 +51,9 @@ func judgeSeq(t *testing.T, payloads [][]byte) []proto.Checked {
 }
 
 func validateOne(st *proto.StreamState, b []byte) (proto.Message, bool) {
+	var m proto.Message
 	for _, p := range proto.Default().ProbersFor(b[0]) {
-		if m, ok := p.Validate(proto.Candidate{Payload: b}, st); ok {
+		if p.Validate(proto.Candidate{Payload: b}, st, &m) {
 			return m, true
 		}
 	}

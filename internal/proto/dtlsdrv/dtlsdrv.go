@@ -58,30 +58,31 @@ const maxPlausibleEpoch = 8
 // walk the chain to consume the candidate exactly (DTLS records fill
 // their datagram) — so encrypted media and proprietary headers never
 // masquerade as DTLS.
-func Match(c proto.Candidate, st *proto.StreamState) (proto.Message, bool) {
+func Match(c proto.Candidate, st *proto.StreamState, out *proto.Message) bool {
 	b := c.Bytes()
 	if !tlsinspect.DTLSLooksLikeRecord(b) {
-		return proto.Message{}, false
+		return false
 	}
 	recs, consumed, err := tlsinspect.ParseDTLSRecords(b)
 	if err != nil || consumed != len(b) {
-		return proto.Message{}, false
+		return false
 	}
 	for i := range recs {
 		r := &recs[i]
 		if r.Epoch > maxPlausibleEpoch {
-			return proto.Message{}, false
+			return false
 		}
 		// Plaintext handshake fragments must carry a well-formed
 		// handshake header with an assigned message type.
 		if r.ContentType == tlsinspect.DTLSTypeHandshake && r.Epoch == 0 {
 			h, err := tlsinspect.ParseDTLSHandshake(r.Fragment)
 			if err != nil || !tlsinspect.DTLSDefinedHandshakeType(h.Type) {
-				return proto.Message{}, false
+				return false
 			}
 		}
 	}
-	return proto.Message{Protocol: proto.DTLS, Length: consumed, Body: recs}, true
+	*out = proto.Message{Protocol: proto.DTLS, Length: consumed, Body: recs}
+	return true
 }
 
 // session is DTLS's per-stream handshake-progress state for the

@@ -90,8 +90,6 @@ type Meta struct {
 type Candidate struct {
 	Payload []byte
 	Offset  int
-	// Length is the span consumed by a successful pass-1 Probe.
-	Length int
 }
 
 // Bytes returns the payload window starting at the candidate offset.
@@ -146,14 +144,16 @@ type Prober struct {
 	First func(b byte) bool
 	// Probe advances pass 1 at one offset. A prober with a strong
 	// signature validates structurally against sc.Scratch and returns
-	// the candidate with Length set so the engine skips the span; a
+	// the length of the matched span so the engine skips it; a
 	// weak-signature prober (RTP) tallies validation evidence into sc
 	// and returns false. Nil when Pass1 is false.
-	Probe func(c Candidate, sc *ScanState) (Candidate, bool)
+	Probe func(c Candidate, sc *ScanState) (int, bool)
 	// Validate runs the fingerprint plus stream-state validation at one
-	// offset during pass 2, returning the extracted message. The engine
-	// sets the message's Offset.
-	Validate func(c Candidate, st *StreamState) (Message, bool)
+	// offset during pass 2. On a match it writes the extracted message
+	// to out and returns true; on a miss it returns false and leaves out
+	// untouched, so a miss costs no Message copy. The engine sets the
+	// message's Offset.
+	Validate func(c Candidate, st *StreamState, out *Message) bool
 }
 
 // Handler is one protocol's registered implementation.
@@ -181,14 +181,13 @@ type Accepter interface {
 
 // ConsumeProbe adapts a Validate function into the pass-1 Probe shape
 // for strong-signature probers: a structural match against the scratch
-// state consumes the message's span.
-func ConsumeProbe(validate func(Candidate, *StreamState) (Message, bool)) func(Candidate, *ScanState) (Candidate, bool) {
-	return func(c Candidate, sc *ScanState) (Candidate, bool) {
-		m, ok := validate(c, &sc.Scratch)
-		if !ok {
-			return c, false
+// state consumes the message's span. The match lands in the scan
+// state's scratch Message, which pass 1 only reads the length of.
+func ConsumeProbe(validate func(Candidate, *StreamState, *Message) bool) func(Candidate, *ScanState) (int, bool) {
+	return func(c Candidate, sc *ScanState) (int, bool) {
+		if !validate(c, &sc.Scratch, &sc.msg) {
+			return 0, false
 		}
-		c.Length = m.Length
-		return c, true
+		return sc.msg.Length, true
 	}
 }

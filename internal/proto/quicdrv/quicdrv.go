@@ -5,6 +5,7 @@
 package quicdrv
 
 import (
+	"encoding/binary"
 	"time"
 
 	"github.com/rtc-compliance/rtcc/internal/proto"
@@ -64,31 +65,42 @@ func state(st *proto.StreamState) *streamState {
 // when the stream has established QUIC state (a known DCID at the
 // expected length), mirroring the paper's DCID/SCID consistency
 // heuristic.
-func match(c proto.Candidate, st *proto.StreamState) (proto.Message, bool) {
+func match(c proto.Candidate, st *proto.StreamState, out *proto.Message) bool {
 	b := c.Bytes()
 	if quicwire.IsLongHeader(b) {
+		// Every offset whose first byte has the form bit set reaches
+		// here, so reject on the raw bytes first: a long header is at
+		// least 7 bytes, and only version 1 and Version Negotiation
+		// (version 0) are accepted below. The checks after the parse
+		// still confirm every survivor.
+		if len(b) < 7 {
+			return false
+		}
+		if v := binary.BigEndian.Uint32(b[1:5]); v != quicwire.Version1 && v != quicwire.VersionNegotiation {
+			return false
+		}
 		// Probe into a stack Header (CIDs aliasing b); most candidate
 		// offsets are rejected, so the heap copy waits for acceptance.
 		var probe quicwire.Header
 		if quicwire.ParseLongInto(&probe, b) != nil {
-			return proto.Message{}, false
+			return false
 		}
 		if probe.Version != quicwire.Version1 && probe.Version != quicwire.VersionNegotiation {
-			return proto.Message{}, false
+			return false
 		}
 		if probe.Version == quicwire.Version1 && !probe.FixedBit {
-			return proto.Message{}, false
+			return false
 		}
 		if probe.Version == quicwire.VersionNegotiation {
 			// A real Version Negotiation packet lists at least one
 			// nonzero version; all-zero regions of proprietary payloads
 			// would otherwise masquerade as VN.
 			if len(probe.SupportedVersions) == 0 {
-				return proto.Message{}, false
+				return false
 			}
 			for _, v := range probe.SupportedVersions {
 				if v == 0 {
-					return proto.Message{}, false
+					return false
 				}
 			}
 		}
@@ -107,21 +119,23 @@ func match(c proto.Candidate, st *proto.StreamState) (proto.Message, bool) {
 		h := new(quicwire.Header)
 		*h = probe
 		h.CloneCIDs()
-		return proto.Message{Protocol: proto.QUIC, Length: length, QUIC: h}, true
+		*out = proto.Message{Protocol: proto.QUIC, Length: length, QUIC: h}
+		return true
 	}
 	// Short header: requires context.
 	qs, _ := st.Slot(proto.QUIC).(*streamState)
 	if qs == nil || qs.shortCIDLen == 0 || len(b) < 1+qs.shortCIDLen {
-		return proto.Message{}, false
+		return false
 	}
 	if b[0]&0xc0 != 0x40 { // form 0, fixed bit 1
-		return proto.Message{}, false
+		return false
 	}
 	h, err := quicwire.ParseShort(b, qs.shortCIDLen)
 	if err != nil || !qs.cids[string(h.DCID)] {
-		return proto.Message{}, false
+		return false
 	}
-	return proto.Message{Protocol: proto.QUIC, Length: len(b), QUIC: h}, true
+	*out = proto.Message{Protocol: proto.QUIC, Length: len(b), QUIC: h}
+	return true
 }
 
 func quicTypeKey(h *quicwire.Header) proto.TypeKey {

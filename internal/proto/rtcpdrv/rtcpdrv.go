@@ -56,21 +56,21 @@ func (handler) Probers() []proto.Prober {
 // a plausible trailer (nothing, a small proprietary suffix, or an SRTCP
 // index with or without the auth tag). Exported for the RTP driver's
 // strong-second-candidate scan.
-func Match(c proto.Candidate, st *proto.StreamState) (proto.Message, bool) {
+func Match(c proto.Candidate, st *proto.StreamState, out *proto.Message) bool {
 	b := c.Bytes()
 	if !rtcp.LooksLikeHeader(b) {
-		return proto.Message{}, false
+		return false
 	}
 	// The DPI probes every candidate offset of every datagram, so
 	// rejections (the common case inside RTP payloads and proprietary
 	// headers) must not allocate: replay the rejection rules over the
 	// raw bytes first and decode only survivors.
 	if !scanCompound(b, st) {
-		return proto.Message{}, false
+		return false
 	}
 	pkts, trailing, err := rtcp.DecodeCompound(b)
 	if err != nil || len(pkts) == 0 {
-		return proto.Message{}, false
+		return false
 	}
 	length := 0
 	for _, p := range pkts {
@@ -79,13 +79,13 @@ func Match(c proto.Candidate, st *proto.StreamState) (proto.Message, bool) {
 	switch len(trailing) {
 	case 0, 1, 2, 3, 4, 14:
 	default:
-		return proto.Message{}, false
+		return false
 	}
 	for _, p := range pkts {
 		// Every real RTCP packet carries at least the header plus one
 		// SSRC word.
 		if p.Header.ByteLen() < 8 {
-			return proto.Message{}, false
+			return false
 		}
 		if rtcp.Defined(p.Header.Type) {
 			continue
@@ -99,15 +99,16 @@ func Match(c proto.Candidate, st *proto.StreamState) (proto.Message, bool) {
 		}
 		ssrc, ok := p.SenderSSRC()
 		if !ok || !st.ValidatedSSRC[ssrc] {
-			return proto.Message{}, false
+			return false
 		}
 	}
-	return proto.Message{
+	*out = proto.Message{
 		Protocol:     proto.RTCP,
 		Length:       length + len(trailing),
 		RTCP:         pkts,
 		RTCPTrailing: trailing,
-	}, true
+	}
+	return true
 }
 
 // scanCompound is Match's allocation-free pre-filter: it walks the

@@ -17,6 +17,7 @@ import (
 	"github.com/rtc-compliance/rtcc/internal/proto/rtcpdrv"
 	"github.com/rtc-compliance/rtcc/internal/proto/stundrv"
 	"github.com/rtc-compliance/rtcc/internal/rtp"
+	"github.com/rtc-compliance/rtcc/internal/stun"
 )
 
 func init() {
@@ -138,17 +139,17 @@ func scan(sc *proto.ScanState) *scanState {
 // sighting and always reports no match, so the engine's scan advances
 // by one byte — candidate RTP headers are not yet trusted to consume
 // their span.
-func tallyProbe(c proto.Candidate, sc *proto.ScanState) (proto.Candidate, bool) {
+func tallyProbe(c proto.Candidate, sc *proto.ScanState) (int, bool) {
 	b := c.Bytes()
 	if !rtp.LooksLikeHeader(b) || (b[1] >= 192 && b[1] <= 223) {
-		return c, false
+		return 0, false
 	}
 	// A sighting is only recorded for zero-CSRC candidates, and the
 	// CSRC count is the low nibble of the first byte: settling the
 	// common nonzero case here skips the state lookup and header
 	// decode for ~15/16 of the version-2 windows the scan visits.
 	if b[0]&0x0F != 0 {
-		return c, false
+		return 0, false
 	}
 	s := scan(sc)
 	// Decode into the scan state's scratch: the sighting only needs
@@ -158,7 +159,7 @@ func tallyProbe(c proto.Candidate, sc *proto.ScanState) (proto.Candidate, bool) 
 	if rtp.DecodeInto(p, b) == nil {
 		s.note(sc, p.SSRC, p.SequenceNumber, p.Timestamp)
 	}
-	return c, false
+	return 0, false
 }
 
 // note records one pass-1 candidate sighting. An SSRC is validated by
@@ -200,13 +201,13 @@ func tsClose(last, ts uint32) bool {
 // Match matches RTP: version 2, first payload byte outside the RTCP
 // demultiplexing range (RFC 5761), and either a known SSRC with a
 // plausible next sequence number or a fresh zero-CSRC packet.
-func Match(c proto.Candidate, st *proto.StreamState) (proto.Message, bool) {
+func Match(c proto.Candidate, st *proto.StreamState, out *proto.Message) bool {
 	b := c.Bytes()
 	if !rtp.LooksLikeHeader(b) {
-		return proto.Message{}, false
+		return false
 	}
 	if b[1] >= 192 && b[1] <= 223 {
-		return proto.Message{}, false // RTCP range
+		return false // RTCP range
 	}
 	if st.ValidatedSSRC != nil && !st.ValidatedSSRC[binary.BigEndian.Uint32(b[8:12])] {
 		// Stream-validated mode: only SSRCs with cross-packet support
@@ -216,29 +217,29 @@ func Match(c proto.Candidate, st *proto.StreamState) (proto.Message, bool) {
 		// before the full decode: nearly every candidate window fails
 		// it, and a window that would fail decode is rejected either
 		// way.
-		return proto.Message{}, false
+		return false
 	}
 	rs := state(st)
 	// Probe into the stream state's scratch Packet; most candidate
 	// offsets are rejected, so the heap copy is deferred to acceptance.
 	probe := &rs.probe
 	if rtp.DecodeInto(probe, b) != nil {
-		return proto.Message{}, false
+		return false
 	}
 	if last, ok := rs.lastSeq[probe.SSRC]; ok {
 		if !seqClose(last, probe.SequenceNumber) {
-			return proto.Message{}, false
+			return false
 		}
 		if lastTS, has := rs.lastTS[probe.SSRC]; has && !tsClose(lastTS, probe.Timestamp) {
 			// Known SSRC but an implausible timestamp jump: a stray
 			// byte window that happens to cover a real SSRC value.
-			return proto.Message{}, false
+			return false
 		}
 	} else if probe.CSRCCount != 0 {
 		// First sighting of an SSRC: RTC media never uses CSRC lists in
 		// these applications, so a nonzero CSRC count on a fresh SSRC
 		// marks a mis-parse.
-		return proto.Message{}, false
+		return false
 	}
 	p := rs.slab.next(st.Epoch)
 	*p = *probe
@@ -247,7 +248,8 @@ func Match(c proto.Candidate, st *proto.StreamState) (proto.Message, bool) {
 	} else {
 		p.CSRC = nil // scratch reuse leaves a non-nil empty slice
 	}
-	return proto.Message{Protocol: proto.RTP, Length: len(b), RTP: p}, true
+	*out = proto.Message{Protocol: proto.RTP, Length: len(b), RTP: p}
+	return true
 }
 
 // Accept post-processes an accepted RTP message: when a strong second
@@ -268,40 +270,44 @@ func (handler) Accept(payload []byte, m proto.Message, st *proto.StreamState) pr
 // a second message start. Only strong candidates count: a magic-cookie
 // STUN header, a valid RTCP compound, or an RTP header whose SSRC
 // matches the outer message (Zoom's two-RTP case).
+//
+// The scan visits every byte of every accepted RTP payload, so each
+// validator runs only where a raw-byte condition it requires holds: the
+// cookie word at j+4, a packet type in the RFC 5761 range at j+1, the
+// outer SSRC at j+8. Each is rare in media bytes and is tested before
+// the first byte's version bits, which half the byte space passes. The
+// gates only reject; the validator still confirms every hit. j stays
+// at least rtp.HeaderLen bytes short of end, so every word read fits.
 func findStrongCandidate(payload []byte, m proto.Message, st *proto.StreamState) (int, bool) {
 	rs := state(st)
+	ssrc := m.RTP.SSRC
 	start := m.Offset + m.RTP.HeaderSize() + 1
 	end := m.Offset + m.Length
+	body := payload[:end]
+	var hit proto.Message
 	for j := start; j < end-rtp.HeaderLen; j++ {
-		// The candidates' first-byte slices are disjoint (RFC 7983:
-		// STUN's top bits are 00, the RTP/RTCP version bits are 10), so
-		// at most one branch can match at any offset and half the byte
-		// space skips the scan entirely.
-		switch payload[j] >> 6 {
-		case 0:
-			c := proto.Candidate{Payload: payload[:end], Offset: j}
-			if _, ok := stundrv.MatchCookie(c, st); ok {
-				return j, true
-			}
-		case 2:
-			c := proto.Candidate{Payload: payload[:end], Offset: j}
+		if binary.BigEndian.Uint32(body[j+4:]) == stun.MagicCookie && body[j]>>6 == 0 &&
+			stundrv.MatchCookie(proto.Candidate{Payload: body, Offset: j}, st, &hit) {
+			return j, true
+		}
+		if pt := body[j+1]; pt >= 192 && pt <= 223 && body[j]>>6 == 2 {
 			// An RTCP region inside an RTP payload must show SSRC
 			// support: encrypted media bytes occasionally imitate an
 			// RTCP header, and accepting one would wrongly truncate the
 			// outer RTP message.
-			if m2, ok := rtcpdrv.Match(c, st); ok && len(m2.RTCP) > 0 {
-				if ssrc, has := m2.RTCP[0].SenderSSRC(); has {
-					_, known := rs.lastSeq[ssrc]
-					if known || (st.ValidatedSSRC != nil && st.ValidatedSSRC[ssrc]) {
+			if rtcpdrv.Match(proto.Candidate{Payload: body, Offset: j}, st, &hit) && len(hit.RTCP) > 0 {
+				if sender, has := hit.RTCP[0].SenderSSRC(); has {
+					_, known := rs.lastSeq[sender]
+					if known || (st.ValidatedSSRC != nil && st.ValidatedSSRC[sender]) {
 						return j, true
 					}
 				}
 			}
-			if inner, ok := Match(c, st); ok {
-				if inner.RTP.SSRC == m.RTP.SSRC && inner.RTP.SequenceNumber != m.RTP.SequenceNumber {
-					return j, true
-				}
-			}
+		}
+		if binary.BigEndian.Uint32(body[j+8:]) == ssrc && body[j]>>6 == 2 &&
+			Match(proto.Candidate{Payload: body, Offset: j}, st, &hit) &&
+			hit.RTP.SSRC == ssrc && hit.RTP.SequenceNumber != m.RTP.SequenceNumber {
+			return j, true
 		}
 	}
 	return 0, false

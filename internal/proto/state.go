@@ -44,6 +44,9 @@ type ScanState struct {
 	// weak-signature probers during pass 1.
 	ValidatedSSRC map[uint32]bool
 
+	// msg receives ConsumeProbe's structural matches; held here so the
+	// probe path never allocates or zeroes a Message per offset.
+	msg   Message
 	slots [MaxIDs]any
 }
 

@@ -65,24 +65,25 @@ func stunFirst(b byte) bool { return b&0xc0 == 0 }
 // validation anchor. The message type is deliberately unrestricted
 // (§4.1.1) so undefined types like WhatsApp's 0x0801 surface. Exported
 // for the RTP driver's strong-second-candidate scan.
-func MatchCookie(c proto.Candidate, st *proto.StreamState) (proto.Message, bool) {
+func MatchCookie(c proto.Candidate, st *proto.StreamState, out *proto.Message) bool {
 	b := c.Bytes()
 	if !stun.LooksLikeHeader(b) {
-		return proto.Message{}, false
+		return false
 	}
 	if len(b) < stun.HeaderLen {
-		return proto.Message{}, false
+		return false
 	}
 	cookie := uint32(b[4])<<24 | uint32(b[5])<<16 | uint32(b[6])<<8 | uint32(b[7])
 	if cookie != stun.MagicCookie {
-		return proto.Message{}, false
+		return false
 	}
 	m, err := stun.Decode(b)
 	if err != nil {
-		return proto.Message{}, false
+		return false
 	}
 	st.SawSTUN = true
-	return proto.Message{Protocol: proto.STUN, Length: m.DecodedLen(), STUN: m}, true
+	*out = proto.Message{Protocol: proto.STUN, Length: m.DecodedLen(), STUN: m}
+	return true
 }
 
 // matchClassic matches RFC 3489 STUN, which lacks the magic cookie.
@@ -90,31 +91,32 @@ func MatchCookie(c proto.Candidate, st *proto.StreamState) (proto.Message, bool)
 // requires the declared length to consume the remaining payload exactly
 // and the attribute region to walk cleanly; the paper's equivalent is
 // its "valid length field" heuristic.
-func matchClassic(c proto.Candidate, st *proto.StreamState) (proto.Message, bool) {
+func matchClassic(c proto.Candidate, st *proto.StreamState, out *proto.Message) bool {
 	b := c.Bytes()
 	if !stun.LooksLikeHeader(b) {
-		return proto.Message{}, false
+		return false
 	}
 	declared := int(b[2])<<8 | int(b[3])
 	if declared != len(b)-stun.HeaderLen {
-		return proto.Message{}, false
+		return false
 	}
 	m, err := stun.Decode(b)
 	if err != nil {
-		return proto.Message{}, false
+		return false
 	}
 	if !m.Classic {
-		return proto.Message{}, false // cookie case handled by MatchCookie
+		return false // cookie case handled by MatchCookie
 	}
 	// Without the magic cookie anchor, only registered methods are
 	// plausible: every classic-STUN deployment the paper observed
 	// (Zoom's RFC 3489 usage) uses defined methods, while zero-filled
 	// or random regions frequently parse as "type 0x0000" messages.
 	if _, defined := stun.DefinedMessageType(m.Type); !defined {
-		return proto.Message{}, false
+		return false
 	}
 	st.SawSTUN = true
-	return proto.Message{Protocol: proto.STUN, Length: m.DecodedLen(), STUN: m}, true
+	*out = proto.Message{Protocol: proto.STUN, Length: m.DecodedLen(), STUN: m}
+	return true
 }
 
 type channelDataHandler struct{}
@@ -146,21 +148,21 @@ func (channelDataHandler) Probers() []proto.Prober {
 // is restricted to RFC 8656's 0x4000-0x4FFF: the wider RFC 5766 range
 // would swallow FaceTime's 0x6000 proprietary header, which the paper
 // classifies as proprietary (§5.3).
-func matchChannelData(c proto.Candidate, st *proto.StreamState) (proto.Message, bool) {
+func matchChannelData(c proto.Candidate, st *proto.StreamState, out *proto.Message) bool {
 	b := c.Bytes()
 	if len(b) < 4 {
-		return proto.Message{}, false
+		return false
 	}
 	// TURN ChannelData only ever flows on a socket that previously
 	// carried the STUN allocation handshake (RFC 8656 §12). In
 	// stream-validated mode, require prior STUN on the stream; this
 	// rejects channel-range byte windows inside proprietary payloads.
 	if st.ValidatedSSRC != nil && !st.SawSTUN {
-		return proto.Message{}, false
+		return false
 	}
 	ch := uint16(b[0])<<8 | uint16(b[1])
 	if ch < stun.ChannelMin || ch > stun.ChannelMax8656 {
-		return proto.Message{}, false
+		return false
 	}
 	length := int(b[2])<<8 | int(b[3])
 	// Real ChannelData frames carry at least a minimal protocol message
@@ -168,22 +170,23 @@ func matchChannelData(c proto.Candidate, st *proto.StreamState) (proto.Message, 
 	// flag bytes of proprietary payloads that happen to sit in the
 	// channel range.
 	if length < 12 {
-		return proto.Message{}, false
+		return false
 	}
 	total := 4 + length
 	if total > len(b) {
-		return proto.Message{}, false
+		return false
 	}
 	// Allow up to 3 bytes of padding after the frame; more implies the
 	// length field is not a real ChannelData length.
 	if len(b)-total > 3 {
-		return proto.Message{}, false
+		return false
 	}
 	cd, err := stun.DecodeChannelData(b)
 	if err != nil {
-		return proto.Message{}, false
+		return false
 	}
-	return proto.Message{Protocol: proto.ChannelData, Length: cd.DecodedLen(), ChannelData: cd}, true
+	*out = proto.Message{Protocol: proto.ChannelData, Length: cd.DecodedLen(), ChannelData: cd}
+	return true
 }
 
 // session is the STUN family's per-stream criterion-5 state, shared by

@@ -226,17 +226,17 @@ func BuildDTLSClientHelloBody(random [32]byte, cookie []byte) []byte {
 	w := make([]byte, 0, 96)
 	w = append(w, 0xfe, 0xfd) // client_version DTLS 1.2
 	w = append(w, random[:]...)
-	w = append(w, 0)                  // session_id length
-	w = append(w, byte(len(cookie)))  // cookie length
-	w = append(w, cookie...)          //
-	w = append(w, 0, 4)               // cipher_suites length
-	w = append(w, 0xc0, 0x2b)         // ECDHE-ECDSA-AES128-GCM-SHA256
-	w = append(w, 0xc0, 0x2f)         // ECDHE-RSA-AES128-GCM-SHA256
-	w = append(w, 1, 0)               // null compression
-	w = append(w, 0, 9)               // extensions length
-	w = append(w, 0, 14, 0, 5)        // use_srtp, length 5
-	w = append(w, 0, 2, 0, 1)         // profiles: SRTP_AES128_CM_HMAC_SHA1_80
-	w = append(w, 0)                  // MKI length
+	w = append(w, 0)                 // session_id length
+	w = append(w, byte(len(cookie))) // cookie length
+	w = append(w, cookie...)         //
+	w = append(w, 0, 4)              // cipher_suites length
+	w = append(w, 0xc0, 0x2b)        // ECDHE-ECDSA-AES128-GCM-SHA256
+	w = append(w, 0xc0, 0x2f)        // ECDHE-RSA-AES128-GCM-SHA256
+	w = append(w, 1, 0)              // null compression
+	w = append(w, 0, 9)              // extensions length
+	w = append(w, 0, 14, 0, 5)       // use_srtp, length 5
+	w = append(w, 0, 2, 0, 1)        // profiles: SRTP_AES128_CM_HMAC_SHA1_80
+	w = append(w, 0)                 // MKI length
 	return w
 }
 
