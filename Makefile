@@ -85,14 +85,18 @@ cover:
 # End-to-end trace smoke: generate a small capture, export its decision
 # trace, and validate the JSONL against the event-schema linter. The
 # -explain query must name the failing criterion for the seeded
-# non-compliant STUN message.
+# non-compliant STUN message. The export must be byte-identical on one
+# shard and on four.
 trace-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) run ./cmd/rtcgen -out $$dir -app Zoom -network wifi-p2p -duration 5s -runs 1 >/dev/null && \
 	$(GO) run ./cmd/rtccheck -manifest $$dir/manifest.json -trace-out $$dir/trace.jsonl >/dev/null && \
 	$(GO) run ./cmd/rtctrace -in $$dir/trace.jsonl -lint && \
 	$(GO) run ./cmd/rtctrace -in $$dir/trace.jsonl -explain "Zoom" | grep -q "failed criterion" && \
-	echo "trace-smoke: export, lint, and explain OK"
+	$(GO) run ./cmd/rtccheck -manifest $$dir/manifest.json -shards 1 -trace-out $$dir/trace1.jsonl >/dev/null && \
+	$(GO) run ./cmd/rtccheck -manifest $$dir/manifest.json -shards 4 -trace-out $$dir/trace4.jsonl >/dev/null && \
+	cmp $$dir/trace1.jsonl $$dir/trace4.jsonl && \
+	echo "trace-smoke: export, lint, explain, and 1-vs-4-shard parity OK"
 
 # Reduced impairment matrix under the race detector: -short trims the
 # differential suite to 2 apps x 3 profiles x 2 seeds, the same cells
@@ -102,13 +106,13 @@ impair-smoke:
 		./internal/natsim ./internal/appsim ./internal/trace ./internal/core
 
 # Sharded-ingest smoke under the race detector: the shard-count
-# invariance sweep, the accounting semantics, and the race hammer;
-# plus the serial streaming differential pinned at GOMAXPROCS=2, where
-# scheduler interleavings differ from both the 1-CPU and many-CPU
-# shapes.
+# invariance sweep, sharded trace parity, the accounting semantics,
+# and the race hammer; plus the serial streaming differential pinned
+# at GOMAXPROCS=2, where scheduler interleavings differ from both the
+# 1-CPU and many-CPU shapes.
 shard-smoke:
 	$(GO) test -short -race -count=1 \
-		-run 'TestShardCountInvariance|TestShardInvarianceUnderImpairment|TestShardedPCAPMatchesSerial|TestDropConservation|TestFlushBarrier|TestShardRaceHammer' \
+		-run 'TestShardCountInvariance|TestShardInvarianceUnderImpairment|TestShardedPCAPMatchesSerial|TestShardedTraceMatchesSerial|TestDropConservation|TestFlushBarrier|TestShardRaceHammer' \
 		./internal/ingest
 	GOMAXPROCS=2 $(GO) test -short -race -count=1 -run 'TestStreamingBatchEquivalence' ./internal/core
 

@@ -406,9 +406,12 @@ func BenchmarkRunMatrix_ParallelSpeedup(b *testing.B) {
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
 }
 
-// BenchmarkAnalyzeCapture_StreamWorkers isolates the stream-level pool
-// inside AnalyzeCapture on one large capture (no generation cost).
-func BenchmarkAnalyzeCapture_StreamWorkers(b *testing.B) {
+// BenchmarkAnalyzeCapture_Shards sweeps the per-capture parallelism
+// setting, the shard count, on one large capture (no generation cost):
+// each run feeds the capture through rtcc.NewShardedAnalyzer configured
+// as rtcc.Analyze configures its Analyzer, and Close finalizes the
+// merged streams on one goroutine per shard.
+func BenchmarkAnalyzeCapture_Shards(b *testing.B) {
 	cap, err := rtcc.GenerateCapture(rtcc.CaptureConfig{
 		App: rtcc.GoogleMeet, Network: rtcc.WiFiRelay, Seed: 9,
 		Start: benchStart, CallDuration: 10 * time.Second,
@@ -417,10 +420,28 @@ func BenchmarkAnalyzeCapture_StreamWorkers(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+	in := cap.Input()
+	counts := []int{1, 2, 4}
+	if n := runtime.GOMAXPROCS(0); n > 4 {
+		counts = append(counts, n)
+	}
+	for _, n := range counts {
+		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := rtcc.Analyze(cap, rtcc.Options{SkipFindings: true, Workers: w}); err != nil {
+				sa, err := rtcc.NewShardedAnalyzer(rtcc.AnalyzerConfig{
+					Label: in.Label, LinkType: in.LinkType,
+					CallStart: in.CallStart, CallEnd: in.CallEnd,
+					KeepPayloads: true, FramesStable: true,
+				}, rtcc.Options{SkipFindings: true}, rtcc.ShardConfig{Shards: n})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, p := range in.Packets {
+					if err := sa.Feed(p.Timestamp, p.Data); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, err := sa.Close(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -734,20 +755,6 @@ func BenchmarkDPI_BaselineComparison(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(msgs), "messages")
-	})
-	b.Run("custom-adaptive", func(b *testing.B) {
-		e := &dpi.Engine{MaxOffset: 200, Adaptive: true}
-		msgs := 0
-		for i := 0; i < b.N; i++ {
-			msgs = 0
-			for _, payloads := range streams {
-				for _, r := range e.InspectStream(payloads) {
-					msgs += len(r.Messages)
-				}
-			}
-		}
-		b.ReportMetric(float64(msgs), "messages")
-		b.ReportMetric(100*float64(msgs)/float64(maxInt(customMsgs, 1)), "recall_vs_custom_%")
 	})
 }
 

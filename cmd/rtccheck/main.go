@@ -42,7 +42,7 @@ type cliFlags struct {
 
 	pcapPath, manifest         *string
 	startStr, endStr, label    *string
-	kOffset, workers, shards   *int
+	kOffset, shards            *int
 	findings, verbose          *bool
 	inferHdr, jsonOut          *bool
 	metAddr, traceOut, explain *string
@@ -59,7 +59,6 @@ func newFlags() *cliFlags {
 	c.endStr = fs.String("end", "", "call window end (RFC 3339); default: capture end")
 	c.label = fs.String("label", "", "application label for the report")
 	c.kOffset = fs.Int("k", 200, "DPI maximum candidate-extraction offset")
-	c.workers = cmdutil.WorkersFlag(fs)
 	c.shards = cmdutil.ShardsFlag(fs)
 	c.findings = fs.Bool("findings", true, "report behavioural findings")
 	c.verbose = fs.Bool("v", false, "print per-type detail")
@@ -95,10 +94,7 @@ func (c *cliFlags) apply(cfg *pipeline.Config, only map[string]bool) {
 	if set("k") {
 		cfg.Analysis.MaxOffset = *c.kOffset
 	}
-	if set("workers") && (only != nil || *c.workers != 0) {
-		cfg.Exec.Workers = *c.workers
-	}
-	if set("shards") && (only != nil || *c.shards != 1) {
+	if set("shards") {
 		cfg.Exec.Shards = *c.shards
 	}
 	if set("findings") {

@@ -147,7 +147,7 @@ func readReplayFrames(path string) ([]pcap.Packet, error) {
 type collectVals struct {
 	listen, out       *string
 	analyze           *bool
-	workers, shards   *int
+	shards            *int
 	maxFrames         *int
 	idle, evict       *time.Duration
 	reorder           *int
@@ -165,7 +165,6 @@ func collectFlags() (*flag.FlagSet, *collectVals) {
 		evict:     fs.Duration("evict", 0, "finalize streams idle this long to bound analysis memory (0 = off)"),
 		reorder:   fs.Int("reorder", 256, "reorder-buffer depth for the streaming analysis"),
 	}
-	v.workers = cmdutil.WorkersFlag(fs)
 	v.shards = cmdutil.ShardsFlag(fs)
 	v.metAddr = cmdutil.MetricsAddrFlag(fs)
 	v.traceOut = cmdutil.TraceOutFlag(fs, "(requires -analyze)")
@@ -181,8 +180,13 @@ func (v *collectVals) config() pipeline.Config {
 	cfg.Source.Idle = pipeline.Duration(*v.idle)
 	cfg.Source.MaxFrames = *v.maxFrames
 	cfg.Source.Reorder = *v.reorder
-	cfg.Exec.Workers = *v.workers
 	cfg.Exec.Shards = *v.shards
+	if *v.out != "" {
+		// -out analyzes the collected frames from memory after the
+		// socket has closed, so waiting for a full shard queue loses
+		// nothing upstream: never shed.
+		cfg.Exec.Policy = "block"
+	}
 	cfg.Exec.EvictIdle = pipeline.Duration(*v.evict)
 	cfg.Sinks.MetricsAddr = *v.metAddr
 	cfg.Sinks.TraceOut = *v.traceOut

@@ -203,7 +203,7 @@ func (p *Prepared) RunOnce() (time.Duration, error) {
 		cfg.KeepPayloads = true
 		cfg.FramesStable = true
 	}
-	a, err := core.NewAnalyzer(cfg, core.Options{SkipFindings: true, Workers: 1})
+	a, err := core.NewAnalyzer(cfg, core.Options{SkipFindings: true})
 	if err != nil {
 		return 0, err
 	}
@@ -247,7 +247,7 @@ func (p *Prepared) RunOnce() (time.Duration, error) {
 // cannot hide behind the router. Close (shard join + merge +
 // finalization) stays outside, like every mode's finalization.
 func (p *Prepared) runSharded(cfg core.AnalyzerConfig) (time.Duration, error) {
-	sa, err := ingest.New(cfg, core.Options{SkipFindings: true, Workers: 1}, ingest.Config{
+	sa, err := ingest.New(cfg, core.Options{SkipFindings: true}, ingest.Config{
 		Shards: p.Scenario.Shards,
 	})
 	if err != nil {

@@ -20,7 +20,7 @@ func WorkersFlag(fs *flag.FlagSet) *int {
 
 // ShardsFlag registers -shards.
 func ShardsFlag(fs *flag.FlagSet) *int {
-	return fs.Int("shards", 1, "ingest shard count (>1 spreads flows across N shards; identical output)")
+	return fs.Int("shards", 0, "analysis shard count (0 = one per CPU, 1 = serial)")
 }
 
 // MetricsAddrFlag registers -metrics-addr.

@@ -38,7 +38,7 @@ func TestFlagSurfaceSortedAndComplete(t *testing.T) {
 			t.Fatalf("line %d = %q, want prefix %q (sorted by name)", i, lines[i], prefix)
 		}
 	}
-	if !strings.Contains(lines[1], `"1"`) {
+	if !strings.Contains(lines[1], `"0"`) {
 		t.Fatalf("shards line must carry its default: %q", lines[1])
 	}
 }

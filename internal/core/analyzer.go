@@ -164,7 +164,7 @@ type Analyzer struct {
 
 	// trace is the capture's decision-trace context (nil when
 	// Options.Tracer is nil). All emission happens from Feed or the
-	// deterministic parts of Close, never from worker goroutines.
+	// deterministic parts of Close, never from the stream fan-out.
 	trace *obs.Pipeline
 
 	cm captureMetrics
@@ -524,16 +524,18 @@ func (a *Analyzer) Close() (*CaptureAnalysis, error) {
 		return nil, errors.New("core: Close called twice")
 	}
 	a.closed = true
-	return a.finalize()
+	return a.finalize(1)
 }
 
 // finalize is Close without the reuse guard: the full two-stage filter
-// over the accumulated table, reconciliation, the parallel per-stream
-// finalization, and the deterministic fold. MergeAnalyzers runs it over
-// a synthetic analyzer holding the union of N shards' state, which is
-// why sharded output is byte-identical to serial by construction — it
-// is literally this code path either way.
-func (a *Analyzer) finalize() (*CaptureAnalysis, error) {
+// over the accumulated table, reconciliation, the per-stream
+// finalization fanned out over workers goroutines, and the
+// deterministic fold. Close runs it on one goroutine; MergeAnalyzers
+// runs it over a synthetic analyzer holding the union of N shards'
+// state with one goroutine per shard, which is why sharded output is
+// byte-identical to serial by construction — it is literally this code
+// path either way.
+func (a *Analyzer) finalize(workers int) (*CaptureAnalysis, error) {
 	callStart, callEnd := a.cfg.CallStart, a.cfg.CallEnd
 	if a.cfg.DefaultWindowToSpan && callStart.IsZero() && a.frames > 0 {
 		callStart, callEnd = a.firstTS, a.lastTS
@@ -547,7 +549,6 @@ func (a *Analyzer) finalize() (*CaptureAnalysis, error) {
 	cm.frames.Add(uint64(a.frames))
 	cm.decodeErrors.Add(uint64(a.decodeErrs))
 	cm.packets.Add(uint64(a.frames - a.decodeErrs))
-	cm.workers.Set(int64(a.opts.workers()))
 
 	fres := filterpipe.RunWithSNI(a.table, filterpipe.Config{
 		CallStart: callStart,
@@ -576,7 +577,11 @@ func (a *Analyzer) finalize() (*CaptureAnalysis, error) {
 	// Reconciliation: streams admitted provisionally (DPI state built)
 	// that the full filter removed. Their pipeline state is discarded —
 	// monotonicity guarantees the reverse (provisionally removed but
-	// finally RTC) cannot happen.
+	// finally RTC) cannot happen. The trace records only the final
+	// verdict (the filter's stream-filtered event): whether a removed
+	// stream was admitted provisionally depends on feed batching and,
+	// on the sharded tier, on which shard saw which evidence, so tracing
+	// it would make the export differ between shard counts.
 	for _, s := range fres.RemovedStreams {
 		st := a.states[s.Key]
 		if st == nil || st.removed || s.Key.Proto != layers.IPProtocolUDP {
@@ -584,10 +589,6 @@ func (a *Analyzer) finalize() (*CaptureAnalysis, error) {
 		}
 		if st.insp != nil || st.partial != nil {
 			a.am.reclassified.Inc()
-			if a.trace != nil {
-				rm := fres.Removed[s.Key]
-				a.trace.StreamReclassified(s.Key.String(), rm.Stage, string(rm.Rule))
-			}
 			st.insp = nil
 			st.partial = nil
 			st.span = nil
@@ -601,8 +602,8 @@ func (a *Analyzer) finalize() (*CaptureAnalysis, error) {
 		}
 	}
 
-	// Finalize the surviving UDP RTC streams, fanned out exactly like
-	// the batch path, and fold in deterministic RTC order.
+	// Finalize the surviving UDP RTC streams, fanned out over workers,
+	// and fold in deterministic RTC order.
 	var udp []*flow.Stream
 	for _, s := range fres.RTC {
 		if s.Key.Proto == layers.IPProtocolUDP {
@@ -611,7 +612,7 @@ func (a *Analyzer) finalize() (*CaptureAnalysis, error) {
 	}
 	cm.rtcStreams.Add(uint64(len(udp)))
 	partials := make([]*streamPartial, len(udp))
-	forEachIndexed(len(udp), a.opts.workers(), func(i int) error {
+	forEachIndexed(len(udp), workers, func(i int) error {
 		start := cm.streamSeconds.Start()
 		partials[i] = a.finishStream(udp[i])
 		cm.streamSeconds.ObserveSince(start)

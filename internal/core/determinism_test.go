@@ -13,12 +13,13 @@ import (
 
 // Differential determinism harness for the concurrent analysis engine.
 //
-// The contract under test: RunMatrix and AnalyzeCapture produce output
-// that is byte-identical for every worker count. Serial (Workers=1) is
-// the reference implementation; the parallel paths fan work out over a
-// pool and fold partial results back in deterministic input order, and
-// any leak of scheduling order or map iteration order into the result
-// shows up here as a DeepEqual mismatch.
+// The contract under test: RunMatrix produces output that is
+// byte-identical for every worker count, and a capture analyzed on N
+// shards matches the serial Analyzer. Serial is the reference
+// implementation; the parallel paths fan work out over goroutines and
+// fold partial results back in deterministic input order, and any leak
+// of scheduling order or map iteration order into the result shows up
+// here as a DeepEqual mismatch.
 
 // determinismSeeds is the seed sweep; -short trims it to keep the race
 // run quick.
@@ -84,11 +85,12 @@ func TestSerialParallelMatrixEquivalence(t *testing.T) {
 	}
 }
 
-// TestSerialParallelCaptureEquivalence checks the stream-level pool
-// inside AnalyzeCapture directly: the whole CaptureAnalysis (filter
-// accounting, stats, ordered findings, SSRC set, decode errors) must be
-// deeply equal between Workers=1 and Workers=N, including for the apps
-// whose findings merge across streams (Zoom, FaceTime, Discord).
+// TestSerialParallelCaptureEquivalence checks the per-capture
+// parallelism directly: the whole CaptureAnalysis (filter accounting,
+// stats, ordered findings, SSRC set, decode errors) must be deeply
+// equal between the serial Analyzer and N shards merged and finalized
+// on N goroutines, including for the apps whose findings merge across
+// streams (Zoom, FaceTime, Discord).
 func TestSerialParallelCaptureEquivalence(t *testing.T) {
 	apps := []appsim.App{appsim.Zoom, appsim.FaceTime, appsim.Discord, appsim.GoogleMeet}
 	if testing.Short() {
@@ -107,11 +109,11 @@ func TestSerialParallelCaptureEquivalence(t *testing.T) {
 			Label: string(app), LinkType: pcap.LinkTypeRaw, Packets: cap.Frames(),
 			CallStart: cap.CallStart, CallEnd: cap.CallEnd,
 		}
-		serial, err := AnalyzeCapture(in, Options{Workers: 1})
+		serial, err := AnalyzeCapture(in, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, err := AnalyzeCapture(in, Options{Workers: 8})
+		parallel, err := analyzeSharded(in, Options{}, 8)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,7 +42,7 @@ func TestDTLSHandshakeAnalyzed(t *testing.T) {
 		for _, network := range streamingNetworks {
 			for _, seed := range seeds {
 				cap := dtlsCapture(t, app, network, seed)
-				ca, err := AnalyzeCapture(cap.Input(), Options{Workers: 1})
+				ca, err := AnalyzeCapture(cap.Input(), Options{})
 				if err != nil {
 					t.Fatalf("%s/%s/%d: %v", app, network, seed, err)
 				}
@@ -77,12 +77,12 @@ func TestDTLSHandshakeAnalyzed(t *testing.T) {
 // classes instead of being dropped.
 func TestDTLSRemovalNeedsNoEngineEdits(t *testing.T) {
 	cap := dtlsCapture(t, appsim.Discord, appsim.WiFiRelay, 7)
-	full, err := AnalyzeCapture(cap.Input(), Options{Workers: 1})
+	full, err := AnalyzeCapture(cap.Input(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sub := proto.Default().Without(proto.DTLS)
-	stripped, err := AnalyzeCapture(cap.Input(), Options{Workers: 1, Registry: sub})
+	stripped, err := AnalyzeCapture(cap.Input(), Options{Registry: sub})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +119,11 @@ func TestDTLSRemovalNeedsNoEngineEdits(t *testing.T) {
 // the DTLS driver is registered.
 func TestDTLSOffMatchesDefault(t *testing.T) {
 	cap := streamingCapture(t, appsim.Zoom, appsim.WiFiP2P, 3)
-	full, err := AnalyzeCapture(cap.Input(), Options{Workers: 1})
+	full, err := AnalyzeCapture(cap.Input(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stripped, err := AnalyzeCapture(cap.Input(), Options{Workers: 1, Registry: proto.Default().Without(proto.DTLS)})
+	stripped, err := AnalyzeCapture(cap.Input(), Options{Registry: proto.Default().Without(proto.DTLS)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,23 +131,23 @@ func TestDTLSOffMatchesDefault(t *testing.T) {
 }
 
 // TestDTLSStreamingMatchesBatch extends the differential guarantee to
-// DTLS-bearing captures: batch, streaming, and parallel analyses agree.
+// DTLS-bearing captures: batch, streaming, and sharded analyses agree.
 func TestDTLSStreamingMatchesBatch(t *testing.T) {
 	for _, seed := range []uint64{3, 17} {
 		cap := dtlsCapture(t, appsim.GoogleMeet, appsim.Cellular, seed)
-		batch, err := BatchAnalyzeCapture(cap.Input(), Options{Workers: 1})
+		batch, err := BatchAnalyzeCapture(cap.Input(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		stream, err := AnalyzeCapture(cap.Input(), Options{Workers: 1})
+		stream, err := AnalyzeCapture(cap.Input(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		diffAnalyses(t, "dtls streaming-1", batch, stream)
-		par, err := AnalyzeCapture(cap.Input(), Options{Workers: 8})
+		sharded, err := analyzeSharded(cap.Input(), Options{}, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		diffAnalyses(t, "dtls streaming-8", batch, par)
+		diffAnalyses(t, "dtls sharded-8", batch, sharded)
 	}
 }

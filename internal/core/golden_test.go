@@ -163,7 +163,7 @@ func TestGoldenMatrix(t *testing.T) {
 					cap := streamingCapture(t, app, network, seed)
 					path := goldenPath(app, network, seed)
 
-					batch, err := BatchAnalyzeCapture(cap.Input(), Options{Workers: 1})
+					batch, err := BatchAnalyzeCapture(cap.Input(), Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -186,16 +186,16 @@ func TestGoldenMatrix(t *testing.T) {
 						name string
 						run  func() (*CaptureAnalysis, error)
 					}{
-						{"streaming-1", func() (*CaptureAnalysis, error) {
-							return AnalyzeCapture(cap.Input(), Options{Workers: 1})
+						{"streaming", func() (*CaptureAnalysis, error) {
+							return AnalyzeCapture(cap.Input(), Options{})
 						}},
-						{"streaming-8", func() (*CaptureAnalysis, error) {
-							return AnalyzeCapture(cap.Input(), Options{Workers: 8})
+						{"sharded-8", func() (*CaptureAnalysis, error) {
+							return analyzeSharded(cap.Input(), Options{}, 8)
 						}},
 						{"evict-idle", func() (*CaptureAnalysis, error) {
 							raw := capturePCAPBytes(t, cap)
 							return AnalyzePCAP(bytes.NewReader(raw), string(cap.Config.App),
-								cap.CallStart, cap.CallEnd, Options{Workers: 1, EvictIdle: 500 * time.Millisecond})
+								cap.CallStart, cap.CallEnd, Options{EvictIdle: 500 * time.Millisecond})
 						}},
 						{"pooled-batched", func() (*CaptureAnalysis, error) {
 							// The single-pass reader: batched FeedBatch over
@@ -205,7 +205,7 @@ func TestGoldenMatrix(t *testing.T) {
 							defer bufpool.EnablePoison(bufpool.EnablePoison(true))
 							raw := capturePCAPBytes(t, cap)
 							return AnalyzePCAP(bytes.NewReader(raw), string(cap.Config.App),
-								cap.CallStart, cap.CallEnd, Options{Workers: 1})
+								cap.CallStart, cap.CallEnd, Options{})
 						}},
 					} {
 						ca, err := mode.run()

@@ -97,7 +97,7 @@ func TestImpairMatrixDifferential(t *testing.T) {
 	for _, app := range apps {
 		for _, seed := range seeds {
 			// Clean baseline for the stability invariants, analyzed once.
-			cleanCA, err := BatchAnalyzeCapture(impairCapture(t, app, natsim.Profile{}, seed).Input(), Options{Workers: 1})
+			cleanCA, err := BatchAnalyzeCapture(impairCapture(t, app, natsim.Profile{}, seed).Input(), Options{})
 			if err != nil {
 				t.Fatalf("%s seed %d clean: %v", app, seed, err)
 			}
@@ -107,22 +107,22 @@ func TestImpairMatrixDifferential(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/%d", app, p.Name, seed), func(t *testing.T) {
 					capt := impairCapture(t, app, p, seed)
 					in := capt.Input()
-					batch, err := BatchAnalyzeCapture(in, Options{Workers: 1})
+					batch, err := BatchAnalyzeCapture(in, Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
 					got := encodeGolden(batch)
 
 					// Batch and streaming must agree on impaired traffic,
-					// serial and pooled.
-					for _, workers := range []int{1, 8} {
-						streaming, err := AnalyzeCapture(in, Options{Workers: workers})
+					// serial and sharded.
+					for _, shards := range []int{1, 8} {
+						streaming, err := analyzeSharded(in, Options{}, shards)
 						if err != nil {
-							t.Fatalf("workers=%d: %v", workers, err)
+							t.Fatalf("shards=%d: %v", shards, err)
 						}
 						if enc := encodeGolden(streaming); !bytes.Equal(enc, got) {
-							t.Fatalf("streaming (workers=%d) diverged from batch on impaired traffic:\n%s",
-								workers, diffHint(got, enc))
+							t.Fatalf("streaming (shards=%d) diverged from batch on impaired traffic:\n%s",
+								shards, diffHint(got, enc))
 						}
 					}
 
@@ -133,7 +133,7 @@ func TestImpairMatrixDifferential(t *testing.T) {
 						defer bufpool.EnablePoison(bufpool.EnablePoison(true))
 						raw := capturePCAPBytes(t, capt)
 						pooled, err := AnalyzePCAP(bytes.NewReader(raw), in.Label,
-							in.CallStart, in.CallEnd, Options{Workers: 1})
+							in.CallStart, in.CallEnd, Options{})
 						if err != nil {
 							t.Fatalf("pooled-batched: %v", err)
 						}
@@ -205,7 +205,7 @@ func TestImpairMatrixDifferential(t *testing.T) {
 // concurrently — each with its own JSONL trace sink, all sharing one
 // metrics registry — and every result and exported trace must be
 // byte-identical to the serial reference. A final run pushes the same
-// input through one shared 16-worker analyzer fold. Run under -race.
+// input through 16 shards merged on 16 goroutines. Run under -race.
 func TestImpairRaceHammer(t *testing.T) {
 	seeds := determinismSeeds
 	if testing.Short() {
@@ -215,11 +215,11 @@ func TestImpairRaceHammer(t *testing.T) {
 	for _, seed := range seeds {
 		in := impairCapture(t, appsim.GoogleMeet, profile, seed).Input()
 
-		ref, err := AnalyzeCapture(in, Options{Workers: 1})
+		ref, err := AnalyzeCapture(in, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		refTrace := impairTraceJSONL(t, in, 1, nil)
+		refTrace := impairTraceJSONL(t, in, nil)
 		if len(refTrace) == 0 {
 			t.Fatalf("seed %d: empty reference trace", seed)
 		}
@@ -236,7 +236,7 @@ func TestImpairRaceHammer(t *testing.T) {
 				defer wg.Done()
 				var buf bytes.Buffer
 				w := obs.NewJSONLWriter(&buf)
-				ca, err := AnalyzeCapture(in, Options{Workers: 1, Metrics: reg, Tracer: w})
+				ca, err := AnalyzeCapture(in, Options{Metrics: reg, Tracer: w})
 				if err != nil {
 					errs[g] = err
 					return
@@ -262,22 +262,22 @@ func TestImpairRaceHammer(t *testing.T) {
 			}
 		}
 
-		// Shared fold: one analyzer, 16 workers.
-		pooled, err := AnalyzeCapture(in, Options{Workers: goroutines, Metrics: reg})
+		// Shared fold: 16 shards, merged on 16 goroutines.
+		sharded, err := analyzeSharded(in, Options{Metrics: reg}, goroutines)
 		if err != nil {
-			t.Fatalf("seed %d pooled: %v", seed, err)
+			t.Fatalf("seed %d sharded: %v", seed, err)
 		}
-		if !reflect.DeepEqual(pooled, ref) {
-			t.Errorf("seed %d: 16-worker fold differs from serial reference", seed)
+		if !reflect.DeepEqual(sharded, ref) {
+			t.Errorf("seed %d: 16-shard fold differs from serial reference", seed)
 		}
 	}
 }
 
-func impairTraceJSONL(t *testing.T, in CaptureInput, workers int, reg *metrics.Registry) []byte {
+func impairTraceJSONL(t *testing.T, in CaptureInput, reg *metrics.Registry) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := obs.NewJSONLWriter(&buf)
-	if _, err := AnalyzeCapture(in, Options{Workers: workers, Metrics: reg, Tracer: w}); err != nil {
+	if _, err := AnalyzeCapture(in, Options{Metrics: reg, Tracer: w}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {

@@ -22,9 +22,10 @@ import (
 //     insertion order a serial analyzer would have used.
 //
 // The merge constructs a synthetic Analyzer holding the union of the
-// shard state — stream table, per-stream pipeline state, filter
-// evidence (3-tuple spans, pre-call address pairs), frame tallies —
-// and then runs the very finalize step Close runs. Per-shard online
+// shard state — stream table, per-stream pipeline state and trace
+// spans, filter evidence (3-tuple spans, pre-call address pairs), frame
+// tallies — and then runs the very finalize step Close runs, with the
+// surviving streams fanned out over one goroutine per shard. Per-shard online
 // filter verdicts are safe to carry over because every online rule is
 // monotone on evidence that only grows from shard to union; the final
 // two-stage filter then re-judges every stream against the full merged
@@ -110,7 +111,13 @@ func MergeAnalyzers(shards []*Analyzer) (*CaptureAnalysis, error) {
 		if err := m.table.AbsorbStream(st.s); err != nil {
 			return nil, err
 		}
+		// The merged analyzer's pipeline flushes every span, so the
+		// capture begins once, not once per shard.
+		st.span.Adopt(m.trace)
 		m.states[st.s.Key] = st
 	}
-	return m.finalize()
+	// Every shard goroutine has drained, so the surviving streams fan
+	// out over one goroutine per shard: the shard count is the one
+	// per-capture parallelism setting.
+	return m.finalize(len(shards))
 }

@@ -15,7 +15,6 @@ type captureMetrics struct {
 	packets       *metrics.Counter
 	captures      *metrics.Counter
 	rtcStreams    *metrics.Counter
-	workers       *metrics.Gauge
 	streamSeconds *metrics.Histogram
 	foldSeconds   *metrics.Histogram
 }
@@ -31,7 +30,6 @@ func newCaptureMetrics(r *metrics.Registry, app string) captureMetrics {
 		packets:       r.Counter("core_packets_decoded_total", l),
 		captures:      r.Counter("core_captures_total", l),
 		rtcStreams:    r.Counter("core_rtc_udp_streams_total", l),
-		workers:       r.Gauge("core_workers"),
 		streamSeconds: r.Histogram("core_stream_analyze_seconds", nil, l),
 		foldSeconds:   r.Histogram("core_fold_seconds", nil, l),
 	}

@@ -1,19 +1,9 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
-
-// workers resolves the effective worker count for an analysis run:
-// Options.Workers when positive, otherwise one worker per available CPU.
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // forEachIndexed runs fn(0), fn(1), ..., fn(n-1) on up to workers
 // goroutines. With one worker (or one item) it degenerates to the plain

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"github.com/rtc-compliance/rtcc/internal/bufpool"
@@ -32,19 +33,19 @@ type Options struct {
 	MaxOffset int
 	// SkipFindings disables the behavioural-findings detectors.
 	SkipFindings bool
-	// Workers bounds the analysis worker pool. RunMatrix fans capture
-	// generation and analysis out over this many goroutines, and
-	// AnalyzeCapture (when called directly) inspects streams in
-	// parallel. Zero selects one worker per CPU; 1 selects the serial
-	// path. Results are identical for every worker count: partial
-	// results are folded back in deterministic input order.
+	// Workers sizes RunMatrix's capture pool: the matrix's captures are
+	// generated and analyzed on this many goroutines (0 = one per CPU,
+	// 1 = serial), with identical results for every count. One
+	// capture's analysis reads no worker count: its parallelism is the
+	// shard count of the sharded ingest tier (internal/ingest).
 	Workers int
 	// Metrics, when non-nil, receives pipeline instrumentation:
 	// per-stage packet counts, drop reasons, DPI classification and
-	// latency, per-criterion compliance verdicts, and worker-pool
-	// timing. Nil disables collection at zero hot-path cost, and
-	// collection never changes analysis output: counters are atomic
-	// order-independent sums, identical for serial and parallel runs.
+	// latency, per-criterion compliance verdicts, and per-stream
+	// finalization timing. Nil disables collection at zero hot-path
+	// cost, and collection never changes analysis output: counters are
+	// atomic order-independent sums, identical for serial and parallel
+	// runs.
 	Metrics *metrics.Registry
 	// KeepPayloads makes AnalyzePCAP retain per-packet payload records
 	// in the result (as AnalyzeCapture always does). Off by default:
@@ -76,7 +77,7 @@ type Options struct {
 	// disables tracing at zero hot-path cost, exactly like Metrics,
 	// and tracing never changes analysis output. Trace emission
 	// happens only at deterministic pipeline points, so the event
-	// stream is byte-identical for every worker count. RunMatrix does
+	// stream is byte-identical for every shard count. RunMatrix does
 	// not trace (its captures are analyzed concurrently and would
 	// interleave on one sink); trace single captures.
 	Tracer obs.Tracer
@@ -87,8 +88,7 @@ type Options struct {
 	// default) disables estimation at zero hot-path cost, exactly like
 	// Metrics, and estimation never changes analysis output. Features
 	// are a pure function of each stream's datagram sequence in capture
-	// order, so they are byte-identical for every worker and shard
-	// count.
+	// order, so they are byte-identical for every shard count.
 	QoE *qoe.Config
 }
 
@@ -183,7 +183,6 @@ func BatchAnalyzeCapture(in CaptureInput, opts Options) (*CaptureAnalysis, error
 	cm.frames.Add(uint64(len(in.Packets)))
 	cm.decodeErrors.Add(uint64(decodeErrs))
 	cm.packets.Add(uint64(len(in.Packets) - decodeErrs))
-	cm.workers.Set(int64(opts.workers()))
 
 	fres := filterpipe.Run(table, filterpipe.Config{
 		CallStart: in.CallStart,
@@ -206,24 +205,18 @@ func BatchAnalyzeCapture(in CaptureInput, opts Options) (*CaptureAnalysis, error
 	// volume is negligible and carries signaling, not media). Every
 	// piece of per-stream state — the DPI stream context, the
 	// compliance session, the findings evidence — is independent
-	// between streams, so streams fan out over the worker pool; the
-	// per-stream partial results are folded back in stream order, which
-	// makes the output identical to the serial path for any worker
-	// count.
-	var udp []*flow.Stream
+	// between streams; the per-stream partial results are folded in
+	// stream order.
+	var partials []*streamPartial
 	for _, s := range fres.RTC {
-		if s.Key.Proto == layers.IPProtocolUDP {
-			udp = append(udp, s)
+		if s.Key.Proto != layers.IPProtocolUDP {
+			continue
 		}
-	}
-	cm.rtcStreams.Add(uint64(len(udp)))
-	partials := make([]*streamPartial, len(udp))
-	forEachIndexed(len(udp), opts.workers(), func(i int) error {
+		cm.rtcStreams.Inc()
 		start := cm.streamSeconds.Start()
-		partials[i] = analyzeStream(udp[i], opts)
+		partials = append(partials, analyzeStream(s, opts))
 		cm.streamSeconds.ObserveSince(start)
-		return nil
-	})
+	}
 
 	foldStart := cm.foldSeconds.Start()
 	foldPartials(ca, partials, opts.SkipFindings)
@@ -234,8 +227,8 @@ func BatchAnalyzeCapture(in CaptureInput, opts Options) (*CaptureAnalysis, error
 // foldPartials folds per-stream partial results into the capture
 // analysis in slice order — the deterministic RTC stream order — by
 // merging stats, SSRC sets, and findings evidence, then flushing each
-// stream's trace span (a no-op when tracing is off). The workers that
-// produced the partials only buffered; this fold is the single
+// stream's trace span (a no-op when tracing is off). The goroutines
+// that produced the partials only buffered; this fold is the single
 // deterministic export and merge point every pipeline shares: Close,
 // the batch reference path, and (through finalize) the cross-shard
 // MergeAnalyzers.
@@ -263,8 +256,8 @@ func foldPartials(ca *CaptureAnalysis, partials []*streamPartial, skipFindings b
 	}
 }
 
-// streamPartial is the analysis outcome of one RTC stream, produced by
-// one worker and merged into the capture result.
+// streamPartial is the analysis outcome of one RTC stream, produced on
+// one goroutine and merged into the capture result.
 type streamPartial struct {
 	stats *report.AppStats
 	fctx  findingsContext
@@ -538,20 +531,18 @@ type MatrixAnalysis struct {
 
 // RunMatrix generates the experiment matrix and analyzes every capture.
 // Capture generation and analysis fan out over Options.Workers
-// goroutines (each capture is independent); the per-capture results are
-// folded into the aggregate in deterministic config order, so the
-// output is byte-identical to a serial (Workers=1) run.
+// goroutines (each capture is independent, and each is analyzed on the
+// goroutine that generated it); the per-capture results are folded into
+// the aggregate in deterministic config order, so the output is
+// byte-identical to a serial (Workers=1) run.
 func RunMatrix(mopts trace.MatrixOptions, opts Options) (*MatrixAnalysis, error) {
 	configs := trace.Matrix(mopts)
 
-	// When the matrix-level pool is active, each worker owns a whole
-	// capture; the per-capture stream pool is disabled so the total
-	// concurrency stays bounded by the one pool.
-	workers := opts.workers()
-	capOpts := opts
-	if workers > 1 {
-		capOpts.Workers = 1
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	capOpts := opts
 	// Matrix captures are analyzed concurrently; their event streams
 	// would interleave nondeterministically on one sink, so the matrix
 	// never traces. Analyze a single capture to trace it.

@@ -68,8 +68,7 @@ func diffAnalyses(t *testing.T, label string, want, got *CaptureAnalysis) {
 
 // TestStreamingBatchEquivalence sweeps the full 6-app × 3-network matrix
 // over the seed set and asserts the streaming AnalyzeCapture is deeply
-// equal to the batch reference, on the serial path and on the worker
-// pool.
+// equal to the batch reference, on one Analyzer and on 8 shards.
 func TestStreamingBatchEquivalence(t *testing.T) {
 	seeds := streamingSeeds
 	if testing.Short() {
@@ -80,16 +79,16 @@ func TestStreamingBatchEquivalence(t *testing.T) {
 			for _, seed := range seeds {
 				cap := streamingCapture(t, app, network, seed)
 				in := cap.Input()
-				batch, err := BatchAnalyzeCapture(in, Options{Workers: 1})
+				batch, err := BatchAnalyzeCapture(in, Options{})
 				if err != nil {
 					t.Fatalf("%s/%s seed %d batch: %v", app, network, seed, err)
 				}
-				for _, workers := range []int{1, 8} {
-					streaming, err := AnalyzeCapture(in, Options{Workers: workers})
+				for _, shards := range []int{1, 8} {
+					streaming, err := analyzeSharded(in, Options{}, shards)
 					if err != nil {
-						t.Fatalf("%s/%s seed %d workers=%d: %v", app, network, seed, workers, err)
+						t.Fatalf("%s/%s seed %d shards=%d: %v", app, network, seed, shards, err)
 					}
-					diffAnalyses(t, fmt.Sprintf("%s/%s seed %d workers %d", app, network, seed, workers), batch, streaming)
+					diffAnalyses(t, fmt.Sprintf("%s/%s seed %d shards %d", app, network, seed, shards), batch, streaming)
 				}
 			}
 		}

@@ -30,13 +30,13 @@ func traceCapture(t *testing.T, app appsim.App, seed uint64) CaptureInput {
 	}
 }
 
-// traceJSONL analyzes in with the given worker count and returns the
+// traceJSONL analyzes in on the given shard count and returns the
 // exported trace bytes.
-func traceJSONL(t *testing.T, in CaptureInput, workers int) []byte {
+func traceJSONL(t *testing.T, in CaptureInput, shards int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := obs.NewJSONLWriter(&buf)
-	if _, err := AnalyzeCapture(in, Options{Workers: workers, Tracer: w}); err != nil {
+	if _, err := analyzeSharded(in, Options{Tracer: w}, shards); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
@@ -47,8 +47,9 @@ func traceJSONL(t *testing.T, in CaptureInput, workers int) []byte {
 
 // TestTraceSerialParallelIdentical is the trace-layer determinism
 // contract: the exported JSONL must be byte-identical between the
-// serial and parallel engines for every seed, because spans flush only
-// at deterministic pipeline points. Run under -race in CI.
+// serial Analyzer and any shard count for every seed, because shards
+// only buffer span events and the merged analyzer emits and flushes at
+// the serial pipeline's deterministic points. Run under -race in CI.
 func TestTraceSerialParallelIdentical(t *testing.T) {
 	seeds := determinismSeeds
 	if testing.Short() {
@@ -60,10 +61,9 @@ func TestTraceSerialParallelIdentical(t *testing.T) {
 		if len(serial) == 0 {
 			t.Fatalf("seed %d: empty trace", seed)
 		}
-		for _, workers := range []int{4, 8} {
-			parallel := traceJSONL(t, in, workers)
-			if !bytes.Equal(serial, parallel) {
-				t.Errorf("seed %d: trace differs between workers=1 and workers=%d", seed, workers)
+		for _, shards := range []int{2, 4, 16} {
+			if sharded := traceJSONL(t, in, shards); !bytes.Equal(serial, sharded) {
+				t.Errorf("seed %d: trace differs between the serial Analyzer and %d shards", seed, shards)
 			}
 		}
 	}
@@ -71,17 +71,18 @@ func TestTraceSerialParallelIdentical(t *testing.T) {
 
 // TestTraceEvictionDeterministic covers the chunked-flush path: with
 // idle eviction on, spans flush per chunk during Feed, and the export
-// must still be identical across worker counts.
+// must be identical from run to run. Traced eviction runs on one
+// Analyzer (the pipeline rejects it on more shards).
 func TestTraceEvictionDeterministic(t *testing.T) {
 	in := traceCapture(t, appsim.GoogleMeet, 31337)
-	run := func(workers int) []byte {
+	run := func() []byte {
 		var buf bytes.Buffer
 		w := obs.NewJSONLWriter(&buf)
 		a, err := NewAnalyzer(AnalyzerConfig{
 			Label: in.Label, LinkType: in.LinkType,
 			CallStart: in.CallStart, CallEnd: in.CallEnd,
 			FramesStable: true,
-		}, Options{Workers: workers, Tracer: w, EvictIdle: 500 * time.Millisecond})
+		}, Options{Tracer: w, EvictIdle: 500 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,17 +99,17 @@ func TestTraceEvictionDeterministic(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	serial := run(1)
-	if !strings.Contains(string(serial), `"kind":"stream-evicted"`) {
+	first := run()
+	if !strings.Contains(string(first), `"kind":"stream-evicted"`) {
 		t.Fatal("eviction config produced no stream-evicted events")
 	}
-	if parallel := run(8); !bytes.Equal(serial, parallel) {
-		t.Error("eviction-path trace differs between workers=1 and workers=8")
+	if second := run(); !bytes.Equal(first, second) {
+		t.Error("eviction-path trace differs between two identical runs")
 	}
 }
 
-// TestTraceLintClean runs the lint invariants over real exports from
-// several apps.
+// TestTraceLintClean runs the lint invariants over real sharded exports
+// from several apps.
 func TestTraceLintClean(t *testing.T) {
 	for _, app := range []appsim.App{appsim.Zoom, appsim.Discord} {
 		in := traceCapture(t, app, 7)
@@ -134,7 +135,7 @@ func TestExplainNamesCriterionForEveryNonCompliantType(t *testing.T) {
 	for _, app := range apps {
 		in := traceCapture(t, app, 1)
 		buf := obs.NewBuffer(0)
-		ca, err := AnalyzeCapture(in, Options{Workers: 4, Tracer: buf})
+		ca, err := AnalyzeCapture(in, Options{Tracer: buf})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,11 +170,11 @@ func TestExplainNamesCriterionForEveryNonCompliantType(t *testing.T) {
 // enabling tracing must not alter any analysis output.
 func TestTraceDoesNotChangeAnalysis(t *testing.T) {
 	in := traceCapture(t, appsim.Zoom, 42)
-	plain, err := AnalyzeCapture(in, Options{Workers: 4})
+	plain, err := AnalyzeCapture(in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, err := AnalyzeCapture(in, Options{Workers: 4, Tracer: obs.NewBuffer(0)})
+	traced, err := AnalyzeCapture(in, Options{Tracer: obs.NewBuffer(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestTraceMultiCaptureExportLints(t *testing.T) {
 		t.Helper()
 		in := traceCapture(t, appsim.Zoom, seed)
 		in.Label = label
-		if _, err := AnalyzeCapture(in, Options{Workers: 4, Tracer: w}); err != nil {
+		if _, err := AnalyzeCapture(in, Options{Tracer: w}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -93,11 +93,6 @@ type StreamContext struct {
 	// plus one branch per step.
 	Span *obs.Span
 
-	// maxMsgOffset is the deepest offset a validated message has been
-	// found at on this stream; msgCount counts validated messages.
-	// Both feed the adaptive offset bound.
-	maxMsgOffset int
-	msgCount     int
 	// shiftAttempts accumulates candidate-extraction attempts across
 	// the stream's datagrams, for the offset-shift metric.
 	// InspectStream drains it into the registry.
@@ -129,13 +124,6 @@ type Engine struct {
 	// MaxOffset is k, the deepest byte offset candidate extraction will
 	// shift to. The paper found 200 sufficient (§4.1.1).
 	MaxOffset int
-	// Adaptive enables the per-stream adaptive offset bound the paper
-	// sketches as future work (§4.1.1): once a stream has shown where
-	// its proprietary headers end, later datagrams are only scanned to
-	// twice that depth (with a small floor), cutting the cost of
-	// scanning fully proprietary datagrams such as Zoom's 1000-byte
-	// fillers.
-	Adaptive bool
 	// Metrics, when non-nil, receives per-datagram instrumentation
 	// from InspectStream: offset-shift attempts, classification
 	// outcomes, extracted message counts, and the latency of both scan
@@ -179,13 +167,6 @@ func (e *Engine) Inspect(payload []byte, ctx *StreamContext) Result {
 	if limit <= 0 {
 		limit = 200
 	}
-	// Adaptive bound: after enough messages, no deeper proprietary
-	// header is expected than twice the deepest seen (floor 48 bytes).
-	if e.Adaptive && ctx.msgCount >= 16 {
-		if adaptive := maxInt(48, 2*ctx.maxMsgOffset+8); adaptive < limit {
-			limit = adaptive
-		}
-	}
 	i := 0
 	for i < len(payload) {
 		if i > limit && len(ctx.msgArena) == start {
@@ -214,10 +195,6 @@ func (e *Engine) Inspect(payload []byte, ctx *StreamContext) Result {
 			m = a.Accept(payload, m, &ctx.State)
 		}
 		ctx.msgArena = append(ctx.msgArena, m)
-		ctx.msgCount++
-		if m.Offset > ctx.maxMsgOffset {
-			ctx.maxMsgOffset = m.Offset
-		}
 		i = m.Offset + m.Length
 	}
 	var res Result
@@ -262,11 +239,4 @@ func (e *Engine) matchAt(reg *proto.Registry, payload []byte, i int, st *proto.S
 		}
 	}
 	return false
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -99,35 +99,3 @@ func TestStrictNeverPanics(t *testing.T) {
 		_ = e.Inspect(in)
 	}
 }
-
-// The adaptive offset bound must preserve recall on streams whose
-// header depth has stabilized, while capping the scan depth.
-func TestAdaptiveOffsetPreservesRecall(t *testing.T) {
-	mk := func(seq uint16, depth int) []byte {
-		inner := (&rtp.Packet{PayloadType: 96, SequenceNumber: seq, Timestamp: uint32(seq) * 960, SSRC: 0x42, Payload: []byte("media")}).Encode()
-		return append(bytes.Repeat([]byte{0x01}, depth), inner...)
-	}
-	var payloads [][]byte
-	for seq := uint16(0); seq < 40; seq++ {
-		payloads = append(payloads, mk(seq, 30))
-	}
-	// A filler datagram that the adaptive engine should scan cheaply.
-	payloads = append(payloads, bytes.Repeat([]byte{0x02}, 1000))
-
-	strictEngine := &Engine{MaxOffset: 200}
-	adaptiveEngine := &Engine{MaxOffset: 200, Adaptive: true}
-	base := 0
-	for _, r := range strictEngine.InspectStream(payloads) {
-		base += len(r.Messages)
-	}
-	adapt := 0
-	for _, r := range adaptiveEngine.InspectStream(payloads) {
-		adapt += len(r.Messages)
-	}
-	if base != adapt {
-		t.Errorf("adaptive recall %d != full recall %d", adapt, base)
-	}
-	if base != 40 {
-		t.Errorf("expected 40 messages, got %d", base)
-	}
-}

@@ -185,15 +185,18 @@ type ShardedAnalyzer struct {
 
 // New builds the sharded tier: cfg.Shards analyzers constructed from
 // acfg (each flipped to ExternalSeq; the router stamps the
-// capture-global sequence) and opts. Tracing is disabled — the shards
-// would interleave nondeterministically on one sink, the same reason
-// RunMatrix does not trace; analyze serially to trace. The returned
-// analyzer must be fed from one goroutine.
+// capture-global sequence) and opts. A traced tier exports the same
+// events as a serial Analyzer: each shard only buffers its streams'
+// events in their spans, and the merge emits the capture-level events
+// and flushes the spans in the serial fold order. The exception is
+// Options.EvictIdle on more than one shard, where eviction emits from
+// the shard goroutines as their streams go idle, so the event order
+// follows the goroutine schedule. The returned analyzer must be fed
+// from one goroutine.
 func New(acfg core.AnalyzerConfig, opts core.Options, cfg Config) (*ShardedAnalyzer, error) {
 	if acfg.ExternalSeq {
 		return nil, errors.New("ingest: AnalyzerConfig.ExternalSeq is owned by the sharded router")
 	}
-	opts.Tracer = nil
 	n := cfg.shards()
 	depth := cfg.queueDepth()
 	s := &ShardedAnalyzer{

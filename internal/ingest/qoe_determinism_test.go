@@ -14,7 +14,7 @@ import (
 
 // QoE determinism differential: the header-free QoE features attached
 // to a capture analysis must be byte-identical — not just numerically
-// close — across the serial, worker-parallel, and sharded pipelines.
+// close — across the serial and sharded pipelines.
 // Features are pure functions of each stream's (timestamp, size)
 // sequence in capture order, and the capture-level fold runs in the
 // deterministic RTC stream order every pipeline shares, so the JSON
@@ -40,7 +40,7 @@ func TestQoEDeterminismAcrossPipelines(t *testing.T) {
 		for _, seed := range seeds {
 			cap := genCapture(t, app, appsim.WiFiP2P, seed)
 			in := cap.Input()
-			serial, err := core.AnalyzeCapture(in, core.Options{Workers: 1, QoE: qcfg})
+			serial, err := core.AnalyzeCapture(in, core.Options{QoE: qcfg})
 			if err != nil {
 				t.Fatalf("%s seed %d serial: %v", app, seed, err)
 			}
@@ -49,16 +49,8 @@ func TestQoEDeterminismAcrossPipelines(t *testing.T) {
 			}
 			ref := qoeJSON(t, serial)
 
-			workers, err := core.AnalyzeCapture(in, core.Options{Workers: 4, QoE: qcfg})
-			if err != nil {
-				t.Fatalf("%s seed %d workers: %v", app, seed, err)
-			}
-			if got := qoeJSON(t, workers); string(got) != string(ref) {
-				t.Errorf("%s seed %d: worker-parallel QoE differs\nserial:  %s\nworkers: %s", app, seed, ref, got)
-			}
-
-			for _, n := range []int{2, 4} {
-				sharded, err := ingest.AnalyzeCapture(in, core.Options{Workers: 1, QoE: qcfg}, ingest.Config{Shards: n})
+			for _, n := range []int{2, 4, 16} {
+				sharded, err := ingest.AnalyzeCapture(in, core.Options{QoE: qcfg}, ingest.Config{Shards: n})
 				if err != nil {
 					t.Fatalf("%s seed %d shards=%d: %v", app, seed, n, err)
 				}
@@ -77,14 +69,14 @@ func TestQoEDeterminismAcrossPipelines(t *testing.T) {
 func TestQoEOffLeavesResultNil(t *testing.T) {
 	cap := genCapture(t, appsim.Zoom, appsim.WiFiP2P, 7)
 	in := cap.Input()
-	off, err := core.AnalyzeCapture(in, core.Options{Workers: 1})
+	off, err := core.AnalyzeCapture(in, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if off.QoE != nil {
 		t.Fatal("QoE populated without Options.QoE")
 	}
-	on, err := core.AnalyzeCapture(in, core.Options{Workers: 1, QoE: &qoe.Config{}})
+	on, err := core.AnalyzeCapture(in, core.Options{QoE: &qoe.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}

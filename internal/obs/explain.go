@@ -140,12 +140,6 @@ func explainStream(t *streamTrace, msgType string) string {
 			fate = append(fate, s)
 		case KindStreamEvicted:
 			fate = append(fate, "evicted while idle (chunked finalization)")
-		case KindStreamReclassified:
-			s := "reclassified at close: full-capture filtering removed it"
-			if ev.Rule != "" {
-				s += fmt.Sprintf(" (stage %d, rule %q)", ev.Stage, ev.Rule)
-			}
-			fate = append(fate, s)
 		case KindExtraction:
 			classes[ev.Class]++
 			messages += ev.Messages

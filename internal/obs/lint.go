@@ -58,7 +58,7 @@ func Lint(events []Event) []string {
 			if ev.App == "" {
 				bad(i, "%s: missing app", ev.Kind)
 			}
-		case KindStreamAdmitted, KindStreamEvicted, KindStreamReclassified:
+		case KindStreamAdmitted, KindStreamEvicted:
 			if ev.Stream == "" {
 				bad(i, "%s: missing stream", ev.Kind)
 			}

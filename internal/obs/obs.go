@@ -16,8 +16,7 @@
 //   - verdict{criterion, msgtype, reason} — one five-criterion
 //     compliance judgment (§4.2), with the offending bytes;
 //   - finding{kind} — a behavioural finding (§5.3);
-//   - stream-evicted / stream-reclassified — streaming-analyzer
-//     lifecycle decisions (idle eviction, Close-time reconciliation);
+//   - stream-evicted — the streaming analyzer's idle eviction;
 //   - truncated{dropped} — a sampling marker (see below).
 //
 // Tracing mirrors Options.Metrics: a nil Tracer costs nothing on the
@@ -26,12 +25,14 @@
 //
 // # Determinism
 //
-// Trace output is byte-identical across serial and parallel runs of the
+// Trace output is byte-identical across serial and sharded runs of the
 // same seeded capture. Stream spans buffer their events and are flushed
 // by the pipeline at deterministic points (idle eviction during the
 // single-goroutine Feed, and the deterministic fold in Close), so the
 // Tracer always observes one well-defined order no matter how many
-// workers inspected streams concurrently. Event timestamps come from
+// goroutines inspected streams concurrently. On the sharded tier each
+// shard's spans move to the merged analyzer's pipeline (Span.Adopt),
+// which emits the capture-level events once. Event timestamps come from
 // the capture, never from the wall clock.
 //
 // # Sampling
@@ -58,24 +59,23 @@ type Kind string
 
 // The event taxonomy. Stable: these strings appear in exported JSONL.
 const (
-	KindCaptureBegin       Kind = "capture-begin"
-	KindCaptureEnd         Kind = "capture-end"
-	KindStreamAdmitted     Kind = "stream-admitted"
-	KindStreamFiltered     Kind = "stream-filtered"
-	KindStreamEvicted      Kind = "stream-evicted"
-	KindStreamReclassified Kind = "stream-reclassified"
-	KindProbeAttempt       Kind = "probe"
-	KindExtraction         Kind = "extraction"
-	KindCriterionVerdict   Kind = "verdict"
-	KindFindingEmitted     Kind = "finding"
-	KindTruncated          Kind = "truncated"
+	KindCaptureBegin     Kind = "capture-begin"
+	KindCaptureEnd       Kind = "capture-end"
+	KindStreamAdmitted   Kind = "stream-admitted"
+	KindStreamFiltered   Kind = "stream-filtered"
+	KindStreamEvicted    Kind = "stream-evicted"
+	KindProbeAttempt     Kind = "probe"
+	KindExtraction       Kind = "extraction"
+	KindCriterionVerdict Kind = "verdict"
+	KindFindingEmitted   Kind = "finding"
+	KindTruncated        Kind = "truncated"
 )
 
 // Kinds lists every event kind, in taxonomy order.
 var Kinds = []Kind{
 	KindCaptureBegin, KindCaptureEnd,
 	KindStreamAdmitted, KindStreamFiltered,
-	KindStreamEvicted, KindStreamReclassified,
+	KindStreamEvicted,
 	KindProbeAttempt, KindExtraction, KindCriterionVerdict,
 	KindFindingEmitted, KindTruncated,
 }
@@ -96,7 +96,6 @@ const (
 //	stream-admitted       Stream
 //	stream-filtered       Stream, Stage, Rule, Detail
 //	stream-evicted        Stream
-//	stream-reclassified   Stream
 //	probe                 Stream, Dgram, Offset, First, Outcome, Proto (on match)
 //	extraction            Stream, Dgram, Class, Messages
 //	verdict               Stream, Dgram, Offset, TS, Proto, MsgType, Criterion, Reason, Bytes

@@ -40,7 +40,6 @@ func TestNilPipelineNoops(t *testing.T) {
 	p.StreamAdmitted("s")
 	p.StreamFiltered("s", 1, "r", "")
 	p.StreamEvicted("s")
-	p.StreamReclassified("s", 2, "r")
 	p.FindingEmitted("k", "d")
 	p.CaptureEnd("done")
 	sp := p.StreamSpan("s")
@@ -185,6 +184,35 @@ func TestSpanHeadBudgetSpansFlushes(t *testing.T) {
 	}
 	if truncs != 1 {
 		t.Errorf("truncated markers = %d, want 1", truncs)
+	}
+}
+
+// TestSpanAdoptBeginsCaptureOnce is the sharded merge in miniature: a
+// span derived from a shard's pipeline and adopted by the merged one
+// flushes through the adopter, and only the adopter begins the capture.
+func TestSpanAdoptBeginsCaptureOnce(t *testing.T) {
+	var c collect
+	shard := New(&c, "Zoom", Sampling{}, nil)
+	merged := New(&c, "Zoom", Sampling{}, nil)
+	sp := shard.StreamSpan("st")
+	sp.BeginDatagram()
+	sp.Probe(0, 0x80, "RTP", OutcomeMatch)
+	sp.Adopt(merged)
+	merged.StreamAdmitted("st")
+	sp.Flush()
+	merged.CaptureEnd("done")
+
+	want := []Kind{KindCaptureBegin, KindStreamAdmitted, KindProbeAttempt, KindCaptureEnd}
+	if len(c.events) != len(want) {
+		t.Fatalf("got %d events, want %d: %+v", len(c.events), len(want), c.events)
+	}
+	for i, ev := range c.events {
+		if ev.Kind != want[i] {
+			t.Errorf("event %d kind = %s, want %s", i, ev.Kind, want[i])
+		}
+	}
+	if problems := Lint(c.events); problems != nil {
+		t.Errorf("lint problems: %v", problems)
 	}
 }
 

@@ -21,32 +21,44 @@ type Pipeline struct {
 	span     string // capture span ID
 	seq      uint64
 	sampling Sampling
+	begun    bool // the capture-begin event has been emitted
 }
 
 // New builds a Pipeline emitting to tr, labelled label (typically the
 // app name or capture path; it seeds all span IDs). A nil tr yields a
-// nil Pipeline. The capture-begin event is emitted immediately.
+// nil Pipeline. The capture-begin event goes out just before the
+// pipeline's first other event, so a pipeline that emits nothing of its
+// own — an ingest shard, whose spans the merge hands to the merged
+// analyzer's pipeline (Span.Adopt) — never begins a second capture.
 func New(tr Tracer, label string, s Sampling, reg *metrics.Registry) *Pipeline {
 	if tr == nil {
 		return nil
 	}
-	p := &Pipeline{
+	return &Pipeline{
 		tr:       tracerWithCounts(tr, reg),
 		label:    label,
 		span:     SpanID(label, ""),
 		sampling: s.withDefaults(),
 	}
-	p.emit(Event{Kind: KindCaptureBegin, App: label})
-	return p
 }
 
 // emit stamps the capture span identity and sequence and forwards to
 // the sink.
 func (p *Pipeline) emit(ev Event) {
+	p.begin()
 	ev.Span = p.span
 	ev.Seq = p.seq
 	p.seq++
 	p.tr.Emit(ev)
+}
+
+// begin emits the capture-begin event unless it has gone out already.
+func (p *Pipeline) begin() {
+	if p.begun {
+		return
+	}
+	p.begun = true
+	p.emit(Event{Kind: KindCaptureBegin, App: p.label})
 }
 
 // StreamAdmitted records that the filter pipeline admitted a stream as
@@ -74,16 +86,6 @@ func (p *Pipeline) StreamEvicted(stream string) {
 		return
 	}
 	p.emit(Event{Kind: KindStreamEvicted, Stream: stream})
-}
-
-// StreamReclassified records a Close-time reconciliation: a stream
-// admitted provisionally during Feed that the full-capture filter run
-// removed.
-func (p *Pipeline) StreamReclassified(stream string, stage int, rule string) {
-	if p == nil {
-		return
-	}
-	p.emit(Event{Kind: KindStreamReclassified, Stream: stream, Stage: stage, Rule: rule})
 }
 
 // FindingEmitted records a behavioural finding (§5.3) surfacing in the
@@ -139,6 +141,17 @@ type Span struct {
 	tailPos  int
 	kept     []Event // forced-keep events (failing verdicts) past the head
 	dropped  int
+}
+
+// Adopt moves the span under p, whose sink and capture span receive it
+// from then on. The cross-shard merge calls it to hand every shard's
+// stream spans to the merged analyzer's pipeline, so the capture begins
+// once however many shards buffered its streams. A nil span is a no-op.
+func (sp *Span) Adopt(p *Pipeline) {
+	if sp == nil {
+		return
+	}
+	sp.p = p
 }
 
 // BeginDatagram advances the span to the next datagram of the stream.
@@ -226,6 +239,7 @@ func (sp *Span) Flush() {
 	if sp == nil {
 		return
 	}
+	sp.p.begin()
 	for _, ev := range sp.head {
 		sp.p.tr.Emit(ev)
 	}

@@ -33,10 +33,6 @@ const (
 	SourceLive = "live"
 )
 
-// Execution modes derived from Exec: serial (workers<=1, shards<=1),
-// worker-parallel stream finalization (workers>1), or sharded ingest
-// (shards>1). They are not named in the schema — the ints are the mode.
-
 // Duration is a time.Duration that (un)marshals as a Go duration
 // string ("30s", "2m"), the form config files use.
 type Duration time.Duration
@@ -115,14 +111,15 @@ type Source struct {
 
 // Exec names the execution mode and its knobs.
 type Exec struct {
-	// Workers bounds the stream-finalization worker pool (0 = one per
-	// CPU, 1 = serial).
-	Workers int `json:"workers"`
-	// Shards selects the sharded ingest tier when > 1; output is
-	// byte-identical to serial for any value.
+	// Shards is the capture's one parallelism setting: the sharded
+	// ingest tier feeds on this many shards and its merge finalizes the
+	// surviving streams on as many goroutines. 0 selects one shard per
+	// CPU; 1 selects the serial Analyzer. Output is byte-identical to
+	// serial for any value unless EvictIdle is set.
 	Shards int `json:"shards"`
 	// Policy is the shard back-pressure policy: "block" (lossless,
 	// default) or "drop" (live shedding, every shed datagram counted).
+	// A pcap source must not shed, so it rejects "drop".
 	Policy string `json:"policy"`
 	// EvictIdle finalizes streams idle this long to bound memory
 	// (0 = off).
@@ -155,10 +152,10 @@ type Sinks struct {
 	// (default), "json", or "none".
 	Report string `json:"report"`
 	// TraceOut exports the decision trace as JSONL to this file.
-	// Mutually exclusive with Exec.Shards > 1 (validated).
+	// With Exec.EvictIdle it needs Exec.Shards 1 (validated).
 	TraceOut string `json:"trace_out"`
 	// Explain traces the run in memory and renders the decisions
-	// matching "<app>/<stream>/<msgtype>". Same shard exclusion.
+	// matching "<app>/<stream>/<msgtype>". Same eviction rule.
 	Explain string `json:"explain"`
 	// MetricsAddr serves /metrics, /debug/vars, and /debug/pprof (and,
 	// in daemon mode, /compliance/trend) on this address.
@@ -294,8 +291,8 @@ func (s Source) EffectiveLabel() string {
 
 // Validate checks the configuration's internal consistency and returns
 // the first problem as an actionable error. Every front-end validates
-// before building a Runner, so the trace/shards exclusion (and every
-// other rule) is enforced uniformly instead of per-binary.
+// before building a Runner, so every rule is enforced uniformly instead
+// of per-binary.
 func (c *Config) Validate() error {
 	switch c.Source.Kind {
 	case SourcePCAP:
@@ -320,15 +317,13 @@ func (c *Config) Validate() error {
 	if _, err := c.Exec.policy(); err != nil {
 		return err
 	}
-	if c.Exec.Shards > 1 {
-		// The shard workers would interleave one trace sink
-		// nondeterministically; sharded runs are untraced by design.
-		if c.Sinks.TraceOut != "" {
-			return fmt.Errorf("pipeline: sinks.trace_out cannot be combined with exec.shards > 1 (shard workers would interleave one trace sink nondeterministically); set exec.shards to 1 to trace")
-		}
-		if c.Sinks.Explain != "" {
-			return fmt.Errorf("pipeline: sinks.explain cannot be combined with exec.shards > 1 (shard workers would interleave one trace sink nondeterministically); set exec.shards to 1 to explain")
-		}
+	if c.Exec.Policy == "drop" && c.Source.Kind == SourcePCAP {
+		return fmt.Errorf("pipeline: exec.policy \"drop\" cannot be combined with source.kind \"pcap\" (a file reader can always wait, and shed datagrams would vanish from the analysis); use \"block\"")
+	}
+	if (c.Sinks.TraceOut != "" || c.Sinks.Explain != "") && c.Exec.EvictIdle > 0 && c.Exec.Shards != 1 {
+		// Eviction emits and flushes from the shard goroutines, in an
+		// order the goroutine schedule decides.
+		return fmt.Errorf("pipeline: a trace sink (sinks.trace_out, sinks.explain) with exec.evict_idle needs exec.shards: 1 (shards evict on their own goroutines, so the trace order would depend on the schedule)")
 	}
 	switch c.Sinks.Report {
 	case "", "text", "json", "none":
@@ -361,7 +356,6 @@ func (c *Config) checkNonNegative() error {
 		{"source.idle", int64(c.Source.Idle)},
 		{"source.max_frames", int64(c.Source.MaxFrames)},
 		{"source.reorder", int64(c.Source.Reorder)},
-		{"exec.workers", int64(c.Exec.Workers)},
 		{"exec.shards", int64(c.Exec.Shards)},
 		{"exec.evict_idle", int64(c.Exec.EvictIdle)},
 		{"analysis.max_offset", int64(c.Analysis.MaxOffset)},

@@ -91,7 +91,7 @@ exec:
 	var cfg Config
 	cfg.Source.Kind = SourcePCAP
 	cfg.Source.Path = "from-flags.pcap"
-	cfg.Exec.Workers = 3
+	cfg.Exec.Policy = "block"
 	cfg.Exec.Shards = 1
 	if err := LoadFile(&cfg, path); err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ exec:
 	if cfg.Exec.Shards != 8 {
 		t.Fatalf("file key should override: shards = %d", cfg.Exec.Shards)
 	}
-	if cfg.Exec.Workers != 3 || cfg.Source.Path != "from-flags.pcap" {
+	if cfg.Exec.Policy != "block" || cfg.Source.Path != "from-flags.pcap" {
 		t.Fatalf("absent keys must not reset: %+v", cfg)
 	}
 }
@@ -111,6 +111,8 @@ func TestLoadFileRejectsUnknownKeys(t *testing.T) {
 		// Keys outside the schema — shard-queue knobs, the appsim
 		// source's parameters — fail loudly instead of being ignored.
 		{"queue.yaml", "source:\n  kind: pcap\n  path: x\nexec:\n  queue_depth: 16\n"},
+		// The shard count is the one parallelism key.
+		{"workers.yaml", "source:\n  kind: pcap\n  path: x\nexec:\n  workers: 4\n"},
 		{"appsim.json", `{"source": {"kind": "appsim", "app": "Zoom", "network": "wifi-p2p"}}`},
 	} {
 		var cfg Config
@@ -154,24 +156,36 @@ func TestDurationForms(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsTraceWithShards pins the one trace rule left:
+// sharded runs trace, except with idle eviction on more than one shard
+// (or on the per-CPU default), where shards emit from their own
+// goroutines.
 func TestValidateRejectsTraceWithShards(t *testing.T) {
-	cfg := Config{}
-	cfg.Source.Kind = SourcePCAP
-	cfg.Source.Path = "x.pcap"
-	cfg.Exec.Shards = 4
-	cfg.Sinks.TraceOut = "trace.jsonl"
-	err := cfg.Validate()
-	if err == nil || !strings.Contains(err.Error(), "exec.shards") {
-		t.Fatalf("want shards/trace rejection, got %v", err)
-	}
-	cfg.Sinks.TraceOut = ""
-	cfg.Sinks.Explain = "Zoom"
-	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "explain") {
-		t.Fatalf("want shards/explain rejection, got %v", err)
-	}
-	cfg.Exec.Shards = 1
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("serial trace must validate: %v", err)
+	for _, shards := range []int{0, 1, 2, 4, 16} {
+		for _, sink := range []func(*Config){
+			func(c *Config) { c.Sinks.TraceOut = "trace.jsonl" },
+			func(c *Config) { c.Sinks.Explain = "Zoom" },
+		} {
+			cfg := Config{}
+			cfg.Source.Kind = SourcePCAP
+			cfg.Source.Path = "x.pcap"
+			cfg.Exec.Shards = shards
+			sink(&cfg)
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("shards %d: a trace sink must validate: %v", shards, err)
+			}
+			cfg.Exec.EvictIdle = Duration(time.Second)
+			err := cfg.Validate()
+			if shards == 1 {
+				if err != nil {
+					t.Fatalf("serial traced eviction must validate: %v", err)
+				}
+				continue
+			}
+			if err == nil || !strings.Contains(err.Error(), "exec.evict_idle needs exec.shards: 1") {
+				t.Fatalf("shards %d: want trace/eviction rejection, got %v", shards, err)
+			}
+		}
 	}
 }
 
@@ -218,8 +232,9 @@ func TestValidateErrors(t *testing.T) {
 		{func(c *Config) {
 			c.Source.Kind = SourcePCAP
 			c.Source.Path = "x"
-			c.Exec.Workers = -1
-		}, "exec.workers must be non-negative"},
+			c.Exec.Shards = 4
+			c.Exec.Policy = "drop"
+		}, `exec.policy "drop" cannot be combined with source.kind "pcap"`},
 		{func(c *Config) {
 			c.Source.Kind = SourcePCAP
 			c.Source.Path = "x"

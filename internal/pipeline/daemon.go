@@ -174,6 +174,13 @@ func (d *Daemon) Run() error {
 	defer store.Close()
 
 	d.reg = metrics.NewRegistry()
+	// The runner exists before the HTTP server starts, so /healthz
+	// always reads a resolved shard count. A reload swaps d.runner, so
+	// close whichever runner is current.
+	if d.runner, err = NewRunner(d.cfg, d.reg); err != nil {
+		return err
+	}
+	defer func() { d.runner.Close() }()
 	d.engine = alert.NewEngine(d.cfg.Alerts.RuleList(), d.reg)
 	d.dispatch = alert.NewDispatcher(d.cfg.Alerts.BuildSinks(d.out),
 		d.cfg.Alerts.Retries, d.cfg.Alerts.Backoff.Std(), d.out, d.reg)
@@ -198,11 +205,6 @@ func (d *Daemon) Run() error {
 		return err
 	}
 	defer d.col.Close()
-	if d.runner, err = NewRunner(d.cfg, d.reg); err != nil {
-		return err
-	}
-	// A reload swaps d.runner, so close whichever runner is current.
-	defer func() { d.runner.Close() }()
 
 	close(d.started)
 	fmt.Fprintf(d.out, "daemon: collecting on %s (epoch %v, trend %s)\n",
@@ -285,7 +287,9 @@ func (d *Daemon) applyReload() error {
 	}
 	oldListen := d.cfg.Source.Listen
 	d.runner.Close()
+	d.mu.Lock()
 	d.cfg, d.runner = cfg, runner
+	d.mu.Unlock()
 	// Swap the alert rules in place: firing/debounce state carries over
 	// for rules that still exist (matched by name), so a reload cannot
 	// re-fire an active alert or forget one. Sinks are rebuilt (the
@@ -420,11 +424,8 @@ func (d *Daemon) healthzHandler() http.Handler {
 		if d.lastReload != nil && !d.lastReload.OK {
 			h.Status = "degraded"
 		}
-		h.Backpressure.Policy = d.cfg.Exec.livePolicy().String()
-		h.Backpressure.Shards = d.cfg.Exec.Shards
-		if h.Backpressure.Shards < 1 {
-			h.Backpressure.Shards = 1 // serial path: one analyzer
-		}
+		h.Backpressure.Policy = d.runner.livePolicy().String()
+		h.Backpressure.Shards = d.runner.shards
 		h.Backpressure.Fed = d.total.Fed
 		h.Backpressure.Analyzed = d.total.Analyzed
 		h.Backpressure.Dropped = d.total.Dropped

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -358,28 +359,42 @@ func TestDaemonSurvivesUndecodableEpoch(t *testing.T) {
 }
 
 // TestHealthzLiveDefaultPolicy: a sharded daemon without exec.policy
-// runs its live sessions under drop, and /healthz says so.
+// runs its live sessions under drop, and /healthz says so. Without
+// exec.shards the daemon runs one shard per CPU, and /healthz reports
+// that resolved count, never 0.
 func TestHealthzLiveDefaultPolicy(t *testing.T) {
-	dir := t.TempDir()
-	cfgPath := filepath.Join(dir, "daemon.yaml")
-	cfg := "source:\n  kind: live\n  listen: \"127.0.0.1:0\"\n  idle: 100ms\n" +
-		"exec:\n  shards: 2\n" +
-		"daemon:\n  epoch: 250ms\n" +
-		"sinks:\n  metrics_addr: \"127.0.0.1:0\"\n"
-	if err := os.WriteFile(cfgPath, []byte(cfg), 0o644); err != nil {
-		t.Fatal(err)
+	perCPU, perCPUPolicy := runtime.GOMAXPROCS(0), "block"
+	if perCPU > 1 {
+		perCPUPolicy = "drop"
 	}
-	d, errCh := startDaemon(t, cfgPath, &syncBuf{})
-	defer stopDaemon(t, d, errCh)
-	var health struct {
-		Backpressure struct {
-			Policy string `json:"policy"`
-			Shards int    `json:"shards"`
-		} `json:"backpressure"`
-	}
-	getJSON(t, "http://"+d.MetricsAddr()+"/healthz", &health)
-	if health.Backpressure.Policy != "drop" || health.Backpressure.Shards != 2 {
-		t.Fatalf("healthz backpressure = %+v, want drop on 2 shards", health.Backpressure)
+	for _, tc := range []struct {
+		exec   string
+		shards int
+		policy string
+	}{
+		{"exec:\n  shards: 2\n", 2, "drop"},
+		{"", perCPU, perCPUPolicy},
+	} {
+		cfgPath := filepath.Join(t.TempDir(), "daemon.yaml")
+		cfg := "source:\n  kind: live\n  listen: \"127.0.0.1:0\"\n  idle: 100ms\n" +
+			tc.exec +
+			"daemon:\n  epoch: 250ms\n" +
+			"sinks:\n  metrics_addr: \"127.0.0.1:0\"\n"
+		if err := os.WriteFile(cfgPath, []byte(cfg), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, errCh := startDaemon(t, cfgPath, &syncBuf{})
+		var health struct {
+			Backpressure struct {
+				Policy string `json:"policy"`
+				Shards int    `json:"shards"`
+			} `json:"backpressure"`
+		}
+		getJSON(t, "http://"+d.MetricsAddr()+"/healthz", &health)
+		stopDaemon(t, d, errCh)
+		if health.Backpressure.Policy != tc.policy || health.Backpressure.Shards != tc.shards {
+			t.Fatalf("exec %q: healthz backpressure = %+v, want %s on %d shards", tc.exec, health.Backpressure, tc.policy, tc.shards)
+		}
 	}
 }
 

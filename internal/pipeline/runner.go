@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"time"
 
 	"github.com/rtc-compliance/rtcc/internal/core"
@@ -27,6 +28,9 @@ import (
 type Runner struct {
 	cfg Config
 	reg *metrics.Registry
+	// shards is exec.shards resolved once, 0 becoming one per CPU;
+	// every reader of the shard count reads this value.
+	shards int
 
 	traceFile  *os.File
 	traceJSONL *obs.JSONLWriter
@@ -49,7 +53,10 @@ func NewRunner(cfg Config, reg *metrics.Registry) (*Runner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Runner{cfg: cfg, reg: reg}
+	r := &Runner{cfg: cfg, reg: reg, shards: cfg.Exec.Shards}
+	if r.shards == 0 {
+		r.shards = runtime.GOMAXPROCS(0)
+	}
 	if cfg.Sinks.TraceOut != "" {
 		f, err := os.Create(cfg.Sinks.TraceOut)
 		if err != nil {
@@ -105,7 +112,6 @@ func (r *Runner) ExplainEvents() []obs.Event {
 func (r *Runner) Options() core.Options {
 	opts := core.Options{
 		MaxOffset:    r.cfg.Analysis.MaxOffset,
-		Workers:      r.cfg.Exec.Workers,
 		SkipFindings: !r.cfg.Analysis.FindingsOn(),
 		KeepPayloads: r.cfg.Analysis.KeepPayloads,
 		EvictIdle:    r.cfg.Exec.EvictIdle.Std(),
@@ -119,12 +125,12 @@ func (r *Runner) Options() core.Options {
 }
 
 // Sharded reports whether the sharded ingest tier is selected.
-func (r *Runner) Sharded() bool { return r.cfg.Exec.Shards > 1 }
+func (r *Runner) Sharded() bool { return r.shards > 1 }
 
 // ShardConfig assembles the ingest-tier configuration.
 func (r *Runner) ShardConfig() ingest.Config {
 	return ingest.Config{
-		Shards: r.cfg.Exec.Shards,
+		Shards: r.shards,
 		Policy: r.policy(),
 	}
 }
@@ -150,18 +156,18 @@ func (r *Runner) policy() ingest.Policy {
 // producer loses mirror packets upstream invisibly while Drop counts
 // every shed datagram. The serial path analyzes inline and sheds
 // nothing, which is Block.
-func (e Exec) livePolicy() ingest.Policy {
-	if e.Policy == "" && e.Shards > 1 {
+func (r *Runner) livePolicy() ingest.Policy {
+	if r.cfg.Exec.Policy == "" && r.Sharded() {
 		return ingest.Drop
 	}
-	p, _ := e.policy()
-	return p
+	return r.policy()
 }
 
 // AnalyzeReader routes one pcap/pcapng stream through the engine the
-// Config selects: the sharded ingest tier when exec.shards > 1, the
+// Config selects: the sharded ingest tier on more than one shard, the
 // streaming serial path otherwise. Results are byte-identical either
-// way (the shard merge is the invariant the ingest tests pin).
+// way (the shard merge is the invariant the ingest tests pin), and a
+// pcap source never sheds: Validate rejects the drop policy for it.
 func (r *Runner) AnalyzeReader(rd io.Reader, label string, callStart, callEnd time.Time) (*core.CaptureAnalysis, error) {
 	if r.Sharded() {
 		return ingest.AnalyzePCAP(rd, label, callStart, callEnd, r.Options(), r.ShardConfig())
@@ -310,7 +316,7 @@ const liveBatchCap = 64
 
 // NewLiveSession builds the analyzer for one live session. The live
 // path always analyzes raw-IP frames with the call window defaulted to
-// the received span; the sharded tier runs under Exec.livePolicy.
+// the received span; the sharded tier runs under livePolicy.
 func (r *Runner) NewLiveSession() (*LiveSession, error) {
 	acfg := core.AnalyzerConfig{
 		Label:               r.cfg.Source.EffectiveLabel(),
@@ -322,7 +328,7 @@ func (r *Runner) NewLiveSession() (*LiveSession, error) {
 	s := &LiveSession{batch: make([]core.Datagram, 0, liveBatchCap)}
 	if r.Sharded() {
 		scfg := r.ShardConfig()
-		scfg.Policy = r.cfg.Exec.livePolicy()
+		scfg.Policy = r.livePolicy()
 		sh, err := ingest.New(acfg, opts, scfg)
 		if err != nil {
 			return nil, err

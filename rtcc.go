@@ -168,11 +168,13 @@ func ImpairProfileByName(name string) (ImpairProfile, bool) {
 	return natsim.ProfileByName(name)
 }
 
-// Options configures an analysis run (DPI offset limit, worker-pool
-// size, idle eviction, protocol registry, and the metrics, trace, and
-// QoE sinks). The filter's call-window slack and SNI blocklist are the
-// paper's fixed §3.2 values. Workers=0 uses every CPU, Workers=1 forces
-// the serial path; results are identical either way.
+// Options configures an analysis run (DPI offset limit, RunMatrix's
+// capture-pool size, idle eviction, protocol registry, and the metrics,
+// trace, and QoE sinks). The filter's call-window slack and SNI
+// blocklist are the paper's fixed §3.2 values. Workers sizes only
+// RunMatrix's pool (0 uses every CPU, 1 forces the serial path; results
+// are identical either way); one capture's parallelism is the shard
+// count of NewShardedAnalyzer and AnalyzePCAPSharded.
 type Options = core.Options
 
 // CaptureAnalysis is the per-capture analysis result: filter
@@ -228,7 +230,8 @@ func Matrix(o MatrixOptions) []CaptureConfig {
 }
 
 // Analyze runs the full pipeline (filter → DPI → compliance) over a
-// synthetic capture.
+// synthetic capture on one goroutine. For per-capture parallelism feed
+// the capture's frames to a NewShardedAnalyzer.
 func Analyze(cap *Capture, opts Options) (*CaptureAnalysis, error) {
 	return core.AnalyzeCapture(cap.Input(), opts)
 }
@@ -274,17 +277,20 @@ func NewAnalyzer(cfg AnalyzerConfig, opts Options) (*Analyzer, error) {
 	return core.NewAnalyzer(cfg, opts)
 }
 
-// AnalyzePCAP analyzes a pcap stream. A zero callStart defaults the
-// call window to the capture's span.
+// AnalyzePCAP analyzes a pcap stream on one goroutine. A zero
+// callStart defaults the call window to the capture's span.
+// AnalyzePCAPSharded is the same analysis on several CPUs.
 func AnalyzePCAP(r io.Reader, label string, callStart, callEnd time.Time, opts Options) (*CaptureAnalysis, error) {
 	return core.AnalyzePCAP(r, label, callStart, callEnd, opts)
 }
 
 // ShardedAnalyzer routes datagrams by flow 5-tuple onto N single-writer
 // Analyzer shards fed through bounded queues, and merges the shard
-// states at Close. Output is byte-identical to a serial Analyzer fed
-// the same frames in the same order, for any shard count (DESIGN.md
-// §15). Feed it from one goroutine, exactly like an Analyzer.
+// states at Close, which finalizes the surviving streams on N
+// goroutines. It is how one capture uses several CPUs. Output, decision
+// trace included, is byte-identical to a serial Analyzer fed the same
+// frames in the same order, for any shard count (DESIGN.md §15). Feed
+// it from one goroutine, exactly like an Analyzer.
 type ShardedAnalyzer = ingest.ShardedAnalyzer
 
 // ShardConfig parameterizes the sharded ingest tier (shard count,
@@ -313,12 +319,13 @@ func NewShardedAnalyzer(cfg AnalyzerConfig, opts Options, scfg ShardConfig) (*Sh
 }
 
 // AnalyzePCAPSharded analyzes a pcap stream through the sharded ingest
-// tier: same result as AnalyzePCAP, computed on scfg.Shards cores.
+// tier: same result as AnalyzePCAP, computed on scfg.Shards cores (one
+// per CPU when zero).
 func AnalyzePCAPSharded(r io.Reader, label string, callStart, callEnd time.Time, opts Options, scfg ShardConfig) (*CaptureAnalysis, error) {
 	return ingest.AnalyzePCAP(r, label, callStart, callEnd, opts, scfg)
 }
 
-// AnalyzeFile analyzes a pcap file.
+// AnalyzeFile analyzes a pcap file on one goroutine, like AnalyzePCAP.
 func AnalyzeFile(path string, callStart, callEnd time.Time, opts Options) (*CaptureAnalysis, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -383,7 +390,7 @@ var (
 // Header-free QoE estimation. QoEConfig on Options (or `analysis.qoe:
 // true` in a pipeline config) estimates per-stream media features —
 // frame rate, bitrate, inter-frame gap jitter, stalls — from packet
-// timing and sizes alone, deterministic across worker and shard counts.
+// timing and sizes alone, deterministic across shard counts.
 type (
 	// QoEConfig enables header-free QoE estimation; the zero value
 	// uses the default frame/stall gap thresholds and media gates.
