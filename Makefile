@@ -107,12 +107,13 @@ impair-smoke:
 
 # Sharded-ingest smoke under the race detector: the shard-count
 # invariance sweep, sharded trace parity, the accounting semantics,
-# and the race hammer; plus the serial streaming differential pinned
-# at GOMAXPROCS=2, where scheduler interleavings differ from both the
+# the one-shard eviction rule, the inline single shard, and the race
+# hammer; plus the serial streaming differential pinned at
+# GOMAXPROCS=2, where scheduler interleavings differ from both the
 # 1-CPU and many-CPU shapes.
 shard-smoke:
 	$(GO) test -short -race -count=1 \
-		-run 'TestShardCountInvariance|TestShardInvarianceUnderImpairment|TestShardedPCAPMatchesSerial|TestShardedTraceMatchesSerial|TestDropConservation|TestFlushBarrier|TestShardRaceHammer' \
+		-run 'TestShardCountInvariance|TestShardInvarianceUnderImpairment|TestShardedPCAPMatchesSerial|TestShardedTraceMatchesSerial|TestDropConservation|TestFlushBarrier|TestEvictionRunsOnOneShard|TestOneShardRunsInline|TestShardRaceHammer' \
 		./internal/ingest
 	GOMAXPROCS=2 $(GO) test -short -race -count=1 -run 'TestStreamingBatchEquivalence' ./internal/core
 

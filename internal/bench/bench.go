@@ -139,8 +139,6 @@ func Scenarios() []Scenario {
 	return out
 }
 
-const feedBatchSize = 64
-
 // Prepared is a scenario with its capture generated and its ingestion
 // loop bound, ready to run repeatedly with no per-iteration setup.
 type Prepared struct {
@@ -170,7 +168,7 @@ func Prepare(sc Scenario) (*Prepared, error) {
 		frames:   capt.Frames(),
 		start:    capt.CallStart,
 		end:      capt.CallEnd,
-		batch:    make([]core.Datagram, 0, feedBatchSize),
+		batch:    make([]core.Datagram, 0, core.FeedBatchSize),
 	}
 	p.Packets = len(p.frames)
 	for _, f := range p.frames {
@@ -219,7 +217,7 @@ func (p *Prepared) RunOnce() (time.Duration, error) {
 		batch := p.batch[:0]
 		for _, f := range p.frames {
 			batch = append(batch, core.Datagram{Timestamp: f.Timestamp, Frame: f.Data})
-			if len(batch) == feedBatchSize {
+			if len(batch) == core.FeedBatchSize {
 				if err := a.FeedBatch(batch); err != nil {
 					return 0, err
 				}
@@ -257,7 +255,7 @@ func (p *Prepared) runSharded(cfg core.AnalyzerConfig) (time.Duration, error) {
 	batch := p.batch[:0]
 	for _, f := range p.frames {
 		batch = append(batch, core.Datagram{Timestamp: f.Timestamp, Frame: f.Data})
-		if len(batch) == feedBatchSize {
+		if len(batch) == core.FeedBatchSize {
 			if err := sa.FeedBatch(batch); err != nil {
 				return 0, err
 			}

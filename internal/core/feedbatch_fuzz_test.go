@@ -110,7 +110,7 @@ func FuzzFeedBatch(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bs := int(batchSize)%feedBatchSize + 1
+		bs := int(batchSize)%FeedBatchSize + 1
 		bufs := make([][]byte, bs)
 		batch := make([]Datagram, 0, bs)
 		for i, fr := range frames {

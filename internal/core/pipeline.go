@@ -372,23 +372,25 @@ func analyzeStream(s *flow.Stream, opts Options) *streamPartial {
 	return p
 }
 
-// feedBatchSize is how many records AnalyzePCAP accumulates before
-// handing them to Analyzer.FeedBatch. Each pending record needs its own
-// frame buffer (the ring below), so the batch size bounds the reader's
+// FeedBatchSize is how many datagrams every feeding loop hands
+// Analyzer.FeedBatch at once: the capture reader below, the sharded
+// router's per-shard staging, the live session, and the hot-path
+// benchmark. Each pending record of the reader needs its own frame
+// buffer (the ring below), so the batch size bounds the reader's
 // resident frame memory at batch × max-frame-size.
-const feedBatchSize = 64
+const FeedBatchSize = 64
 
 // frameRing holds one reusable frame buffer per batch slot plus the
 // pending batch itself. Frames read into a slot stay valid until the
 // batch is flushed — FeedBatch copies payload bytes out (into pooled
 // arenas) before returning, after which the slots are reused.
 type frameRing struct {
-	bufs  [feedBatchSize][]byte
+	bufs  [FeedBatchSize][]byte
 	batch []Datagram
 }
 
 func newFrameRing() *frameRing {
-	return &frameRing{batch: make([]Datagram, 0, feedBatchSize)}
+	return &frameRing{batch: make([]Datagram, 0, FeedBatchSize)}
 }
 
 // slot returns the buffer pointer for the next record to be read into.
@@ -398,7 +400,7 @@ func (fr *frameRing) slot() *[]byte { return &fr.bufs[len(fr.batch)] }
 // the batch is full and must be flushed.
 func (fr *frameRing) add(ts time.Time, frame []byte) bool {
 	fr.batch = append(fr.batch, Datagram{Timestamp: ts, Frame: frame})
-	return len(fr.batch) == feedBatchSize
+	return len(fr.batch) == FeedBatchSize
 }
 
 // flush feeds the pending batch (a no-op when empty) and resets it.

@@ -275,7 +275,7 @@ func TestAnalyzerMisuse(t *testing.T) {
 
 // TestAnalyzerStreamingMetrics checks the streaming instrumentation:
 // one feed-latency observation per FeedBatch call (AnalyzePCAP feeds in
-// feedBatchSize batches), a matching batch counter, a live-stream gauge
+// FeedBatchSize batches), a matching batch counter, a live-stream gauge
 // that returns to zero with a positive high-water mark, and eviction
 // activity under an aggressive idle bound.
 func TestAnalyzerStreamingMetrics(t *testing.T) {
@@ -294,9 +294,9 @@ func TestAnalyzerStreamingMetrics(t *testing.T) {
 			feeds += h.Count
 		}
 	}
-	wantBatches := uint64((len(cap.Frames()) + feedBatchSize - 1) / feedBatchSize)
+	wantBatches := uint64((len(cap.Frames()) + FeedBatchSize - 1) / FeedBatchSize)
 	if feeds != wantBatches {
-		t.Errorf("core_feed_seconds observations = %d, want %d (one per batch of %d)", feeds, wantBatches, feedBatchSize)
+		t.Errorf("core_feed_seconds observations = %d, want %d (one per batch of %d)", feeds, wantBatches, FeedBatchSize)
 	}
 	if v := sumCounters(snap, "core_feed_batches_total"); v != wantBatches {
 		t.Errorf("core_feed_batches_total = %d, want %d", v, wantBatches)

@@ -8,7 +8,10 @@
 // hot path the serial pipeline uses — and Close reunifies the shard
 // states with core.MergeAnalyzers, whose result is byte-identical to
 // one serial Analyzer fed the same datagrams in arrival order (see
-// DESIGN.md §15 for the ownership, ordering, and merge rules).
+// DESIGN.md §15 for the ownership, ordering, and merge rules). A
+// one-shard tier has no worker and no queue: the router feeds the
+// shard on the producer's goroutine, so it costs about what a plain
+// Analyzer costs and never sheds.
 //
 // Back-pressure is explicit: a full shard queue either stalls the
 // producer (Block, the lossless default) or sheds the staged batch
@@ -40,7 +43,8 @@ const (
 	Block Policy = iota
 	// Drop sheds the staged batch and counts every datagram in it: the
 	// live-capture choice, where stalling the producer would drop
-	// packets upstream invisibly instead.
+	// packets upstream invisibly instead. A one-shard tier has no
+	// queue to overflow, so it never sheds.
 	Drop
 )
 
@@ -53,46 +57,39 @@ func (p Policy) String() string {
 }
 
 // Config parameterizes the sharded tier. The zero value selects one
-// shard per CPU, a queue depth of 8 batches, and 64-datagram batches
-// with lossless back-pressure.
+// shard per CPU (one under idle eviction) with lossless back-pressure.
 type Config struct {
 	// Shards is the number of single-writer Analyzer shards; 0 selects
-	// one per CPU (GOMAXPROCS). 1 is valid and degenerates to a serial
-	// Analyzer behind the same API.
+	// the ShardCount default. 1 runs the one shard inline on the
+	// producer's goroutine: a serial Analyzer behind the same API.
 	Shards int
-	// QueueDepth bounds each shard's pending batch queue; 0 selects 8.
-	// Together with BatchSize it caps the datagrams in flight per
-	// shard, which is what makes ingest memory independent of capture
-	// size.
-	QueueDepth int
-	// BatchSize is how many datagrams the router stages per shard
-	// before enqueueing; 0 selects 64, matching the serial reader ring.
-	BatchSize int
 	// Policy selects the back-pressure behavior when a shard queue is
 	// full: Block (lossless, default) or Drop.
 	Policy Policy
 }
 
-func (c Config) shards() int {
-	if c.Shards > 0 {
-		return c.Shards
+// ShardCount resolves a configured shard count the way New does: n
+// when positive, else one per CPU (GOMAXPROCS), or one when evictIdle
+// is set. Idle eviction runs on one shard only: a shard evicts on its
+// own clock, the last timestamp routed to it, so on several shards what
+// is evicted and when would follow the CPU count. An explicit count
+// above one with eviction is an error.
+func ShardCount(n int, evictIdle time.Duration) (int, error) {
+	switch {
+	case n > 1 && evictIdle > 0:
+		return 0, fmt.Errorf("ingest: idle eviction runs on one shard, not %d (each shard would evict on its own clock)", n)
+	case n > 0:
+		return n, nil
+	case evictIdle > 0:
+		return 1, nil
 	}
-	return runtime.GOMAXPROCS(0)
+	return runtime.GOMAXPROCS(0), nil
 }
 
-func (c Config) queueDepth() int {
-	if c.QueueDepth > 0 {
-		return c.QueueDepth
-	}
-	return 8
-}
-
-func (c Config) batchSize() int {
-	if c.BatchSize > 0 {
-		return c.BatchSize
-	}
-	return 64
-}
+// queueDepth bounds each shard's pending batch queue. Together with the
+// core.FeedBatchSize staging batch it caps the datagrams in flight per
+// shard, which is what makes ingest memory independent of capture size.
+const queueDepth = 8
 
 // batchBuf is one unit of the router→shard queue: a slice of datagrams
 // plus (in copy mode) the backing frame bytes. Buffers recycle through
@@ -114,16 +111,17 @@ func (b *batchBuf) reset() {
 
 // shard is one single-writer Analyzer with its feeding machinery. Only
 // the worker goroutine touches a; the router only touches stage and
-// the channels; the counters are atomic for Stats snapshots.
+// the channels; the counters are atomic for Stats snapshots. An inline
+// shard has no channels and no worker: the router feeds a itself.
 type shard struct {
 	a     *core.Analyzer
 	queue chan *batchBuf
 	free  chan *batchBuf
 	stage *batchBuf
 	done  chan struct{}
-	// err is the worker's first FeedBatch error; the worker keeps
-	// draining (and recycling) after an error so the router never
-	// deadlocks on a full queue.
+	// err is the first FeedBatch error; the worker keeps draining (and
+	// recycling) after an error so the router never deadlocks on a full
+	// queue.
 	err error
 
 	enqueued     atomic.Uint64
@@ -133,6 +131,21 @@ type shard struct {
 	pending      atomic.Int64
 
 	m shardMetrics
+}
+
+// feed hands one batch to the analyzer; after the first error it only
+// discards.
+func (sh *shard) feed(b *batchBuf) {
+	if sh.err != nil {
+		return
+	}
+	if err := sh.a.FeedBatch(b.dgrams); err != nil {
+		sh.err = err
+		return
+	}
+	n := uint64(len(b.dgrams))
+	sh.analyzed.Add(n)
+	sh.m.analyzed.Add(n)
 }
 
 // run is the shard worker: it feeds queued batches to the analyzer in
@@ -145,15 +158,7 @@ func (sh *shard) run() {
 			close(b.barrier)
 			continue
 		}
-		n := uint64(len(b.dgrams))
-		if sh.err == nil {
-			if err := sh.a.FeedBatch(b.dgrams); err != nil {
-				sh.err = err
-			} else {
-				sh.analyzed.Add(n)
-				sh.m.analyzed.Add(n)
-			}
-		}
+		sh.feed(b)
 		sh.pending.Add(-1)
 		sh.m.depth.Add(-1)
 		b.reset()
@@ -171,9 +176,14 @@ func (sh *shard) run() {
 // one goroutine owns ingestion, exactly as with a plain Analyzer (the
 // shard workers are an internal concern).
 type ShardedAnalyzer struct {
-	cfg    Config
 	acfg   core.AnalyzerConfig
+	policy Policy
+	// batch is how many datagrams the router stages per shard before
+	// feeding or enqueueing them.
+	batch  int
 	shards []*shard
+	// inline marks a one-shard tier, fed on the producer's goroutine.
+	inline bool
 	seq    uint64
 	stable bool
 	closed bool
@@ -183,25 +193,32 @@ type ShardedAnalyzer struct {
 	fed atomic.Uint64
 }
 
-// New builds the sharded tier: cfg.Shards analyzers constructed from
-// acfg (each flipped to ExternalSeq; the router stamps the
-// capture-global sequence) and opts. A traced tier exports the same
-// events as a serial Analyzer: each shard only buffers its streams'
-// events in their spans, and the merge emits the capture-level events
-// and flushes the spans in the serial fold order. The exception is
-// Options.EvictIdle on more than one shard, where eviction emits from
-// the shard goroutines as their streams go idle, so the event order
-// follows the goroutine schedule. The returned analyzer must be fed
-// from one goroutine.
+// New builds the sharded tier: ShardCount(cfg.Shards, opts.EvictIdle)
+// analyzers constructed from acfg (each flipped to ExternalSeq; the
+// router stamps the capture-global sequence) and opts. A traced tier
+// exports the same events as a serial Analyzer: each shard only
+// buffers its streams' events in their spans, and the merge emits the
+// capture-level events and flushes the spans in the serial fold order.
+// The returned analyzer must be fed from one goroutine.
 func New(acfg core.AnalyzerConfig, opts core.Options, cfg Config) (*ShardedAnalyzer, error) {
+	return newTier(acfg, opts, cfg, queueDepth, core.FeedBatchSize)
+}
+
+// newTier is New with an explicit queue shape: depth batches of batch
+// datagrams per shard.
+func newTier(acfg core.AnalyzerConfig, opts core.Options, cfg Config, depth, batch int) (*ShardedAnalyzer, error) {
 	if acfg.ExternalSeq {
 		return nil, errors.New("ingest: AnalyzerConfig.ExternalSeq is owned by the sharded router")
 	}
-	n := cfg.shards()
-	depth := cfg.queueDepth()
+	n, err := ShardCount(cfg.Shards, opts.EvictIdle)
+	if err != nil {
+		return nil, err
+	}
 	s := &ShardedAnalyzer{
-		cfg:    cfg,
 		acfg:   acfg,
+		policy: cfg.Policy,
+		batch:  batch,
+		inline: n == 1,
 		stable: acfg.FramesStable,
 		shards: make([]*shard, n),
 		m:      newIngestMetrics(opts.Metrics, acfg.Label, n),
@@ -213,15 +230,14 @@ func New(acfg core.AnalyzerConfig, opts core.Options, cfg Config) (*ShardedAnaly
 		if err != nil {
 			return nil, err
 		}
-		sh := &shard{
-			a:     a,
-			queue: make(chan *batchBuf, depth),
-			free:  make(chan *batchBuf, depth+2),
-			done:  make(chan struct{}),
-			m:     newShardMetrics(opts.Metrics, acfg.Label, i),
+		sh := &shard{a: a, m: newShardMetrics(opts.Metrics, acfg.Label, i)}
+		if !s.inline {
+			sh.queue = make(chan *batchBuf, depth)
+			sh.free = make(chan *batchBuf, depth+2)
+			sh.done = make(chan struct{})
+			go sh.run()
 		}
 		s.shards[i] = sh
-		go sh.run()
 	}
 	return s, nil
 }
@@ -233,6 +249,9 @@ func New(acfg core.AnalyzerConfig, opts core.Options, cfg Config) (*ShardedAnaly
 // any deterministic placement preserves the merge invariants (each
 // shard still counts them toward frames/decode errors).
 func (s *ShardedAnalyzer) route(frame []byte) *shard {
+	if s.inline {
+		return s.shards[0]
+	}
 	n := uint64(len(s.shards))
 	if fp, ok := layers.FlowFingerprint(s.acfg.LinkType, frame); ok {
 		return s.shards[fp%n]
@@ -289,7 +308,7 @@ func (s *ShardedAnalyzer) feedOne(ts time.Time, frame []byte) error {
 		b.buf = append(b.buf, frame...)
 		b.dgrams = append(b.dgrams, core.Datagram{Timestamp: ts, Seq: s.seq})
 	}
-	if len(b.dgrams) >= s.cfg.batchSize() {
+	if len(b.dgrams) >= s.batch {
 		s.flushShard(sh)
 	}
 	return nil
@@ -298,28 +317,26 @@ func (s *ShardedAnalyzer) feedOne(ts time.Time, frame []byte) error {
 // getBuf takes a recycled batch buffer or allocates one. Allocation is
 // naturally bounded: per shard at most queueDepth queued + 1 in the
 // worker + 1 staging buffers exist, after which the free list always
-// has one to give.
+// has one to give. An inline shard keeps its one staging buffer.
 func (s *ShardedAnalyzer) getBuf(sh *shard) *batchBuf {
 	select {
 	case b := <-sh.free:
 		return b
 	default:
-		size := s.cfg.batchSize()
 		return &batchBuf{
-			dgrams: make([]core.Datagram, 0, size),
-			offs:   make([]int, 0, size),
+			dgrams: make([]core.Datagram, 0, s.batch),
+			offs:   make([]int, 0, s.batch),
 		}
 	}
 }
 
-// flushShard enqueues the shard's staged batch, applying the
-// back-pressure policy when the queue is full.
+// flushShard hands the shard its staged batch: fed in place on an
+// inline shard, otherwise enqueued under the back-pressure policy.
 func (s *ShardedAnalyzer) flushShard(sh *shard) {
 	b := sh.stage
 	if b == nil || len(b.dgrams) == 0 {
 		return
 	}
-	sh.stage = nil
 	if !s.stable {
 		for i := range b.dgrams {
 			end := len(b.buf)
@@ -330,10 +347,17 @@ func (s *ShardedAnalyzer) flushShard(sh *shard) {
 		}
 	}
 	n := uint64(len(b.dgrams))
+	if s.inline {
+		sh.enqueued.Add(n)
+		sh.feed(b)
+		b.reset()
+		return
+	}
+	sh.stage = nil
 	select {
 	case sh.queue <- b:
 	default:
-		if s.cfg.Policy == Drop {
+		if s.policy == Drop {
 			sh.dropped.Add(n)
 			sh.m.dropped.Add(n)
 			b.reset()
@@ -363,6 +387,9 @@ func (s *ShardedAnalyzer) Flush() error {
 	}
 	for _, sh := range s.shards {
 		s.flushShard(sh)
+	}
+	if s.inline {
+		return s.firstErr()
 	}
 	barriers := make([]chan struct{}, len(s.shards))
 	for i, sh := range s.shards {
@@ -396,11 +423,13 @@ func (s *ShardedAnalyzer) Close() (*core.CaptureAnalysis, error) {
 	for _, sh := range s.shards {
 		s.flushShard(sh)
 	}
-	for _, sh := range s.shards {
-		close(sh.queue)
-	}
-	for _, sh := range s.shards {
-		<-sh.done
+	if !s.inline {
+		for _, sh := range s.shards {
+			close(sh.queue)
+		}
+		for _, sh := range s.shards {
+			<-sh.done
+		}
 	}
 	if err := s.firstErr(); err != nil {
 		return nil, err
@@ -414,9 +443,10 @@ func (s *ShardedAnalyzer) Close() (*core.CaptureAnalysis, error) {
 
 // ShardStats is one shard's datagram accounting.
 type ShardStats struct {
-	// Enqueued counts datagrams accepted onto the shard queue;
-	// Analyzed counts those its analyzer consumed. They converge as
-	// the queue drains (equal after Flush or Close).
+	// Enqueued counts datagrams accepted onto the shard queue (or fed
+	// in place, on an inline shard); Analyzed counts those its
+	// analyzer consumed. They converge as the queue drains (equal
+	// after Flush or Close).
 	Enqueued, Analyzed uint64
 	// Dropped counts datagrams shed by the Drop policy; Backpressure
 	// counts producer stalls under Block (events, not datagrams).
@@ -427,8 +457,8 @@ type ShardStats struct {
 
 // Stats is a snapshot of the tier's datagram accounting. Conservation
 // holds by construction: Fed == Σ Enqueued + Σ Dropped + staged (the
-// ≤ BatchSize datagrams per shard not yet flushed), and after Flush or
-// Close, Fed == Analyzed + Dropped exactly.
+// fewer than core.FeedBatchSize datagrams per shard not yet flushed),
+// and after Flush or Close, Fed == Analyzed + Dropped exactly.
 type Stats struct {
 	Fed, Analyzed, Dropped, Backpressure uint64
 	Shards                               []ShardStats

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -77,7 +78,7 @@ func requireIdentical(t *testing.T, label string, serial, sharded *core.CaptureA
 
 // TestShardCountInvariance sweeps every app over the seed set and
 // asserts the sharded pipeline at 1, 2, 4, and 16 shards is
-// byte-identical to the serial AnalyzeCapture reference.
+// byte-identical to the serial core.AnalyzeCapture reference.
 func TestShardCountInvariance(t *testing.T) {
 	seeds := invarianceSeeds
 	if testing.Short() {
@@ -92,10 +93,7 @@ func TestShardCountInvariance(t *testing.T) {
 				t.Fatalf("%s seed %d serial: %v", app, seed, err)
 			}
 			for _, n := range shardCounts {
-				sharded, err := ingest.AnalyzeCapture(in, core.Options{Workers: 1}, ingest.Config{Shards: n})
-				if err != nil {
-					t.Fatalf("%s seed %d shards=%d: %v", app, seed, n, err)
-				}
+				sharded := analyzeSharded(t, cap, ingest.Config{Shards: n}, core.Options{Workers: 1})
 				requireIdentical(t, fmt.Sprintf("%s seed %d shards %d", app, seed, n), serial, sharded)
 			}
 		}
@@ -122,10 +120,7 @@ func TestShardInvarianceUnderImpairment(t *testing.T) {
 			t.Fatalf("%s serial: %v", prof.Name, err)
 		}
 		for _, n := range []int{2, 4} {
-			sharded, err := ingest.AnalyzeCapture(in, core.Options{Workers: 1}, ingest.Config{Shards: n})
-			if err != nil {
-				t.Fatalf("%s shards=%d: %v", prof.Name, n, err)
-			}
+			sharded := analyzeSharded(t, cap, ingest.Config{Shards: n}, core.Options{Workers: 1})
 			requireIdentical(t, fmt.Sprintf("impair %s shards %d", prof.Name, n), serial, sharded)
 		}
 	}
@@ -160,7 +155,7 @@ func TestShardedPCAPMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s serial: %v", window.name, err)
 		}
-		for _, n := range []int{2, 4} {
+		for _, n := range []int{1, 2, 4} {
 			sharded, err := ingest.AnalyzePCAP(bytes.NewReader(raw), "meet", window.start, window.end,
 				core.Options{}, ingest.Config{Shards: n})
 			if err != nil {
@@ -190,18 +185,48 @@ func feedAll(t testing.TB, sa *ingest.ShardedAnalyzer, capt *trace.Capture) {
 	}
 }
 
-func newSharded(t testing.TB, capt *trace.Capture, cfg ingest.Config, opts core.Options) *ingest.ShardedAnalyzer {
-	t.Helper()
-	sa, err := ingest.New(core.AnalyzerConfig{
+// captureConfig configures the tier as core.AnalyzeCapture configures
+// its Analyzer (frames referenced in place, payloads retained), so the
+// two are byte-identical on any capture.
+func captureConfig(capt *trace.Capture) core.AnalyzerConfig {
+	return core.AnalyzerConfig{
 		Label:     string(capt.Config.App),
 		LinkType:  pcap.LinkTypeRaw,
 		CallStart: capt.CallStart, CallEnd: capt.CallEnd,
 		KeepPayloads: true, FramesStable: true,
-	}, opts, cfg)
+	}
+}
+
+func newSharded(t testing.TB, capt *trace.Capture, cfg ingest.Config, opts core.Options) *ingest.ShardedAnalyzer {
+	t.Helper()
+	sa, err := ingest.New(captureConfig(capt), opts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sa
+}
+
+// newShaped is newSharded with depth batches of batch datagrams per
+// shard queue.
+func newShaped(t testing.TB, capt *trace.Capture, cfg ingest.Config, opts core.Options, depth, batch int) *ingest.ShardedAnalyzer {
+	t.Helper()
+	sa, err := ingest.NewShaped(captureConfig(capt), opts, cfg, depth, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sa
+}
+
+// analyzeSharded runs a whole capture through a fresh tier.
+func analyzeSharded(t testing.TB, capt *trace.Capture, cfg ingest.Config, opts core.Options) *core.CaptureAnalysis {
+	t.Helper()
+	sa := newSharded(t, capt, cfg, opts)
+	feedAll(t, sa, capt)
+	ca, err := sa.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ca
 }
 
 // TestDropConservation pins the accounting semantics: datagrams are
@@ -215,9 +240,7 @@ func TestDropConservation(t *testing.T) {
 		// A one-deep queue of one-datagram batches makes back-pressure
 		// certain; how many drops land depends on worker timing, but
 		// conservation must hold regardless.
-		sa := newSharded(t, cap, ingest.Config{
-			Shards: 2, QueueDepth: 1, BatchSize: 1, Policy: ingest.Drop,
-		}, core.Options{Workers: 1})
+		sa := newShaped(t, cap, ingest.Config{Shards: 2, Policy: ingest.Drop}, core.Options{Workers: 1}, 1, 1)
 		feedAll(t, sa, cap)
 		if _, err := sa.Close(); err != nil {
 			t.Fatal(err)
@@ -242,9 +265,7 @@ func TestDropConservation(t *testing.T) {
 	})
 
 	t.Run("block", func(t *testing.T) {
-		sa := newSharded(t, cap, ingest.Config{
-			Shards: 2, QueueDepth: 1, BatchSize: 1, Policy: ingest.Block,
-		}, core.Options{Workers: 1})
+		sa := newShaped(t, cap, ingest.Config{Shards: 2, Policy: ingest.Block}, core.Options{Workers: 1}, 1, 1)
 		feedAll(t, sa, cap)
 		if _, err := sa.Close(); err != nil {
 			t.Fatal(err)
@@ -361,6 +382,70 @@ func TestShardedMisuse(t *testing.T) {
 	}
 }
 
+// TestEvictionRunsOnOneShard pins the one eviction rule: idle eviction
+// resolves the default shard count to one and rejects an explicit
+// count above one, in New and in ShardCount alike.
+func TestEvictionRunsOnOneShard(t *testing.T) {
+	cap := genCapture(t, appsim.Zoom, appsim.WiFiRelay, 5)
+	acfg := captureConfig(cap)
+	acfg.KeepPayloads = false // incompatible with eviction
+	evict := core.Options{EvictIdle: 30 * time.Millisecond}
+	for _, n := range []int{2, 4, 16} {
+		if _, err := ingest.New(acfg, evict, ingest.Config{Shards: n}); err == nil {
+			t.Errorf("New accepted idle eviction on %d shards", n)
+		}
+		if _, err := ingest.ShardCount(n, evict.EvictIdle); err == nil {
+			t.Errorf("ShardCount accepted idle eviction on %d shards", n)
+		}
+	}
+	for _, n := range []int{0, 1} {
+		sa, err := ingest.New(acfg, evict, ingest.Config{Shards: n})
+		if err != nil {
+			t.Fatalf("shards %d: %v", n, err)
+		}
+		if got := len(sa.Stats().Shards); got != 1 {
+			t.Errorf("shards %d with eviction: tier has %d shards, want 1", n, got)
+		}
+		feedAll(t, sa, cap)
+		if _, err := sa.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := ingest.ShardCount(0, 0); err != nil || n != runtime.GOMAXPROCS(0) {
+		t.Errorf("ShardCount(0, 0) = %d, %v; want one per CPU (%d)", n, err, runtime.GOMAXPROCS(0))
+	}
+}
+
+// TestOneShardRunsInline: a one-shard tier starts no goroutine and
+// feeds its shard on the caller's goroutine, so even a one-deep queue
+// of one-datagram batches under Drop sheds nothing, and the result is
+// the serial Analyzer's.
+func TestOneShardRunsInline(t *testing.T) {
+	cap := genCapture(t, appsim.Zoom, appsim.WiFiRelay, 42)
+	serial, err := core.AnalyzeCapture(cap.Input(), core.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	sa := newShaped(t, cap, ingest.Config{Shards: 1, Policy: ingest.Drop}, core.Options{Workers: 1}, 1, 1)
+	feedAll(t, sa, cap)
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("one-shard tier runs %d goroutines beyond the caller's %d", after-before, before)
+	}
+	if st := sa.Stats(); st.Analyzed != st.Fed {
+		t.Errorf("before Close: analyzed %d of %d fed, want all (no queue to wait in)", st.Analyzed, st.Fed)
+	}
+	sharded, err := sa.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := sa.Stats()
+	if st.Dropped != 0 || st.Backpressure != 0 || st.Fed != uint64(len(cap.Frames())) {
+		t.Errorf("one shard under Drop: %+v, want every datagram analyzed", st)
+	}
+	requireIdentical(t, "one inline shard", serial, sharded)
+}
+
 // TestShardRaceHammer drives the full tier — router, bounded queues,
 // four shard workers, concurrent Stats readers, a mid-stream Flush —
 // under load. Run with -race (make shard-smoke, CI), where any
@@ -369,8 +454,7 @@ func TestShardedMisuse(t *testing.T) {
 func TestShardRaceHammer(t *testing.T) {
 	cap := genCapture(t, appsim.Zoom, appsim.WiFiRelay, 31337)
 	reg := metrics.NewRegistry()
-	sa := newSharded(t, cap, ingest.Config{Shards: 4, QueueDepth: 2, BatchSize: 8},
-		core.Options{Workers: 1, Metrics: reg})
+	sa := newShaped(t, cap, ingest.Config{Shards: 4}, core.Options{Workers: 1, Metrics: reg}, 2, 8)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

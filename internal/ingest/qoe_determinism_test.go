@@ -50,10 +50,7 @@ func TestQoEDeterminismAcrossPipelines(t *testing.T) {
 			ref := qoeJSON(t, serial)
 
 			for _, n := range []int{2, 4, 16} {
-				sharded, err := ingest.AnalyzeCapture(in, core.Options{QoE: qcfg}, ingest.Config{Shards: n})
-				if err != nil {
-					t.Fatalf("%s seed %d shards=%d: %v", app, seed, n, err)
-				}
+				sharded := analyzeSharded(t, cap, ingest.Config{Shards: n}, core.Options{QoE: qcfg})
 				if got := qoeJSON(t, sharded); string(got) != string(ref) {
 					t.Errorf("%s seed %d: %d-shard QoE differs\nserial:  %s\nsharded: %s", app, seed, n, ref, got)
 				}

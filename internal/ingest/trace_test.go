@@ -54,8 +54,8 @@ func TestShardedTraceMatchesSerial(t *testing.T) {
 			}
 			for _, n := range shardCounts {
 				sharded := export(t, func(opts core.Options) error {
-					_, err := ingest.AnalyzeCapture(in, opts, ingest.Config{Shards: n})
-					return err
+					analyzeSharded(t, cap, ingest.Config{Shards: n}, opts)
+					return nil
 				})
 				if !bytes.Equal(sharded, serial) {
 					t.Errorf("%s seed %d: %d-shard trace differs from serial (%d vs %d bytes)",

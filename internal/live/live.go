@@ -68,8 +68,8 @@ func Decapsulate(b []byte) (seq uint32, pkt pcap.Packet, err error) {
 // DecapsulateView parses one encapsulated datagram without copying:
 // the returned packet's Data aliases b and is only valid while b is.
 // It is the allocation-free first step the Collector uses to judge a
-// frame (sequence accounting, the Filter hook) before paying for the
-// copy-out — a dropped frame never allocates.
+// frame (decapsulation, sequence accounting) before paying for the
+// copy-out — an undecodable datagram never allocates.
 func DecapsulateView(b []byte) (seq uint32, pkt pcap.Packet, err error) {
 	if len(b) < headerLen {
 		return 0, pcap.Packet{}, fmt.Errorf("live: datagram too short (%d bytes)", len(b))
@@ -160,19 +160,10 @@ type Collector struct {
 	// Reordered counts frames that arrived with a backwards sequence
 	// number (UDP reordering on the mirror path).
 	Reordered int
-	// Filter, when non-nil, judges each frame before the copy-out: it
-	// sees a zero-copy view of the decapsulated frame (Data aliases the
-	// receive buffer — the filter must not retain it) and a false
-	// verdict drops the frame without allocating. Sequence accounting
-	// still advances, so loss estimates stay correct under filtering.
-	Filter func(pkt pcap.Packet) bool
-	// FilteredOut counts frames the Filter rejected.
-	FilteredOut int
 	// Metrics, when non-nil, mirrors the counters above as
 	// live_frames_received_total, live_decode_errors_total,
-	// live_frames_reordered_total, live_frames_filtered_total, and the
-	// live_frames_dropped gauge (a gauge because a late arrival revises
-	// the loss estimate down).
+	// live_frames_reordered_total, and the live_frames_dropped gauge (a
+	// gauge because a late arrival revises the loss estimate down).
 	Metrics *metrics.Registry
 
 	lastSeq uint32
@@ -186,7 +177,6 @@ type streamCounters struct {
 	decodeErrs *metrics.Counter
 	dropped    *metrics.Gauge
 	reordered  *metrics.Counter
-	filtered   *metrics.Counter
 }
 
 // SortByTimestamp stable-sorts frames by capture timestamp, restoring
@@ -224,10 +214,9 @@ func (c *Collector) Close() error { return c.pc.Close() }
 // context is canceled. Each delivered frame's Data is freshly
 // allocated, so fn may retain it — feeding a core.Analyzer (usually
 // through a ReorderBuffer, since UDP may reorder the mirror path)
-// analyzes the capture without ever buffering it. Frames the Filter
-// rejects are dropped before that copy-out, so an uninteresting frame
-// costs no allocation at all. Returns the delivered count; a non-nil
-// error from fn aborts the stream and is returned as-is.
+// analyzes the capture without ever buffering it. Returns the delivered
+// count; a non-nil error from fn aborts the stream and is returned
+// as-is.
 func (c *Collector) Stream(ctx context.Context, max int, fn func(pcap.Packet) error) (int, error) {
 	idle := c.IdleTimeout
 	if idle <= 0 {
@@ -238,7 +227,6 @@ func (c *Collector) Stream(ctx context.Context, max int, fn func(pcap.Packet) er
 		decodeErrs: c.Metrics.Counter("live_decode_errors_total"),
 		dropped:    c.Metrics.Gauge("live_frames_dropped"),
 		reordered:  c.Metrics.Counter("live_frames_reordered_total"),
-		filtered:   c.Metrics.Counter("live_frames_filtered_total"),
 	}
 	count := 0
 	buf := make([]byte, maxFrame+headerLen)
@@ -273,11 +261,9 @@ func (c *Collector) Stream(ctx context.Context, max int, fn func(pcap.Packet) er
 }
 
 // handleDatagram processes one received datagram: zero-copy
-// decapsulation, sequence accounting, the Filter verdict, and — only
-// for frames that survive all three — the copy-out and delivery to fn.
-// The decode-error and filter-drop paths never copy the payload; the
-// filter-drop path performs no allocation at all (pinned by
-// TestCollectorDropPathAllocs).
+// decapsulation, sequence accounting, and — only for frames that
+// decapsulate — the copy-out and delivery to fn. The decode-error path
+// never copies the payload.
 func (c *Collector) handleDatagram(b []byte, sc streamCounters, fn func(pcap.Packet) error) (delivered bool, err error) {
 	seq, pkt, err := DecapsulateView(b)
 	if err != nil {
@@ -303,11 +289,6 @@ func (c *Collector) handleDatagram(b []byte, sc streamCounters, fn func(pcap.Pac
 	}
 	sc.dropped.Set(int64(c.Dropped))
 	sc.received.Inc()
-	if c.Filter != nil && !c.Filter(pkt) {
-		c.FilteredOut++
-		sc.filtered.Inc()
-		return false, nil
-	}
 	data := make([]byte, len(pkt.Data))
 	copy(data, pkt.Data)
 	pkt.Data = data

@@ -220,64 +220,3 @@ func TestCollectorCountsJunk(t *testing.T) {
 		t.Errorf("dropped = %d, want 0 (junk is a decode error, not a loss)", col.Dropped)
 	}
 }
-
-// TestCollectorFilterDropsBeforeCopy checks the Filter hook end to end:
-// rejected frames are counted but never delivered, sequence accounting
-// still sees them, and the filter observes a zero-copy view.
-func TestCollectorFilterDropsBeforeCopy(t *testing.T) {
-	col, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-	col.IdleTimeout = 200 * time.Millisecond
-	col.Filter = func(pkt pcap.Packet) bool { return len(pkt.Data) > 1 }
-
-	exp, err := Dial(col.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer exp.Close()
-	if err := exp.Send(pcap.Packet{Timestamp: t0, Data: []byte{1}}); err != nil { // filtered
-		t.Fatal(err)
-	}
-	if err := exp.Send(pcap.Packet{Timestamp: t0, Data: []byte{2, 3}}); err != nil { // kept
-		t.Fatal(err)
-	}
-	got, err := col.Collect(context.Background(), 1)
-	if err != nil || len(got) != 1 {
-		t.Fatalf("got %d frames, err %v", len(got), err)
-	}
-	if !bytes.Equal(got[0].Data, []byte{2, 3}) {
-		t.Errorf("delivered frame = %v, want the unfiltered one", got[0].Data)
-	}
-	if col.FilteredOut != 1 {
-		t.Errorf("FilteredOut = %d, want 1", col.FilteredOut)
-	}
-	if col.Dropped != 0 {
-		t.Errorf("Dropped = %d, want 0 (a filtered frame is not a loss)", col.Dropped)
-	}
-}
-
-// TestCollectorDropPathAllocs pins the filter-drop path to zero
-// allocations per datagram: a frame the Filter rejects must be judged
-// on the zero-copy decapsulation view and discarded without the
-// copy-out. Exercised directly on handleDatagram, below the socket.
-func TestCollectorDropPathAllocs(t *testing.T) {
-	wire := Encapsulate(1, pcap.Packet{Timestamp: t0, Data: bytes.Repeat([]byte{0xab}, 512)})
-	col := &Collector{Filter: func(pcap.Packet) bool { return false }}
-	var sc streamCounters // inert handles, as with a nil Metrics registry
-	fn := func(pcap.Packet) error {
-		t.Error("filtered frame delivered")
-		return nil
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		delivered, err := col.handleDatagram(wire, sc, fn)
-		if delivered || err != nil {
-			t.Fatalf("handleDatagram = (%v, %v), want dropped", delivered, err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("filter-drop path allocates %.1f/op, want 0", allocs)
-	}
-}

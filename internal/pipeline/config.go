@@ -1,7 +1,7 @@
 // Package pipeline is the one composition layer behind every front-end:
 // a declarative Config names the capture source, the execution mode, and
 // the output sinks, and a Runner assembles the existing engine pieces —
-// the streaming core.Analyzer, the sharded ingest tier, the live
+// the ingest tier over the streaming core.Analyzer, the live
 // collector — the same way for every binary. Before this layer each
 // cmd/ binary wired analyzers, shard tiers, trace files, and metrics
 // endpoints by hand; now a front-end parses flags (or a config file)
@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"github.com/rtc-compliance/rtcc/internal/alert"
+	"github.com/rtc-compliance/rtcc/internal/ingest"
 )
 
 // Source kinds accepted by Config.Source.Kind.
@@ -69,9 +70,9 @@ func (d Duration) Std() time.Duration { return time.Duration(d) }
 
 // Config is the declarative description of one analysis pipeline: what
 // to read, how to execute, and where results go. The zero value plus a
-// source is a valid serial pipeline. It loads from a JSON or YAML file
-// (LoadFile) and binds to command-line flags through the cmdutil
-// helpers; explicitly-set flags take precedence over file keys.
+// source is a valid pipeline on one shard per CPU. It loads from a JSON
+// or YAML file (LoadFile) and binds to command-line flags through the
+// cmdutil helpers; explicitly-set flags take precedence over file keys.
 type Config struct {
 	Source   Source       `json:"source"`
 	Exec     Exec         `json:"exec"`
@@ -111,18 +112,19 @@ type Source struct {
 
 // Exec names the execution mode and its knobs.
 type Exec struct {
-	// Shards is the capture's one parallelism setting: the sharded
-	// ingest tier feeds on this many shards and its merge finalizes the
-	// surviving streams on as many goroutines. 0 selects one shard per
-	// CPU; 1 selects the serial Analyzer. Output is byte-identical to
-	// serial for any value unless EvictIdle is set.
+	// Shards is the capture's one parallelism setting: the ingest tier
+	// feeds on this many shards and its merge finalizes the surviving
+	// streams on as many goroutines. 0 selects one shard per CPU, or
+	// one with EvictIdle; 1 feeds the one shard inline, a serial
+	// Analyzer. Output is byte-identical to serial for any value.
 	Shards int `json:"shards"`
 	// Policy is the shard back-pressure policy: "block" (lossless,
 	// default) or "drop" (live shedding, every shed datagram counted).
 	// A pcap source must not shed, so it rejects "drop".
 	Policy string `json:"policy"`
 	// EvictIdle finalizes streams idle this long to bound memory
-	// (0 = off).
+	// (0 = off). Eviction runs on one shard only, so it rejects Shards
+	// above 1.
 	EvictIdle Duration `json:"evict_idle"`
 }
 
@@ -152,10 +154,9 @@ type Sinks struct {
 	// (default), "json", or "none".
 	Report string `json:"report"`
 	// TraceOut exports the decision trace as JSONL to this file.
-	// With Exec.EvictIdle it needs Exec.Shards 1 (validated).
 	TraceOut string `json:"trace_out"`
 	// Explain traces the run in memory and renders the decisions
-	// matching "<app>/<stream>/<msgtype>". Same eviction rule.
+	// matching "<app>/<stream>/<msgtype>".
 	Explain string `json:"explain"`
 	// MetricsAddr serves /metrics, /debug/vars, and /debug/pprof (and,
 	// in daemon mode, /compliance/trend) on this address.
@@ -320,10 +321,8 @@ func (c *Config) Validate() error {
 	if c.Exec.Policy == "drop" && c.Source.Kind == SourcePCAP {
 		return fmt.Errorf("pipeline: exec.policy \"drop\" cannot be combined with source.kind \"pcap\" (a file reader can always wait, and shed datagrams would vanish from the analysis); use \"block\"")
 	}
-	if (c.Sinks.TraceOut != "" || c.Sinks.Explain != "") && c.Exec.EvictIdle > 0 && c.Exec.Shards != 1 {
-		// Eviction emits and flushes from the shard goroutines, in an
-		// order the goroutine schedule decides.
-		return fmt.Errorf("pipeline: a trace sink (sinks.trace_out, sinks.explain) with exec.evict_idle needs exec.shards: 1 (shards evict on their own goroutines, so the trace order would depend on the schedule)")
+	if _, err := ingest.ShardCount(c.Exec.Shards, c.Exec.EvictIdle.Std()); err != nil {
+		return fmt.Errorf("pipeline: exec.evict_idle needs exec.shards 0 or 1: %w", err)
 	}
 	switch c.Sinks.Report {
 	case "", "text", "json", "none":

@@ -156,14 +156,16 @@ func TestDurationForms(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsTraceWithShards pins the one trace rule left:
-// sharded runs trace, except with idle eviction on more than one shard
-// (or on the per-CPU default), where shards emit from their own
-// goroutines.
-func TestValidateRejectsTraceWithShards(t *testing.T) {
+// TestValidateEvictionRunsOnOneShard pins the one eviction rule: idle
+// eviction validates at exec.shards 0 and 1, with or without a trace
+// sink, and resolves to one shard; above one shard it is rejected.
+// Without eviction every shard count validates, traced or not.
+func TestValidateEvictionRunsOnOneShard(t *testing.T) {
+	dir := t.TempDir()
 	for _, shards := range []int{0, 1, 2, 4, 16} {
 		for _, sink := range []func(*Config){
-			func(c *Config) { c.Sinks.TraceOut = "trace.jsonl" },
+			func(c *Config) {},
+			func(c *Config) { c.Sinks.TraceOut = filepath.Join(dir, "trace.jsonl") },
 			func(c *Config) { c.Sinks.Explain = "Zoom" },
 		} {
 			cfg := Config{}
@@ -172,18 +174,24 @@ func TestValidateRejectsTraceWithShards(t *testing.T) {
 			cfg.Exec.Shards = shards
 			sink(&cfg)
 			if err := cfg.Validate(); err != nil {
-				t.Fatalf("shards %d: a trace sink must validate: %v", shards, err)
+				t.Fatalf("shards %d: must validate without eviction: %v", shards, err)
 			}
 			cfg.Exec.EvictIdle = Duration(time.Second)
-			err := cfg.Validate()
-			if shards == 1 {
-				if err != nil {
-					t.Fatalf("serial traced eviction must validate: %v", err)
+			if shards > 1 {
+				if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "exec.evict_idle needs exec.shards 0 or 1") {
+					t.Fatalf("shards %d: want the eviction rejection, got %v", shards, err)
 				}
 				continue
 			}
-			if err == nil || !strings.Contains(err.Error(), "exec.evict_idle needs exec.shards: 1") {
-				t.Fatalf("shards %d: want trace/eviction rejection, got %v", shards, err)
+			r, err := NewRunner(cfg, nil)
+			if err != nil {
+				t.Fatalf("shards %d: eviction must validate: %v", shards, err)
+			}
+			if r.shards != 1 {
+				t.Errorf("shards %d with eviction resolved to %d shards, want 1", shards, r.shards)
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}

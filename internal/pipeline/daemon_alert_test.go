@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -51,7 +52,10 @@ func appFrames(t *testing.T, app appsim.App, seed uint64) []pcap.Packet {
 	return cap.Input().Packets
 }
 
-// execLines reads the exec sink's output file (absent file = no events).
+// execLines reads the exec sink's complete lines (absent file = no
+// events). The sink's shell creates the file before it writes the
+// line, so an unterminated tail is a line still being written and does
+// not count.
 func execLines(t *testing.T, path string) []string {
 	t.Helper()
 	raw, err := os.ReadFile(path)
@@ -61,7 +65,11 @@ func execLines(t *testing.T, path string) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return strings.Split(strings.TrimSpace(string(raw)), "\n")
+	done := string(raw[:bytes.LastIndexByte(raw, '\n')+1])
+	if done == "" {
+		return nil
+	}
+	return strings.Split(strings.TrimSuffix(done, "\n"), "\n")
 }
 
 func getJSON(t *testing.T, url string, into any) {

@@ -360,8 +360,9 @@ func TestDaemonSurvivesUndecodableEpoch(t *testing.T) {
 
 // TestHealthzLiveDefaultPolicy: a sharded daemon without exec.policy
 // runs its live sessions under drop, and /healthz says so. Without
-// exec.shards the daemon runs one shard per CPU, and /healthz reports
-// that resolved count, never 0.
+// exec.shards the daemon runs one shard per CPU, or one inline shard
+// (block) with exec.evict_idle, and /healthz reports that resolved
+// count, never 0.
 func TestHealthzLiveDefaultPolicy(t *testing.T) {
 	perCPU, perCPUPolicy := runtime.GOMAXPROCS(0), "block"
 	if perCPU > 1 {
@@ -374,6 +375,7 @@ func TestHealthzLiveDefaultPolicy(t *testing.T) {
 	}{
 		{"exec:\n  shards: 2\n", 2, "drop"},
 		{"", perCPU, perCPUPolicy},
+		{"exec:\n  evict_idle: 5s\n", 1, "block"},
 	} {
 		cfgPath := filepath.Join(t.TempDir(), "daemon.yaml")
 		cfg := "source:\n  kind: live\n  listen: \"127.0.0.1:0\"\n  idle: 100ms\n" +

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"github.com/rtc-compliance/rtcc/internal/core"
@@ -20,16 +19,15 @@ import (
 )
 
 // Runner executes one validated Config: it owns the sink plumbing
-// (trace file, explain buffer, verdict stream) and routes captures
-// through the serial or sharded engine so front-ends stop wiring those
-// pieces by hand. A Runner is good for any number of captures (the
-// manifest path analyzes a directory through one Runner); Close
-// finishes the sinks.
+// (trace file, explain buffer, verdict stream) and routes every capture
+// through the ingest tier so front-ends stop wiring those pieces by
+// hand. A Runner is good for any number of captures (the manifest path
+// analyzes a directory through one Runner); Close finishes the sinks.
 type Runner struct {
 	cfg Config
 	reg *metrics.Registry
-	// shards is exec.shards resolved once, 0 becoming one per CPU;
-	// every reader of the shard count reads this value.
+	// shards is exec.shards resolved once by ingest.ShardCount; every
+	// reader of the shard count reads this value.
 	shards int
 
 	traceFile  *os.File
@@ -53,10 +51,8 @@ func NewRunner(cfg Config, reg *metrics.Registry) (*Runner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Runner{cfg: cfg, reg: reg, shards: cfg.Exec.Shards}
-	if r.shards == 0 {
-		r.shards = runtime.GOMAXPROCS(0)
-	}
+	r := &Runner{cfg: cfg, reg: reg}
+	r.shards, _ = ingest.ShardCount(cfg.Exec.Shards, cfg.Exec.EvictIdle.Std()) // validated above
 	if cfg.Sinks.TraceOut != "" {
 		f, err := os.Create(cfg.Sinks.TraceOut)
 		if err != nil {
@@ -124,17 +120,6 @@ func (r *Runner) Options() core.Options {
 	return opts
 }
 
-// Sharded reports whether the sharded ingest tier is selected.
-func (r *Runner) Sharded() bool { return r.shards > 1 }
-
-// ShardConfig assembles the ingest-tier configuration.
-func (r *Runner) ShardConfig() ingest.Config {
-	return ingest.Config{
-		Shards: r.shards,
-		Policy: r.policy(),
-	}
-}
-
 // policy resolves Exec.Policy (validated earlier).
 func (e Exec) policy() (ingest.Policy, error) {
 	switch e.Policy {
@@ -146,33 +131,25 @@ func (e Exec) policy() (ingest.Policy, error) {
 	return ingest.Block, fmt.Errorf("pipeline: unknown exec.policy %q (block or drop)", e.Policy)
 }
 
-func (r *Runner) policy() ingest.Policy {
+// livePolicy resolves the policy a live session runs under: the
+// configured one, else Drop on more than one shard, because a stalled
+// live producer loses mirror packets upstream invisibly while Drop
+// counts every shed datagram. One shard is fed inline and sheds
+// nothing, which is Block.
+func (r *Runner) livePolicy() ingest.Policy {
+	if r.cfg.Exec.Policy == "" && r.shards > 1 {
+		return ingest.Drop
+	}
 	p, _ := r.cfg.Exec.policy()
 	return p
 }
 
-// livePolicy resolves the policy a live session runs under: the
-// configured one, else Drop on the sharded tier, because a stalled live
-// producer loses mirror packets upstream invisibly while Drop counts
-// every shed datagram. The serial path analyzes inline and sheds
-// nothing, which is Block.
-func (r *Runner) livePolicy() ingest.Policy {
-	if r.cfg.Exec.Policy == "" && r.Sharded() {
-		return ingest.Drop
-	}
-	return r.policy()
-}
-
-// AnalyzeReader routes one pcap/pcapng stream through the engine the
-// Config selects: the sharded ingest tier on more than one shard, the
-// streaming serial path otherwise. Results are byte-identical either
-// way (the shard merge is the invariant the ingest tests pin), and a
-// pcap source never sheds: Validate rejects the drop policy for it.
+// AnalyzeReader routes one pcap/pcapng stream through the ingest tier
+// on the resolved shard count. Results are byte-identical for any count
+// (the shard merge is the invariant the ingest tests pin), and a pcap
+// source never sheds: Validate rejects the drop policy for it.
 func (r *Runner) AnalyzeReader(rd io.Reader, label string, callStart, callEnd time.Time) (*core.CaptureAnalysis, error) {
-	if r.Sharded() {
-		return ingest.AnalyzePCAP(rd, label, callStart, callEnd, r.Options(), r.ShardConfig())
-	}
-	return core.AnalyzePCAP(rd, label, callStart, callEnd, r.Options())
+	return ingest.AnalyzePCAP(rd, label, callStart, callEnd, r.Options(), ingest.Config{Shards: r.shards})
 }
 
 // RunOnce analyzes the configured pcap source. Live sources run
@@ -301,52 +278,32 @@ func (r *Runner) Close() error {
 }
 
 // LiveSession is one streaming analysis over a live frame source: the
-// analyzer (serial or sharded, per the Config), fed through the
-// batcher that amortizes per-feed bookkeeping. The daemon runs one
-// LiveSession per epoch; one-shot collection runs exactly one.
+// ingest tier on the resolved shard count, fed through the batcher
+// that amortizes per-feed bookkeeping. The daemon runs one LiveSession
+// per epoch; one-shot collection runs exactly one.
 type LiveSession struct {
-	sink      core.FrameSink
-	sharded   *ingest.ShardedAnalyzer
-	batch     []core.Datagram
-	fedSerial uint64
+	sa    *ingest.ShardedAnalyzer
+	batch []core.Datagram
 }
-
-// liveBatchCap matches the historical rtclive feed batch size.
-const liveBatchCap = 64
 
 // NewLiveSession builds the analyzer for one live session. The live
 // path always analyzes raw-IP frames with the call window defaulted to
-// the received span; the sharded tier runs under livePolicy.
+// the received span, under livePolicy.
 func (r *Runner) NewLiveSession() (*LiveSession, error) {
-	acfg := core.AnalyzerConfig{
+	sa, err := ingest.New(core.AnalyzerConfig{
 		Label:               r.cfg.Source.EffectiveLabel(),
 		LinkType:            pcap.LinkTypeRaw,
 		DefaultWindowToSpan: true,
 		FramesStable:        true, // each decapsulated frame is freshly allocated
-	}
-	opts := r.Options()
-	s := &LiveSession{batch: make([]core.Datagram, 0, liveBatchCap)}
-	if r.Sharded() {
-		scfg := r.ShardConfig()
-		scfg.Policy = r.livePolicy()
-		sh, err := ingest.New(acfg, opts, scfg)
-		if err != nil {
-			return nil, err
-		}
-		s.sharded, s.sink = sh, sh
-		return s, nil
-	}
-	a, err := core.NewAnalyzer(acfg, opts)
+	}, r.Options(), ingest.Config{Shards: r.shards, Policy: r.livePolicy()})
 	if err != nil {
 		return nil, err
 	}
-	s.sink = a
-	return s, nil
+	return &LiveSession{sa: sa, batch: make([]core.Datagram, 0, core.FeedBatchSize)}, nil
 }
 
 // Push stages one frame, feeding the analyzer in batches.
 func (s *LiveSession) Push(pkt pcap.Packet) error {
-	s.fedSerial++
 	s.batch = append(s.batch, core.Datagram{Timestamp: pkt.Timestamp, Frame: pkt.Data})
 	if len(s.batch) == cap(s.batch) {
 		return s.flushBatch()
@@ -358,31 +315,24 @@ func (s *LiveSession) flushBatch() error {
 	if len(s.batch) == 0 {
 		return nil
 	}
-	err := s.sink.FeedBatch(s.batch)
+	err := s.sa.FeedBatch(s.batch)
 	s.batch = s.batch[:0]
 	return err
 }
 
-// Flush drains the staged batch and, on the sharded tier, waits for
-// the shard queues to empty so Accounting is conservation-complete.
+// Flush drains the staged batch and waits for the shards to analyze
+// everything fed, so Accounting is conservation-complete.
 func (s *LiveSession) Flush() error {
 	if err := s.flushBatch(); err != nil {
 		return err
 	}
-	if s.sharded != nil {
-		return s.sharded.Flush()
-	}
-	return nil
+	return s.sa.Flush()
 }
 
-// Accounting reports the session ledger. On the serial path every fed
-// datagram is analyzed inline, so Fed == Analyzed trivially; call
-// after Flush (or Close) for exact sharded numbers.
+// Accounting reports the session ledger; call after Flush (or Close)
+// for exact numbers.
 func (s *LiveSession) Accounting() Accounting {
-	if s.sharded == nil {
-		return Accounting{Fed: s.fedSerial, Analyzed: s.fedSerial, Shards: 1}
-	}
-	st := s.sharded.Stats()
+	st := s.sa.Stats()
 	return Accounting{Fed: st.Fed, Analyzed: st.Analyzed, Dropped: st.Dropped, Shards: len(st.Shards)}
 }
 
@@ -391,5 +341,5 @@ func (s *LiveSession) Close() (*core.CaptureAnalysis, error) {
 	if err := s.flushBatch(); err != nil {
 		return nil, err
 	}
-	return s.sink.Close()
+	return s.sa.Close()
 }

@@ -285,17 +285,20 @@ func AnalyzePCAP(r io.Reader, label string, callStart, callEnd time.Time, opts O
 }
 
 // ShardedAnalyzer routes datagrams by flow 5-tuple onto N single-writer
-// Analyzer shards fed through bounded queues, and merges the shard
-// states at Close, which finalizes the surviving streams on N
-// goroutines. It is how one capture uses several CPUs. Output, decision
-// trace included, is byte-identical to a serial Analyzer fed the same
-// frames in the same order, for any shard count (DESIGN.md §15). Feed
-// it from one goroutine, exactly like an Analyzer.
+// Analyzer shards fed through bounded queues (one shard is fed inline,
+// on the caller's goroutine), and merges the shard states at Close,
+// which finalizes the surviving streams on N goroutines. It is how one
+// capture uses several CPUs. Output, decision trace included, is
+// byte-identical to a serial Analyzer fed the same frames in the same
+// order, for any shard count (DESIGN.md §15). Feed it from one
+// goroutine, exactly like an Analyzer.
 type ShardedAnalyzer = ingest.ShardedAnalyzer
 
-// ShardConfig parameterizes the sharded ingest tier (shard count,
-// queue depth, batch size, back-pressure policy). The zero value
-// selects one shard per CPU with lossless back-pressure.
+// ShardConfig parameterizes the sharded ingest tier: the shard count
+// and the back-pressure policy. The zero value selects one shard per
+// CPU with lossless back-pressure; under Options.EvictIdle, which runs
+// on one shard only, it selects one shard, and an explicit count above
+// one is rejected.
 type ShardConfig = ingest.Config
 
 // ShardPolicy selects what a full shard queue does to the producer:
@@ -320,7 +323,7 @@ func NewShardedAnalyzer(cfg AnalyzerConfig, opts Options, scfg ShardConfig) (*Sh
 
 // AnalyzePCAPSharded analyzes a pcap stream through the sharded ingest
 // tier: same result as AnalyzePCAP, computed on scfg.Shards cores (one
-// per CPU when zero).
+// per CPU when zero, one under Options.EvictIdle).
 func AnalyzePCAPSharded(r io.Reader, label string, callStart, callEnd time.Time, opts Options, scfg ShardConfig) (*CaptureAnalysis, error) {
 	return ingest.AnalyzePCAP(r, label, callStart, callEnd, opts, scfg)
 }
