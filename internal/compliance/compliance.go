@@ -19,15 +19,14 @@
 // evaluated (the paper's cascading-error rule).
 //
 // The per-protocol judges live in the protocol drivers under
-// internal/proto; this package wraps the registry's checker with the
-// pipeline's metrics instrumentation. The model types (Criterion,
-// Verdict, TypeKey, Checked, Session) are the registry's own.
+// internal/proto, and every type here is an alias of the registry's
+// own (Criterion, Verdict, TypeKey, Checked, Session, Checker).
+// Verdicts are tallied by the caller (report.AppStats); the pipeline
+// records its compliance metrics from those tallies once per finished
+// analysis (internal/core), never per verdict.
 package compliance
 
-import (
-	"github.com/rtc-compliance/rtcc/internal/metrics"
-	"github.com/rtc-compliance/rtcc/internal/proto"
-)
+import "github.com/rtc-compliance/rtcc/internal/proto"
 
 // Criterion numbers the five checks.
 type Criterion = proto.Criterion
@@ -61,82 +60,13 @@ type Checked = proto.Checked
 // reporting there.
 type Session = proto.Session
 
-// Checker holds call-scoped state shared across all streams of one
-// analyzed capture, dispatching every judged message to its registered
-// protocol driver and counting verdicts into the metrics registry.
-type Checker struct {
-	inner   *proto.Checker
-	metrics *checkerMetrics
-}
+// Checker binds sessions to the protocol registry that judges them.
+type Checker = proto.Checker
 
-// NewChecker returns a checker for one call capture, judging against
-// the default protocol registry.
-func NewChecker() *Checker { return NewCheckerWith(nil) }
+// NewChecker returns a checker judging against the default protocol
+// registry.
+func NewChecker() *Checker { return proto.NewChecker(nil) }
 
 // NewCheckerWith returns a checker judging against the given registry
 // (nil selects the default registry).
-func NewCheckerWith(reg *proto.Registry) *Checker {
-	c := &Checker{inner: proto.NewChecker(reg)}
-	c.inner.Record = c.record
-	return c
-}
-
-// Proto returns the underlying registry checker (protocol drivers hang
-// their capture-scoped state off its slots).
-func (c *Checker) Proto() *proto.Checker { return c.inner }
-
-// NewSession returns a per-stream session.
-func (c *Checker) NewSession() *Session { return c.inner.NewSession() }
-
-// checkerMetrics holds the per-criterion verdict counters, indexed by
-// Criterion (fail[CritNone] stays nil).
-type checkerMetrics struct {
-	pass *metrics.Counter
-	fail [CritSemantics + 1]*metrics.Counter
-}
-
-// critSlug maps a criterion to its metric label value.
-func critSlug(c Criterion) string {
-	switch c {
-	case CritMessageType:
-		return "message_type"
-	case CritHeader:
-		return "header"
-	case CritAttrType:
-		return "attr_type"
-	case CritAttrValue:
-		return "attr_value"
-	case CritSemantics:
-		return "semantics"
-	}
-	return "unknown"
-}
-
-// SetMetrics attaches a registry: every verdict the checker's sessions
-// produce is counted as compliance_pass_total or
-// compliance_fail_total{criterion=...}. A nil registry (the default)
-// disables counting at zero cost.
-func (c *Checker) SetMetrics(r *metrics.Registry) {
-	if r == nil {
-		return
-	}
-	cm := &checkerMetrics{pass: r.Counter("compliance_pass_total")}
-	for crit := CritMessageType; crit <= CritSemantics; crit++ {
-		cm.fail[crit] = r.Counter("compliance_fail_total", metrics.L("criterion", critSlug(crit)))
-	}
-	c.metrics = cm
-}
-
-// record counts the verdicts of one Check call.
-func (c *Checker) record(out []Checked) {
-	if c.metrics == nil {
-		return
-	}
-	for _, ch := range out {
-		if ch.Verdict.Compliant {
-			c.metrics.pass.Inc()
-		} else if int(ch.Verdict.Failed) < len(c.metrics.fail) {
-			c.metrics.fail[ch.Verdict.Failed].Inc()
-		}
-	}
-}
+func NewCheckerWith(reg *proto.Registry) *Checker { return proto.NewChecker(reg) }

@@ -9,7 +9,6 @@ import (
 	"github.com/rtc-compliance/rtcc/internal/dpi"
 	"github.com/rtc-compliance/rtcc/internal/ice"
 	_ "github.com/rtc-compliance/rtcc/internal/proto/protoall"
-	"github.com/rtc-compliance/rtcc/internal/proto/rtpdrv"
 	"github.com/rtc-compliance/rtcc/internal/quicwire"
 	"github.com/rtc-compliance/rtcc/internal/rtcp"
 	"github.com/rtc-compliance/rtcc/internal/rtp"
@@ -480,16 +479,6 @@ func TestSequentialEvaluationStopsAtFirstFailure(t *testing.T) {
 	m.Add(stun.AttrType(0x4000), []byte{1})
 	c := checkOne(t, newSession(), stunMsg(m))
 	wantFail(t, c, CritMessageType, "")
-}
-
-func TestRTPSSRCRecordedOnChecker(t *testing.T) {
-	ck := NewChecker()
-	s := ck.NewSession()
-	p := &rtp.Packet{PayloadType: 96, SSRC: 0x42, Payload: []byte("x")}
-	s.Check(rtpMsg(p), t0)
-	if !rtpdrv.ObservedSSRCs(ck.Proto())[0x42] {
-		t.Error("SSRC not recorded on checker")
-	}
 }
 
 func TestSequentialTransactionIDs(t *testing.T) {

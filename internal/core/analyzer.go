@@ -167,7 +167,6 @@ type Analyzer struct {
 	// deterministic parts of Close, never from the stream fan-out.
 	trace *obs.Pipeline
 
-	cm captureMetrics
 	am analyzerMetrics
 }
 
@@ -224,7 +223,7 @@ type Datagram struct {
 }
 
 // FeedBatch advances the pipeline over a slice of frames, amortizing
-// the per-call overhead (the feed-latency probe, the eviction sweep,
+// the per-call overhead (the core.feed latency probe, the eviction sweep,
 // and the per-stream bookkeeping) over the batch and giving the
 // same-stream fast path its best hit rate. Output is identical to
 // feeding the datagrams one at a time — batching changes scheduling,
@@ -241,7 +240,7 @@ func (a *Analyzer) FeedBatch(batch []Datagram) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	start := a.am.feedSeconds.Start()
+	start := a.am.feed.Start()
 	a.feedSeq++
 	for i := range batch {
 		seq := batch[i].Seq
@@ -254,8 +253,7 @@ func (a *Analyzer) FeedBatch(batch []Datagram) error {
 	if a.opts.EvictIdle > 0 {
 		a.evictIdle(batch[len(batch)-1].Timestamp)
 	}
-	a.am.feedSeconds.ObserveSince(start)
-	a.am.feedBatches.Inc()
+	a.am.feed.ObserveSince(start)
 	return nil
 }
 
@@ -472,15 +470,7 @@ func (a *Analyzer) evictIdle(now time.Time) {
 func (a *Analyzer) finalizeChunk(st *streamState) {
 	s := st.s
 	if s.Key.Proto == layers.IPProtocolUDP && !st.removed && st.insp != nil && st.insp.Pending() > 0 {
-		if st.partial == nil {
-			st.partial = newStreamPartial(st.span, s.Key.String(), a.opts.QoE)
-			checker := compliance.NewCheckerWith(a.opts.Registry)
-			checker.SetMetrics(a.opts.Metrics)
-			st.session = checker.NewSession()
-		}
-		recs := s.Packets
-		results := st.insp.Finalize()
-		st.partial.consume(recs, results, st.session, a.opts.SkipFindings)
+		a.consumeChunk(st)
 		// Eviction happens during the single-goroutine Feed, so flushing
 		// here is a deterministic export point for the chunk's events.
 		st.span.Flush()
@@ -494,6 +484,27 @@ func (a *Analyzer) finalizeChunk(st *streamState) {
 		// to the pool. The arena stays usable for a wake-up.
 		st.arena.Release()
 	}
+}
+
+// consumeChunk is one stream chunk's DPI sweep and compliance pass, the
+// step both an evicted chunk and a final-RTC stream at Close run: it
+// creates the stream's partial and compliance session on first use,
+// then, if the inspector holds datagrams, finalizes them (dpi.finalize)
+// and folds the results into the partial (compliance.check).
+func (a *Analyzer) consumeChunk(st *streamState) {
+	if st.partial == nil {
+		st.partial = newStreamPartial(st.span, st.s.Key.String(), a.opts.QoE)
+		st.session = compliance.NewCheckerWith(a.opts.Registry).NewSession()
+	}
+	if st.insp == nil || st.insp.Pending() == 0 {
+		return
+	}
+	start := a.am.finalize.Start()
+	results := st.insp.Finalize()
+	a.am.finalize.ObserveSince(start)
+	start = a.am.check.Start()
+	st.partial.consume(st.s.Packets, results, st.session, a.opts.SkipFindings)
+	a.am.check.ObserveSince(start)
 }
 
 // dropRecords releases a stream's per-packet records. In pool mode the
@@ -536,6 +547,7 @@ func (a *Analyzer) Close() (*CaptureAnalysis, error) {
 // byte-identical to serial by construction — it is literally this code
 // path either way.
 func (a *Analyzer) finalize(workers int) (*CaptureAnalysis, error) {
+	start := a.am.close.Start()
 	callStart, callEnd := a.cfg.CallStart, a.cfg.CallEnd
 	if a.cfg.DefaultWindowToSpan && callStart.IsZero() && a.frames > 0 {
 		callStart, callEnd = a.firstTS, a.lastTS
@@ -544,12 +556,7 @@ func (a *Analyzer) finalize(workers int) (*CaptureAnalysis, error) {
 		return nil, fmt.Errorf("%w (%d frames, %d decode errors)", ErrNoDecodable, a.frames, a.decodeErrs)
 	}
 
-	cm := newCaptureMetrics(a.opts.Metrics, a.cfg.Label)
-	cm.captures.Inc()
-	cm.frames.Add(uint64(a.frames))
-	cm.decodeErrors.Add(uint64(a.decodeErrs))
-	cm.packets.Add(uint64(a.frames - a.decodeErrs))
-
+	filterStart := a.am.filter.Start()
 	fres := filterpipe.RunWithSNI(a.table, filterpipe.Config{
 		CallStart: callStart,
 		CallEnd:   callEnd,
@@ -562,6 +569,7 @@ func (a *Analyzer) finalize(workers int) (*CaptureAnalysis, error) {
 		}
 		return st.sni, st.sniOK
 	})
+	a.am.filter.ObserveSince(filterStart)
 
 	ca := &CaptureAnalysis{
 		Label:        a.cfg.Label,
@@ -610,18 +618,12 @@ func (a *Analyzer) finalize(workers int) (*CaptureAnalysis, error) {
 			udp = append(udp, s)
 		}
 	}
-	cm.rtcStreams.Add(uint64(len(udp)))
 	partials := make([]*streamPartial, len(udp))
 	forEachIndexed(len(udp), workers, func(i int) error {
-		start := cm.streamSeconds.Start()
 		partials[i] = a.finishStream(udp[i])
-		cm.streamSeconds.ObserveSince(start)
 		return nil
 	})
-
-	foldStart := cm.foldSeconds.Start()
 	foldPartials(ca, partials, a.opts.SkipFindings)
-	cm.foldSeconds.ObserveSince(foldStart)
 
 	if a.trace != nil {
 		for _, f := range ca.Findings {
@@ -630,26 +632,20 @@ func (a *Analyzer) finalize(workers int) (*CaptureAnalysis, error) {
 		a.trace.CaptureEnd(fmt.Sprintf("%d frames, %d decode errors", a.frames, a.decodeErrs))
 	}
 
+	recordCapture(a.opts.Metrics, ca, a.frames)
 	a.active = 0
 	a.am.active.Set(0)
+	a.am.close.ObserveSince(start)
 	return ca, nil
 }
 
 // finishStream completes one final-RTC UDP stream: last DPI chunk,
 // compliance, findings. Safe to run concurrently across streams — all
 // touched state is per-stream (the shared engine and states map are
-// read-only here).
+// read-only here, and the stage histograms are atomic).
 func (a *Analyzer) finishStream(s *flow.Stream) *streamPartial {
 	st := a.states[s.Key]
-	if st.partial == nil {
-		st.partial = newStreamPartial(st.span, s.Key.String(), a.opts.QoE)
-		checker := compliance.NewCheckerWith(a.opts.Registry)
-		checker.SetMetrics(a.opts.Metrics)
-		st.session = checker.NewSession()
-	}
-	if st.insp != nil && st.insp.Pending() > 0 {
-		st.partial.consume(s.Packets, st.insp.Finalize(), st.session, a.opts.SkipFindings)
-	}
+	a.consumeChunk(st)
 	if !a.cfg.KeepPayloads {
 		s.Packets = nil
 	}

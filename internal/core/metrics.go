@@ -1,51 +1,30 @@
 package core
 
 import (
+	"github.com/rtc-compliance/rtcc/internal/compliance"
+	"github.com/rtc-compliance/rtcc/internal/dpi"
 	"github.com/rtc-compliance/rtcc/internal/metrics"
 	"github.com/rtc-compliance/rtcc/internal/trace"
 )
 
-// captureMetrics holds the resolved instrument handles for one
-// AnalyzeCapture run, labelled by application. The zero value (from a
-// nil registry) is inert: every handle is nil and every operation a
-// no-op, so the hot path pays only a nil-receiver branch.
-type captureMetrics struct {
-	frames        *metrics.Counter
-	decodeErrors  *metrics.Counter
-	packets       *metrics.Counter
-	captures      *metrics.Counter
-	rtcStreams    *metrics.Counter
-	streamSeconds *metrics.Histogram
-	foldSeconds   *metrics.Histogram
-}
-
-func newCaptureMetrics(r *metrics.Registry, app string) captureMetrics {
-	if r == nil {
-		return captureMetrics{}
-	}
-	l := metrics.L("app", app)
-	return captureMetrics{
-		frames:        r.Counter("core_frames_total", l),
-		decodeErrors:  r.Counter("core_decode_errors_total", l),
-		packets:       r.Counter("core_packets_decoded_total", l),
-		captures:      r.Counter("core_captures_total", l),
-		rtcStreams:    r.Counter("core_rtc_udp_streams_total", l),
-		streamSeconds: r.Histogram("core_stream_analyze_seconds", nil, l),
-		foldSeconds:   r.Histogram("core_fold_seconds", nil, l),
-	}
-}
-
 // analyzerMetrics instruments the streaming Analyzer, labelled by
 // application: the live-stream gauge (with its high-water mark), the
-// eviction and reconciliation counters, and the per-feed latency
-// histogram. Zero value is inert.
+// eviction and reconciliation counters, and the stage latencies. Zero
+// value is inert.
 type analyzerMetrics struct {
 	active       *metrics.Gauge
 	activePeak   *metrics.Gauge
 	evicted      *metrics.Counter
 	reclassified *metrics.Counter
-	feedBatches  *metrics.Counter
-	feedSeconds  *metrics.Histogram
+
+	// The stage_seconds{app,stage} family, one histogram per stage,
+	// named after the bench ledger's layers (BENCHMARK.json per_layer)
+	// so /metrics and the ledger agree.
+	feed     *metrics.Histogram // core.feed: one FeedBatch call
+	finalize *metrics.Histogram // dpi.finalize: one stream chunk's StreamInspector.Finalize
+	check    *metrics.Histogram // compliance.check: one stream chunk's streamPartial.consume
+	filter   *metrics.Histogram // filterpipe.run: the two-stage filter at Close
+	close    *metrics.Histogram // core.close: one whole finalize (Close, or the shard merge's)
 }
 
 func newAnalyzerMetrics(r *metrics.Registry, app string) analyzerMetrics {
@@ -53,19 +32,71 @@ func newAnalyzerMetrics(r *metrics.Registry, app string) analyzerMetrics {
 		return analyzerMetrics{}
 	}
 	l := metrics.L("app", app)
+	stage := func(name string) *metrics.Histogram {
+		return r.Histogram("stage_seconds", l, metrics.L("stage", name))
+	}
 	return analyzerMetrics{
 		active:       r.Gauge("core_active_streams", l),
 		activePeak:   r.Gauge("core_active_streams_peak", l),
 		evicted:      r.Counter("core_evicted_streams_total", l),
 		reclassified: r.Counter("core_reclassified_streams_total", l),
-		feedBatches:  r.Counter("core_feed_batches_total", l),
-		feedSeconds:  r.Histogram("core_feed_seconds", nil, l),
+		feed:         stage("core.feed"),
+		finalize:     stage("dpi.finalize"),
+		check:        stage("compliance.check"),
+		filter:       stage("filterpipe.run"),
+		close:        stage("core.close"),
 	}
 }
 
-// matrixMetrics instruments RunMatrix: per-capture latency and counts
-// labelled by app and network, plus the configured worker-pool size.
-// Zero value is inert.
+// classSlugs and critSlugs are the label values of the datagram-class
+// and failed-criterion counters, indexed by dpi.Class and Criterion.
+var (
+	classSlugs = [...]string{
+		dpi.ClassFullyProprietary:  "fully_proprietary",
+		dpi.ClassStandard:          "standard",
+		dpi.ClassProprietaryHeader: "proprietary_header",
+	}
+	critSlugs = [...]string{
+		compliance.CritMessageType: "message_type",
+		compliance.CritHeader:      "header",
+		compliance.CritAttrType:    "attr_type",
+		compliance.CritAttrValue:   "attr_value",
+		compliance.CritSemantics:   "semantics",
+	}
+)
+
+// recordCapture writes one finished analysis into the registry: frames
+// in, decode errors, final RTC UDP streams, and, from ca.Stats (the
+// tallies the report renders), the datagram classes and the verdicts.
+// It runs once per analysis, at the end of finalize and of
+// BatchAnalyzeCapture, so each counter equals the result by
+// construction; every class and criterion is registered, even at zero.
+func recordCapture(r *metrics.Registry, ca *CaptureAnalysis, frames int) {
+	if r == nil {
+		return
+	}
+	l := metrics.L("app", ca.Label)
+	r.Counter("core_frames_total", l).Add(uint64(frames))
+	r.Counter("core_decode_errors_total", l).Add(uint64(ca.DecodeErrors))
+	r.Counter("core_rtc_udp_streams_total", l).Add(uint64(ca.Filter.RTCUDP.Streams))
+	for class, slug := range classSlugs {
+		n := ca.Stats.Datagrams[dpi.Class(class)]
+		r.Counter("dpi_datagrams_total", metrics.L("class", slug)).Add(uint64(n))
+	}
+	pass := 0
+	for _, ps := range ca.Stats.ByProtocol {
+		pass += ps.Compliant
+	}
+	r.Counter("compliance_pass_total").Add(uint64(pass))
+	for crit := compliance.CritMessageType; crit <= compliance.CritSemantics; crit++ {
+		n := ca.Stats.Violations[crit]
+		r.Counter("compliance_fail_total", metrics.L("criterion", critSlugs[crit])).Add(uint64(n))
+	}
+}
+
+// matrixMetrics instruments RunMatrix: per-capture latency labelled by
+// app and network, plus the configured worker-pool size. Zero value is
+// inert.
 type matrixMetrics struct {
 	registry *metrics.Registry
 	workers  *metrics.Gauge
@@ -78,17 +109,14 @@ func newMatrixMetrics(r *metrics.Registry) matrixMetrics {
 	return matrixMetrics{registry: r, workers: r.Gauge("matrix_workers")}
 }
 
-// capture returns the per-cell handles for one matrix configuration.
-// Resolution happens once per capture (not per packet), so the map
-// lookup cost is negligible.
-func (m matrixMetrics) capture(cfg trace.CaptureConfig) (*metrics.Counter, *metrics.Histogram) {
+// latency returns the per-cell latency histogram for one matrix
+// configuration. Resolution happens once per capture (not per packet),
+// so the map lookup cost is negligible.
+func (m matrixMetrics) latency(cfg trace.CaptureConfig) *metrics.Histogram {
 	if m.registry == nil {
-		return nil, nil
+		return nil
 	}
-	labels := []metrics.Label{
+	return m.registry.Histogram("matrix_capture_seconds",
 		metrics.L("app", string(cfg.App)),
-		metrics.L("network", cfg.Network.String()),
-	}
-	return m.registry.Counter("matrix_captures_total", labels...),
-		m.registry.Histogram("matrix_capture_seconds", nil, labels...)
+		metrics.L("network", cfg.Network.String()))
 }

@@ -40,12 +40,12 @@ type Options struct {
 	// shard count of the sharded ingest tier (internal/ingest).
 	Workers int
 	// Metrics, when non-nil, receives pipeline instrumentation:
-	// per-stage packet counts, drop reasons, DPI classification and
-	// latency, per-criterion compliance verdicts, and per-stream
-	// finalization timing. Nil disables collection at zero hot-path
-	// cost, and collection never changes analysis output: counters are
-	// atomic order-independent sums, identical for serial and parallel
-	// runs.
+	// per-stage packet counts and drop reasons, the datagram-class and
+	// per-criterion verdict tallies (recorded from the result once per
+	// analysis), and stage_seconds latency under the bench ledger's
+	// stage names. Nil disables collection at zero hot-path cost, and
+	// collection never changes analysis output: counters are atomic
+	// order-independent sums, identical for serial and sharded runs.
 	Metrics *metrics.Registry
 	// KeepPayloads makes AnalyzePCAP retain per-packet payload records
 	// in the result (as AnalyzeCapture always does). Off by default:
@@ -178,12 +178,6 @@ func BatchAnalyzeCapture(in CaptureInput, opts Options) (*CaptureAnalysis, error
 		return nil, fmt.Errorf("%w (%d frames, %d decode errors)", ErrNoDecodable, len(in.Packets), decodeErrs)
 	}
 
-	cm := newCaptureMetrics(opts.Metrics, in.Label)
-	cm.captures.Inc()
-	cm.frames.Add(uint64(len(in.Packets)))
-	cm.decodeErrors.Add(uint64(decodeErrs))
-	cm.packets.Add(uint64(len(in.Packets) - decodeErrs))
-
 	fres := filterpipe.Run(table, filterpipe.Config{
 		CallStart: in.CallStart,
 		CallEnd:   in.CallEnd,
@@ -212,15 +206,10 @@ func BatchAnalyzeCapture(in CaptureInput, opts Options) (*CaptureAnalysis, error
 		if s.Key.Proto != layers.IPProtocolUDP {
 			continue
 		}
-		cm.rtcStreams.Inc()
-		start := cm.streamSeconds.Start()
 		partials = append(partials, analyzeStream(s, opts))
-		cm.streamSeconds.ObserveSince(start)
 	}
-
-	foldStart := cm.foldSeconds.Start()
 	foldPartials(ca, partials, opts.SkipFindings)
-	cm.foldSeconds.ObserveSince(foldStart)
+	recordCapture(opts.Metrics, ca, len(in.Packets))
 	return ca, nil
 }
 
@@ -354,14 +343,11 @@ func (p *streamPartial) traceVerdict(m proto.Message, ts time.Time, out []proto.
 }
 
 // analyzeStream runs DPI extraction and compliance checking over one
-// UDP RTC stream with fresh per-stream state: its own engine, checker,
-// session, and findings evidence. The compliance Checker's only
-// cross-stream field is write-only during checking, so a per-stream
-// checker yields verdicts identical to a capture-shared one.
+// UDP RTC stream with fresh per-stream state: its own engine, session,
+// and findings evidence.
 func analyzeStream(s *flow.Stream, opts Options) *streamPartial {
 	engine := opts.engine()
 	checker := compliance.NewCheckerWith(opts.Registry)
-	checker.SetMetrics(opts.Metrics)
 	p := newStreamPartial(nil, s.Key.String(), opts.QoE)
 	payloads := make([][]byte, len(s.Packets))
 	for i, pkt := range s.Packets {
@@ -374,9 +360,9 @@ func analyzeStream(s *flow.Stream, opts Options) *streamPartial {
 
 // FeedBatchSize is how many datagrams every feeding loop hands
 // Analyzer.FeedBatch at once: the capture reader below, the sharded
-// router's per-shard staging, the live session, and the hot-path
-// benchmark. Each pending record of the reader needs its own frame
-// buffer (the ring below), so the batch size bounds the reader's
+// router's per-shard staging (which the live session feeds), and the
+// hot-path benchmark. Each pending record of the reader needs its own
+// frame buffer (the ring below), so the batch size bounds the reader's
 // resident frame memory at batch × max-frame-size.
 const FeedBatchSize = 64
 
@@ -553,7 +539,7 @@ func RunMatrix(mopts trace.MatrixOptions, opts Options) (*MatrixAnalysis, error)
 	mm.workers.Set(int64(workers))
 	analyses := make([]*CaptureAnalysis, len(configs))
 	err := forEachIndexed(len(configs), workers, func(i int) error {
-		captures, latency := mm.capture(configs[i])
+		latency := mm.latency(configs[i])
 		start := latency.Start()
 		cap, err := trace.Generate(configs[i])
 		if err != nil {
@@ -567,7 +553,6 @@ func RunMatrix(mopts trace.MatrixOptions, opts Options) (*MatrixAnalysis, error)
 			return err
 		}
 		latency.ObserveSince(start)
-		captures.Inc()
 		analyses[i] = ca
 		return nil
 	})

@@ -274,10 +274,10 @@ func TestAnalyzerMisuse(t *testing.T) {
 }
 
 // TestAnalyzerStreamingMetrics checks the streaming instrumentation:
-// one feed-latency observation per FeedBatch call (AnalyzePCAP feeds in
-// FeedBatchSize batches), a matching batch counter, a live-stream gauge
-// that returns to zero with a positive high-water mark, and eviction
-// activity under an aggressive idle bound.
+// one core.feed stage observation per FeedBatch call (AnalyzePCAP feeds
+// in FeedBatchSize batches), a live-stream gauge that returns to zero
+// with a positive high-water mark, and eviction activity under an
+// aggressive idle bound.
 func TestAnalyzerStreamingMetrics(t *testing.T) {
 	cap := streamingCapture(t, appsim.FaceTime, appsim.WiFiRelay, 9)
 	raw := capturePCAPBytes(t, cap)
@@ -288,18 +288,10 @@ func TestAnalyzerStreamingMetrics(t *testing.T) {
 	}
 	snap := reg.Snapshot()
 
-	feeds := uint64(0)
-	for name, h := range snap.Histograms {
-		if name == "core_feed_seconds" || len(name) > len("core_feed_seconds") && name[:len("core_feed_seconds")+1] == "core_feed_seconds{" {
-			feeds += h.Count
-		}
-	}
+	feeds := stageHistogram(snap, "facetime", "core.feed").Count
 	wantBatches := uint64((len(cap.Frames()) + FeedBatchSize - 1) / FeedBatchSize)
 	if feeds != wantBatches {
-		t.Errorf("core_feed_seconds observations = %d, want %d (one per batch of %d)", feeds, wantBatches, FeedBatchSize)
-	}
-	if v := sumCounters(snap, "core_feed_batches_total"); v != wantBatches {
-		t.Errorf("core_feed_batches_total = %d, want %d", v, wantBatches)
+		t.Errorf("stage_seconds{stage=core.feed} count = %d, want %d (one per batch of %d)", feeds, wantBatches, FeedBatchSize)
 	}
 	if v := snap.Gauges[metrics.Name("core_active_streams", metrics.L("app", "facetime"))]; v != 0 {
 		t.Errorf("core_active_streams = %d after Close, want 0", v)

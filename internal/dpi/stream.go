@@ -1,8 +1,6 @@
 package dpi
 
 import (
-	"time"
-
 	"github.com/rtc-compliance/rtcc/internal/obs"
 	"github.com/rtc-compliance/rtcc/internal/proto"
 )
@@ -65,9 +63,6 @@ type StreamInspector struct {
 	// overwrites the previous chunk's results, which the pipeline has
 	// consumed by then (DESIGN.md §14).
 	results []Result
-	// scanTime holds each buffered datagram's pass-1 time while pass 2
-	// runs (filled only when metrics are on).
-	scanTime []time.Duration
 	// drainedAttempts tracks how many shift attempts have already been
 	// recorded, so chunked Finalize calls add only the delta.
 	drainedAttempts int
@@ -138,8 +133,8 @@ func (si *StreamInspector) scanOne(payload []byte) {
 func (si *StreamInspector) Pending() int { return len(si.payloads) }
 
 // Finalize runs pass 1 and then pass 2 over the buffered datagrams
-// (pass 2 with the validated-SSRC set as known after pass 1), records
-// the per-datagram metrics, releases the payload buffer, and returns
+// (pass 2 with the validated-SSRC set as known after pass 1), counts
+// the extracted messages, releases the payload buffer, and returns
 // one Result per buffered datagram in feed order. The inspector remains
 // usable: later Feeds start a new chunk that continues the same stream
 // state.
@@ -157,27 +152,14 @@ func (si *StreamInspector) Finalize() []Result {
 	si.ctx.State.Epoch++
 	si.ctx.Span = si.span
 	// Pass 1: one batched sweep over the chunk, tallying validation
-	// evidence in feed order before any pass-2 decision is made. With
-	// metrics on, each datagram's scan time is kept for its
-	// dpi_inspect_seconds sample, which covers both passes.
-	timed := si.m.latency != nil
-	si.scanTime = si.scanTime[:0]
+	// evidence in feed order before any pass-2 decision is made.
 	for _, p := range si.payloads {
-		start := si.m.latency.Start()
 		si.scanOne(p)
-		if timed {
-			si.scanTime = append(si.scanTime, time.Since(start))
-		}
 	}
 	si.ctx.State.ValidatedSSRC = si.scan.ValidatedSSRC
 	out := si.results[:0]
-	for i, p := range si.payloads {
-		start := si.m.latency.Start()
+	for _, p := range si.payloads {
 		r := si.e.Inspect(p, si.ctx)
-		if timed {
-			si.m.latency.ObserveDuration(si.scanTime[i] + time.Since(start))
-		}
-		si.m.classes[r.Class].Inc()
 		for _, msg := range r.Messages {
 			if int(msg.Protocol) < len(si.m.messages) {
 				si.m.messages[msg.Protocol].Inc()

@@ -37,9 +37,6 @@ type Histogram struct {
 }
 
 func newHistogram(bounds []float64) *Histogram {
-	if bounds == nil {
-		bounds = DefaultLatencyBuckets
-	}
 	b := make([]float64, len(bounds))
 	copy(b, bounds)
 	sort.Float64s(b)

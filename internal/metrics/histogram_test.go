@@ -108,7 +108,7 @@ func TestSnapshotQuantilesPrecomputed(t *testing.T) {
 }
 
 func TestObserveDurationAndSince(t *testing.T) {
-	h := newHistogram(nil)
+	h := newHistogram(DefaultLatencyBuckets)
 	h.ObserveDuration(3 * time.Millisecond)
 	if h.Count() != 1 {
 		t.Fatal("ObserveDuration did not record")

@@ -26,7 +26,7 @@ func get(t *testing.T, url string) (int, string) {
 func TestHandlerEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("requests_total", L("app", "Zoom")).Add(7)
-	r.Histogram("lat_seconds", nil).Observe(0.001)
+	r.Histogram("lat_seconds").Observe(0.001)
 	ts := httptest.NewServer(Handler(r))
 	defer ts.Close()
 

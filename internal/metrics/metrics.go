@@ -170,11 +170,10 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	return g
 }
 
-// Histogram returns (creating on first use) the histogram with the
-// given name and labels. buckets lists the upper bounds; nil selects
-// DefaultLatencyBuckets. The bounds of an existing histogram are kept —
-// the first creation wins. Returns nil on a nil registry.
-func (r *Registry) Histogram(name string, buckets []float64, labels ...Label) *Histogram {
+// Histogram returns (creating on first use) the latency histogram with
+// the given name and labels, bucketed by DefaultLatencyBuckets. Returns
+// nil on a nil registry.
+func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -183,7 +182,7 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...Label) *H
 	defer r.mu.Unlock()
 	h, ok := r.histograms[key]
 	if !ok {
-		h = newHistogram(buckets)
+		h = newHistogram(DefaultLatencyBuckets)
 		r.histograms[key] = h
 	}
 	return h

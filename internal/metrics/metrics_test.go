@@ -90,7 +90,7 @@ func TestNilSafety(t *testing.T) {
 	if g != nil || g.Value() != 0 {
 		t.Error("nil gauge misbehaved")
 	}
-	h := r.Histogram("z", nil)
+	h := r.Histogram("z")
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
 	h.ObserveSince(h.Start())
@@ -121,14 +121,8 @@ func TestRegistryIdentity(t *testing.T) {
 	if b.Value() != 2 || other.Value() != 0 {
 		t.Error("counter identity broken")
 	}
-	// Histogram bounds: first creation wins.
-	h1 := r.Histogram("lat", []float64{1, 2})
-	h2 := r.Histogram("lat", []float64{99})
-	if h1 != h2 {
+	if r.Histogram("lat") != r.Histogram("lat") {
 		t.Error("same histogram name resolved to different instances")
-	}
-	if len(h1.bounds) != 2 {
-		t.Errorf("histogram bounds = %v, want the first creation's", h1.bounds)
 	}
 }
 
@@ -136,7 +130,7 @@ func TestSnapshotJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("frames_total", L("app", "Zoom")).Add(100)
 	r.Gauge("workers").Set(8)
-	r.Histogram("lat_seconds", []float64{0.001, 0.01}).Observe(0.002)
+	r.Histogram("lat_seconds").Observe(0.002)
 
 	var buf strings.Builder
 	if err := r.WriteJSON(&buf); err != nil {
@@ -153,7 +147,8 @@ func TestSnapshotJSON(t *testing.T) {
 		t.Errorf("gauges = %v", snap.Gauges)
 	}
 	h := snap.Histograms["lat_seconds"]
-	if h.Count != 1 || h.Buckets[1].Count != 1 {
+	// 0.002 s lands in the 2 ms bucket of the default bounds.
+	if h.Count != 1 || h.Buckets[10].UpperSeconds != 0.002 || h.Buckets[10].Count != 1 {
 		t.Errorf("histogram snapshot = %+v", h)
 	}
 }
@@ -172,7 +167,7 @@ func TestCounterHammer(t *testing.T) {
 			// Resolve inside the goroutine: registry lookup itself must
 			// be race-free too.
 			c := r.Counter("hammer_total", L("app", "Zoom"), L("stage", "dpi"))
-			h := r.Histogram("hammer_seconds", []float64{1e-6, 1e-3, 1})
+			h := r.Histogram("hammer_seconds")
 			g := r.Gauge("hammer_gauge")
 			for j := 0; j < perG; j++ {
 				c.Inc()
@@ -185,7 +180,7 @@ func TestCounterHammer(t *testing.T) {
 	if got := r.Counter("hammer_total", L("app", "Zoom"), L("stage", "dpi")).Value(); got != goroutines*perG {
 		t.Errorf("counter = %d, want %d", got, goroutines*perG)
 	}
-	if got := r.Histogram("hammer_seconds", nil).Count(); got != goroutines*perG {
+	if got := r.Histogram("hammer_seconds").Count(); got != goroutines*perG {
 		t.Errorf("histogram count = %d, want %d", got, goroutines*perG)
 	}
 	if got := r.Gauge("hammer_gauge").Value(); got != goroutines*perG {

@@ -80,27 +80,28 @@ func TestWritePromDeterministicOrder(t *testing.T) {
 
 func TestWritePromHistogramCumulative(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat_seconds", []float64{0.1, 1})
-	h.Observe(0.05) // bucket le=0.1
-	h.Observe(0.5)  // bucket le=1
+	h := r.Histogram("lat_seconds")
+	h.Observe(0.05) // bucket le=0.05
+	h.Observe(0.5)  // bucket le=0.5
 	h.Observe(0.7)  // bucket le=1
-	h.Observe(5)    // overflow -> +Inf only
+	h.Observe(20)   // overflow -> +Inf only
 	body := promBody(t, r)
 	wantLines(t, body,
 		"# TYPE rtcc_lat_seconds histogram",
 		`rtcc_lat_seconds_bucket{le="0.1"} 1`,
 		`rtcc_lat_seconds_bucket{le="1"} 3`,
+		`rtcc_lat_seconds_bucket{le="10"} 3`,
 		`rtcc_lat_seconds_bucket{le="+Inf"} 4`,
 		"rtcc_lat_seconds_count 4",
 	)
-	if !strings.Contains(body, "rtcc_lat_seconds_sum 6.25") {
+	if !strings.Contains(body, "rtcc_lat_seconds_sum 21.25") {
 		t.Fatalf("missing/incorrect _sum line in:\n%s", body)
 	}
 }
 
 func TestWritePromHistogramLabels(t *testing.T) {
 	r := NewRegistry()
-	r.Histogram("epoch_seconds", []float64{1}, L("shard", "0")).Observe(0.5)
+	r.Histogram("epoch_seconds", L("shard", "0")).Observe(0.5)
 	body := promBody(t, r)
 	wantLines(t, body,
 		`rtcc_epoch_seconds_bucket{shard="0",le="1"} 1`,

@@ -278,12 +278,12 @@ func (r *Runner) Close() error {
 }
 
 // LiveSession is one streaming analysis over a live frame source: the
-// ingest tier on the resolved shard count, fed through the batcher
-// that amortizes per-feed bookkeeping. The daemon runs one LiveSession
-// per epoch; one-shot collection runs exactly one.
+// ingest tier on the resolved shard count, fed frame by frame (the
+// tier stages core.FeedBatchSize datagrams per shard before a shard's
+// analyzer runs). The daemon runs one LiveSession per epoch; one-shot
+// collection runs exactly one.
 type LiveSession struct {
-	sa    *ingest.ShardedAnalyzer
-	batch []core.Datagram
+	sa *ingest.ShardedAnalyzer
 }
 
 // NewLiveSession builds the analyzer for one live session. The live
@@ -299,35 +299,17 @@ func (r *Runner) NewLiveSession() (*LiveSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &LiveSession{sa: sa, batch: make([]core.Datagram, 0, core.FeedBatchSize)}, nil
+	return &LiveSession{sa: sa}, nil
 }
 
-// Push stages one frame, feeding the analyzer in batches.
+// Push routes one frame onto its shard.
 func (s *LiveSession) Push(pkt pcap.Packet) error {
-	s.batch = append(s.batch, core.Datagram{Timestamp: pkt.Timestamp, Frame: pkt.Data})
-	if len(s.batch) == cap(s.batch) {
-		return s.flushBatch()
-	}
-	return nil
+	return s.sa.Feed(pkt.Timestamp, pkt.Data)
 }
 
-func (s *LiveSession) flushBatch() error {
-	if len(s.batch) == 0 {
-		return nil
-	}
-	err := s.sa.FeedBatch(s.batch)
-	s.batch = s.batch[:0]
-	return err
-}
-
-// Flush drains the staged batch and waits for the shards to analyze
-// everything fed, so Accounting is conservation-complete.
-func (s *LiveSession) Flush() error {
-	if err := s.flushBatch(); err != nil {
-		return err
-	}
-	return s.sa.Flush()
-}
+// Flush hands the shards their staged batches and waits for them to
+// analyze everything fed, so Accounting is conservation-complete.
+func (s *LiveSession) Flush() error { return s.sa.Flush() }
 
 // Accounting reports the session ledger; call after Flush (or Close)
 // for exact numbers.
@@ -337,9 +319,4 @@ func (s *LiveSession) Accounting() Accounting {
 }
 
 // Close drains and finalizes the session.
-func (s *LiveSession) Close() (*core.CaptureAnalysis, error) {
-	if err := s.flushBatch(); err != nil {
-		return nil, err
-	}
-	return s.sa.Close()
-}
+func (s *LiveSession) Close() (*core.CaptureAnalysis, error) { return s.sa.Close() }

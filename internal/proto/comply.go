@@ -78,16 +78,12 @@ type Checked struct {
 	Timestamp time.Time
 }
 
-// Checker holds call-scoped compliance state shared across all streams
-// of one analyzed capture. Protocol drivers keep their capture-scoped
-// state (the RTP driver's observed-SSRC set) in per-ID slots.
+// Checker binds per-stream sessions to the registry whose drivers judge
+// them. It holds no judging state of its own: every criterion-5 rule
+// is stream-scoped (Session), so one checker may serve any number of
+// streams, and a per-stream checker judges identically to a shared one.
 type Checker struct {
-	// Record, when non-nil, observes the verdicts of every Check call
-	// (the compliance package hangs its metrics counters here).
-	Record func([]Checked)
-
-	reg   *Registry
-	slots [MaxIDs]any
+	reg *Registry
 }
 
 // NewChecker returns a checker judging against the given registry (nil
@@ -102,12 +98,6 @@ func NewChecker(reg *Registry) *Checker {
 // Registry returns the registry the checker judges against.
 func (c *Checker) Registry() *Registry { return c.reg }
 
-// Slot returns a protocol's private capture-scoped state.
-func (c *Checker) Slot(id ID) any { return c.slots[id] }
-
-// SetSlot stores a protocol's private capture-scoped state.
-func (c *Checker) SetSlot(id ID, v any) { c.slots[id] = v }
-
 // Session holds per-stream state for criterion 5. Create one per
 // transport stream and feed it messages in capture order. Protocol
 // drivers keep their stream-scoped semantic state (STUN transaction
@@ -117,8 +107,7 @@ type Session struct {
 	// Trace, when non-nil, observes every Check call with the judged
 	// message and its verdicts — the per-stream reason-reporting hook
 	// the decision-trace layer (internal/obs) attaches so failing
-	// criteria can be replayed with the offending bytes. Unlike
-	// Checker.Record (capture-scoped metrics), Trace is stream-scoped.
+	// criteria can be replayed with the offending bytes.
 	Trace func(m Message, ts time.Time, out []Checked)
 
 	checker *Checker
@@ -130,7 +119,7 @@ type Session struct {
 // NewSession returns a per-stream session.
 func (c *Checker) NewSession() *Session { return &Session{checker: c} }
 
-// Checker returns the capture-scoped checker the session belongs to.
+// Checker returns the checker the session belongs to.
 func (s *Session) Checker() *Checker { return s.checker }
 
 // Slot returns a protocol's private per-stream state.
@@ -144,10 +133,11 @@ func (s *Session) SetSlot(id ID, v any) { s.slots[id] = v }
 // Messages of unregistered protocols yield nil.
 //
 // The returned slice is a per-session scratch buffer, valid only until
-// the next Check on the same session; callers (and the Record/Trace
-// hooks) must copy any Checked values they retain. Sessions are
-// per-stream and single-writer, so this is safe by the pipeline's
-// ownership discipline (DESIGN.md §14).
+// the next Check on the same session; callers (and the Trace hook)
+// must copy any Checked values they retain. Sessions are per-stream
+// and single-writer, so this is safe by the pipeline's ownership
+// discipline (DESIGN.md §14). Check tallies nothing: callers fold the
+// returned verdicts into their own statistics.
 func (s *Session) Check(m Message, ts time.Time) []Checked {
 	h := s.checker.reg.Handler(m.Protocol)
 	if h == nil {
@@ -155,9 +145,6 @@ func (s *Session) Check(m Message, ts time.Time) []Checked {
 	}
 	out := h.Comply(s.scratch[:0], m, ts, s)
 	s.scratch = out
-	if s.checker.Record != nil {
-		s.checker.Record(out)
-	}
 	if s.Trace != nil {
 		s.Trace(m, ts, out)
 	}

@@ -325,23 +325,6 @@ func truncate(payload []byte, m proto.Message, cut int) proto.Message {
 	return m
 }
 
-// ssrcSet is RTP's capture-scoped compliance state: every SSRC whose
-// messages were judged, for the cross-call stream-identifier analysis.
-type ssrcSet map[uint32]bool
-
-func ssrcs(c *proto.Checker) ssrcSet {
-	if v := c.Slot(proto.RTP); v != nil {
-		return v.(ssrcSet)
-	}
-	s := make(ssrcSet)
-	c.SetSlot(proto.RTP, s)
-	return s
-}
-
-// ObservedSSRCs returns the set of SSRCs whose RTP messages the checker
-// has judged (allocating the set on first use).
-func ObservedSSRCs(c *proto.Checker) map[uint32]bool { return ssrcs(c) }
-
 // ptLabels precomputes the payload-type labels (0-127) so judging a
 // media packet does not allocate a fresh number string per message.
 var ptLabels = func() (t [128]string) {
@@ -354,7 +337,7 @@ var ptLabels = func() (t [128]string) {
 // Comply applies the five criteria to an RTP message. For RTP the
 // paper's "message type" is the payload type, and "attributes" are the
 // RFC 8285 header-extension profile and its elements.
-func (handler) Comply(dst []proto.Checked, m proto.Message, ts time.Time, s *proto.Session) []proto.Checked {
+func (handler) Comply(dst []proto.Checked, m proto.Message, ts time.Time, _ *proto.Session) []proto.Checked {
 	p := m.RTP
 	c := proto.Checked{
 		Protocol:  proto.RTP,
@@ -362,7 +345,6 @@ func (handler) Comply(dst []proto.Checked, m proto.Message, ts time.Time, s *pro
 		Bytes:     m.Length,
 		Timestamp: ts,
 	}
-	ssrcs(s.Checker())[p.SSRC] = true
 	c.Verdict = rtpVerdict(p)
 	return append(dst, c)
 }

@@ -4,7 +4,8 @@
 # regression (replay Discord traffic under the same label as compliant
 # Zoom traffic) and assert the configured exec-sink alert fires exactly
 # once; verify the firing state survives a SIGHUP reload and shows up
-# on /compliance/alerts, /healthz, and /metrics?format=prom; then
+# on /compliance/alerts, /healthz, and /metrics?format=prom (which must
+# also carry the core.close stage timing and the verdict tallies); then
 # SIGHUP-reload with a changed label, replay more traffic under the
 # new config, and assert a clean SIGTERM drain. Everything runs on
 # ephemeral ports parsed from the daemon's own startup log, so the
@@ -143,8 +144,17 @@ fetch "http://$http/compliance/alerts" | grep -q '"firing": 1' \
     || fail "/compliance/alerts does not report the firing episode"
 fetch "http://$http/healthz" | grep -q '"status": "ok"' \
     || fail "/healthz is not ok"
-fetch "http://$http/metrics?format=prom" | grep -q '^rtcc_alerts_fired_total 1$' \
+fetch "http://$http/metrics?format=prom" > "$dir/metrics.prom" \
+    || fail "could not scrape /metrics?format=prom"
+grep -q '^rtcc_alerts_fired_total 1$' "$dir/metrics.prom" \
     || fail "prom exposition missing rtcc_alerts_fired_total 1"
+# Every closed epoch is timed as one core.close stage, and the verdict
+# tallies recorded from the finished analysis are exposed.
+closes=$(sed -n 's/^rtcc_stage_seconds_count{app="smoke-a",stage="core.close"} \([0-9]*\)$/\1/p' "$dir/metrics.prom")
+[ "${closes:-0}" -ge 1 ] \
+    || fail "prom exposition has no core.close stage_seconds count for smoke-a"
+grep -q '^rtcc_compliance_pass_total ' "$dir/metrics.prom" \
+    || fail "prom exposition missing rtcc_compliance_pass_total"
 
 # SIGHUP with an unchanged label: the reload must swap the rules in
 # place and keep the firing/debounce state — more regressed traffic
