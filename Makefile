@@ -55,6 +55,7 @@ race:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzInspect -fuzztime=$(FUZZTIME) ./internal/dpi
 	$(GO) test -run='^$$' -fuzz=FuzzParityWithBaseline -fuzztime=$(FUZZTIME) ./internal/dpi
+	$(GO) test -run='^$$' -fuzz=FuzzStreamParity -fuzztime=$(FUZZTIME) ./internal/dpi
 	$(GO) test -run='^$$' -fuzz='FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/stun
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeChannelData -fuzztime=$(FUZZTIME) ./internal/stun
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeCompound -fuzztime=$(FUZZTIME) ./internal/rtcp

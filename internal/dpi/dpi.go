@@ -124,10 +124,12 @@ type Engine struct {
 	// MaxOffset is k, the deepest byte offset candidate extraction will
 	// shift to. The paper found 200 sufficient (§4.1.1).
 	MaxOffset int
-	// Metrics, when non-nil, receives per-datagram instrumentation
-	// from InspectStream: offset-shift attempts, classification
-	// outcomes, extracted message counts, and the latency of both scan
-	// passes. Nil disables collection at zero cost.
+	// Metrics, when non-nil, receives the counts only Algorithm 1
+	// sees, from each StreamInspector.Finalize: extracted messages per
+	// protocol (dpi_messages_total) and offset-shift attempts
+	// (dpi_offset_shift_attempts_total). Datagram classes and stage
+	// latency are recorded from the finished analysis (internal/core).
+	// Nil disables collection at zero cost.
 	Metrics *metrics.Registry
 	// Registry selects the protocol set to probe with; nil means the
 	// process-wide default registry. Registry.Without restricts it.

@@ -2,6 +2,7 @@ package dpi
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -338,5 +339,25 @@ func TestInspectEmptyPayload(t *testing.T) {
 	res := NewEngine().Inspect(nil, nil)
 	if res.Class != ClassFullyProprietary || len(res.Messages) != 0 {
 		t.Errorf("empty payload: %+v", res)
+	}
+}
+
+// TestInspectStreamAllocsPerCandidate pins that pass 1's per-SSRC
+// tallies cost no allocation per candidate: random payloads put an
+// RTP-looking window with a fresh candidate SSRC in most datagrams
+// (about 2,900 here), and the whole stream must allocate only a small
+// constant plus the tally map's growth (under 100 here).
+func TestInspectStreamAllocsPerCandidate(t *testing.T) {
+	r := rand.New(rand.NewPCG(3, 4))
+	payloads := make([][]byte, 2000)
+	for i := range payloads {
+		payloads[i] = make([]byte, 500)
+		for j := range payloads[i] {
+			payloads[i][j] = byte(r.Uint32())
+		}
+	}
+	e := NewEngine()
+	if allocs := testing.AllocsPerRun(3, func() { e.InspectStream(payloads) }); allocs > 200 {
+		t.Errorf("InspectStream allocates %.0f objects over %d random datagrams, want at most 200", allocs, len(payloads))
 	}
 }

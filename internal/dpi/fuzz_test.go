@@ -9,6 +9,7 @@ import (
 	"github.com/rtc-compliance/rtcc/internal/quicwire"
 	"github.com/rtc-compliance/rtcc/internal/rtcp"
 	"github.com/rtc-compliance/rtcc/internal/rtp"
+	"github.com/rtc-compliance/rtcc/internal/stun"
 )
 
 // FuzzInspect checks the engine's structural invariants on arbitrary
@@ -138,6 +139,137 @@ func FuzzParityWithBaseline(f *testing.F) {
 		}
 		if g, w := summarize(got), summarize(want); g != w {
 			t.Fatalf("registry engine diverged from frozen baseline:\nregistry: %s\nbaseline: %s", g, w)
+		}
+	})
+}
+
+// referenceInspectStream is InspectStream with pass 1 as the per-offset
+// walk that predates the gates and the skip plan: every offset up to k
+// tries the pass-1 probers its first byte admits, in precedence order,
+// with no gate test. Validation evidence builds across all datagrams
+// before pass 2, as in one Finalize, so pass 2 runs in validated mode.
+func referenceInspectStream(e *Engine, payloads [][]byte) []Result {
+	reg := e.registry()
+	sc := proto.NewScanState()
+	for _, p := range payloads {
+		for i := 0; i < len(p) && i <= e.MaxOffset; {
+			c := proto.Candidate{Payload: p, Offset: i}
+			consumed := 0
+			for _, pr := range reg.Pass1ProbersFor(p[i]) {
+				if n, ok := pr.Probe(c, sc); ok {
+					consumed = n
+					break
+				}
+			}
+			if consumed > 0 {
+				i += consumed
+			} else {
+				i++
+			}
+		}
+	}
+	ctx := NewStreamContext()
+	ctx.State.Epoch = 1
+	ctx.State.ValidatedSSRC = sc.ValidatedSSRC
+	var out []Result
+	for _, p := range payloads {
+		out = append(out, e.Inspect(p, ctx))
+	}
+	return out
+}
+
+// FuzzStreamParity differentially fuzzes the streaming inspector's pass
+// 1, which visits only the offsets some prober's gate admits, against
+// referenceInspectStream, which visits every offset. Three to five
+// datagrams (the fourth and fifth when non-empty) form one stream; the
+// two must extract the same messages at the same offsets. A gate or a
+// skip that passes over a real candidate changes the validation
+// evidence and shows up here in pass 2's validated mode.
+func FuzzStreamParity(f *testing.F) {
+	corpus := dispatchCorpus()
+	for i := range corpus {
+		at := func(k int) []byte { return corpus[(i+k)%len(corpus)] }
+		f.Add(at(0), at(1), at(2), at(3), at(4))
+	}
+
+	filler := func(n int) []byte { return bytes.Repeat([]byte{0x01}, n) }
+	place := func(b []byte, off int, v []byte) []byte {
+		return append(append(append([]byte(nil), b[:off]...), v...), b[min(off+len(v), len(b)):]...)
+	}
+	const ssrc = 0x1000C01
+	hdr := func(seq uint16) []byte { return rtpPacket(ssrc, seq, nil) }
+
+	// Zoom media as appsim shapes it: direction byte, 0x10, a constant
+	// media ID, opaque SFU bytes, the media type, an opaque trailer,
+	// then RTP with continuous sequence numbers; video packets carry a
+	// marker bit, a one-byte header extension and padding.
+	zoom := func(seq uint16, trailer int, video bool) []byte {
+		h := []byte{0x00, 0x10, 0x01, 0x00, 0x0C, 0x01, 1, 3, 5, 7, 9, 11, 13, 15, 15}
+		h = append(h, bytes.Repeat([]byte{0x2b}, trailer)...)
+		p := &rtp.Packet{PayloadType: 111, SequenceNumber: seq, Timestamp: uint32(seq) * 960, SSRC: ssrc,
+			Payload: bytes.Repeat([]byte{0x5a}, 160)}
+		if video {
+			p.PayloadType, p.Marker, p.Padding, p.PaddingLen = 98, true, true, 4
+			p.Extension = &rtp.Extension{Profile: rtp.ProfileOneByte, Elements: []rtp.ExtensionElement{{ID: 2, Payload: []byte{7}}}}
+		}
+		return append(h, p.Encode()...)
+	}
+	f.Add(zoom(1, 9, false), zoom(2, 12, false), zoom(3, 15, false), zoom(4, 9, false), zoom(5, 10, false))
+	f.Add(zoom(1, 9, true), zoom(2, 12, true), zoom(3, 15, true), zoom(4, 9, true), []byte{})
+
+	// RTP headers the gates admit at each lane position 0-7 of an
+	// inner block, and ending the datagram, so they fall in its last
+	// full block or in the zero-padded last step; the sequence runs
+	// validate the SSRC, so a skipped sighting changes what pass 2
+	// accepts.
+	for lane := 0; lane < 8; lane++ {
+		f.Add(place(filler(64), 16+lane, hdr(1)), place(filler(64), 24+lane, hdr(2)),
+			append(filler(17+lane), hdr(3)...), append(filler(25+lane), hdr(4)...), []byte{})
+	}
+	// An RTCP receiver report (8 bytes) in the zero-padded last step,
+	// after an SSRC-validating pair.
+	rr := []byte{0x80, 201, 0x00, 0x01, 0x01, 0x00, 0x0C, 0x01}
+	for lead := 1; lead < 9; lead++ {
+		f.Add(hdr(1), hdr(2), append(filler(lead), rr...), []byte{}, []byte{})
+	}
+
+	// STUN headers whose cookie word straddles offset k.
+	stunMsg := ice.ServerBindingRequest(ice.NewRand(7)).Raw
+	for _, s := range []int{193, 195, 196, 197, 200} {
+		f.Add(place(filler(260), s, stunMsg), hdr(1), hdr(2), []byte{}, []byte{})
+	}
+	// A STUN header whose transaction ID holds an RTP header: pass 1
+	// consumes the STUN span, so the hidden sightings must not validate
+	// the SSRC that the last datagram carries.
+	hidden := func(seq uint16) []byte {
+		m := append([]byte(nil), stunMsg...)
+		copy(m[8:20], hdr(seq))
+		return place(filler(64), 20, m)
+	}
+	f.Add(hidden(1), hidden(2), hdr(3), []byte{}, []byte{})
+	// A consumed STUN span followed by an RTP header: the skip resumes
+	// at the span's end, where the sighting is.
+	after := func(seq uint16) []byte { return append(append([]byte(nil), stunMsg...), hdr(seq)...) }
+	f.Add(after(1), after(2), hdr(3), []byte{}, []byte{})
+
+	// A consumed ChannelData span whose body is an RTP header: pass 1
+	// skips to the span's end, so the inner sightings stay hidden.
+	cd := func(seq uint16) []byte {
+		return (&stun.ChannelData{ChannelNumber: 0x4001, Data: rtpPacket(ssrc, seq, bytes.Repeat([]byte{0x33}, 8))}).Encode()
+	}
+	f.Add(cd(1), cd(2), cd(3), hdr(4), []byte{})
+
+	e := NewEngine()
+	f.Fuzz(func(t *testing.T, a, b, c, d, x []byte) {
+		stream := [][]byte{a, b, c}
+		for _, p := range [][]byte{d, x} {
+			if len(p) > 0 {
+				stream = append(stream, p)
+			}
+		}
+		want := summarize(referenceInspectStream(e, stream))
+		if got := summarize(e.InspectStream(stream)); got != want {
+			t.Fatalf("stream inspector diverged from the per-offset reference:\ninspector: %s\nreference: %s", got, want)
 		}
 	})
 }

@@ -30,10 +30,13 @@ import (
 // within the same stream". The two-pass design implements that
 // literally:
 //
-//   - Pass 1 runs every registered Pass1 prober at every
-//     not-yet-consumed offset of every datagram: strong-signature
-//     probers consume their span, weak-signature probers (the RTP
-//     driver) tally per-SSRC validation evidence into the scan state;
+//   - Pass 1 visits every not-yet-consumed offset of every datagram
+//     that some Pass1 prober's gate admits, and runs there the probers
+//     whose gates admit it: strong-signature probers consume their
+//     span, weak-signature probers (the RTP driver) tally per-SSRC
+//     validation evidence into the scan state. A gate is a necessary
+//     condition of its prober, so the offsets passed over are exactly
+//     those where no prober could act;
 //   - an SSRC is validated when it appears at least twice with at least
 //     one sequence-continuous, timestamp-plausible adjacent pair;
 //   - Pass 2 re-scans each datagram, accepting strongly-signatured
@@ -99,23 +102,30 @@ func (si *StreamInspector) scanOne(payload []byte) {
 	if limit <= 0 {
 		limit = 200
 	}
-	i := 0
-	for i < len(payload) && i <= limit {
+	end := min(len(payload), limit+1)
+	// The registry's skip plan jumps, eight offsets per step, to the
+	// next offset whose first two bytes some prober's gate admits; an
+	// anchored gate (the STUN cookie) whose word the datagram lacks
+	// drops out for the whole datagram. Every offset passed over is
+	// one no gate admits, so no prober could have matched or tallied
+	// there.
+	plan := si.reg.Pass1Plan()
+	skip := plan.Skip(payload, end)
+	for i := plan.Next(payload, 0, end, skip); i < end; i = plan.Next(payload, i, end, skip) {
 		// Strong-signature probers consume their span so their
 		// payloads (e.g. a ChannelData body) are not scanned here;
 		// weak-signature probers tally evidence without consuming, so
 		// candidate headers advance by one byte because they are not
-		// yet trusted. The registry's first-byte table skips probers
-		// whose wire format cannot start with this byte, and the
-		// bitmap check settles no-prober bytes with a single load.
-		if !si.reg.Pass1Possible(payload[i]) {
-			i++
-			continue
-		}
+		// yet trusted. The first-byte table and then each prober's
+		// full gate settle most admitted offsets without a call.
 		c := proto.Candidate{Payload: payload, Offset: i}
+		w := proto.Window(payload, i)
 		consumed := 0
 		probers := si.reg.Pass1ProbersFor(payload[i])
 		for k := range probers {
+			if !probers[k].Gate.Admits(w) {
+				continue
+			}
 			if n, ok := probers[k].Probe(c, si.scan); ok {
 				consumed = n
 				break
@@ -157,6 +167,15 @@ func (si *StreamInspector) Finalize() []Result {
 		si.scanOne(p)
 	}
 	si.ctx.State.ValidatedSSRC = si.scan.ValidatedSSRC
+	// Size the results and the message arena to the chunk up front, so
+	// pass 2 does not leave a trail of doubled-and-dropped buffers.
+	n := len(si.payloads)
+	if cap(si.results) < n {
+		si.results = make([]Result, 0, n)
+	}
+	if cap(si.ctx.msgArena) < n {
+		si.ctx.msgArena = make([]Message, 0, n)
+	}
 	out := si.results[:0]
 	for _, p := range si.payloads {
 		r := si.e.Inspect(p, si.ctx)

@@ -143,6 +143,9 @@ type Reader struct {
 	nanos     bool
 	linkType  LinkType
 	snapLen   uint32
+	// hdr receives each record header. A local array would escape
+	// through io.ReadFull's io.Reader and cost an allocation per frame.
+	hdr [recordHeaderLen]byte
 }
 
 // NewReader parses the global header from r and returns a Reader for the
@@ -192,8 +195,8 @@ func (r *Reader) ReadPacket() (Packet, error) {
 // which is what keeps the streaming analysis path allocation-free per
 // record.
 func (r *Reader) ReadPacketInto(buf *[]byte) (Packet, error) {
-	var hdr [recordHeaderLen]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
+	hdr := r.hdr[:]
+	if _, err := io.ReadFull(r.r, hdr); err != nil {
 		if errors.Is(err, io.EOF) {
 			return Packet{}, io.EOF
 		}

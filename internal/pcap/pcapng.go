@@ -42,6 +42,11 @@ type NGReader struct {
 	r          io.Reader
 	bo         binary.ByteOrder
 	interfaces []ngInterface
+	// head and trail receive each block's framing words. Local arrays
+	// would escape through io.ReadFull's io.Reader and cost allocations
+	// per block.
+	head  [8]byte
+	trail [4]byte
 }
 
 // NewNGReader parses the leading Section Header Block and returns a
@@ -99,8 +104,8 @@ func (ng *NGReader) readSHBBody(head []byte) error {
 // returning the block type and its body (without type/length framing),
 // aliasing *buf. SHBs are consumed in place and return a nil body.
 func (ng *NGReader) readBlockInto(buf *[]byte) (uint32, []byte, error) {
-	var head [8]byte
-	if _, err := io.ReadFull(ng.r, head[:]); err != nil {
+	head := ng.head[:]
+	if _, err := io.ReadFull(ng.r, head); err != nil {
 		if errors.Is(err, io.EOF) {
 			return 0, nil, io.EOF
 		}
@@ -109,7 +114,7 @@ func (ng *NGReader) readBlockInto(buf *[]byte) (uint32, []byte, error) {
 	typ := ng.bo.Uint32(head[0:4])
 	if typ == blockSHB {
 		// New section: its body determines (possibly new) byte order.
-		if err := ng.readSHBBody(head[:]); err != nil {
+		if err := ng.readSHBBody(head); err != nil {
 			return 0, nil, err
 		}
 		return blockSHB, nil, nil
@@ -126,11 +131,10 @@ func (ng *NGReader) readBlockInto(buf *[]byte) (uint32, []byte, error) {
 	if _, err := io.ReadFull(ng.r, body); err != nil {
 		return 0, nil, fmt.Errorf("pcap: read block body: %w", err)
 	}
-	var trail [4]byte
-	if _, err := io.ReadFull(ng.r, trail[:]); err != nil {
+	if _, err := io.ReadFull(ng.r, ng.trail[:]); err != nil {
 		return 0, nil, fmt.Errorf("pcap: read block trailer: %w", err)
 	}
-	if ng.bo.Uint32(trail[:]) != total {
+	if ng.bo.Uint32(ng.trail[:]) != total {
 		return 0, nil, fmt.Errorf("pcap: block trailer length mismatch")
 	}
 	return typ, body, nil

@@ -243,3 +243,46 @@ func TestPCAPReadPacketIntoReusesBuffer(t *testing.T) {
 		t.Fatalf("end = %v, want EOF", err)
 	}
 }
+
+// TestReadPacketIntoAllocationFree pins that reading a record into a
+// reused buffer allocates nothing, on both readers: the framing words
+// a record read needs live on the reader, not in per-call arrays that
+// escape through io.ReadFull.
+func TestReadPacketIntoAllocationFree(t *testing.T) {
+	const runs = 100
+	data := bytes.Repeat([]byte{0x45}, 200)
+	var classic, ng bytes.Buffer
+	cw, nw := NewWriter(&classic, LinkTypeRaw), NewNGWriter(&ng, LinkTypeRaw)
+	for i := 0; i <= runs; i++ {
+		p := Packet{Timestamp: time.Unix(int64(1700000000+i), 0).UTC(), Data: data}
+		if err := cw.WritePacket(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := nw.WritePacket(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cr, err := NewReader(bytes.NewReader(classic.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nr, err := NewNGReader(bytes.NewReader(ng.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, 4096)
+	if n := testing.AllocsPerRun(runs, func() {
+		if _, err := cr.ReadPacketInto(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("pcap ReadPacketInto: %.2f allocs per record, want 0", n)
+	}
+	if n := testing.AllocsPerRun(runs, func() {
+		if _, _, err := nr.ReadPacketInto(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("pcapng ReadPacketInto: %.2f allocs per record, want 0", n)
+	}
+}

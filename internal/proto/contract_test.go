@@ -20,7 +20,55 @@ import (
 // message per family (so rejections fire deep inside each validator)
 // and of random datagrams, in permissive and stream-validated mode.
 func TestValidateMissLeavesOutUntouched(t *testing.T) {
-	const ssrc = 0x5566aabb
+	payloads := contractPayloads()
+	sentinel := proto.Message{Protocol: proto.MaxIDs - 1, Offset: -1, Length: -1}
+	for _, validated := range []map[uint32]bool{nil, {contractSSRC: true}} {
+		st := &proto.StreamState{ValidatedSSRC: validated}
+		for _, p := range proto.Default().Probers() {
+			for _, b := range payloads {
+				for off := range b {
+					out := sentinel
+					if !p.Validate(proto.Candidate{Payload: b, Offset: off}, st, &out) && !reflect.DeepEqual(out, sentinel) {
+						t.Fatalf("%v prober (precedence %d) missed at offset %d of % x but wrote %+v",
+							p.ID, p.Precedence, off, b, out)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGateIsNecessaryForProbe pins the gate contract pass 1's skip plan
+// relies on: at every offset of the contract payloads, probed on a
+// fresh scan state, a pass-1 prober that matches or changes the state
+// does so only at a window its gate admits.
+func TestGateIsNecessaryForProbe(t *testing.T) {
+	payloads := contractPayloads()
+	fresh := proto.NewScanState()
+	for _, p := range proto.Default().Probers() {
+		if !p.Pass1 {
+			continue
+		}
+		for _, b := range payloads {
+			for off := range b {
+				sc := proto.NewScanState()
+				_, ok := p.Probe(proto.Candidate{Payload: b, Offset: off}, sc)
+				if (ok || !reflect.DeepEqual(sc, fresh)) && !p.Gate.Admits(proto.Window(b, off)) {
+					t.Fatalf("%v prober (precedence %d) acted at offset %d of % x, which its gate %#x/%#x rejects",
+						p.ID, p.Precedence, off, b, p.Gate.Mask, p.Gate.Want)
+				}
+			}
+		}
+	}
+}
+
+// contractSSRC is the media SSRC of the contract payloads.
+const contractSSRC = 0x5566aabb
+
+// contractPayloads returns every prefix of one real message per family,
+// so rejections fire deep inside each validator, and random datagrams.
+func contractPayloads() [][]byte {
+	const ssrc = contractSSRC
 	dcid := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	var random [32]byte
 	msgs := [][]byte{
@@ -48,20 +96,5 @@ func TestValidateMissLeavesOutUntouched(t *testing.T) {
 		}
 		payloads = append(payloads, b)
 	}
-
-	sentinel := proto.Message{Protocol: proto.MaxIDs - 1, Offset: -1, Length: -1}
-	for _, validated := range []map[uint32]bool{nil, {ssrc: true}} {
-		st := &proto.StreamState{ValidatedSSRC: validated}
-		for _, p := range proto.Default().Probers() {
-			for _, b := range payloads {
-				for off := range b {
-					out := sentinel
-					if !p.Validate(proto.Candidate{Payload: b, Offset: off}, st, &out) && !reflect.DeepEqual(out, sentinel) {
-						t.Fatalf("%v prober (precedence %d) missed at offset %d of % x but wrote %+v",
-							p.ID, p.Precedence, off, b, out)
-					}
-				}
-			}
-		}
-	}
+	return payloads
 }

@@ -41,8 +41,9 @@ func (handler) Probers() []proto.Prober {
 		Precedence: Precedence,
 		Pass1:      true,
 		// RFC 7983 allocates 20-63 to DTLS; assigned content types all
-		// fall inside it.
+		// fall inside it, and every DTLS version word starts 0xFE.
 		First:    func(b byte) bool { return b >= 20 && b <= 63 },
+		Gate:     proto.Gate{Mask: 0xC0FF << 48, Want: 0x00FE << 48},
 		Probe:    proto.ConsumeProbe(Match),
 		Validate: Match,
 	}}

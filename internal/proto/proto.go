@@ -142,6 +142,12 @@ type Prober struct {
 	// the scan loops use. Nil means the prober is tried at every
 	// offset.
 	First func(b byte) bool
+	// Gate is the pass-1 prober's raw-byte precondition over the
+	// candidate's first 8 bytes: Probe neither matches nor changes the
+	// scan state at a window the gate rejects. The registry derives
+	// pass 1's skip plan from the gates; the zero Gate admits every
+	// offset.
+	Gate Gate
 	// Probe advances pass 1 at one offset. A prober with a strong
 	// signature validates structurally against sc.Scratch and returns
 	// the length of the matched span so the engine skips it; a

@@ -23,11 +23,9 @@ type Registry struct {
 	// wire format can start there.
 	table      [256][]Prober
 	pass1Table [256][]Prober
-	// pass1Any[b] reports pass1Table[b] non-empty. The pass-1 scan
-	// visits every offset of every datagram, and most first bytes
-	// admit no prober at all; a one-byte load settles those offsets
-	// without touching the slice table.
-	pass1Any [256]bool
+	// pass1Plan is the pass-1 skip plan built from the pass-1 probers'
+	// gates.
+	pass1Plan ScanPlan
 }
 
 // NewRegistry returns an empty registry.
@@ -66,6 +64,9 @@ func (r *Registry) Register(h Handler) {
 	}
 	r.ids = append(r.ids, m.ID)
 	for _, p := range h.Probers() {
+		if p.Gate.Want&^p.Gate.Mask != 0 {
+			panic(fmt.Sprintf("proto: handler %q declares a gate that admits nothing (%#x/%#x)", m.Name, p.Gate.Mask, p.Gate.Want))
+		}
 		p.ID = m.ID
 		r.probers = append(r.probers, p)
 	}
@@ -75,8 +76,8 @@ func (r *Registry) Register(h Handler) {
 	r.rebuildTables()
 }
 
-// rebuildTables derives the first-byte dispatch tables from the sorted
-// prober list.
+// rebuildTables derives the first-byte dispatch tables and the pass-1
+// skip plan from the sorted prober list.
 func (r *Registry) rebuildTables() {
 	for b := 0; b < 256; b++ {
 		r.table[b] = nil
@@ -90,8 +91,14 @@ func (r *Registry) rebuildTables() {
 				r.pass1Table[b] = append(r.pass1Table[b], p)
 			}
 		}
-		r.pass1Any[b] = len(r.pass1Table[b]) > 0
 	}
+	var gates []Gate
+	for _, p := range r.probers {
+		if p.Pass1 && p.Probe != nil {
+			gates = append(gates, p.Gate)
+		}
+	}
+	r.pass1Plan = newScanPlan(gates)
 }
 
 // Handler returns the handler registered for an ID (nil when absent).
@@ -162,9 +169,9 @@ func (r *Registry) ProbersFor(b byte) []Prober { return r.table[b] }
 // probers.
 func (r *Registry) Pass1ProbersFor(b byte) []Prober { return r.pass1Table[b] }
 
-// Pass1Possible reports whether any pass-1 prober admits first byte b —
-// the pass-1 scan's one-load fast path for the common miss.
-func (r *Registry) Pass1Possible(b byte) bool { return r.pass1Any[b] }
+// Pass1Plan returns the pass-1 skip plan: pass 1 need only visit the
+// offsets it admits.
+func (r *Registry) Pass1Plan() *ScanPlan { return &r.pass1Plan }
 
 // Without returns a copy of the registry with the given protocols
 // removed — the extensibility proof harness builds the engine against a

@@ -70,6 +70,11 @@ func TestRegisterPanics(t *testing.T) {
 	mustPanic("out-of-range ID", func() {
 		r.Register(fakeHandler{meta: Meta{ID: MaxIDs, Name: "high"}})
 	})
+	mustPanic("gate wants bits outside its mask", func() {
+		r.Register(fakeHandler{meta: Meta{ID: STUN, Name: "never"}, probers: []Prober{{
+			Gate: Gate{Mask: 0xF0 << 56, Want: 0x0F << 56}, Validate: noopValidate,
+		}}})
+	})
 }
 
 func TestFamilyDefaultsToSelf(t *testing.T) {

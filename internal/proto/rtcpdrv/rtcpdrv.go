@@ -24,6 +24,11 @@ func init() {
 // RTP space by RFC 5761 and must win against the RTP prober.
 const Precedence = 30
 
+// Gate is RTCP's raw-byte gate: version 2 and a packet type in the RFC
+// 5761 range 192-223 (top three bits 110). Exported for the RTP
+// driver's strong-second-candidate scan.
+var Gate = proto.Gate{Mask: 0xC0E0 << 48, Want: 0x80C0 << 48}
+
 type handler struct{}
 
 func (handler) Meta() proto.Meta {
@@ -44,6 +49,7 @@ func (handler) Probers() []proto.Prober {
 		Pass1:      true,
 		// Version bits 2 in the top two bit positions.
 		First:    func(b byte) bool { return b>>6 == 2 },
+		Gate:     Gate,
 		Probe:    proto.ConsumeProbe(Match),
 		Validate: Match,
 	}}

@@ -9,6 +9,7 @@
 package rtpdrv
 
 import (
+	"bytes"
 	"encoding/binary"
 	"strconv"
 	"time"
@@ -47,8 +48,10 @@ func (handler) Probers() []proto.Prober {
 	return []proto.Prober{{
 		Precedence: Precedence,
 		Pass1:      true,
-		// Version bits 2 in the top two bit positions.
+		// Version bits 2 in the top two bit positions; pass 1 tallies
+		// only candidates with a zero CSRC count.
 		First:    func(b byte) bool { return b>>6 == 2 },
+		Gate:     proto.Gate{Mask: 0xCF << 56, Want: 0x80 << 56},
 		Probe:    tallyProbe,
 		Validate: Match,
 	}}
@@ -111,17 +114,17 @@ func state(st *proto.StreamState) *streamState {
 }
 
 // scanState is RTP's pass-1 state: per-SSRC candidate tallies and the
-// decode scratch for sightings.
+// decode scratch for sightings. Tallies are stored by value, so a new
+// candidate SSRC costs no allocation beyond map growth.
 type scanState struct {
-	cands map[uint32]*candTally
+	cands map[uint32]candTally
 	probe rtp.Packet
 }
 
 // candTally is the incremental form of pass 1's per-SSRC observation
 // list: validation only ever compares adjacent sightings, so the last
-// sighting plus a count carries the same information.
+// sighting carries the same information.
 type candTally struct {
-	n       int
 	lastSeq uint16
 	lastTS  uint32
 }
@@ -130,7 +133,7 @@ func scan(sc *proto.ScanState) *scanState {
 	if v := sc.Slot(proto.RTP); v != nil {
 		return v.(*scanState)
 	}
-	s := &scanState{cands: make(map[uint32]*candTally)}
+	s := &scanState{cands: make(map[uint32]candTally)}
 	sc.SetSlot(proto.RTP, s)
 	return s
 }
@@ -169,17 +172,10 @@ func tallyProbe(c proto.Candidate, sc *proto.ScanState) (int, bool) {
 // sequence bytes (so sequence continuity alone can be fooled) but their
 // inherited timestamp field jumps by 2^24 per packet.
 func (s *scanState) note(sc *proto.ScanState, ssrc uint32, seq uint16, ts uint32) {
-	o := s.cands[ssrc]
-	if o == nil {
-		s.cands[ssrc] = &candTally{n: 1, lastSeq: seq, lastTS: ts}
-		return
-	}
-	if !sc.ValidatedSSRC[ssrc] && seqClose(o.lastSeq, seq) && tsClose(o.lastTS, ts) {
+	if o, ok := s.cands[ssrc]; ok && !sc.ValidatedSSRC[ssrc] && seqClose(o.lastSeq, seq) && tsClose(o.lastTS, ts) {
 		sc.ValidatedSSRC[ssrc] = true
 	}
-	o.n++
-	o.lastSeq = seq
-	o.lastTS = ts
+	s.cands[ssrc] = candTally{lastSeq: seq, lastTS: ts}
 }
 
 // seqClose reports whether b is a plausible successor of sequence
@@ -266,36 +262,71 @@ func (handler) Accept(payload []byte, m proto.Message, st *proto.StreamState) pr
 	return m
 }
 
+// rtcpLanes finds RTCP's version/type-range pair eight offsets at a
+// time.
+var rtcpLanes = proto.NewLanes(rtcpdrv.Gate)
+
+// cookieWord is the STUN magic cookie as it appears on the wire.
+var cookieWord = binary.BigEndian.AppendUint32(nil, stun.MagicCookie)
+
 // findStrongCandidate scans inside an RTP message's claimed payload for
 // a second message start. Only strong candidates count: a magic-cookie
 // STUN header, a valid RTCP compound, or an RTP header whose SSRC
 // matches the outer message (Zoom's two-RTP case).
 //
-// The scan visits every byte of every accepted RTP payload, so each
-// validator runs only where a raw-byte condition it requires holds: the
-// cookie word at j+4, a packet type in the RFC 5761 range at j+1, the
-// outer SSRC at j+8. Each is rare in media bytes and is tested before
-// the first byte's version bits, which half the byte space passes. The
-// gates only reject; the validator still confirms every hit. j stays
-// at least rtp.HeaderLen bytes short of end, so every word read fits.
+// Each validator runs only where a raw-byte condition it requires
+// holds: the cookie word at j+4, RTCP's version/type-range pair at j
+// and j+1, the outer SSRC word at j+8. Each is rare in media bytes, so
+// the scan searches for them (two word searches and a lane scan) rather
+// than testing every payload byte. It visits the candidates in
+// increasing j, and at one j in today's order: cookie, RTCP, SSRC. So
+// the first hit, and every validator call before it, are those of a
+// byte-by-byte walk. The gates only reject; the validator still
+// confirms every hit. j stays at least rtp.HeaderLen bytes short of
+// end, so every word read fits.
 func findStrongCandidate(payload []byte, m proto.Message, st *proto.StreamState) (int, bool) {
 	rs := state(st)
 	ssrc := m.RTP.SSRC
 	start := m.Offset + m.RTP.HeaderSize() + 1
 	end := m.Offset + m.Length
 	body := payload[:end]
-	var hit proto.Message
-	for j := start; j < end-rtp.HeaderLen; j++ {
-		if binary.BigEndian.Uint32(body[j+4:]) == stun.MagicCookie && body[j]>>6 == 0 &&
-			stundrv.MatchCookie(proto.Candidate{Payload: body, Offset: j}, st, &hit) {
-			return j, true
+	last := end - rtp.HeaderLen // candidates are j < last
+	if start >= last {
+		return 0, false
+	}
+	var ssrcWord [4]byte
+	binary.BigEndian.PutUint32(ssrcWord[:], ssrc)
+	// next returns the least j >= from with word at j+at, or last.
+	next := func(word []byte, at, from int) int {
+		if from < last {
+			if k := bytes.Index(body[from+at:last+at+len(word)-1], word); k >= 0 {
+				return from + k
+			}
 		}
-		if pt := body[j+1]; pt >= 192 && pt <= 223 && body[j]>>6 == 2 {
+		return last
+	}
+	cookie := next(cookieWord, 4, start)
+	rtcp := rtcpLanes.Next(body, start, last, 0)
+	same := next(ssrcWord[:], 8, start)
+	var hit proto.Message
+	for {
+		j := min(cookie, rtcp, same)
+		if j == last {
+			return 0, false
+		}
+		c := proto.Candidate{Payload: body, Offset: j}
+		if j == cookie {
+			if body[j]>>6 == 0 && stundrv.MatchCookie(c, st, &hit) {
+				return j, true
+			}
+			cookie = next(cookieWord, 4, j+1)
+		}
+		if j == rtcp {
 			// An RTCP region inside an RTP payload must show SSRC
 			// support: encrypted media bytes occasionally imitate an
 			// RTCP header, and accepting one would wrongly truncate the
 			// outer RTP message.
-			if rtcpdrv.Match(proto.Candidate{Payload: body, Offset: j}, st, &hit) && len(hit.RTCP) > 0 {
+			if rtcpdrv.Match(c, st, &hit) && len(hit.RTCP) > 0 {
 				if sender, has := hit.RTCP[0].SenderSSRC(); has {
 					_, known := rs.lastSeq[sender]
 					if known || (st.ValidatedSSRC != nil && st.ValidatedSSRC[sender]) {
@@ -303,14 +334,16 @@ func findStrongCandidate(payload []byte, m proto.Message, st *proto.StreamState)
 					}
 				}
 			}
+			rtcp = rtcpLanes.Next(body, j+1, last, 0)
 		}
-		if binary.BigEndian.Uint32(body[j+8:]) == ssrc && body[j]>>6 == 2 &&
-			Match(proto.Candidate{Payload: body, Offset: j}, st, &hit) &&
-			hit.RTP.SSRC == ssrc && hit.RTP.SequenceNumber != m.RTP.SequenceNumber {
-			return j, true
+		if j == same {
+			if body[j]>>6 == 2 && Match(c, st, &hit) &&
+				hit.RTP.SSRC == ssrc && hit.RTP.SequenceNumber != m.RTP.SequenceNumber {
+				return j, true
+			}
+			same = next(ssrcWord[:], 8, j+1)
 		}
 	}
-	return 0, false
 }
 
 // truncate re-decodes the RTP message with its payload cut at the given

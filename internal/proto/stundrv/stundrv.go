@@ -46,6 +46,7 @@ func (stunHandler) Probers() []proto.Prober {
 			Precedence: PrecedenceCookie,
 			Pass1:      true,
 			First:      stunFirst,
+			Gate:       proto.Gate{Mask: 0xC0000000_FFFFFFFF, Want: uint64(stun.MagicCookie)},
 			Probe:      proto.ConsumeProbe(MatchCookie),
 			Validate:   MatchCookie,
 		},
@@ -139,6 +140,7 @@ func (channelDataHandler) Probers() []proto.Prober {
 		Pass1:      true,
 		// Channel numbers 0x4000-0x4FFF put the first byte in 0x40-0x4F.
 		First:    func(b byte) bool { return b >= 0x40 && b <= 0x4f },
+		Gate:     proto.Gate{Mask: 0xF0 << 56, Want: 0x40 << 56},
 		Probe:    proto.ConsumeProbe(matchChannelData),
 		Validate: matchChannelData,
 	}}
@@ -322,8 +324,8 @@ func (st *session) stunVerdict(msg *stun.Message, ts time.Time) proto.Verdict {
 	}
 
 	// Criterion 4: attribute values and placement.
-	for _, a := range msg.Attributes {
-		if v := checkAttrValue(msg, a); !v.Compliant {
+	for i, a := range msg.Attributes {
+		if v := checkAttrValue(msg, a, i == len(msg.Attributes)-1); !v.Compliant {
 			return v
 		}
 	}
@@ -333,8 +335,9 @@ func (st *session) stunVerdict(msg *stun.Message, ts time.Time) proto.Verdict {
 }
 
 // checkAttrValue validates a defined attribute's value shape and its
-// placement in this message type.
-func checkAttrValue(msg *stun.Message, a stun.Attribute) proto.Verdict {
+// placement in this message type; last reports that a is the message's
+// final attribute.
+func checkAttrValue(msg *stun.Message, a stun.Attribute, last bool) proto.Verdict {
 	if !stun.AttrLenValid(a.Type, len(a.Value)) {
 		return proto.Fail(proto.CritAttrValue, "attribute %v has invalid length %d", a.Type, len(a.Value))
 	}
@@ -372,6 +375,16 @@ func checkAttrValue(msg *stun.Message, a stun.Attribute) proto.Verdict {
 		}
 	}
 	// Placement rules.
+	if a.Type == stun.AttrFingerprint {
+		// RFC 8489 §14.7: FINGERPRINT is the last attribute, and its
+		// value is the CRC-32 of the message before it XOR 0x5354554e.
+		if !last {
+			return proto.Fail(proto.CritAttrValue, "FINGERPRINT is not the last attribute")
+		}
+		if !stun.VerifyFingerprint(msg) {
+			return proto.Fail(proto.CritAttrValue, "FINGERPRINT value does not match the message's CRC-32")
+		}
+	}
 	cls := msg.Type.Class()
 	if (cls == stun.ClassSuccess || cls == stun.ClassError) && stun.RequestOnly(a.Type) {
 		return proto.Fail(proto.CritAttrValue, "request-only attribute %v present in a %v", a.Type, cls)

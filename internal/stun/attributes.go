@@ -208,9 +208,10 @@ func AddFingerprint(m *Message) {
 	m.Encode()
 }
 
-// VerifyFingerprint checks a decoded message's FINGERPRINT attribute.
-// It returns true when no fingerprint is present only if require is
-// false.
+// VerifyFingerprint checks a decoded message's FINGERPRINT attribute,
+// taken to be the last attribute of m.Raw: it reports whether the
+// value equals Fingerprint over the bytes before it. A message without
+// a 4-byte FINGERPRINT does not verify.
 func VerifyFingerprint(m *Message) bool {
 	a := m.Get(AttrFingerprint)
 	if a == nil || len(a.Value) != 4 {
