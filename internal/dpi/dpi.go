@@ -112,6 +112,9 @@ type StreamContext struct {
 	// stay valid.
 	msgArena []Message
 	msgEpoch uint64
+	// walk is pass 2's region walk, reused across regions and
+	// datagrams so a region's start allocates nothing.
+	walk proto.Walk
 }
 
 // NewStreamContext returns an empty per-stream context.
@@ -151,6 +154,18 @@ func (e *Engine) registry() *proto.Registry {
 
 // Inspect runs candidate extraction and validation over one datagram
 // payload, updating ctx. ctx may be nil for stateless inspection.
+//
+// The cursor's walk is split into regions: one starts at offset 0 and
+// one right after each accepted message, and a region ends at the next
+// match, at the payload end, or (before the first match) past k. The
+// first offset of a region runs matchAt directly, so a datagram whose
+// message starts there (every standard-class datagram) builds no plan.
+// After a miss, the registry's pass-2 plan jumps to the next offset
+// where some validator could accept: the offsets it passes over are
+// ones where every validator rejects, given the stream state, which
+// only a match changes. So the output is that of trying every offset.
+// The skipped offsets still count as shift attempts and, with a span
+// attached, each still emits its shift probe.
 func (e *Engine) Inspect(payload []byte, ctx *StreamContext) Result {
 	if ctx == nil {
 		ctx = NewStreamContext()
@@ -169,18 +184,19 @@ func (e *Engine) Inspect(payload []byte, ctx *StreamContext) Result {
 	if limit <= 0 {
 		limit = 200
 	}
+	plan := reg.Pass2Plan()
 	i := 0
 	for i < len(payload) {
-		if i > limit && len(ctx.msgArena) == start {
+		end := len(payload)
+		if len(ctx.msgArena) == start {
+			end = min(end, limit+1)
+		}
+		if i >= end {
 			break
 		}
-		ctx.shiftAttempts++
-		if !e.matchAt(reg, payload, i, &ctx.State, &ctx.scratch) {
-			if tracing {
-				ctx.Span.Probe(i, payload[i], "", obs.OutcomeShift)
-			}
-			i++
-			continue
+		i = e.region(reg, plan, payload, i, end, ctx)
+		if i == end {
+			break
 		}
 		m := ctx.scratch
 		if tracing {
@@ -219,6 +235,41 @@ func (e *Engine) Inspect(payload []byte, ctx *StreamContext) Result {
 		ctx.Span.Extraction(res.Class.String(), len(msgs))
 	}
 	return res
+}
+
+// region walks one region of payload from its first offset i up to
+// end and returns the offset of the first match, with the message in
+// ctx.scratch, or end when none matches.
+func (e *Engine) region(reg *proto.Registry, plan *proto.ScanPlan, payload []byte, i, end int, ctx *StreamContext) int {
+	tracing := ctx.Span != nil
+	ctx.shiftAttempts++
+	if e.matchAt(reg, payload, i, &ctx.State, &ctx.scratch) {
+		return i
+	}
+	if tracing {
+		ctx.Span.Probe(i, payload[i], "", obs.OutcomeShift)
+	}
+	plan.Begin(&ctx.walk, payload, end, &ctx.State)
+	for from := i + 1; ; {
+		j := ctx.walk.Next(from)
+		ctx.shiftAttempts += j - from
+		if tracing {
+			for o := from; o < j; o++ {
+				ctx.Span.Probe(o, payload[o], "", obs.OutcomeShift)
+			}
+		}
+		if j >= end {
+			return end
+		}
+		ctx.shiftAttempts++
+		if e.matchAt(reg, payload, j, &ctx.State, &ctx.scratch) {
+			return j
+		}
+		if tracing {
+			ctx.Span.Probe(j, payload[j], "", obs.OutcomeShift)
+		}
+		from = j + 1
+	}
 }
 
 // matchAt tries the registry's probers admitted by the first payload byte

@@ -209,6 +209,24 @@ func TestZoomDoubleRTPSplit(t *testing.T) {
 	}
 }
 
+// TestStrongRTCPAfterUnvalidatedAccept pins the second-message scan's
+// fallback: once a stream has accepted an SSRC outside the validated
+// set, an RTCP report from that SSRC still cuts an RTP payload, though
+// the scan would search only for validated sender words otherwise.
+func TestStrongRTCPAfterUnvalidatedAccept(t *testing.T) {
+	ctx := NewStreamContext()
+	e := NewEngine()
+	// Permissive mode accepts SSRC 9 with no validation evidence.
+	e.Inspect(rtpPacket(9, 1, bytes.Repeat([]byte{0x5a}, 24)), ctx)
+	ctx.State.ValidatedSSRC = map[uint32]bool{5: true}
+	sr := rtcp.EncodeSR(&rtcp.SenderReport{SSRC: 9, Info: rtcp.SenderInfo{NTPTimestamp: 1}})
+	pad := bytes.Repeat([]byte{0x5a}, 24)
+	res := e.Inspect(rtpPacket(5, 1, append(pad, sr...)), ctx)
+	if len(res.Messages) != 2 || res.Messages[1].Protocol != ProtoRTCP || res.Messages[1].Offset != rtp.HeaderLen+len(pad) {
+		t.Fatalf("messages = %s, want RTP cut by the RTCP report at %d", summarize([]Result{res}), rtp.HeaderLen+len(pad))
+	}
+}
+
 func TestQUICLongAndShort(t *testing.T) {
 	ctx := NewStreamContext()
 	e := NewEngine()

@@ -5,7 +5,11 @@ import (
 	"testing"
 
 	"github.com/rtc-compliance/rtcc/internal/ice"
+	"github.com/rtc-compliance/rtcc/internal/obs"
 	"github.com/rtc-compliance/rtcc/internal/proto"
+	"github.com/rtc-compliance/rtcc/internal/proto/rtcpdrv"
+	"github.com/rtc-compliance/rtcc/internal/proto/rtpdrv"
+	"github.com/rtc-compliance/rtcc/internal/proto/stundrv"
 	"github.com/rtc-compliance/rtcc/internal/quicwire"
 	"github.com/rtc-compliance/rtcc/internal/rtcp"
 	"github.com/rtc-compliance/rtcc/internal/rtp"
@@ -143,12 +147,15 @@ func FuzzParityWithBaseline(f *testing.F) {
 	})
 }
 
-// referenceInspectStream is InspectStream with pass 1 as the per-offset
-// walk that predates the gates and the skip plan: every offset up to k
-// tries the pass-1 probers its first byte admits, in precedence order,
-// with no gate test. Validation evidence builds across all datagrams
-// before pass 2, as in one Finalize, so pass 2 runs in validated mode.
-func referenceInspectStream(e *Engine, payloads [][]byte) []Result {
+// referenceInspectStream is InspectStream with both passes as the
+// per-offset walks that predate the gates and the scan plans, so
+// neither pass has a gate or a skip. Pass 1 tries, at every offset up
+// to k, the pass-1 probers its first byte admits, in precedence order.
+// Validation evidence builds across all datagrams before pass 2, as in
+// one Finalize, so pass 2 runs in validated mode. Pass 2 is
+// referencePass2. It returns the results and pass 2's shift-attempt
+// count; with a span, pass 2 emits its decision trace into it.
+func referenceInspectStream(e *Engine, payloads [][]byte, span *obs.Span) ([]Result, int) {
 	reg := e.registry()
 	sc := proto.NewScanState()
 	for _, p := range payloads {
@@ -168,28 +175,166 @@ func referenceInspectStream(e *Engine, payloads [][]byte) []Result {
 			}
 		}
 	}
-	ctx := NewStreamContext()
-	ctx.State.Epoch = 1
-	ctx.State.ValidatedSSRC = sc.ValidatedSSRC
+	r := &referencePass2{e: e, reg: reg, span: span, known: map[uint32]bool{}}
+	r.st.Epoch = 1
+	r.st.ValidatedSSRC = sc.ValidatedSSRC
 	var out []Result
 	for _, p := range payloads {
-		out = append(out, e.Inspect(p, ctx))
+		out = append(out, r.inspect(p))
 	}
-	return out
+	return out, r.attempts
 }
 
-// FuzzStreamParity differentially fuzzes the streaming inspector's pass
-// 1, which visits only the offsets some prober's gate admits, against
-// referenceInspectStream, which visits every offset. Three to five
-// datagrams (the fourth and fifth when non-empty) form one stream; the
-// two must extract the same messages at the same offsets. A gate or a
-// skip that passes over a real candidate changes the validation
-// evidence and shows up here in pass 2's validated mode.
+// referencePass2 is pass 2 as the cursor walk that predates the scan
+// plan: every offset up to k (and, after the first match, to the
+// payload end) tries the probers its first byte admits, in precedence
+// order. The RTP driver's Accept keeps the stream's sequence state,
+// but the cut it makes is replaced by strongCandidate's, a
+// byte-by-byte walk, so a word search that misses a strong second
+// candidate shows up as a different message length.
+type referencePass2 struct {
+	e        *Engine
+	reg      *proto.Registry
+	st       proto.StreamState
+	span     *obs.Span
+	attempts int
+	// known holds the SSRCs of the accepted RTP messages.
+	known map[uint32]bool
+}
+
+func (r *referencePass2) inspect(payload []byte) Result {
+	if r.span != nil {
+		r.span.BeginDatagram()
+	}
+	var msgs []Message
+	for i := 0; i < len(payload); {
+		if i > r.e.MaxOffset && len(msgs) == 0 {
+			break
+		}
+		r.attempts++
+		var m Message
+		ok := false
+		for _, pr := range r.reg.ProbersFor(payload[i]) {
+			if pr.Validate(proto.Candidate{Payload: payload, Offset: i}, &r.st, &m) {
+				m.Offset, ok = i, true
+				break
+			}
+		}
+		if !ok {
+			if r.span != nil {
+				r.span.Probe(i, payload[i], "", obs.OutcomeShift)
+			}
+			i++
+			continue
+		}
+		if r.span != nil {
+			meta, _ := r.reg.Meta(m.Protocol)
+			r.span.Probe(i, payload[i], meta.Name, obs.OutcomeMatch)
+		}
+		if a := r.reg.Accepter(m.Protocol); a != nil {
+			n := m.Length
+			if m.Protocol == proto.RTP {
+				if cut, found := r.strongCandidate(payload, m); found {
+					if _, err := rtp.Decode(payload[m.Offset:cut]); err == nil {
+						n = cut - m.Offset
+					}
+				}
+			}
+			m = a.Accept(payload, m, &r.st)
+			if m.Protocol == proto.RTP {
+				r.known[m.RTP.SSRC] = true
+				m.Length = n
+			}
+		}
+		msgs = append(msgs, m)
+		i = m.Offset + m.Length
+	}
+	var res Result
+	res.Messages = msgs
+	switch {
+	case len(msgs) == 0:
+		res.Class = ClassFullyProprietary
+	case msgs[0].Offset == 0:
+		res.Class = ClassStandard
+	default:
+		res.Class = ClassProprietaryHeader
+	}
+	if r.span != nil {
+		r.span.Extraction(res.Class.String(), len(msgs))
+	}
+	return res
+}
+
+// strongCandidate is the RTP driver's strong-second-candidate scan as
+// a byte-by-byte walk over the message's claimed payload: the first j
+// holding a magic-cookie STUN header, an RTCP compound whose sender
+// SSRC the stream knows, or an RTP header of the outer SSRC with
+// another sequence number.
+func (r *referencePass2) strongCandidate(payload []byte, m Message) (int, bool) {
+	end := m.Offset + m.Length
+	body := payload[:end]
+	var hit Message
+	for j := m.Offset + m.RTP.HeaderSize() + 1; j < end-rtp.HeaderLen; j++ {
+		c := proto.Candidate{Payload: body, Offset: j}
+		if stundrv.MatchCookie(c, &r.st, &hit) {
+			return j, true
+		}
+		if rtcpdrv.Match(c, &r.st, &hit) && len(hit.RTCP) > 0 {
+			if sender, has := hit.RTCP[0].SenderSSRC(); has && (r.known[sender] || r.st.ValidatedSSRC[sender]) {
+				return j, true
+			}
+		}
+		if rtpdrv.Match(c, &r.st, &hit) && hit.RTP.SSRC == m.RTP.SSRC && hit.RTP.SequenceNumber != m.RTP.SequenceNumber {
+			return j, true
+		}
+	}
+	return 0, false
+}
+
+// FuzzStreamParity differentially fuzzes the streaming inspector, whose
+// passes visit only the offsets the probers' gates and the scan plans
+// admit, against referenceInspectStream, which visits every offset in
+// both passes. Three to five datagrams (the fourth and fifth when
+// non-empty) form one stream; the two must extract the same messages
+// at the same offsets and count the same shift attempts. A gate, plan
+// or word search that passes over a real candidate shows up here: in
+// pass 1 it changes the validation evidence, in pass 2 the extraction.
 func FuzzStreamParity(f *testing.F) {
+	for _, s := range streamSeeds() {
+		f.Add(s[0], s[1], s[2], s[3], s[4])
+	}
+	e := NewEngine()
+	f.Fuzz(func(t *testing.T, a, b, c, d, x []byte) {
+		stream := [][]byte{a, b, c}
+		for _, p := range [][]byte{d, x} {
+			if len(p) > 0 {
+				stream = append(stream, p)
+			}
+		}
+		ref, refAttempts := referenceInspectStream(e, stream, nil)
+		want := summarize(ref)
+		si := e.NewStreamInspector()
+		for _, p := range stream {
+			si.Feed(p)
+		}
+		if got := summarize(si.Finalize()); got != want {
+			t.Fatalf("stream inspector diverged from the per-offset reference:\ninspector: %s\nreference: %s", got, want)
+		}
+		if got := si.ctx.shiftAttempts; got != refAttempts {
+			t.Fatalf("stream inspector counted %d shift attempts, the per-offset reference %d", got, refAttempts)
+		}
+	})
+}
+
+// streamSeeds returns FuzzStreamParity's seed streams, five datagrams
+// each (the last two may be empty).
+func streamSeeds() [][5][]byte {
+	var out [][5][]byte
+	add := func(a, b, c, d, x []byte) { out = append(out, [5][]byte{a, b, c, d, x}) }
 	corpus := dispatchCorpus()
 	for i := range corpus {
 		at := func(k int) []byte { return corpus[(i+k)%len(corpus)] }
-		f.Add(at(0), at(1), at(2), at(3), at(4))
+		add(at(0), at(1), at(2), at(3), at(4))
 	}
 
 	filler := func(n int) []byte { return bytes.Repeat([]byte{0x01}, n) }
@@ -214,8 +359,8 @@ func FuzzStreamParity(f *testing.F) {
 		}
 		return append(h, p.Encode()...)
 	}
-	f.Add(zoom(1, 9, false), zoom(2, 12, false), zoom(3, 15, false), zoom(4, 9, false), zoom(5, 10, false))
-	f.Add(zoom(1, 9, true), zoom(2, 12, true), zoom(3, 15, true), zoom(4, 9, true), []byte{})
+	add(zoom(1, 9, false), zoom(2, 12, false), zoom(3, 15, false), zoom(4, 9, false), zoom(5, 10, false))
+	add(zoom(1, 9, true), zoom(2, 12, true), zoom(3, 15, true), zoom(4, 9, true), []byte{})
 
 	// RTP headers the gates admit at each lane position 0-7 of an
 	// inner block, and ending the datagram, so they fall in its last
@@ -223,20 +368,20 @@ func FuzzStreamParity(f *testing.F) {
 	// validate the SSRC, so a skipped sighting changes what pass 2
 	// accepts.
 	for lane := 0; lane < 8; lane++ {
-		f.Add(place(filler(64), 16+lane, hdr(1)), place(filler(64), 24+lane, hdr(2)),
+		add(place(filler(64), 16+lane, hdr(1)), place(filler(64), 24+lane, hdr(2)),
 			append(filler(17+lane), hdr(3)...), append(filler(25+lane), hdr(4)...), []byte{})
 	}
 	// An RTCP receiver report (8 bytes) in the zero-padded last step,
 	// after an SSRC-validating pair.
 	rr := []byte{0x80, 201, 0x00, 0x01, 0x01, 0x00, 0x0C, 0x01}
 	for lead := 1; lead < 9; lead++ {
-		f.Add(hdr(1), hdr(2), append(filler(lead), rr...), []byte{}, []byte{})
+		add(hdr(1), hdr(2), append(filler(lead), rr...), []byte{}, []byte{})
 	}
 
 	// STUN headers whose cookie word straddles offset k.
 	stunMsg := ice.ServerBindingRequest(ice.NewRand(7)).Raw
 	for _, s := range []int{193, 195, 196, 197, 200} {
-		f.Add(place(filler(260), s, stunMsg), hdr(1), hdr(2), []byte{}, []byte{})
+		add(place(filler(260), s, stunMsg), hdr(1), hdr(2), []byte{}, []byte{})
 	}
 	// A STUN header whose transaction ID holds an RTP header: pass 1
 	// consumes the STUN span, so the hidden sightings must not validate
@@ -246,30 +391,79 @@ func FuzzStreamParity(f *testing.F) {
 		copy(m[8:20], hdr(seq))
 		return place(filler(64), 20, m)
 	}
-	f.Add(hidden(1), hidden(2), hdr(3), []byte{}, []byte{})
+	add(hidden(1), hidden(2), hdr(3), []byte{}, []byte{})
 	// A consumed STUN span followed by an RTP header: the skip resumes
 	// at the span's end, where the sighting is.
 	after := func(seq uint16) []byte { return append(append([]byte(nil), stunMsg...), hdr(seq)...) }
-	f.Add(after(1), after(2), hdr(3), []byte{}, []byte{})
+	add(after(1), after(2), hdr(3), []byte{}, []byte{})
 
 	// A consumed ChannelData span whose body is an RTP header: pass 1
 	// skips to the span's end, so the inner sightings stay hidden.
 	cd := func(seq uint16) []byte {
 		return (&stun.ChannelData{ChannelNumber: 0x4001, Data: rtpPacket(ssrc, seq, bytes.Repeat([]byte{0x33}, 8))}).Encode()
 	}
-	f.Add(cd(1), cd(2), cd(3), hdr(4), []byte{})
+	add(cd(1), cd(2), cd(3), hdr(4), []byte{})
 
-	e := NewEngine()
-	f.Fuzz(func(t *testing.T, a, b, c, d, x []byte) {
-		stream := [][]byte{a, b, c}
-		for _, p := range [][]byte{d, x} {
-			if len(p) > 0 {
-				stream = append(stream, p)
-			}
+	// Pass 2's seeds. Fully proprietary fillers of 0x01, 0x02 and 0x00
+	// bytes: the first two pass classic STUN's type test at every
+	// offset and fail its length test, the last fails the framed
+	// length; validated SSRCs keep pass 2 in validated mode.
+	fill := func(v byte) []byte { return bytes.Repeat([]byte{v}, 1000) }
+	add(fill(0x01), fill(0x02), hdr(1), hdr(2), fill(0x00))
+	// A validated SSRC word at several +8 positions, only one of them a
+	// real header: one behind a non-RTP first byte, one behind a
+	// version-2 header whose sequence number jumps.
+	decoys := place(place(filler(120), 10, []byte{0x01, 0x00, 0x0C, 0x01}), 40, rtpPacket(ssrc, 900, nil))
+	add(hdr(1), hdr(2), place(decoys, 70, rtpPacket(ssrc, 3, bytes.Repeat([]byte{0x5a}, 30))), []byte{}, []byte{})
+	// An RTCP sender report from the known SSRC ending an RTP payload,
+	// after near misses whose word at j+4 differs from the SSRC in its
+	// first or last byte: only the real report cuts the RTP message.
+	srFrom := func(s uint32) []byte {
+		return rtcp.EncodeSR(&rtcp.SenderReport{SSRC: s, Info: rtcp.SenderInfo{NTPTimestamp: 1}})
+	}
+	inner := append(append(append(bytes.Repeat([]byte{0x5a}, 20), srFrom(ssrc^0x01000000)...), srFrom(ssrc^1)...), srFrom(ssrc)...)
+	add(hdr(1), hdr(2), rtpPacket(ssrc, 3, inner), hdr(4), []byte{})
+	// A STUN message that sets SawSTUN, then bytes no validator accepts,
+	// then a ChannelData frame: pass 2 plans the second region in the
+	// state the STUN match left, and later datagrams keep it. In a
+	// stream without STUN the frame stays unaccepted in validated mode.
+	frame := (&stun.ChannelData{ChannelNumber: 0x4002, Data: rtpPacket(ssrc, 7, bytes.Repeat([]byte{0x33}, 16))}).Encode()
+	add(hdr(1), hdr(2), append(append(append([]byte(nil), stunMsg...), 0x01, 0x01, 0x01), frame...),
+		append([]byte{0x01, 0x01, 0x01}, frame...), []byte{})
+	add(hdr(1), hdr(2), append([]byte{0x01, 0x01, 0x01}, frame...), []byte{}, []byte{})
+	// The same with the frame padded by 3 bytes, as a frame may be.
+	padded := append(append([]byte(nil), frame...), 0, 0, 0)
+	add(hdr(1), hdr(2), append(append(append([]byte(nil), stunMsg...), 0x01, 0x01, 0x01), padded...),
+		append([]byte{0x01, 0x01, 0x01}, padded...), []byte{})
+	// A QUIC long header, then short headers with its DCID: one at offset
+	// 0, one behind bytes no validator accepts, and one coalesced after
+	// the long header in the same datagram.
+	dcid := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	long := quicwire.BuildLong(quicwire.TypeInitial, quicwire.Version1, dcid, []byte{9}, nil, bytes.Repeat([]byte{0}, 24))
+	short := quicwire.BuildShort(dcid, bytes.Repeat([]byte{7}, 40))
+	add(long, short, append([]byte{0x01, 0x01}, short...),
+		append(append(append([]byte(nil), long...), 0x01, 0x01), short...), short)
+	// Classic RFC 3489 STUN (no magic cookie) ending the datagram, at
+	// offset 0 and behind bytes no validator accepts: classic STUN's
+	// lane tests the type bytes, the length's low bits and its framed
+	// length.
+	cm := &stun.Message{Type: stun.TypeBindingRequest, TransactionID: [12]byte{4, 5, 6}}
+	cm.Add(stun.AttrSoftware, []byte("rtccrtcc"))
+	classic := cm.Encode()
+	copy(classic[4:8], []byte{0x01, 0x02, 0x03, 0x04})
+	add(classic, append([]byte{0x01, 0x01, 0x01}, classic...), hdr(1), hdr(2), append(filler(9), classic...))
+	// Twelve validated SSRCs, more than pass 2 searches for word by
+	// word, so RTP falls back to its lane: two datagrams of twelve
+	// back-to-back headers validate them, then headers of the last
+	// and the first SSRC follow bytes no validator accepts.
+	many := func(seq uint16) []byte {
+		var b []byte
+		for s := uint32(1); s <= 12; s++ {
+			b = append(b, rtpPacket(0x7700+s, seq, nil)...)
 		}
-		want := summarize(referenceInspectStream(e, stream))
-		if got := summarize(e.InspectStream(stream)); got != want {
-			t.Fatalf("stream inspector diverged from the per-offset reference:\ninspector: %s\nreference: %s", got, want)
-		}
-	})
+		return b
+	}
+	add(many(1), many(2), append(filler(5), rtpPacket(0x7700+12, 3, bytes.Repeat([]byte{0x5a}, 20))...),
+		append(filler(6), rtpPacket(0x7700+1, 3, bytes.Repeat([]byte{0x5a}, 20))...), []byte{})
+	return out
 }

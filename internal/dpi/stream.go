@@ -39,9 +39,13 @@ import (
 //     those where no prober could act;
 //   - an SSRC is validated when it appears at least twice with at least
 //     one sequence-continuous, timestamp-plausible adjacent pair;
-//   - Pass 2 re-scans each datagram, accepting strongly-signatured
-//     protocols immediately and RTP only for validated SSRCs in
-//     sequence order.
+//   - Pass 2 re-scans each datagram (Engine.Inspect), accepting
+//     strongly-signatured protocols immediately and RTP only for
+//     validated SSRCs in sequence order. Its scan plan visits only the
+//     offsets where some validator could accept, given the probers'
+//     declared Needs and the stream state, with the validated SSRCs as
+//     search words; the output, the shift-attempt count and the
+//     decision trace are those of trying every offset.
 //
 // Because pass 2 of a datagram consults the validated-SSRC set, a
 // single Finalize over the whole stream reproduces the batch
@@ -72,6 +76,8 @@ type StreamInspector struct {
 	// span, when non-nil, receives the stream's decision trace during
 	// pass 2 (pass 1 only tallies evidence and produces no decisions).
 	span *obs.Span
+	// walk is pass 1's plan walk, reused across datagrams.
+	walk proto.Walk
 }
 
 // SetSpan attaches a decision-trace span; pass 2 of every subsequent
@@ -103,15 +109,14 @@ func (si *StreamInspector) scanOne(payload []byte) {
 		limit = 200
 	}
 	end := min(len(payload), limit+1)
-	// The registry's skip plan jumps, eight offsets per step, to the
-	// next offset whose first two bytes some prober's gate admits; an
-	// anchored gate (the STUN cookie) whose word the datagram lacks
-	// drops out for the whole datagram. Every offset passed over is
-	// one no gate admits, so no prober could have matched or tallied
-	// there.
-	plan := si.reg.Pass1Plan()
-	skip := plan.Skip(payload, end)
-	for i := plan.Next(payload, 0, end, skip); i < end; i = plan.Next(payload, i, end, skip) {
+	// The registry's pass-1 plan jumps, eight offsets per step, to the
+	// next offset whose first four bytes (and framed length) some
+	// prober's gate admits, or that carries an anchored gate's word
+	// (the STUN cookie). Every offset passed over is one no gate
+	// admits, so no prober could have matched or tallied there.
+	walk := &si.walk
+	si.reg.Pass1Plan().Begin(walk, payload, end, &si.scan.Scratch)
+	for i := walk.Next(0); i < end; i = walk.Next(i) {
 		// Strong-signature probers consume their span so their
 		// payloads (e.g. a ChannelData body) are not scanned here;
 		// weak-signature probers tally evidence without consuming, so
@@ -123,7 +128,7 @@ func (si *StreamInspector) scanOne(payload []byte) {
 		consumed := 0
 		probers := si.reg.Pass1ProbersFor(payload[i])
 		for k := range probers {
-			if !probers[k].Gate.Admits(w) {
+			if g := probers[k].Gate; !g.Admits(w) || !g.Fits(w, len(payload)-i) {
 				continue
 			}
 			if n, ok := probers[k].Probe(c, si.scan); ok {

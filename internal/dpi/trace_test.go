@@ -187,3 +187,50 @@ func BenchmarkDispatchProbeMissTraced(b *testing.B) {
 		e.Inspect(filler, ctx)
 	}
 }
+
+// TestStreamTraceMatchesReference pins the decision trace of pass 2's
+// scan plan: over every FuzzStreamParity seed, a traced InspectStream
+// emits exactly the events of the per-offset reference walk, which is
+// one shift probe per offset the cursor passes, the same match probes,
+// and the same extraction events.
+func TestStreamTraceMatchesReference(t *testing.T) {
+	e := NewEngine()
+	span := func() (*obs.Span, *obs.Buffer) {
+		buf := obs.NewBuffer(0)
+		p := obs.New(buf, "app", obs.Sampling{Head: 1 << 20, Tail: 1}, nil)
+		return p.StreamSpan("st"), buf
+	}
+	for k, s := range streamSeeds() {
+		stream := [][]byte{s[0], s[1], s[2]}
+		for _, p := range [][]byte{s[3], s[4]} {
+			if len(p) > 0 {
+				stream = append(stream, p)
+			}
+		}
+		refSpan, refBuf := span()
+		referenceInspectStream(e, stream, refSpan)
+		refSpan.Flush()
+
+		gotSpan, gotBuf := span()
+		si := e.NewStreamInspector()
+		si.SetSpan(gotSpan)
+		for _, p := range stream {
+			si.Feed(p)
+		}
+		si.Finalize()
+		gotSpan.Flush()
+
+		got, want := gotBuf.Events(), refBuf.Events()
+		if len(want) == 0 {
+			t.Fatalf("seed %d: the reference emitted no events", k)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d events, the reference %d", k, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: event %d is %+v, the reference's %+v", k, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/rtc-compliance/rtcc/internal/proto"
 	"github.com/rtc-compliance/rtcc/internal/quicwire"
@@ -41,7 +42,8 @@ func TestValidateMissLeavesOutUntouched(t *testing.T) {
 // TestGateIsNecessaryForProbe pins the gate contract pass 1's skip plan
 // relies on: at every offset of the contract payloads, probed on a
 // fresh scan state, a pass-1 prober that matches or changes the state
-// does so only at a window its gate admits.
+// does so only at a window its gate admits and whose framed length the
+// gate fits.
 func TestGateIsNecessaryForProbe(t *testing.T) {
 	payloads := contractPayloads()
 	fresh := proto.NewScanState()
@@ -53,14 +55,120 @@ func TestGateIsNecessaryForProbe(t *testing.T) {
 			for off := range b {
 				sc := proto.NewScanState()
 				_, ok := p.Probe(proto.Candidate{Payload: b, Offset: off}, sc)
-				if (ok || !reflect.DeepEqual(sc, fresh)) && !p.Gate.Admits(proto.Window(b, off)) {
-					t.Fatalf("%v prober (precedence %d) acted at offset %d of % x, which its gate %#x/%#x rejects",
-						p.ID, p.Precedence, off, b, p.Gate.Mask, p.Gate.Want)
+				if w := proto.Window(b, off); (ok || !reflect.DeepEqual(sc, fresh)) && !(p.Gate.Admits(w) && p.Gate.Fits(w, len(b)-off)) {
+					t.Fatalf("%v prober (precedence %d) acted at offset %d of % x, which its gate %#x/%#x (bias %d, slack %d) rejects",
+						p.ID, p.Precedence, off, b, p.Gate.Mask, p.Gate.Want, p.Gate.Bias, p.Gate.Slack)
 				}
 			}
 		}
 	}
 }
+
+// TestNeedsAreNecessaryForValidate pins the contract pass 2's scan plan
+// relies on: at every offset of the contract payloads where a prober's
+// Validate matches, its declared gate admits the window and a plan
+// built from that prober's Needs alone admits the offset. It runs in four stream states: permissive mode,
+// validated mode with and without SawSTUN, and validated mode after a
+// QUIC long header established a short-header DCID length.
+func TestNeedsAreNecessaryForValidate(t *testing.T) {
+	payloads := contractPayloads()
+	quic := &proto.StreamState{ValidatedSSRC: map[uint32]bool{contractSSRC: true}}
+	long := quicwire.BuildLong(quicwire.TypeInitial, quicwire.Version1, contractDCID, []byte{9}, nil, make([]byte, 24))
+	var m proto.Message
+	established := false
+	for _, p := range proto.Default().ProbersFor(long[0]) {
+		if p.ID == proto.QUIC && p.Validate(proto.Candidate{Payload: long}, quic, &m) {
+			established = true
+		}
+	}
+	if !established {
+		t.Fatal("the QUIC long header did not match")
+	}
+	states := map[string]func() *proto.StreamState{
+		"permissive": func() *proto.StreamState { return &proto.StreamState{} },
+		"validated with STUN": func() *proto.StreamState {
+			return &proto.StreamState{ValidatedSSRC: map[uint32]bool{contractSSRC: true}, SawSTUN: true}
+		},
+		"validated without STUN": func() *proto.StreamState {
+			return &proto.StreamState{ValidatedSSRC: map[uint32]bool{contractSSRC: true}}
+		},
+		"QUIC short headers": func() *proto.StreamState { return quic },
+	}
+	matches := 0
+	for name, state := range states {
+		for _, p := range proto.Default().Probers() {
+			r := proto.NewRegistry()
+			r.Register(oneProber{p})
+			plan := r.Pass2Plan()
+			var w proto.Walk
+			for _, b := range payloads {
+				st := state()
+				plan.Begin(&w, b, len(b), st)
+				for off := range b {
+					var out proto.Message
+					if !p.Validate(proto.Candidate{Payload: b, Offset: off}, st, &out) {
+						continue
+					}
+					matches++
+					if g, win := p.Needs.Gate, proto.Window(b, off); !g.Admits(win) || !g.Fits(win, len(b)-off) {
+						t.Fatalf("%s: %v prober (precedence %d) matched at offset %d of % x, which its gate %#x/%#x rejects",
+							name, p.ID, p.Precedence, off, b, g.Mask, g.Want)
+					}
+					if got := w.Next(off); got != off {
+						t.Fatalf("%s: %v prober (precedence %d) matched at offset %d of % x, but its plan's next offset is %d",
+							name, p.ID, p.Precedence, off, b, got)
+					}
+					// A match may change the state the plan read; the
+					// engine starts a new region after one.
+					plan.Begin(&w, b, len(b), st)
+				}
+			}
+		}
+	}
+	if matches == 0 {
+		t.Fatal("no prober matched anywhere")
+	}
+}
+
+// oneProber registers a single prober under its protocol's ID.
+type oneProber struct{ p proto.Prober }
+
+func (h oneProber) Meta() proto.Meta        { return proto.Meta{ID: h.p.ID, Name: h.p.ID.String()} }
+func (h oneProber) Probers() []proto.Prober { return []proto.Prober{h.p} }
+func (oneProber) Comply(dst []proto.Checked, _ proto.Message, _ time.Time, _ *proto.Session) []proto.Checked {
+	return dst
+}
+
+// TestClassicGateAdmitsDefinedTypes pins the classic-STUN gate's type
+// test against the method registry: every defined message type passes
+// the gate's test of bytes 0-1. STUN message types have their top two
+// bits zero, which stun.LooksLikeHeader requires.
+func TestClassicGateAdmitsDefinedTypes(t *testing.T) {
+	var classic proto.Gate
+	for _, p := range proto.Default().Probers() {
+		if p.ID == proto.STUN && !p.Pass1 {
+			classic = p.Needs.Gate
+		}
+	}
+	if classic.Mask == 0 {
+		t.Fatal("no classic STUN prober with a gate")
+	}
+	defined := 0
+	for v := 0; v < 1<<14; v++ {
+		if _, ok := stun.DefinedMessageType(stun.MessageType(v)); ok {
+			defined++
+			if w := uint64(v) << 48; w&classic.Mask&(0xFFFF<<48) != classic.Want&(0xFFFF<<48) {
+				t.Fatalf("defined type %#04x fails the classic gate %#x/%#x", v, classic.Mask, classic.Want)
+			}
+		}
+	}
+	if defined == 0 {
+		t.Fatal("no defined message types")
+	}
+}
+
+// contractDCID is the QUIC connection ID of the contract payloads.
+var contractDCID = []byte{1, 2, 3, 4, 5, 6, 7, 8}
 
 // contractSSRC is the media SSRC of the contract payloads.
 const contractSSRC = 0x5566aabb
@@ -69,15 +177,26 @@ const contractSSRC = 0x5566aabb
 // so rejections fire deep inside each validator, and random datagrams.
 func contractPayloads() [][]byte {
 	const ssrc = contractSSRC
-	dcid := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	dcid := contractDCID
 	var random [32]byte
+	// Classic RFC 3489 STUN: a cookie-less header (the cookie word
+	// holds transaction bytes) with a defined method.
+	// Its declared length, 12, sets bit 2 of byte 3.
+	classic := stunPayload(stun.TypeBindingRequest, [12]byte{4, 5, 6}, func(m *stun.Message) {
+		m.Add(stun.AttrSoftware, []byte("rtccrtcc"))
+	})
+	copy(classic[4:8], []byte{0x01, 0x02, 0x03, 0x04})
 	msgs := [][]byte{
 		stunPayload(stun.TypeBindingRequest, [12]byte{1, 2, 3}, nil),
+		classic,
 		(&stun.ChannelData{ChannelNumber: 0x4000, Data: make([]byte, 24)}).Encode(),
+		// ChannelData with the 3 bytes of padding a frame may carry.
+		append((&stun.ChannelData{ChannelNumber: 0x4001, Data: make([]byte, 21)}).Encode(), 0, 0, 0),
 		(&rtp.Packet{PayloadType: 111, SequenceNumber: 7, Timestamp: 960, SSRC: ssrc, Payload: make([]byte, 40)}).Encode(),
 		rtcp.EncodeSR(&rtcp.SenderReport{SSRC: ssrc, Info: rtcp.SenderInfo{NTPTimestamp: 1}}),
 		quicwire.BuildLong(quicwire.TypeInitial, quicwire.Version1, dcid, []byte{9}, nil, make([]byte, 24)),
 		quicwire.BuildVersionNegotiation(dcid, []byte{9}, []uint32{quicwire.Version1}),
+		quicwire.BuildShort(dcid, make([]byte, 24)),
 		tlsinspect.BuildDTLSRecord(tlsinspect.DTLSTypeHandshake, tlsinspect.VersionDTLS12, 0, 0,
 			tlsinspect.BuildDTLSHandshake(tlsinspect.DTLSHandshakeClientHello, 0,
 				tlsinspect.BuildDTLSClientHelloBody(random, nil))),

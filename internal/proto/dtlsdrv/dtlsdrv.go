@@ -36,6 +36,11 @@ func (handler) Meta() proto.Meta {
 	}
 }
 
+// gate is Match's raw-byte precondition: an assigned content type
+// (20-23) has its top two bits clear, and every DTLS version word
+// starts 0xFE.
+var gate = proto.Gate{Mask: 0xC0FF << 48, Want: 0x00FE << 48}
+
 func (handler) Probers() []proto.Prober {
 	return []proto.Prober{{
 		Precedence: Precedence,
@@ -43,8 +48,9 @@ func (handler) Probers() []proto.Prober {
 		// RFC 7983 allocates 20-63 to DTLS; assigned content types all
 		// fall inside it, and every DTLS version word starts 0xFE.
 		First:    func(b byte) bool { return b >= 20 && b <= 63 },
-		Gate:     proto.Gate{Mask: 0xC0FF << 48, Want: 0x00FE << 48},
+		Gate:     gate,
 		Probe:    proto.ConsumeProbe(Match),
+		Needs:    proto.Needs{Gate: gate},
 		Validate: Match,
 	}}
 }

@@ -11,16 +11,33 @@ import (
 // the payload end (see Window), and admits the window when
 // word&Mask == Want. The zero Gate admits every window.
 //
-// A gate is a necessary condition of its prober's Probe: Probe never
-// matches, and never changes the scan state, at a window the gate
-// rejects. Probe stays complete on its own, so a gate may only reject;
-// the validator confirms every hit.
+// A gate may also declare a framed-length rule (Bias nonzero): the
+// big-endian 16-bit length L at window bytes 2-3 frames a message of
+// Bias+L bytes, which ends at most Slack bytes before the payload end
+// (see Fits).
+//
+// A gate is a necessary condition of its prober: the prober never
+// matches, and Probe never changes the scan state, at a candidate the
+// gate rejects. The prober stays complete on its own, so a gate may
+// only reject; the validator confirms every hit.
 type Gate struct {
-	Mask, Want uint64
+	Mask, Want  uint64
+	Bias, Slack int
 }
 
-// Admits reports whether the window word w passes the gate.
+// Admits reports whether the window word w passes the gate's word test.
 func (g Gate) Admits(w uint64) bool { return w&g.Mask == g.Want }
+
+// Fits reports whether a candidate with window word w and rest bytes
+// from its offset to the payload end passes the framed-length rule;
+// it always does when the gate declares none.
+func (g Gate) Fits(w uint64, rest int) bool {
+	if g.Bias == 0 {
+		return true
+	}
+	pad := rest - g.Bias - int(uint16(w>>32))
+	return pad >= 0 && pad <= g.Slack
+}
 
 // Window returns the gate window at offset i of b: b[i:i+8] read
 // big-endian, with the bytes past the end of b read as zero.
@@ -38,79 +55,186 @@ func Window(b []byte, i int) uint64 {
 	return w
 }
 
-// lane is one gate's first-byte and second-byte tests, each broadcast
-// to all eight byte lanes of a word.
-type lane struct{ m0, w0, m1, w1 uint64 }
+// lane is one gate's tests of window bytes 0-3, each broadcast to all
+// eight byte lanes of a word, plus its framed-length rule. wide marks
+// a lane that tests byte 2 or 3.
+type lane struct {
+	m0, w0, m1, w1, m2, w2, m3, w3 uint64
+	bias, slack                    int
+	wide                           bool
+}
 
 const (
 	laneOnes = 0x0101010101010101
 	laneLow7 = 0x7f7f7f7f7f7f7f7f
 )
 
-// Lanes tests candidate offsets eight at a time against the first two
-// bytes of a set of gates. Byte lane L of two overlapping
-// little-endian loads at i and i+1 holds offset i+L's first and second
-// byte, so one SWAR step settles eight offsets for every gate.
-type Lanes []lane
+// zeroBytes sets the high bit of each zero byte of x and no other bit,
+// with no carry between byte lanes.
+func zeroBytes(x uint64) uint64 { return ^((x&laneLow7 + laneLow7) | x | laneLow7) }
+
+// Lanes tests candidate offsets eight at a time against the first four
+// bytes of a set of gates and their framed-length rules. Byte lane L
+// of four overlapping little-endian loads at i..i+3 holds offset
+// i+L's bytes 0-3, so one SWAR step settles eight offsets for every
+// gate. The loads at i+2 and i+3 happen only when some lane reads
+// those bytes.
+type Lanes struct {
+	ls   []lane
+	wide bool
+}
 
 // NewLanes returns the lane tests of the given gates, in order: lane k
 // tests gates[k].
 func NewLanes(gates ...Gate) Lanes {
-	ls := make(Lanes, len(gates))
+	ls := Lanes{ls: make([]lane, len(gates))}
 	for k, g := range gates {
-		ls[k] = lane{
-			m0: laneOnes * (g.Mask >> 56), w0: laneOnes * (g.Want >> 56),
-			m1: laneOnes * (g.Mask >> 48 & 0xff), w1: laneOnes * (g.Want >> 48 & 0xff),
+		b := func(j int, v uint64) uint64 { return laneOnes * (v >> (56 - 8*j) & 0xff) }
+		l := lane{
+			m0: b(0, g.Mask), w0: b(0, g.Want), m1: b(1, g.Mask), w1: b(1, g.Want),
+			m2: b(2, g.Mask), w2: b(2, g.Want), m3: b(3, g.Mask), w3: b(3, g.Want),
+			bias: g.Bias, slack: g.Slack,
 		}
+		l.wide = l.m2|l.m3 != 0 || l.bias != 0
+		ls.wide = ls.wide || l.wide
+		ls.ls[k] = l
 	}
 	return ls
 }
 
-// Next returns the least offset o in [from, end) whose bytes b[o] and
-// b[o+1] (zero past the end of b) some lane admits, skipping lane k
-// when bit k of skip is set. It returns end when no offset qualifies.
-// The test is exact, so every offset it passes over is one that every
-// unskipped gate rejects.
-func (ls Lanes) Next(b []byte, from, end int, skip uint64) int {
-	for i := from; i < end; i += 8 {
-		var v0, v1 uint64
-		if i+9 <= len(b) {
-			v0 = binary.LittleEndian.Uint64(b[i:])
-			v1 = binary.LittleEndian.Uint64(b[i+1:])
-		} else {
-			// The last step reads its bytes zero-padded, as Window does.
-			var pad [16]byte
+// step returns the admitted lanes of the eight offsets at i as a mask
+// with the high bit of byte lane L set when some unskipped gate admits
+// offset i+L. The word tests are exact; the framed-length test is a
+// necessary condition: over one step L's admissible values span at
+// most 8+Slack consecutive integers, so its high byte (window byte 2)
+// takes at most two values, which the step compares against. A caller
+// applies Gate.Fits at each admitted offset.
+func (ls Lanes) step(b []byte, i int, skip uint64) uint64 {
+	var v0, v1, v2, v3 uint64
+	if i+11 <= len(b) {
+		v0 = binary.LittleEndian.Uint64(b[i:])
+		v1 = binary.LittleEndian.Uint64(b[i+1:])
+		if ls.wide {
+			v2 = binary.LittleEndian.Uint64(b[i+2:])
+			v3 = binary.LittleEndian.Uint64(b[i+3:])
+		}
+	} else {
+		// The last steps read their bytes zero-padded, as Window does.
+		var pad [16]byte
+		if i < len(b) {
 			copy(pad[:], b[i:])
-			v0 = binary.LittleEndian.Uint64(pad[:])
-			v1 = binary.LittleEndian.Uint64(pad[1:])
 		}
-		var hit uint64
-		for k := range ls {
-			if skip>>k&1 != 0 {
-				continue
-			}
-			l := &ls[k]
-			// x has a zero byte exactly in the lanes the gate admits;
-			// the expression sets the high bit of each zero byte and
-			// no other bit, with no carry between lanes.
-			x := (v0&l.m0 ^ l.w0) | (v1&l.m1 ^ l.w1)
-			hit |= ^((x&laneLow7 + laneLow7) | x | laneLow7)
+		v0 = binary.LittleEndian.Uint64(pad[:])
+		v1 = binary.LittleEndian.Uint64(pad[1:])
+		v2 = binary.LittleEndian.Uint64(pad[2:])
+		v3 = binary.LittleEndian.Uint64(pad[3:])
+	}
+	var hit uint64
+	for k := range ls.ls {
+		if skip>>k&1 != 0 {
+			continue
 		}
-		if hit != 0 {
-			return min(i+bits.TrailingZeros64(hit)/8, end)
+		l := &ls.ls[k]
+		// x has a zero byte exactly in the lanes whose word test the
+		// gate passes.
+		x := (v0&l.m0 ^ l.w0) | (v1&l.m1 ^ l.w1)
+		if !l.wide {
+			hit |= zeroBytes(x)
+			continue
+		}
+		x |= (v2&l.m2 ^ l.w2) | (v3&l.m3 ^ l.w3)
+		if l.bias == 0 {
+			hit |= zeroBytes(x)
+			continue
+		}
+		// Offset i+L frames when its length is in
+		// [rest-L-bias-slack, rest-L-bias] with rest = len(b)-i; over
+		// L = 0..7 that is [lo, hi].
+		hi := len(b) - i - l.bias
+		lo := hi - 7 - l.slack
+		if hi < 0 || lo > 0xffff {
+			continue
+		}
+		h0, h1 := uint64(max(lo, 0)>>8), uint64(min(hi, 0xffff)>>8)
+		hit |= zeroBytes(x | (v2 ^ laneOnes*h0))
+		if h1 != h0 {
+			hit |= zeroBytes(x | (v2 ^ laneOnes*h1))
+		}
+	}
+	return hit
+}
+
+// Next returns the least offset o in [from, end) whose window some lane
+// admits, skipping lane k when bit k of skip is set. It returns end
+// when no offset qualifies. The word tests are exact and the
+// framed-length test is necessary, so every offset it passes over is
+// one that every unskipped gate rejects.
+func (ls Lanes) Next(b []byte, from, end int, skip uint64) int {
+	var c cursor
+	c.Reset(ls, b, end, skip)
+	return c.Next(from)
+}
+
+// cursor walks the offsets of one payload that a Lanes admits, in
+// increasing order. It keeps the current step's hit mask, so an
+// admitted offset costs no second step: the next one in the same
+// eight comes from the mask.
+type cursor struct {
+	ls   Lanes
+	b    []byte
+	end  int
+	skip uint64
+	// base is the first offset of the step hit belongs to; hit holds
+	// that step's admitted lanes at or after pos.
+	base int
+	hit  uint64
+	// pos is the least admitted offset at or after the last from
+	// (end when none is left).
+	pos int
+}
+
+// Reset starts the cursor over the offsets [0, end) of b, skipping the
+// lanes set in skip.
+func (c *cursor) Reset(ls Lanes, b []byte, end int, skip uint64) {
+	*c = cursor{ls: ls, b: b, end: end, skip: skip, base: -8, pos: -1}
+}
+
+// Next returns the least admitted offset o with from <= o < end, or
+// end. Successive calls must not decrease from.
+func (c *cursor) Next(from int) int {
+	if from <= c.pos {
+		return c.pos
+	}
+	if d := from - c.base; d < 8 {
+		// Drop the hits the walk has passed.
+		if h := c.hit >> (8 * d) << (8 * d); h != 0 {
+			c.hit = h
+			c.pos = min(c.base+bits.TrailingZeros64(h)/8, c.end)
+			return c.pos
+		}
+		from = c.base + 8
+	}
+	for i := from; i < c.end; i += 8 {
+		if h := c.ls.step(c.b, i, c.skip); h != 0 {
+			c.base, c.hit = i, h
+			c.pos = min(i+bits.TrailingZeros64(h)/8, c.end)
+			return c.pos
+		}
+	}
+	c.pos = c.end
+	return c.end
+}
+
+// NextWord returns the least offset o in [from, end) where the 4 bytes
+// at o+at equal word and lie wholly inside b, or end when none does.
+func NextWord(b []byte, word [4]byte, at, from, end int) int {
+	lo, hi := from+at, min(len(b), end+at+3)
+	if lo < hi {
+		if k := bytes.Index(b[lo:hi], word[:]); k >= 0 {
+			return from + k
 		}
 	}
 	return end
-}
-
-// ScanPlan is pass 1's skip plan, derived from the pass-1 probers'
-// gates: one lane per prober, and an anchor for each gate that pins the
-// whole word at bytes 4-7 (the STUN magic cookie). A prober without a
-// gate has a lane that admits every offset, so a registry with one
-// walks every offset.
-type ScanPlan struct {
-	Lanes
-	anchors []anchor
 }
 
 // anchor is a gate whose window bytes 4-7 must equal word; lane is the
@@ -120,44 +244,38 @@ type anchor struct {
 	word [4]byte
 }
 
-func newScanPlan(gates []Gate) ScanPlan {
-	p := ScanPlan{Lanes: NewLanes(gates...)}
+// anchorsOf returns the anchors of the gates that pin the whole word
+// at window bytes 4-7.
+func anchorsOf(gates []Gate) []anchor {
+	var out []anchor
 	for k, g := range gates {
 		if g.Mask&0xffffffff == 0xffffffff {
 			a := anchor{lane: k}
 			binary.BigEndian.PutUint32(a.word[:], uint32(g.Want))
-			p.anchors = append(p.anchors, a)
+			out = append(out, a)
 		}
 	}
-	return p
+	return out
 }
 
-// Skip returns the lanes to skip over the offsets [0, end) of b: those
-// of the anchored gates whose word occurs at no window's bytes 4-7
-// there, so no window in range can pass them.
-func (p *ScanPlan) Skip(b []byte, end int) uint64 {
-	var skip uint64
-	for _, a := range p.anchors {
-		if !a.present(b, end) {
-			skip |= 1 << a.lane
-		}
+// next returns the least offset o in [from, end) whose window carries
+// the anchored word at bytes 4-7, zero padding included, or end.
+func (a anchor) next(b []byte, from, end int) int {
+	// The words of the windows at o < end start at o+4 < end+4; those
+	// that lie wholly inside b come first.
+	if o := NextWord(b, a.word, 4, from, end); o < end {
+		return o
 	}
-	return skip
-}
-
-// present reports whether some offset o in [0, end) has the anchored
-// word at window bytes 4-7, zero padding included.
-func (a anchor) present(b []byte, end int) bool {
-	// The words of the windows at o < end start at 4 <= q < end+4.
-	if hi := min(len(b), end+7); hi > 4 && bytes.Index(b[4:hi], a.word[:]) >= 0 {
-		return true
+	// A word that runs past the end of b is completed by zero padding,
+	// which only a word ending in a zero byte can match.
+	if a.word[3] != 0 {
+		return end
 	}
-	// A word that runs past the end of b is completed by zero padding.
 	want := binary.BigEndian.Uint32(a.word[:])
-	for q := max(4, len(b)-3); q < end+4; q++ {
-		if uint32(Window(b, q)>>32) == want {
-			return true
+	for o := max(from, len(b)-7); o < end; o++ {
+		if uint32(Window(b, o)) == want {
+			return o
 		}
 	}
-	return false
+	return end
 }

@@ -2,34 +2,38 @@ package proto
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
 )
 
 // TestLanesNextIsExact compares the eight-at-a-time lane scan with a
 // per-offset walk over the zero-padded windows, for every start and
 // end of short random payloads, including lanes a skip mask turns off.
+// The gates test bytes 0-3, so every one of the four loads counts.
 func TestLanesNextIsExact(t *testing.T) {
 	gates := []Gate{
 		{Mask: 0xC0E0 << 48, Want: 0x80C0 << 48},
 		{Mask: 0xF0 << 56, Want: 0x40 << 56},
 		{Mask: 0xFF00 << 48, Want: 0x0100 << 48},
 		{Mask: 0x00FF << 48, Want: 0},
+		{Mask: 0x80FFFFFF << 32, Want: 0x80 << 56},
+		{Mask: 0xFCE00003 << 32, Want: 0},
 	}
 	ls := NewLanes(gates...)
 	r := rand.New(rand.NewPCG(5, 6))
 	for iter := 0; iter < 200; iter++ {
 		b := make([]byte, r.IntN(40))
 		for j := range b {
-			// A small alphabet makes admitted pairs common.
+			// A small alphabet makes admitted windows common.
 			b[j] = []byte{0x00, 0x01, 0x41, 0x80, 0xC8, 0xFF}[r.IntN(6)]
 		}
-		skip := r.Uint64() & 0xf
+		skip := r.Uint64() & 0x3f
 		for from := 0; from <= len(b); from++ {
 			for end := from; end <= len(b); end++ {
 				want := end
 				for o := from; o < end && want == end; o++ {
 					for k, g := range gates {
-						if skip>>k&1 == 0 && (Gate{Mask: g.Mask & (0xFFFF << 48), Want: g.Want}).Admits(Window(b, o)) {
+						if skip>>k&1 == 0 && admitsAt(g, b, o) {
 							want = o
 							break
 						}
@@ -40,42 +44,148 @@ func TestLanesNextIsExact(t *testing.T) {
 				}
 			}
 		}
+		// The cursor, which reuses each step's hit mask, visits the
+		// same offsets as a fresh scan from each one.
+		var c cursor
+		c.Reset(ls, b, len(b), skip)
+		for from := 0; from < len(b); {
+			got, want := c.Next(from), ls.Next(b, from, len(b), skip)
+			if got != want {
+				t.Fatalf("cursor Next(%d) over % x = %d, want %d", from, b, got, want)
+			}
+			from = got + 1 + r.IntN(3)
+		}
 	}
 }
 
-// TestScanPlanSkipIsExact pins the anchor rule: an anchored gate's
-// lane is skipped exactly when no window below end carries its word at
-// bytes 4-7, counting words that zero padding completes past the end.
-func TestScanPlanSkipIsExact(t *testing.T) {
+// TestLanesFrameIsNecessary pins the framed-length lane test: neither
+// the lane scan nor its cursor passes over an offset whose window
+// passes a gate's word test and whose length frames a message ending
+// within the gate's slack of the payload end. (Steps start where each
+// scan starts them, so the two may admit different extra offsets.)
+func TestLanesFrameIsNecessary(t *testing.T) {
 	gates := []Gate{
-		{Mask: 0xC0000000_FFFFFFFF, Want: 0x2112A442},
-		// A word ending in zero bytes can be completed by padding.
-		{Mask: 0x00000000_FFFFFFFF, Want: 0x77880000},
+		{Mask: 0xF0 << 56, Want: 0x40 << 56, Bias: 4, Slack: 3},
+		{Mask: 0xFCE00003 << 32, Bias: 20},
 	}
-	plan := newScanPlan(gates)
+	ls := NewLanes(gates...)
+	r := rand.New(rand.NewPCG(9, 10))
+	for iter := 0; iter < 3000; iter++ {
+		n := r.IntN(600)
+		b := make([]byte, n)
+		for j := range b {
+			b[j] = []byte{0x00, 0x01, 0x02, 0x40, 0x41}[r.IntN(5)]
+		}
+		// Plant frames that fit, one per gate, so admitted offsets occur.
+		for k, g := range gates {
+			if at := r.IntN(n + 1); n-at >= 4+g.Bias {
+				l := n - at - g.Bias - r.IntN(g.Slack+1)
+				b[at], b[at+1], b[at+2], b[at+3] = byte(g.Want>>56)|0x01*byte(k), 0x01, byte(l>>8), byte(l)&^3
+			}
+		}
+		skip := r.Uint64() & 0x3
+		end := r.IntN(n + 1)
+		var c cursor
+		c.Reset(ls, b, end, skip)
+		for from := 0; from < end; {
+			got := c.Next(from)
+			if next := ls.Next(b, from, end, skip); next < got {
+				// Both are necessary; check the later one.
+				got = next
+			}
+			for o := from; o < got; o++ {
+				for k, g := range gates {
+					if skip>>k&1 == 0 && admitsAt(g, b, o) {
+						t.Fatalf("gate %d admits offset %d of % x, but the scan passed it (next %d)", k, o, b, got)
+					}
+				}
+			}
+			from = got + 1 + r.IntN(3)
+		}
+	}
+}
+
+// admitsAt reports whether the candidate at offset i of b passes both
+// of g's tests.
+func admitsAt(g Gate, b []byte, i int) bool {
+	w := Window(b, i)
+	return g.Admits(w) && g.Fits(w, len(b)-i)
+}
+
+// TestScanPlanAnchorIsExact pins the anchor rule: a plan of anchored
+// gates walks exactly the offsets below end whose window carries a
+// gate's word at bytes 4-7, counting words that zero padding completes
+// past the end.
+func TestScanPlanAnchorIsExact(t *testing.T) {
+	needs := []Needs{
+		{Gate: Gate{Mask: 0xC0000000_FFFFFFFF, Want: 0x2112A442}},
+		// A word ending in zero bytes can be completed by padding.
+		{Gate: Gate{Mask: 0x00000000_FFFFFFFF, Want: 0x77880000}},
+	}
+	plan := newScanPlan(needs)
 	words := [][]byte{{0x21, 0x12, 0xA4, 0x42}, {0x77, 0x88, 0x00, 0x00}}
 	r := rand.New(rand.NewPCG(7, 8))
+	var w Walk
 	for iter := 0; iter < 2000; iter++ {
 		b := make([]byte, r.IntN(24))
 		for j := range b {
 			b[j] = byte(r.IntN(4))
 		}
 		if len(b) > 0 {
-			w := words[r.IntN(2)]
+			word := words[r.IntN(2)]
 			at := r.IntN(len(b))
-			copy(b[at:], w[:r.IntN(5)])
+			copy(b[at:], word[:r.IntN(5)])
 		}
 		for end := 0; end <= len(b); end++ {
-			skip := plan.Skip(b, end)
-			for k, g := range gates {
-				present := false
-				for o := 0; o < end; o++ {
-					present = present || uint32(Window(b, o)) == uint32(g.Want)
-				}
-				if skipped := skip>>k&1 != 0; skipped == present {
-					t.Fatalf("gate %d over % x below %d: skipped=%v, word present=%v", k, b, end, skipped, present)
+			var want, got []int
+			for o := 0; o < end; o++ {
+				for _, n := range needs {
+					if uint32(Window(b, o)) == uint32(n.Gate.Want) {
+						want = append(want, o)
+						break
+					}
 				}
 			}
+			plan.Begin(&w, b, end, &StreamState{})
+			for o := w.Next(0); o < end; o = w.Next(o + 1) {
+				got = append(got, o)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("plan over % x below %d walked %v, want %v", b, end, got, want)
+			}
 		}
+	}
+}
+
+// TestValidatedWordsBound pins the anchor-word bound: up to
+// maxAnchorWords validated SSRCs come back as words, in any order; one
+// more makes the scans fall back to their lanes. Entries set to false
+// are not validated.
+func TestValidatedWordsBound(t *testing.T) {
+	st := &StreamState{ValidatedSSRC: map[uint32]bool{0xdead: false}}
+	for n := 1; n <= maxAnchorWords+2; n++ {
+		st.ValidatedSSRC[uint32(n)] = true
+		words, ok := st.ValidatedWords()
+		if want := n <= maxAnchorWords; ok != want {
+			t.Fatalf("%d validated SSRCs: ok = %v, want %v", n, ok, want)
+		}
+		if !ok {
+			continue
+		}
+		got := map[uint32]bool{}
+		for _, w := range words {
+			got[uint32(w[0])<<24|uint32(w[1])<<16|uint32(w[2])<<8|uint32(w[3])] = true
+		}
+		if len(got) != n || len(words) != n || got[0xdead] {
+			t.Fatalf("%d validated SSRCs: words %v", n, words)
+		}
+	}
+	// A new epoch derives the words again.
+	st.Epoch++
+	delete(st.ValidatedSSRC, 1)
+	delete(st.ValidatedSSRC, 2)
+	delete(st.ValidatedSSRC, 3)
+	if words, ok := st.ValidatedWords(); !ok || len(words) != maxAnchorWords-1 {
+		t.Fatalf("after a new epoch: %d words, ok = %v", len(words), ok)
 	}
 }

@@ -1,0 +1,143 @@
+package proto
+
+// Needs is a Validate prober's declared precondition in pass 2. The
+// registry derives pass 2's scan plan from the probers' Needs, so the
+// engine visits only the offsets where some validator could accept.
+// Each field is a necessary condition of Validate and may only reject;
+// the validator still confirms every hit. (Pass 1's plan is derived
+// the same way from the pass-1 probers' gates alone.)
+type Needs struct {
+	// Gate is Validate's raw-byte precondition, necessary in every
+	// stream state. A gate that pins the whole word at window bytes
+	// 4-7 (the STUN magic cookie) is an anchor: the scan searches for
+	// the word and visits exactly the offsets that carry it.
+	Gate Gate
+	// SSRCAt, when nonzero, declares that in validated mode (a non-nil
+	// StreamState.ValidatedSSRC) Validate matches only where the 4
+	// bytes at +SSRCAt lie inside the payload and name a validated
+	// SSRC. Pass 2 then visits exactly the offsets that carry one of
+	// those words, unless the set is too large to search for, in which
+	// case the prober's gate lane stands in.
+	SSRCAt int
+	// Ready, when non-nil, is the driver's own test of whether
+	// Validate can match at all in stream state st. Pass 2 drops the
+	// prober's lane and anchors while it reports false. It may read
+	// only state that changes when some prober matches.
+	Ready func(st *StreamState) bool
+}
+
+// ScanPlan is one pass's scan plan, derived from its probers' Needs in
+// precedence order: one lane per prober, the anchors of the gates that
+// pin bytes 4-7, the readiness tests, and the validated-SSRC anchors.
+// A prober without a gate has a lane that admits every offset, so a
+// registry with one walks every offset.
+type ScanPlan struct {
+	lanes   Lanes
+	anchors []anchor
+	ready   []readyTest
+	ssrc    []ssrcAnchor
+}
+
+type readyTest struct {
+	lane  int
+	ready func(*StreamState) bool
+}
+
+type ssrcAnchor struct{ lane, at int }
+
+func newScanPlan(needs []Needs) ScanPlan {
+	gates := make([]Gate, len(needs))
+	p := ScanPlan{}
+	for k, n := range needs {
+		gates[k] = n.Gate
+		if n.Ready != nil {
+			p.ready = append(p.ready, readyTest{k, n.Ready})
+		}
+		if n.SSRCAt != 0 {
+			p.ssrc = append(p.ssrc, ssrcAnchor{k, n.SSRCAt})
+		}
+	}
+	p.lanes = NewLanes(gates...)
+	p.anchors = anchorsOf(gates)
+	return p
+}
+
+// Walk is one walk of a scan plan over a payload (in pass 2, over one
+// region): a lane cursor for the probers the plan tests by lane, and a
+// word cursor per anchor. The engine keeps one per stream and reuses
+// it, so starting a walk allocates nothing once its word cursors have
+// grown.
+type Walk struct {
+	lanes cursor
+	words []wordCursor
+	b     []byte
+	end   int
+}
+
+// wordCursor tracks one anchored word: the least offset at or after
+// the walk's last from that carries word at +at (next, or -1 before
+// the first search). A gate's anchor counts words completed by zero
+// padding, as its window does.
+type wordCursor struct {
+	word [4]byte
+	at   int
+	gate bool
+	next int
+}
+
+func (c *wordCursor) find(b []byte, from, end int) int {
+	if c.gate {
+		return anchor{word: c.word}.next(b, from, end)
+	}
+	return NextWord(b, c.word, c.at, from, end)
+}
+
+// Begin starts w over the offsets of b below end, in stream state st.
+// The state the plan reads must not change until the walk ends; it
+// changes only when a prober matches, which ends a region.
+func (p *ScanPlan) Begin(w *Walk, b []byte, end int, st *StreamState) {
+	var skip uint64
+	for _, r := range p.ready {
+		if !r.ready(st) {
+			skip |= 1 << r.lane
+		}
+	}
+	w.words = w.words[:0]
+	for _, a := range p.anchors {
+		if skip>>a.lane&1 == 0 {
+			skip |= 1 << a.lane
+			w.words = append(w.words, wordCursor{word: a.word, at: 4, gate: true, next: -1})
+		}
+	}
+	if len(p.ssrc) > 0 && st.ValidatedSSRC != nil {
+		if words, ok := st.ValidatedWords(); ok {
+			for _, s := range p.ssrc {
+				if skip>>s.lane&1 != 0 {
+					continue
+				}
+				skip |= 1 << s.lane
+				for _, word := range words {
+					w.words = append(w.words, wordCursor{word: word, at: s.at, next: -1})
+				}
+			}
+		}
+	}
+	w.lanes.Reset(p.lanes, b, end, skip)
+	w.b, w.end = b, end
+}
+
+// Next returns the least offset o with from <= o < end where some
+// prober could act, or end. Successive calls must not decrease from.
+// Every offset it passes over is one where every prober of the plan
+// would reject.
+func (w *Walk) Next(from int) int {
+	o := w.lanes.Next(from)
+	for k := range w.words {
+		c := &w.words[k]
+		if c.next < from {
+			c.next = c.find(w.b, from, w.end)
+		}
+		o = min(o, c.next)
+	}
+	return o
+}

@@ -143,10 +143,10 @@ type Prober struct {
 	// offset.
 	First func(b byte) bool
 	// Gate is the pass-1 prober's raw-byte precondition over the
-	// candidate's first 8 bytes: Probe neither matches nor changes the
-	// scan state at a window the gate rejects. The registry derives
-	// pass 1's skip plan from the gates; the zero Gate admits every
-	// offset.
+	// candidate's first 8 bytes and, when it declares one, its
+	// framed-length rule: Probe neither matches nor changes the scan
+	// state at a candidate the gate rejects. The registry derives pass
+	// 1's skip plan from the gates; the zero Gate admits every offset.
 	Gate Gate
 	// Probe advances pass 1 at one offset. A prober with a strong
 	// signature validates structurally against sc.Scratch and returns
@@ -154,6 +154,11 @@ type Prober struct {
 	// weak-signature prober (RTP) tallies validation evidence into sc
 	// and returns false. Nil when Pass1 is false.
 	Probe func(c Candidate, sc *ScanState) (int, bool)
+	// Needs is Validate's declared precondition: a raw-byte gate that
+	// holds in every stream state, plus the stream-state conditions
+	// Validate needs. The registry derives pass 2's scan plan from
+	// them; the zero Needs admits every offset.
+	Needs Needs
 	// Validate runs the fingerprint plus stream-state validation at one
 	// offset during pass 2. On a match it writes the extracted message
 	// to out and returns true; on a miss it returns false and leaves out

@@ -35,14 +35,28 @@ func (handler) Meta() proto.Meta {
 	}
 }
 
+// The two header forms are two probers at one precedence; their first
+// bytes are disjoint, so at most one runs at any offset.
 func (handler) Probers() []proto.Prober {
-	return []proto.Prober{{
-		Precedence: Precedence,
-		// Long headers set the form bit; short headers clear it and set
-		// the fixed bit.
-		First:    func(b byte) bool { return b&0x80 != 0 || b&0xc0 == 0x40 },
-		Validate: match,
-	}}
+	return []proto.Prober{
+		{
+			Precedence: Precedence,
+			// Long headers set the form bit, and only version 1 and
+			// Version Negotiation (0) are accepted: version bytes 1-3
+			// are zero and byte 4 is 0 or 1.
+			First:    func(b byte) bool { return b&0x80 != 0 },
+			Needs:    proto.Needs{Gate: proto.Gate{Mask: 0x80FFFFFF_FE000000, Want: 0x80 << 56}},
+			Validate: matchLong,
+		},
+		{
+			Precedence: Precedence,
+			// Short headers clear the form bit and set the fixed bit,
+			// and need a DCID length a long header established.
+			First:    func(b byte) bool { return b&0xc0 == 0x40 },
+			Needs:    proto.Needs{Gate: proto.Gate{Mask: 0xC0 << 56, Want: 0x40 << 56}, Ready: shortReady},
+			Validate: matchShort,
+		},
+	}
 }
 
 // streamState is QUIC's per-stream DPI state: connection IDs introduced
@@ -61,76 +75,95 @@ func state(st *proto.StreamState) *streamState {
 	return s
 }
 
-// match matches QUIC long headers structurally, and short headers only
-// when the stream has established QUIC state (a known DCID at the
-// expected length), mirroring the paper's DCID/SCID consistency
-// heuristic.
-func match(c proto.Candidate, st *proto.StreamState, out *proto.Message) bool {
+// matchLong matches QUIC long headers structurally, recording the
+// connection IDs short headers are later checked against.
+func matchLong(c proto.Candidate, st *proto.StreamState, out *proto.Message) bool {
 	b := c.Bytes()
-	if quicwire.IsLongHeader(b) {
-		// Every offset whose first byte has the form bit set reaches
-		// here, so reject on the raw bytes first: a long header is at
-		// least 7 bytes, and only version 1 and Version Negotiation
-		// (version 0) are accepted below. The checks after the parse
-		// still confirm every survivor.
-		if len(b) < 7 {
-			return false
-		}
-		if v := binary.BigEndian.Uint32(b[1:5]); v != quicwire.Version1 && v != quicwire.VersionNegotiation {
-			return false
-		}
-		// Probe into a stack Header (CIDs aliasing b); most candidate
-		// offsets are rejected, so the heap copy waits for acceptance.
-		var probe quicwire.Header
-		if quicwire.ParseLongInto(&probe, b) != nil {
-			return false
-		}
-		if probe.Version != quicwire.Version1 && probe.Version != quicwire.VersionNegotiation {
-			return false
-		}
-		if probe.Version == quicwire.Version1 && !probe.FixedBit {
-			return false
-		}
-		if probe.Version == quicwire.VersionNegotiation {
-			// A real Version Negotiation packet lists at least one
-			// nonzero version; all-zero regions of proprietary payloads
-			// would otherwise masquerade as VN.
-			if len(probe.SupportedVersions) == 0 {
-				return false
-			}
-			for _, v := range probe.SupportedVersions {
-				if v == 0 {
-					return false
-				}
-			}
-		}
-		length := len(b) // Retry and VN consume the datagram
-		if probe.Version == quicwire.Version1 && probe.Type != quicwire.TypeRetry {
-			length = probe.HeaderLen + int(probe.PayloadLength)
-		}
-		qs := state(st)
-		if len(probe.DCID) > 0 {
-			qs.cids[string(probe.DCID)] = true
-			qs.shortCIDLen = len(probe.DCID)
-		}
-		if len(probe.SCID) > 0 {
-			qs.cids[string(probe.SCID)] = true
-		}
-		h := new(quicwire.Header)
-		*h = probe
-		h.CloneCIDs()
-		*out = proto.Message{Protocol: proto.QUIC, Length: length, QUIC: h}
-		return true
-	}
-	// Short header: requires context.
-	qs, _ := st.Slot(proto.QUIC).(*streamState)
-	if qs == nil || qs.shortCIDLen == 0 || len(b) < 1+qs.shortCIDLen {
+	if !quicwire.IsLongHeader(b) {
 		return false
 	}
+	// Every offset whose first byte has the form bit set reaches
+	// here, so reject on the raw bytes first: a long header is at
+	// least 7 bytes, and only version 1 and Version Negotiation
+	// (version 0) are accepted below. The checks after the parse
+	// still confirm every survivor.
+	if len(b) < 7 {
+		return false
+	}
+	if v := binary.BigEndian.Uint32(b[1:5]); v != quicwire.Version1 && v != quicwire.VersionNegotiation {
+		return false
+	}
+	// Probe into a stack Header (CIDs aliasing b); most candidate
+	// offsets are rejected, so the heap copy waits for acceptance.
+	var probe quicwire.Header
+	if quicwire.ParseLongInto(&probe, b) != nil {
+		return false
+	}
+	if probe.Version != quicwire.Version1 && probe.Version != quicwire.VersionNegotiation {
+		return false
+	}
+	if probe.Version == quicwire.Version1 && !probe.FixedBit {
+		return false
+	}
+	if probe.Version == quicwire.VersionNegotiation {
+		// A real Version Negotiation packet lists at least one
+		// nonzero version; all-zero regions of proprietary payloads
+		// would otherwise masquerade as VN.
+		if len(probe.SupportedVersions) == 0 {
+			return false
+		}
+		for _, v := range probe.SupportedVersions {
+			if v == 0 {
+				return false
+			}
+		}
+	}
+	length := len(b) // Retry and VN consume the datagram
+	if probe.Version == quicwire.Version1 && probe.Type != quicwire.TypeRetry {
+		length = probe.HeaderLen + int(probe.PayloadLength)
+	}
+	qs := state(st)
+	if len(probe.DCID) > 0 {
+		qs.cids[string(probe.DCID)] = true
+		qs.shortCIDLen = len(probe.DCID)
+	}
+	if len(probe.SCID) > 0 {
+		qs.cids[string(probe.SCID)] = true
+	}
+	h := new(quicwire.Header)
+	*h = probe
+	h.CloneCIDs()
+	*out = proto.Message{Protocol: proto.QUIC, Length: length, QUIC: h}
+	return true
+}
+
+// shortCIDLen returns the DCID length short headers must use on the
+// stream, or 0 before a long header established one.
+func shortCIDLen(st *proto.StreamState) int {
+	if qs, _ := st.Slot(proto.QUIC).(*streamState); qs != nil {
+		return qs.shortCIDLen
+	}
+	return 0
+}
+
+// shortReady reports whether a short header can match in stream state
+// st: only after a long header established the DCID length.
+func shortReady(st *proto.StreamState) bool { return shortCIDLen(st) != 0 }
+
+// matchShort matches QUIC short headers only when the stream has
+// established QUIC state (a known DCID at the expected length),
+// mirroring the paper's DCID/SCID consistency heuristic.
+func matchShort(c proto.Candidate, st *proto.StreamState, out *proto.Message) bool {
+	b := c.Bytes()
+	n := shortCIDLen(st)
+	if n == 0 || len(b) < 1+n {
+		return false
+	}
+	qs := st.Slot(proto.QUIC).(*streamState)
 	if b[0]&0xc0 != 0x40 { // form 0, fixed bit 1
 		return false
 	}
-	h, err := quicwire.ParseShort(b, qs.shortCIDLen)
+	h, err := quicwire.ParseShort(b, n)
 	if err != nil || !qs.cids[string(h.DCID)] {
 		return false
 	}

@@ -23,9 +23,10 @@ type Registry struct {
 	// wire format can start there.
 	table      [256][]Prober
 	pass1Table [256][]Prober
-	// pass1Plan is the pass-1 skip plan built from the pass-1 probers'
-	// gates.
+	// pass1Plan is pass 1's scan plan, built from the pass-1 probers'
+	// gates; pass2Plan is pass 2's, built from every prober's Needs.
 	pass1Plan ScanPlan
+	pass2Plan ScanPlan
 }
 
 // NewRegistry returns an empty registry.
@@ -64,8 +65,10 @@ func (r *Registry) Register(h Handler) {
 	}
 	r.ids = append(r.ids, m.ID)
 	for _, p := range h.Probers() {
-		if p.Gate.Want&^p.Gate.Mask != 0 {
-			panic(fmt.Sprintf("proto: handler %q declares a gate that admits nothing (%#x/%#x)", m.Name, p.Gate.Mask, p.Gate.Want))
+		for _, g := range []Gate{p.Gate, p.Needs.Gate} {
+			if g.Want&^g.Mask != 0 {
+				panic(fmt.Sprintf("proto: handler %q declares a gate that admits nothing (%#x/%#x)", m.Name, g.Mask, g.Want))
+			}
 		}
 		p.ID = m.ID
 		r.probers = append(r.probers, p)
@@ -76,8 +79,8 @@ func (r *Registry) Register(h Handler) {
 	r.rebuildTables()
 }
 
-// rebuildTables derives the first-byte dispatch tables and the pass-1
-// skip plan from the sorted prober list.
+// rebuildTables derives the first-byte dispatch tables and both scan
+// plans from the sorted prober list.
 func (r *Registry) rebuildTables() {
 	for b := 0; b < 256; b++ {
 		r.table[b] = nil
@@ -92,13 +95,15 @@ func (r *Registry) rebuildTables() {
 			}
 		}
 	}
-	var gates []Gate
+	var gates, needs []Needs
 	for _, p := range r.probers {
 		if p.Pass1 && p.Probe != nil {
-			gates = append(gates, p.Gate)
+			gates = append(gates, Needs{Gate: p.Gate})
 		}
+		needs = append(needs, p.Needs)
 	}
 	r.pass1Plan = newScanPlan(gates)
+	r.pass2Plan = newScanPlan(needs)
 }
 
 // Handler returns the handler registered for an ID (nil when absent).
@@ -169,9 +174,13 @@ func (r *Registry) ProbersFor(b byte) []Prober { return r.table[b] }
 // probers.
 func (r *Registry) Pass1ProbersFor(b byte) []Prober { return r.pass1Table[b] }
 
-// Pass1Plan returns the pass-1 skip plan: pass 1 need only visit the
-// offsets it admits.
+// Pass1Plan returns pass 1's scan plan: pass 1 need only visit the
+// offsets its walks return.
 func (r *Registry) Pass1Plan() *ScanPlan { return &r.pass1Plan }
+
+// Pass2Plan returns pass 2's scan plan: pass 2 need only visit the
+// offsets its walks return.
+func (r *Registry) Pass2Plan() *ScanPlan { return &r.pass2Plan }
 
 // Without returns a copy of the registry with the given protocols
 // removed — the extensibility proof harness builds the engine against a

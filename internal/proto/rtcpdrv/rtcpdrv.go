@@ -51,6 +51,7 @@ func (handler) Probers() []proto.Prober {
 		First:    func(b byte) bool { return b>>6 == 2 },
 		Gate:     Gate,
 		Probe:    proto.ConsumeProbe(Match),
+		Needs:    proto.Needs{Gate: Gate},
 		Validate: Match,
 	}}
 }

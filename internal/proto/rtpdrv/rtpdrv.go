@@ -9,7 +9,6 @@
 package rtpdrv
 
 import (
-	"bytes"
 	"encoding/binary"
 	"strconv"
 	"time"
@@ -50,9 +49,12 @@ func (handler) Probers() []proto.Prober {
 		Pass1:      true,
 		// Version bits 2 in the top two bit positions; pass 1 tallies
 		// only candidates with a zero CSRC count.
-		First:    func(b byte) bool { return b>>6 == 2 },
-		Gate:     proto.Gate{Mask: 0xCF << 56, Want: 0x80 << 56},
-		Probe:    tallyProbe,
+		First: func(b byte) bool { return b>>6 == 2 },
+		Gate:  proto.Gate{Mask: 0xCF << 56, Want: 0x80 << 56},
+		Probe: tallyProbe,
+		// Match accepts any CSRC count, and in stream-validated mode
+		// only a validated SSRC, which sits at +8.
+		Needs:    proto.Needs{Gate: proto.Gate{Mask: 0xC0 << 56, Want: 0x80 << 56}, SSRCAt: 8},
 		Validate: Match,
 	}}
 }
@@ -66,6 +68,14 @@ type streamState struct {
 	lastTS  map[uint32]uint32
 	probe   rtp.Packet
 	slab    pktSlab
+	// unvalidated is set once Accept records an SSRC outside the
+	// validated set (every SSRC in permissive mode), so lastSeq is no
+	// longer a subset of it.
+	unvalidated bool
+	// senderNext is findStrongCandidate's reused word-cursor scratch:
+	// per validated SSRC word, the least j at or after the scan's
+	// position that carries it at j+4.
+	senderNext []int
 }
 
 // slabBlock is the packet count of one slab block. Blocks are fixed
@@ -257,8 +267,12 @@ func (handler) Accept(payload []byte, m proto.Message, st *proto.StreamState) pr
 		m = truncate(payload, m, cut)
 	}
 	rs := state(st)
-	rs.lastSeq[m.RTP.SSRC] = m.RTP.SequenceNumber
-	rs.lastTS[m.RTP.SSRC] = m.RTP.Timestamp
+	ssrc := m.RTP.SSRC
+	if !st.ValidatedSSRC[ssrc] {
+		rs.unvalidated = true
+	}
+	rs.lastSeq[ssrc] = m.RTP.SequenceNumber
+	rs.lastTS[ssrc] = m.RTP.Timestamp
 	return m
 }
 
@@ -267,7 +281,10 @@ func (handler) Accept(payload []byte, m proto.Message, st *proto.StreamState) pr
 var rtcpLanes = proto.NewLanes(rtcpdrv.Gate)
 
 // cookieWord is the STUN magic cookie as it appears on the wire.
-var cookieWord = binary.BigEndian.AppendUint32(nil, stun.MagicCookie)
+var cookieWord = func() (w [4]byte) {
+	binary.BigEndian.PutUint32(w[:], stun.MagicCookie)
+	return w
+}()
 
 // findStrongCandidate scans inside an RTP message's claimed payload for
 // a second message start. Only strong candidates count: a magic-cookie
@@ -275,15 +292,18 @@ var cookieWord = binary.BigEndian.AppendUint32(nil, stun.MagicCookie)
 // matches the outer message (Zoom's two-RTP case).
 //
 // Each validator runs only where a raw-byte condition it requires
-// holds: the cookie word at j+4, RTCP's version/type-range pair at j
-// and j+1, the outer SSRC word at j+8. Each is rare in media bytes, so
-// the scan searches for them (two word searches and a lane scan) rather
-// than testing every payload byte. It visits the candidates in
-// increasing j, and at one j in today's order: cookie, RTCP, SSRC. So
-// the first hit, and every validator call before it, are those of a
-// byte-by-byte walk. The gates only reject; the validator still
-// confirms every hit. j stays at least rtp.HeaderLen bytes short of
-// end, so every word read fits.
+// holds: the cookie word at j+4; RTCP's version/type-range pair at j
+// and j+1; the outer SSRC word at j+8. In validated mode, while every
+// accepted SSRC was validated, an RTCP hit's sender (bytes j+4..j+7,
+// rtcp.Packet.SenderSSRC) must be a validated SSRC, so the scan
+// searches for those words at j+4 instead of lane-scanning for the
+// pair; a set over ValidatedWords' bound falls back to the lane scan.
+// It visits the candidates in increasing j, and at one j in today's
+// order: cookie, RTCP, SSRC. So the first hit, and every validator
+// call before it whose outcome matters, are those of a byte-by-byte
+// walk. The conditions only reject; the validator still confirms every
+// hit. j stays at least rtp.HeaderLen bytes short of end, so every
+// word read fits.
 func findStrongCandidate(payload []byte, m proto.Message, st *proto.StreamState) (int, bool) {
 	rs := state(st)
 	ssrc := m.RTP.SSRC
@@ -297,17 +317,35 @@ func findStrongCandidate(payload []byte, m proto.Message, st *proto.StreamState)
 	var ssrcWord [4]byte
 	binary.BigEndian.PutUint32(ssrcWord[:], ssrc)
 	// next returns the least j >= from with word at j+at, or last.
-	next := func(word []byte, at, from int) int {
-		if from < last {
-			if k := bytes.Index(body[from+at:last+at+len(word)-1], word); k >= 0 {
-				return from + k
-			}
-		}
-		return last
+	next := func(word [4]byte, at, from int) int {
+		return proto.NextWord(body, word, at, from, last)
 	}
 	cookie := next(cookieWord, 4, start)
-	rtcp := rtcpLanes.Next(body, start, last, 0)
-	same := next(ssrcWord[:], 8, start)
+	var senders [][4]byte
+	byWord := false
+	if st.ValidatedSSRC != nil && !rs.unvalidated {
+		senders, byWord = st.ValidatedWords()
+		rs.senderNext = rs.senderNext[:0]
+		for range senders {
+			rs.senderNext = append(rs.senderNext, -1)
+		}
+	}
+	// nextRTCP returns the least RTCP candidate j >= from, or last.
+	nextRTCP := func(from int) int {
+		if !byWord {
+			return rtcpLanes.Next(body, from, last, 0)
+		}
+		j := last
+		for k, w := range senders {
+			if rs.senderNext[k] < from {
+				rs.senderNext[k] = next(w, 4, from)
+			}
+			j = min(j, rs.senderNext[k])
+		}
+		return j
+	}
+	rtcp := nextRTCP(start)
+	same := next(ssrcWord, 8, start)
 	var hit proto.Message
 	for {
 		j := min(cookie, rtcp, same)
@@ -334,14 +372,14 @@ func findStrongCandidate(payload []byte, m proto.Message, st *proto.StreamState)
 					}
 				}
 			}
-			rtcp = rtcpLanes.Next(body, j+1, last, 0)
+			rtcp = nextRTCP(j + 1)
 		}
 		if j == same {
 			if body[j]>>6 == 2 && Match(c, st, &hit) &&
 				hit.RTP.SSRC == ssrc && hit.RTP.SequenceNumber != m.RTP.SequenceNumber {
 				return j, true
 			}
-			same = next(ssrcWord[:], 8, j+1)
+			same = next(ssrcWord, 8, j+1)
 		}
 	}
 }

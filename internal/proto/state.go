@@ -1,5 +1,7 @@
 package proto
 
+import "encoding/binary"
+
 // StreamState carries per-stream validation state across the datagrams
 // of one transport stream during pass 2. The exported fields are the
 // cross-protocol evidence the paper's heuristics share between
@@ -22,7 +24,42 @@ type StreamState struct {
 	// feeding the next chunk (DESIGN.md §14).
 	Epoch uint64
 
+	// words caches ValidatedWords: the validated SSRCs as of epoch
+	// wordsEpoch, when the set held wordsLen entries.
+	words      [][4]byte
+	wordsEpoch uint64
+	wordsLen   int
+
 	slots [MaxIDs]any
+}
+
+// maxAnchorWords bounds how many validated SSRCs the scans search for
+// word by word. A larger set falls back to the lane of the prober that
+// declared the anchor, which keeps every scan exact at any set size.
+const maxAnchorWords = 8
+
+// ValidatedWords returns the validated SSRCs as big-endian words,
+// derived once per Epoch (and again if the set's size changed), and
+// false when there are more than the scans search for word by word.
+// Within one epoch ValidatedSSRC may only grow; pass 1 writes it
+// before the epoch's pass 2 reads it.
+func (s *StreamState) ValidatedWords() ([][4]byte, bool) {
+	if n := len(s.ValidatedSSRC); s.wordsEpoch != s.Epoch || s.wordsLen != n {
+		s.wordsEpoch, s.wordsLen = s.Epoch, n
+		s.words = s.words[:0]
+		for ssrc, ok := range s.ValidatedSSRC {
+			if !ok {
+				continue
+			}
+			if len(s.words) > maxAnchorWords {
+				break
+			}
+			var w [4]byte
+			binary.BigEndian.PutUint32(w[:], ssrc)
+			s.words = append(s.words, w)
+		}
+	}
+	return s.words, len(s.words) <= maxAnchorWords
 }
 
 // Slot returns the protocol's private per-stream state (nil until the

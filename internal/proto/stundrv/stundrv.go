@@ -40,19 +40,32 @@ func (stunHandler) Meta() proto.Meta {
 	}
 }
 
+// cookieGate pins the magic cookie at bytes 4-7 and the two zero top
+// bits; the cookie makes it an anchor in both scan plans.
+var cookieGate = proto.Gate{Mask: 0xC0000000_FFFFFFFF, Want: uint64(stun.MagicCookie)}
+
+// classicGate is matchClassic's raw-byte precondition. Every defined
+// method puts the type's first byte in 0x00-0x03 and its second below
+// 0x20; stun.LooksLikeHeader needs a declared length (bytes 2-3) that
+// is a multiple of 4; and the message must end exactly at the payload
+// end, so the length frames a 20-byte header with no slack.
+var classicGate = proto.Gate{Mask: 0xFCE00003 << 32, Bias: stun.HeaderLen}
+
 func (stunHandler) Probers() []proto.Prober {
 	return []proto.Prober{
 		{
 			Precedence: PrecedenceCookie,
 			Pass1:      true,
 			First:      stunFirst,
-			Gate:       proto.Gate{Mask: 0xC0000000_FFFFFFFF, Want: uint64(stun.MagicCookie)},
+			Gate:       cookieGate,
 			Probe:      proto.ConsumeProbe(MatchCookie),
+			Needs:      proto.Needs{Gate: cookieGate},
 			Validate:   MatchCookie,
 		},
 		{
 			Precedence: PrecedenceClassic,
 			First:      stunFirst,
+			Needs:      proto.Needs{Gate: classicGate},
 			Validate:   matchClassic,
 		},
 	}
@@ -134,16 +147,29 @@ func (channelDataHandler) Meta() proto.Meta {
 	}
 }
 
+// channelDataGate is matchChannelData's raw-byte precondition: channel
+// numbers 0x4000-0x4FFF put the first byte in 0x40-0x4F, and the
+// length at bytes 2-3 frames a 4-byte header ending at most 3 bytes of
+// padding before the payload end.
+var channelDataGate = proto.Gate{Mask: 0xF0 << 56, Want: 0x40 << 56, Bias: 4, Slack: 3}
+
 func (channelDataHandler) Probers() []proto.Prober {
 	return []proto.Prober{{
 		Precedence: PrecedenceChannelData,
 		Pass1:      true,
-		// Channel numbers 0x4000-0x4FFF put the first byte in 0x40-0x4F.
-		First:    func(b byte) bool { return b >= 0x40 && b <= 0x4f },
-		Gate:     proto.Gate{Mask: 0xF0 << 56, Want: 0x40 << 56},
-		Probe:    proto.ConsumeProbe(matchChannelData),
-		Validate: matchChannelData,
+		First:      func(b byte) bool { return b >= 0x40 && b <= 0x4f },
+		Gate:       channelDataGate,
+		Probe:      proto.ConsumeProbe(matchChannelData),
+		Needs:      proto.Needs{Gate: channelDataGate, Ready: channelDataReady},
+		Validate:   matchChannelData,
 	}}
+}
+
+// channelDataReady reports whether ChannelData can match in stream
+// state st: in stream-validated mode only after the stream carried
+// STUN.
+func channelDataReady(st *proto.StreamState) bool {
+	return st.ValidatedSSRC == nil || st.SawSTUN
 }
 
 // matchChannelData matches TURN ChannelData framing. The channel range
@@ -159,7 +185,7 @@ func matchChannelData(c proto.Candidate, st *proto.StreamState, out *proto.Messa
 	// carried the STUN allocation handshake (RFC 8656 §12). In
 	// stream-validated mode, require prior STUN on the stream; this
 	// rejects channel-range byte windows inside proprietary payloads.
-	if st.ValidatedSSRC != nil && !st.SawSTUN {
+	if !channelDataReady(st) {
 		return false
 	}
 	ch := uint16(b[0])<<8 | uint16(b[1])
