@@ -431,7 +431,7 @@ func BenchmarkAnalyzeCapture_Shards(b *testing.B) {
 				sa, err := rtcc.NewShardedAnalyzer(rtcc.AnalyzerConfig{
 					Label: in.Label, LinkType: in.LinkType,
 					CallStart: in.CallStart, CallEnd: in.CallEnd,
-					KeepPayloads: true, FramesStable: true,
+					FramesStable: true,
 				}, rtcc.Options{SkipFindings: true}, rtcc.ShardConfig{Shards: n})
 				if err != nil {
 					b.Fatal(err)
@@ -610,9 +610,10 @@ func pcapBenchFile(b *testing.B) ([]byte, *rtcc.Capture) {
 // BenchmarkAnalyzePCAP_Streaming measures the single-pass file path:
 // one reusable record buffer, per-stream state only, payloads dropped
 // as soon as the online filter removes a stream or the DPI consumes
-// them. Run with -benchmem; bytes/op against the Batch twin is the
-// memory win, and peak-streams is the high-water mark of concurrently
-// live per-stream states (the quantity that bounds resident memory).
+// them. Run with -benchmem; core's TestStreamingMemoryRatio pins its
+// bytes/op against the read-everything reference, and peak-streams is
+// the high-water mark of concurrently live per-stream states (the
+// quantity that bounds resident memory).
 func BenchmarkAnalyzePCAP_Streaming(b *testing.B) {
 	raw, cap := pcapBenchFile(b)
 	reg := rtcc.NewMetricsRegistry()
@@ -628,43 +629,6 @@ func BenchmarkAnalyzePCAP_Streaming(b *testing.B) {
 	b.StopTimer()
 	peak := reg.Snapshot().Gauges[metrics.Name("core_active_streams_peak", metrics.L("app", "zoom"))]
 	b.ReportMetric(float64(peak), "peak-streams")
-}
-
-// BenchmarkAnalyzePCAP_Batch is the read-everything baseline: every
-// frame buffered up front and every per-packet record retained through
-// the analysis — the allocation profile of the pre-streaming pipeline,
-// whose output the streaming path reproduces byte-for-byte.
-func BenchmarkAnalyzePCAP_Batch(b *testing.B) {
-	raw, cap := pcapBenchFile(b)
-	b.SetBytes(int64(len(raw)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := pcap.NewReader(bytes.NewReader(raw))
-		if err != nil {
-			b.Fatal(err)
-		}
-		frames, err := r.ReadAll()
-		if err != nil {
-			b.Fatal(err)
-		}
-		a, err := rtcc.NewAnalyzer(rtcc.AnalyzerConfig{
-			Label: "zoom", LinkType: pcap.LinkTypeRaw,
-			CallStart: cap.CallStart, CallEnd: cap.CallEnd,
-			KeepPayloads: true, FramesStable: true,
-		}, rtcc.Options{SkipFindings: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, f := range frames {
-			if err := a.Feed(f.Timestamp, f.Data); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := a.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkEndToEndCapture(b *testing.B) {
@@ -799,8 +763,9 @@ func BenchmarkFilter_StageAblation(b *testing.B) {
 }
 
 // BenchmarkHotPath runs the internal/bench scenario matrix — every
-// ingestion mode (per-packet Feed, pooled FeedBatch, buffered batch)
-// over the relay, P2P, and media-heavy cells. The same harness backs
+// ingestion mode (per-packet Feed, pooled FeedBatch, AnalyzeCapture's
+// in-memory batch, sharded) over the relay, P2P, and media-heavy
+// cells. The same harness backs
 // `make bench-json` and the CI regression gate, so these numbers and
 // the committed BENCH_hotpath.json baseline measure identical code.
 // The pkts/s metric counts only time inside the ingestion loop

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -28,6 +29,8 @@ import (
 	"github.com/rtc-compliance/rtcc/internal/cmdutil"
 	"github.com/rtc-compliance/rtcc/internal/dpi"
 	"github.com/rtc-compliance/rtcc/internal/flow"
+	"github.com/rtc-compliance/rtcc/internal/layers"
+	"github.com/rtc-compliance/rtcc/internal/pcap"
 	"github.com/rtc-compliance/rtcc/internal/pipeline"
 	"github.com/rtc-compliance/rtcc/internal/propheader"
 	"github.com/rtc-compliance/rtcc/internal/proto"
@@ -100,9 +103,6 @@ func (c *cliFlags) apply(cfg *pipeline.Config, only map[string]bool) {
 	if set("findings") {
 		v := *c.findings
 		cfg.Analysis.Findings = &v
-	}
-	if set("infer-headers") && (only != nil || *c.inferHdr) {
-		cfg.Analysis.KeepPayloads = *c.inferHdr
 	}
 	if set("json") && (only != nil || *c.jsonOut) {
 		if *c.jsonOut {
@@ -237,9 +237,6 @@ func runOne(c *cliFlags, cfg pipeline.Config, runner *pipeline.Runner) error {
 		return err
 	}
 	defer f.Close()
-	// Header inference re-reads per-stream payloads after the analysis,
-	// so it needs the streaming core to keep them (the -infer-headers
-	// flag turns on analysis.keep_payloads).
 	ca, err := runner.AnalyzeReader(f, cfg.Source.EffectiveLabel(), start, end)
 	if err != nil {
 		return err
@@ -251,7 +248,7 @@ func runOne(c *cliFlags, cfg pipeline.Config, runner *pipeline.Runner) error {
 		printAnalysis(ca, *c.verbose)
 	}
 	if *c.inferHdr {
-		printHeaderInference(ca, cfg.Analysis.MaxOffset)
+		return printHeaderInference(os.Stdout, cfg.Source.Path, ca, cfg.Analysis.MaxOffset)
 	}
 	return nil
 }
@@ -353,16 +350,25 @@ func printJSON(ca *rtcc.CaptureAnalysis) error {
 	return enc.Encode(rep)
 }
 
-// printHeaderInference re-runs the DPI per RTC stream to collect the
-// proprietary header regions and prints the inferred structure of each
-// stream with enough samples.
-func printHeaderInference(ca *rtcc.CaptureAnalysis, k int) {
+// printHeaderInference re-reads the capture at path for the records of
+// ca's final-RTC UDP streams (an analysis result holds none), re-runs
+// the DPI per stream to collect the proprietary header regions, and
+// prints the inferred structure of each stream with enough samples.
+func printHeaderInference(w io.Writer, path string, ca *rtcc.CaptureAnalysis, k int) error {
+	table, err := readRTCStreams(path, ca)
+	if err != nil {
+		return err
+	}
 	engine := &dpi.Engine{MaxOffset: k}
 	if k <= 0 {
 		engine = dpi.NewEngine()
 	}
-	for _, s := range ca.Filter.RTC {
-		if s.Key.Proto != 17 {
+	for _, rtc := range ca.Filter.RTC {
+		if rtc.Key.Proto != layers.IPProtocolUDP {
+			continue
+		}
+		s := table.Get(rtc.Key)
+		if s == nil { // the file changed since the analysis read it
 			continue
 		}
 		payloads := make([][]byte, len(s.Packets))
@@ -387,7 +393,49 @@ func printHeaderInference(ca *rtcc.CaptureAnalysis, k int) {
 		if len(samples) < 8 {
 			continue
 		}
-		fmt.Printf("proprietary header structure on %v:\n%s", s.Key, propheader.Describe(propheader.Infer(samples)))
+		fmt.Fprintf(w, "proprietary header structure on %v:\n%s", s.Key, propheader.Describe(propheader.Infer(samples)))
+	}
+	return nil
+}
+
+// readRTCStreams reads the capture at path into a stream table holding
+// the records of ca's final-RTC UDP streams and no others.
+func readRTCStreams(path string, ca *rtcc.CaptureAnalysis) (*flow.Table, error) {
+	want := make(map[flow.Key]bool)
+	for _, s := range ca.Filter.RTC {
+		if s.Key.Proto == layers.IPProtocolUDP {
+			want[s.Key] = true
+		}
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	cr, err := pcap.NewCaptureReader(f)
+	if err != nil {
+		return nil, err
+	}
+	table := flow.NewTable()
+	var frame []byte
+	var pkt layers.Packet
+	for {
+		fr, lt, err := cr.ReadPacketInto(&frame)
+		if err == io.EOF {
+			return table, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if layers.DecodeInto(&pkt, lt, fr.Data) != nil {
+			continue
+		}
+		proto, sp, dp := pkt.Transport()
+		if !want[flow.KeyFor(proto, flow.Endpoint{Addr: pkt.Src(), Port: sp}, flow.Endpoint{Addr: pkt.Dst(), Port: dp})] {
+			continue
+		}
+		pkt.Payload = bytes.Clone(pkt.Payload) // the next read reuses frame
+		table.Add(fr.Timestamp, &pkt)
 	}
 }
 
@@ -417,7 +465,9 @@ func runManifest(path string, c *cliFlags, runner *pipeline.Runner) error {
 		fmt.Printf("=== %s (%s) ===\n", e.File, e.App)
 		printAnalysis(ca, *c.verbose)
 		if *c.inferHdr {
-			printHeaderInference(ca, runner.Config().Analysis.MaxOffset)
+			if err := printHeaderInference(os.Stdout, filepath.Join(dir, e.File), ca, runner.Config().Analysis.MaxOffset); err != nil {
+				return fmt.Errorf("%s: %w", e.File, err)
+			}
 		}
 		fmt.Println()
 	}

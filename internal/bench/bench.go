@@ -1,10 +1,11 @@
 // Package bench is the shared harness behind the hot-path benchmark
 // suite: it prepares synthetic app captures and drives the analyzer
 // through each ingestion mode (per-packet Feed, pooled FeedBatch,
-// buffered batch). The root-package BenchmarkHotPath and the rtcbench
-// command (make bench-json, CI regression gate) run the same scenarios
-// through this package, so the committed BENCH_hotpath.json baseline
-// and `go test -bench` measure identical code.
+// AnalyzeCapture's in-memory batch, sharded). The root-package
+// BenchmarkHotPath and the rtcbench command (make bench-json, CI
+// regression gate) run the same scenarios through this package, so the
+// committed BENCH_hotpath.json baseline and `go test -bench` measure
+// identical code.
 //
 // Timing covers the ingestion loop only — the Feed/FeedBatch calls —
 // with analyzer construction and Close outside the clock: the hot-path
@@ -44,8 +45,11 @@ const (
 	// reused reader ring and delivered in 64-frame FeedBatch calls,
 	// payload bytes kept in recycled arena chunks.
 	ModeFeedBatch Mode = "feedbatch"
-	// ModeBatch is the read-everything baseline: all frames buffered,
-	// every per-packet record retained (KeepPayloads + FramesStable).
+	// ModeBatch is core.AnalyzeCapture's configuration: the whole
+	// capture in memory and referenced in place (FramesStable), one
+	// Feed per frame, records dropped at each stream's DPI
+	// finalization. It is the only cell on that production path, which
+	// rtcc.Analyze and RunMatrix take.
 	ModeBatch Mode = "batch"
 	// ModeSharded is the sharded ingest tier: frames routed by flow
 	// 5-tuple onto Scenario.Shards single-writer analyzer shards
@@ -198,7 +202,6 @@ func (p *Prepared) RunOnce() (time.Duration, error) {
 		cfg.Pool = bufpool.Global()
 		return p.runSharded(cfg)
 	case ModeBatch:
-		cfg.KeepPayloads = true
 		cfg.FramesStable = true
 	}
 	a, err := core.NewAnalyzer(cfg, core.Options{SkipFindings: true})

@@ -30,11 +30,13 @@ type AnalyzerConfig struct {
 	// convention for unannotated captures. Until Close the window is
 	// then unknown, so only window-independent filter rules run online.
 	DefaultWindowToSpan bool
-	// KeepPayloads retains every per-packet record, making Close's
-	// result bit-identical to the historical batch output including the
-	// buffered stream payloads (which rtcc.Analyze callers may consume).
-	// Without it, payload records are kept only for provisionally-RTC
-	// UDP streams until their DPI finalization and dropped afterwards.
+	// KeepPayloads is ignored: results carry no per-packet records. A
+	// UDP stream's records live from admission until its DPI
+	// finalization or its removal, and TCP records are never kept.
+	//
+	// Deprecated: ignored. Its last setter is perfbench/matrix.go in
+	// the nested benchmark module; the field goes once that file stops
+	// setting it.
 	KeepPayloads bool
 	// FramesStable promises that fed frame buffers stay valid and
 	// unmodified for the Analyzer's lifetime, letting it reference
@@ -46,10 +48,8 @@ type AnalyzerConfig struct {
 	// and releases a stream's arena when its payloads are dropped (an
 	// online filter removal, a chunk finalization, or Close). Together
 	// with FeedBatch this makes the steady-state datagram path
-	// allocation-free. Ownership rules are in DESIGN.md §14.
-	// Incompatible with KeepPayloads (the batch result would retain
-	// released buffers); ignored when FramesStable promises stable
-	// frames (nothing is copied then).
+	// allocation-free. Ownership rules are in DESIGN.md §14. Ignored
+	// when FramesStable promises stable frames (nothing is copied then).
 	Pool *bufpool.Pool
 	// ExternalSeq makes FeedBatch take each datagram's arrival index
 	// from its Seq field instead of the Analyzer's own feed counter.
@@ -113,9 +113,10 @@ type streamState struct {
 // Analyzer is the incremental analysis pipeline: Feed advances packet
 // decoding, flow grouping, online filtering, and DPI per frame; Close
 // reconciles the online filter verdicts against the full two-stage
-// filter and assembles the CaptureAnalysis. With KeepPayloads (and no
-// eviction) the result is byte-identical to the batch pipeline; the
-// offline entry points are thin wrappers over this type.
+// filter and assembles the CaptureAnalysis. Without eviction the result
+// equals the test-side batch reference's; the offline entry points are
+// thin wrappers over this type. Results carry verdicts, not packets: no
+// stream in a result holds per-packet records.
 type Analyzer struct {
 	cfg  AnalyzerConfig
 	opts Options
@@ -175,12 +176,6 @@ type Analyzer struct {
 func NewAnalyzer(cfg AnalyzerConfig, opts Options) (*Analyzer, error) {
 	if cfg.CallEnd.Before(cfg.CallStart) {
 		return nil, errors.New("core: call window end precedes start")
-	}
-	if opts.EvictIdle > 0 && cfg.KeepPayloads {
-		return nil, errors.New("core: KeepPayloads is incompatible with EvictIdle")
-	}
-	if cfg.Pool != nil && cfg.KeepPayloads {
-		return nil, errors.New("core: KeepPayloads is incompatible with Pool (the batch result would retain released buffers)")
 	}
 	a := &Analyzer{
 		cfg:    cfg,
@@ -288,10 +283,10 @@ func (a *Analyzer) feedOne(ts time.Time, frame []byte, seq uint64) {
 	}
 	isNew := st == nil
 
-	// Retention: batch compatibility keeps everything; otherwise only
-	// provisionally-RTC UDP streams need their records (payload for
-	// DPI, timestamp for compliance, direction for findings).
-	keep := a.cfg.KeepPayloads || (proto == layers.IPProtocolUDP && (isNew || !st.removed))
+	// Retention: only provisionally-RTC UDP streams need their records
+	// (payload for DPI, timestamp for compliance, direction for
+	// findings), and only until their DPI finalization.
+	keep := proto == layers.IPProtocolUDP && (isNew || !st.removed)
 	if keep && !a.cfg.FramesStable {
 		if a.cfg.Pool != nil {
 			// Pool mode: the copy lands in the stream's arena, which
@@ -372,9 +367,7 @@ func (a *Analyzer) feedOne(ts time.Time, frame []byte, seq uint64) {
 		if !st.removed {
 			if rule, _ := a.ev.Check(s, st.sni); rule != "" {
 				st.removed = true
-				if !a.cfg.KeepPayloads {
-					s.Packets = nil
-				}
+				s.Packets = nil
 				st.insp = nil
 				if st.arena != nil {
 					// The records and inspector buffer are gone; the
@@ -475,9 +468,7 @@ func (a *Analyzer) finalizeChunk(st *streamState) {
 		// here is a deterministic export point for the chunk's events.
 		st.span.Flush()
 	}
-	if !a.cfg.KeepPayloads {
-		a.dropRecords(s)
-	}
+	a.dropRecords(s)
 	if st.arena != nil {
 		// Everything in the chunk has been consumed (verdicts and trace
 		// windows copy the bytes they keep); the payload copies go back
@@ -509,8 +500,7 @@ func (a *Analyzer) consumeChunk(st *streamState) {
 
 // dropRecords releases a stream's per-packet records. In pool mode the
 // record storage is recycled in place (the next chunk reuses the
-// array); otherwise it is handed to the GC, matching the historical
-// nil convention the KeepPayloads result shape relies on.
+// array); otherwise it is handed to the GC.
 func (a *Analyzer) dropRecords(s *flow.Stream) {
 	if a.cfg.Pool != nil {
 		clear(s.Packets)
@@ -601,9 +591,7 @@ func (a *Analyzer) finalize(workers int) (*CaptureAnalysis, error) {
 			st.partial = nil
 			st.span = nil
 		}
-		if !a.cfg.KeepPayloads {
-			s.Packets = nil
-		}
+		s.Packets = nil
 		if st.arena != nil {
 			st.arena.Release()
 			st.arena = nil
@@ -646,9 +634,7 @@ func (a *Analyzer) finalize(workers int) (*CaptureAnalysis, error) {
 func (a *Analyzer) finishStream(s *flow.Stream) *streamPartial {
 	st := a.states[s.Key]
 	a.consumeChunk(st)
-	if !a.cfg.KeepPayloads {
-		s.Packets = nil
-	}
+	s.Packets = nil
 	if st.arena != nil {
 		// The verdicts and trace events copied whatever bytes they
 		// keep, so the stream's pooled copies are dead; the shared pool

@@ -68,8 +68,8 @@ var (
 // recordCapture writes one finished analysis into the registry: frames
 // in, decode errors, final RTC UDP streams, and, from ca.Stats (the
 // tallies the report renders), the datagram classes and the verdicts.
-// It runs once per analysis, at the end of finalize and of
-// BatchAnalyzeCapture, so each counter equals the result by
+// It runs once per analysis, at the end of finalize (and of the
+// test-side batch reference), so each counter equals the result by
 // construction; every class and criterion is registered, even at zero.
 func recordCapture(r *metrics.Registry, ca *CaptureAnalysis, frames int) {
 	if r == nil {

@@ -6,7 +6,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -17,7 +16,6 @@ import (
 	"github.com/rtc-compliance/rtcc/internal/dpi"
 	"github.com/rtc-compliance/rtcc/internal/filterpipe"
 	"github.com/rtc-compliance/rtcc/internal/flow"
-	"github.com/rtc-compliance/rtcc/internal/layers"
 	"github.com/rtc-compliance/rtcc/internal/metrics"
 	"github.com/rtc-compliance/rtcc/internal/obs"
 	"github.com/rtc-compliance/rtcc/internal/pcap"
@@ -47,12 +45,6 @@ type Options struct {
 	// collection never changes analysis output: counters are atomic
 	// order-independent sums, identical for serial and sharded runs.
 	Metrics *metrics.Registry
-	// KeepPayloads makes AnalyzePCAP retain per-packet payload records
-	// in the result (as AnalyzeCapture always does). Off by default:
-	// the streaming reader then holds payload bytes only for
-	// provisionally-RTC UDP streams until DPI consumes them. Turn it on
-	// when the caller reads Filter.RTC[i].Packets afterwards.
-	KeepPayloads bool
 	// EvictIdle, when positive, finalizes the pipeline state of streams
 	// idle for longer than this: their buffered payloads are inspected,
 	// checked, and released, so resident memory is bounded by the
@@ -61,9 +53,8 @@ type Options struct {
 	// of one DPI pass over the whole stream for bounded memory: output
 	// is still deterministic, and differs from batch only when an RTP
 	// SSRC first validates in a later chunk than it was sighted in.
-	// Zero keeps the strict single-finalization behavior. NewAnalyzer
-	// rejects it with AnalyzerConfig.KeepPayloads, which AnalyzeCapture
-	// always sets.
+	// Zero keeps the strict single-finalization behavior. Every entry
+	// point accepts it; the sharded tier runs it on one shard.
 	EvictIdle time.Duration
 	// Registry selects the protocol-driver set the whole pipeline —
 	// DPI extraction, compliance judging, findings observation — runs
@@ -130,16 +121,15 @@ type CaptureAnalysis struct {
 
 // AnalyzeCapture runs the full pipeline over one in-memory capture by
 // feeding the streaming Analyzer frame by frame. The frames are
-// referenced, not copied, and per-packet records are retained, so the
-// result is identical to the historical batch pipeline (which
-// BatchAnalyzeCapture preserves as the differential-test reference).
+// referenced, not copied, and each stream's records are dropped at its
+// DPI finalization, so the result holds verdicts, not packets. Without
+// eviction it equals the batch reference the differential tests keep.
 func AnalyzeCapture(in CaptureInput, opts Options) (*CaptureAnalysis, error) {
 	a, err := NewAnalyzer(AnalyzerConfig{
 		Label:        in.Label,
 		LinkType:     in.LinkType,
 		CallStart:    in.CallStart,
 		CallEnd:      in.CallEnd,
-		KeepPayloads: true,
 		FramesStable: true,
 	}, opts)
 	if err != nil {
@@ -153,73 +143,13 @@ func AnalyzeCapture(in CaptureInput, opts Options) (*CaptureAnalysis, error) {
 	return a.Close()
 }
 
-// BatchAnalyzeCapture is the original whole-capture pipeline: buffer
-// everything, then filter, inspect, and check. It is retained as the
-// reference implementation the streaming Analyzer is differentially
-// tested against, and as the baseline for the memory benchmarks.
-func BatchAnalyzeCapture(in CaptureInput, opts Options) (*CaptureAnalysis, error) {
-	if in.CallEnd.Before(in.CallStart) {
-		return nil, errors.New("core: call window end precedes start")
-	}
-	table := flow.NewTable()
-	decodeErrs := 0
-	var pkt layers.Packet // decode scratch, reused across frames
-	for _, p := range in.Packets {
-		err := layers.DecodeInto(&pkt, in.LinkType, p.Data)
-		if err != nil {
-			// Tolerate unparseable frames (the paper's captures contain
-			// them too); count and continue.
-			decodeErrs++
-			continue
-		}
-		table.Add(p.Timestamp, &pkt)
-	}
-	if table.Len() == 0 && len(in.Packets) > 0 {
-		return nil, fmt.Errorf("%w (%d frames, %d decode errors)", ErrNoDecodable, len(in.Packets), decodeErrs)
-	}
-
-	fres := filterpipe.Run(table, filterpipe.Config{
-		CallStart: in.CallStart,
-		CallEnd:   in.CallEnd,
-		Metrics:   opts.Metrics,
-	})
-
-	ca := &CaptureAnalysis{
-		Label:        in.Label,
-		Filter:       fres,
-		Stats:        report.NewAppStats(in.Label),
-		RTPSSRCs:     make(map[uint32]bool),
-		DecodeErrors: decodeErrs,
-	}
-	for _, s := range table.Streams() {
-		ca.Bytes += s.Bytes
-	}
-
-	// The compliance analysis covers UDP RTC streams only (§3.3: TCP
-	// volume is negligible and carries signaling, not media). Every
-	// piece of per-stream state — the DPI stream context, the
-	// compliance session, the findings evidence — is independent
-	// between streams; the per-stream partial results are folded in
-	// stream order.
-	var partials []*streamPartial
-	for _, s := range fres.RTC {
-		if s.Key.Proto != layers.IPProtocolUDP {
-			continue
-		}
-		partials = append(partials, analyzeStream(s, opts))
-	}
-	foldPartials(ca, partials, opts.SkipFindings)
-	recordCapture(opts.Metrics, ca, len(in.Packets))
-	return ca, nil
-}
-
 // foldPartials folds per-stream partial results into the capture
 // analysis in slice order — the deterministic RTC stream order — by
 // merging stats, SSRC sets, and findings evidence, then flushing each
 // stream's trace span (a no-op when tracing is off). The goroutines
 // that produced the partials only buffered; this fold is the single
 // deterministic export and merge point every pipeline shares: Close,
-// the batch reference path, and (through finalize) the cross-shard
+// the test-side batch reference, and (through finalize) the cross-shard
 // MergeAnalyzers.
 func foldPartials(ca *CaptureAnalysis, partials []*streamPartial, skipFindings bool) {
 	var fctx findingsContext
@@ -342,22 +272,6 @@ func (p *streamPartial) traceVerdict(m proto.Message, ts time.Time, out []proto.
 	}
 }
 
-// analyzeStream runs DPI extraction and compliance checking over one
-// UDP RTC stream with fresh per-stream state: its own engine, session,
-// and findings evidence.
-func analyzeStream(s *flow.Stream, opts Options) *streamPartial {
-	engine := opts.engine()
-	checker := compliance.NewCheckerWith(opts.Registry)
-	p := newStreamPartial(nil, s.Key.String(), opts.QoE)
-	payloads := make([][]byte, len(s.Packets))
-	for i, pkt := range s.Packets {
-		payloads[i] = pkt.Payload
-	}
-	results := engine.InspectStream(payloads)
-	p.consume(s.Packets, results, checker.NewSession(), opts.SkipFindings)
-	return p
-}
-
 // FeedBatchSize is how many datagrams every feeding loop hands
 // Analyzer.FeedBatch at once: the capture reader below, the sharded
 // router's per-shard staging (which the live session feeds), and the
@@ -457,10 +371,10 @@ func StreamCapture(r io.Reader, open func(pcap.LinkType) (FrameSink, error)) (*C
 }
 
 // AnalyzePCAP analyzes a capture stream with one streaming Analyzer
-// through StreamCapture. Unless KeepPayloads is set, retained payload
-// bytes live in pooled buffers (internal/bufpool) that return to the
-// process-wide pool as streams are filtered out, evicted, or
-// finalized. A zero callStart defaults the call window to the
+// through StreamCapture. Buffered payload bytes live in pooled buffers
+// (internal/bufpool) that return to the process-wide pool as streams
+// are filtered out, evicted, or finalized, and the result holds no
+// per-packet records. A zero callStart defaults the call window to the
 // capture's span.
 func AnalyzePCAP(r io.Reader, label string, callStart, callEnd time.Time, opts Options) (*CaptureAnalysis, error) {
 	cfg := AnalyzerConfig{
@@ -468,41 +382,12 @@ func AnalyzePCAP(r io.Reader, label string, callStart, callEnd time.Time, opts O
 		CallStart:           callStart,
 		CallEnd:             callEnd,
 		DefaultWindowToSpan: true,
-		KeepPayloads:        opts.KeepPayloads,
-	}
-	if !opts.KeepPayloads {
-		cfg.Pool = bufpool.Global()
+		Pool:                bufpool.Global(),
 	}
 	return StreamCapture(r, func(lt pcap.LinkType) (FrameSink, error) {
 		cfg.LinkType = lt
 		return NewAnalyzer(cfg, opts)
 	})
-}
-
-// BatchAnalyzePCAP is the original read-everything-then-analyze path,
-// retained as the baseline for the streaming memory benchmarks.
-func BatchAnalyzePCAP(r io.Reader, label string, callStart, callEnd time.Time, opts Options) (*CaptureAnalysis, error) {
-	cr, err := pcap.NewCaptureReader(r)
-	if err != nil {
-		return nil, err
-	}
-	pkts, linkType, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	in := CaptureInput{
-		Label:     label,
-		LinkType:  linkType,
-		Packets:   pkts,
-		CallStart: callStart,
-		CallEnd:   callEnd,
-	}
-	// Default the window to the capture span when not annotated.
-	if callStart.IsZero() && len(pkts) > 0 {
-		in.CallStart = pkts[0].Timestamp
-		in.CallEnd = pkts[len(pkts)-1].Timestamp
-	}
-	return BatchAnalyzeCapture(in, opts)
 }
 
 // MatrixAnalysis aggregates a whole experiment matrix.

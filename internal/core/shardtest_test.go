@@ -17,7 +17,7 @@ func analyzeSharded(in CaptureInput, opts Options, n int) (*CaptureAnalysis, err
 	cfg := AnalyzerConfig{
 		Label: in.Label, LinkType: in.LinkType,
 		CallStart: in.CallStart, CallEnd: in.CallEnd,
-		KeepPayloads: true, FramesStable: true, ExternalSeq: true,
+		FramesStable: true, ExternalSeq: true,
 	}
 	shards := make([]*Analyzer, n)
 	batches := make([][]Datagram, n)

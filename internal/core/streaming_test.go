@@ -18,9 +18,10 @@ import (
 //
 // The contract under test: the incremental single-pass pipeline
 // (AnalyzeCapture and AnalyzePCAP, both built on core.Analyzer) produces
-// output byte-identical to the retained batch reference
-// (BatchAnalyzeCapture / BatchAnalyzePCAP) across the full experiment
-// matrix, for every worker count, with and without payload retention.
+// output deeply equal to the batch reference (BatchAnalyzeCapture /
+// BatchAnalyzePCAP, batch_test.go) across the full experiment matrix,
+// for every shard count. Neither side's result holds per-packet
+// records.
 
 // streamingSeeds drives the differential sweep; -short trims it.
 var streamingSeeds = []uint64{3, 17, 29, 77, 1234, 98765}
@@ -107,10 +108,10 @@ func capturePCAPBytes(t testing.TB, cap *trace.Capture) []byte {
 	return buf.Bytes()
 }
 
-// TestStreamingPCAPMatchesBatch runs the record-at-a-time pcap path with
-// payload retention against the read-everything baseline and requires
-// deep equality — including per-packet records — both with an explicit
-// call window and with the window defaulted to the capture span.
+// TestStreamingPCAPMatchesBatch runs the record-at-a-time pcap path
+// against the read-everything baseline and requires deep equality, both
+// with an explicit call window and with the window defaulted to the
+// capture span.
 func TestStreamingPCAPMatchesBatch(t *testing.T) {
 	for _, tc := range []struct {
 		app     appsim.App
@@ -130,12 +131,11 @@ func TestStreamingPCAPMatchesBatch(t *testing.T) {
 			{"explicit", cap.CallStart, cap.CallEnd},
 			{"defaulted", time.Time{}, time.Time{}},
 		} {
-			opts := Options{KeepPayloads: true}
-			batch, err := BatchAnalyzePCAP(bytes.NewReader(raw), string(tc.app), window.start, window.end, opts)
+			batch, err := BatchAnalyzePCAP(bytes.NewReader(raw), string(tc.app), window.start, window.end, Options{})
 			if err != nil {
 				t.Fatalf("%s %s batch: %v", tc.app, window.name, err)
 			}
-			streaming, err := AnalyzePCAP(bytes.NewReader(raw), string(tc.app), window.start, window.end, opts)
+			streaming, err := AnalyzePCAP(bytes.NewReader(raw), string(tc.app), window.start, window.end, Options{})
 			if err != nil {
 				t.Fatalf("%s %s streaming: %v", tc.app, window.name, err)
 			}
@@ -144,42 +144,11 @@ func TestStreamingPCAPMatchesBatch(t *testing.T) {
 	}
 }
 
-// diffAnalysesSansPayloads compares every externally visible field
-// except per-packet records, which the bounded-memory paths discard.
-func diffAnalysesSansPayloads(t *testing.T, label string, want, got *CaptureAnalysis) {
-	t.Helper()
-	if !reflect.DeepEqual(want.Stats, got.Stats) {
-		t.Errorf("%s: stats differ\nbatch:     %+v\nstreaming: %+v", label, want.Stats, got.Stats)
-	}
-	if !reflect.DeepEqual(want.Findings, got.Findings) {
-		t.Errorf("%s: findings differ\nbatch:     %v\nstreaming: %v", label, want.Findings, got.Findings)
-	}
-	if !reflect.DeepEqual(want.RTPSSRCs, got.RTPSSRCs) {
-		t.Errorf("%s: SSRC sets differ", label)
-	}
-	if want.Bytes != got.Bytes || want.DecodeErrors != got.DecodeErrors {
-		t.Errorf("%s: bytes/decode errors differ: %d/%d != %d/%d",
-			label, got.Bytes, got.DecodeErrors, want.Bytes, want.DecodeErrors)
-	}
-	wf, gf := want.Filter, got.Filter
-	if wf.RawUDP != gf.RawUDP || wf.RawTCP != gf.RawTCP ||
-		wf.Stage1UDP != gf.Stage1UDP || wf.Stage1TCP != gf.Stage1TCP ||
-		wf.Stage2UDP != gf.Stage2UDP || wf.Stage2TCP != gf.Stage2TCP ||
-		wf.RTCUDP != gf.RTCUDP || wf.RTCTCP != gf.RTCTCP {
-		t.Errorf("%s: filter accounting differs\nbatch:     %+v\nstreaming: %+v", label, wf, gf)
-	}
-	if len(wf.RTC) != len(gf.RTC) || len(wf.Removed) != len(gf.Removed) {
-		t.Errorf("%s: stream partitions differ: RTC %d/%d removed %d/%d",
-			label, len(gf.RTC), len(wf.RTC), len(gf.Removed), len(wf.Removed))
-	}
-	if !reflect.DeepEqual(wf.Removed, gf.Removed) {
-		t.Errorf("%s: removal attributions differ\nbatch:     %v\nstreaming: %v", label, wf.Removed, gf.Removed)
-	}
-}
-
-// TestStreamingPCAPDropsPayloads checks the bounded-memory contract: by
-// default AnalyzePCAP must not return payload records for any stream,
-// while still matching the batch result on every aggregate.
+// TestStreamingPCAPDropsPayloads checks the bounded-memory contract:
+// AnalyzePCAP, which pools its payload copies and drops each stream's
+// records as it goes, deeply equals the batch result, whose streams
+// hold no records either (ingest's TestResultsHoldNoRecords checks
+// that directly for every entry point).
 func TestStreamingPCAPDropsPayloads(t *testing.T) {
 	cap := streamingCapture(t, appsim.WhatsApp, appsim.WiFiRelay, 31)
 	raw := capturePCAPBytes(t, cap)
@@ -191,23 +160,13 @@ func TestStreamingPCAPDropsPayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diffAnalysesSansPayloads(t, "whatsapp", batch, streaming)
-	for _, s := range streaming.Filter.RTC {
-		if len(s.Packets) != 0 {
-			t.Fatalf("RTC stream %v retained %d payload records without KeepPayloads", s.Key, len(s.Packets))
-		}
-	}
-	for _, rs := range streaming.Filter.RemovedStreams {
-		if len(rs.Packets) != 0 {
-			t.Fatalf("removed stream %v retained %d payload records", rs.Key, len(rs.Packets))
-		}
-	}
+	diffAnalyses(t, "whatsapp", batch, streaming)
 }
 
 // TestStreamingPCAPEvictionEquivalence turns on idle-stream eviction —
 // chunked DPI finalization and mid-capture buffer release — and checks
-// the aggregates still match the batch reference: the RTC streams stay
-// continuously active, so chunk boundaries never split an SSRC's
+// the result still deeply equals the batch reference: the RTC streams
+// stay continuously active, so chunk boundaries never split an SSRC's
 // validation window in these captures.
 func TestStreamingPCAPEvictionEquivalence(t *testing.T) {
 	for _, tc := range []struct {
@@ -229,7 +188,7 @@ func TestStreamingPCAPEvictionEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		diffAnalysesSansPayloads(t, fmt.Sprintf("%s evicting", tc.app), batch, streaming)
+		diffAnalyses(t, fmt.Sprintf("%s evicting", tc.app), batch, streaming)
 	}
 }
 
@@ -239,20 +198,12 @@ func TestAnalyzerMisuse(t *testing.T) {
 	if _, err := NewAnalyzer(AnalyzerConfig{CallStart: t0, CallEnd: t0.Add(-time.Second)}, Options{}); err == nil {
 		t.Error("inverted call window accepted")
 	}
-	if _, err := NewAnalyzer(AnalyzerConfig{KeepPayloads: true}, Options{EvictIdle: time.Second}); err == nil {
-		t.Error("KeepPayloads with EvictIdle accepted")
-	}
-	// AnalyzeCapture retains payloads, so it cannot evict: the knob is
-	// rejected rather than silently ignored.
-	if _, err := AnalyzeCapture(CaptureInput{}, Options{EvictIdle: time.Second}); err == nil {
-		t.Error("AnalyzeCapture with EvictIdle accepted")
-	}
 
 	cap := streamingCapture(t, appsim.Zoom, appsim.WiFiP2P, 1)
 	a, err := NewAnalyzer(AnalyzerConfig{
 		Label: "zoom", LinkType: pcap.LinkTypeRaw,
 		CallStart: cap.CallStart, CallEnd: cap.CallEnd,
-		KeepPayloads: true, FramesStable: true,
+		FramesStable: true,
 	}, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -13,18 +13,15 @@ import (
 // sharded sibling of core.AnalyzePCAP, built on the same StreamCapture
 // reading loop with a ShardedAnalyzer as the sink. The analyzer
 // configuration matches core.AnalyzePCAP exactly (window defaulting,
-// pooled payload buffers unless KeepPayloads), which is what makes the
-// two paths byte-identical on any capture.
+// pooled payload buffers), which is what makes the two paths
+// byte-identical on any capture.
 func AnalyzePCAP(r io.Reader, label string, callStart, callEnd time.Time, opts core.Options, cfg Config) (*core.CaptureAnalysis, error) {
 	acfg := core.AnalyzerConfig{
 		Label:               label,
 		CallStart:           callStart,
 		CallEnd:             callEnd,
 		DefaultWindowToSpan: true,
-		KeepPayloads:        opts.KeepPayloads,
-	}
-	if !opts.KeepPayloads {
-		acfg.Pool = bufpool.Global()
+		Pool:                bufpool.Global(),
 	}
 	return core.StreamCapture(r, func(lt pcap.LinkType) (core.FrameSink, error) {
 		acfg.LinkType = lt

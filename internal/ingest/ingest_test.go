@@ -11,6 +11,7 @@ import (
 
 	"github.com/rtc-compliance/rtcc/internal/appsim"
 	"github.com/rtc-compliance/rtcc/internal/core"
+	"github.com/rtc-compliance/rtcc/internal/flow"
 	"github.com/rtc-compliance/rtcc/internal/ingest"
 	"github.com/rtc-compliance/rtcc/internal/metrics"
 	"github.com/rtc-compliance/rtcc/internal/natsim"
@@ -50,8 +51,8 @@ func genCapture(t testing.TB, app appsim.App, network appsim.Network, seed uint6
 }
 
 // requireIdentical asserts the sharded analysis is deeply equal to
-// the serial reference — every field, including per-packet records,
-// so any downstream rendering of the two is byte-identical.
+// the serial reference — every field, so any downstream rendering of
+// the two is byte-identical.
 func requireIdentical(t *testing.T, label string, serial, sharded *core.CaptureAnalysis) {
 	t.Helper()
 	if reflect.DeepEqual(serial, sharded) {
@@ -166,6 +167,52 @@ func TestShardedPCAPMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestResultsHoldNoRecords pins the one retention policy: after every
+// analysis entry point, serial or sharded, evicting or not, no stream
+// in the result holds a per-packet record.
+func TestResultsHoldNoRecords(t *testing.T) {
+	cap := genCapture(t, appsim.WhatsApp, appsim.WiFiRelay, 31)
+	in := cap.Input()
+	raw := capturePCAPBytes(t, cap)
+	pcapVia := func(shards int) func() (*core.CaptureAnalysis, error) {
+		return func() (*core.CaptureAnalysis, error) {
+			return ingest.AnalyzePCAP(bytes.NewReader(raw), "whatsapp", cap.CallStart, cap.CallEnd,
+				core.Options{}, ingest.Config{Shards: shards})
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() (*core.CaptureAnalysis, error)
+	}{
+		{"core.AnalyzeCapture", func() (*core.CaptureAnalysis, error) {
+			return core.AnalyzeCapture(in, core.Options{})
+		}},
+		{"core.AnalyzeCapture evicting", func() (*core.CaptureAnalysis, error) {
+			return core.AnalyzeCapture(in, core.Options{EvictIdle: 500 * time.Millisecond})
+		}},
+		{"core.AnalyzePCAP", func() (*core.CaptureAnalysis, error) {
+			return core.AnalyzePCAP(bytes.NewReader(raw), "whatsapp", cap.CallStart, cap.CallEnd, core.Options{})
+		}},
+		{"ingest.AnalyzePCAP 1 shard", pcapVia(1)},
+		{"ingest.AnalyzePCAP 4 shards", pcapVia(4)},
+	} {
+		ca, err := tc.run()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(ca.Filter.RTC) == 0 || len(ca.Filter.RemovedStreams) == 0 {
+			t.Fatalf("%s: %d RTC and %d removed streams, want both", tc.name, len(ca.Filter.RTC), len(ca.Filter.RemovedStreams))
+		}
+		for _, streams := range [][]*flow.Stream{ca.Filter.RTC, ca.Filter.RemovedStreams} {
+			for _, s := range streams {
+				if len(s.Packets) != 0 {
+					t.Errorf("%s: stream %v holds %d per-packet records", tc.name, s.Key, len(s.Packets))
+				}
+			}
+		}
+	}
+}
+
 // feedAll routes a capture's frames through the sharded tier in
 // feedBatch-sized chunks, like the capture readers do.
 func feedAll(t testing.TB, sa *ingest.ShardedAnalyzer, capt *trace.Capture) {
@@ -186,14 +233,14 @@ func feedAll(t testing.TB, sa *ingest.ShardedAnalyzer, capt *trace.Capture) {
 }
 
 // captureConfig configures the tier as core.AnalyzeCapture configures
-// its Analyzer (frames referenced in place, payloads retained), so the
-// two are byte-identical on any capture.
+// its Analyzer (frames referenced in place), so the two are
+// byte-identical on any capture.
 func captureConfig(capt *trace.Capture) core.AnalyzerConfig {
 	return core.AnalyzerConfig{
 		Label:     string(capt.Config.App),
 		LinkType:  pcap.LinkTypeRaw,
 		CallStart: capt.CallStart, CallEnd: capt.CallEnd,
-		KeepPayloads: true, FramesStable: true,
+		FramesStable: true,
 	}
 }
 
@@ -388,7 +435,6 @@ func TestShardedMisuse(t *testing.T) {
 func TestEvictionRunsOnOneShard(t *testing.T) {
 	cap := genCapture(t, appsim.Zoom, appsim.WiFiRelay, 5)
 	acfg := captureConfig(cap)
-	acfg.KeepPayloads = false // incompatible with eviction
 	evict := core.Options{EvictIdle: 30 * time.Millisecond}
 	for _, n := range []int{2, 4, 16} {
 		if _, err := ingest.New(acfg, evict, ingest.Config{Shards: n}); err == nil {

@@ -135,9 +135,6 @@ type Analysis struct {
 	// Findings enables the behavioural-findings detectors. Nil (key
 	// absent) means true, matching every binary's default.
 	Findings *bool `json:"findings"`
-	// KeepPayloads retains per-packet payload records (required by
-	// header inference).
-	KeepPayloads bool `json:"keep_payloads"`
 	// QoE enables the header-free QoE estimator (internal/qoe):
 	// per-stream frame rate, bitrate, inter-frame gap jitter, and
 	// stall heuristics attached to results and trend points. Off by
@@ -328,9 +325,6 @@ func (c *Config) Validate() error {
 	case "", "text", "json", "none":
 	default:
 		return fmt.Errorf("pipeline: unknown sinks.report %q (text, json, or none)", c.Sinks.Report)
-	}
-	if c.Analysis.KeepPayloads && c.Exec.EvictIdle > 0 {
-		return fmt.Errorf("pipeline: analysis.keep_payloads is incompatible with exec.evict_idle (evicted payloads cannot be retained)")
 	}
 	for _, r := range c.Alerts.RuleList() {
 		if err := r.Validate(); err != nil {

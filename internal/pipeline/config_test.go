@@ -114,6 +114,9 @@ func TestLoadFileRejectsUnknownKeys(t *testing.T) {
 		// The shard count is the one parallelism key.
 		{"workers.yaml", "source:\n  kind: pcap\n  path: x\nexec:\n  workers: 4\n"},
 		{"appsim.json", `{"source": {"kind": "appsim", "app": "Zoom", "network": "wifi-p2p"}}`},
+		// Results hold no per-packet records, so there is no retention
+		// key.
+		{"retention.yaml", "source:\n  kind: pcap\n  path: x\nanalysis:\n  keep_payloads: true\n"},
 	} {
 		var cfg Config
 		err := LoadFile(&cfg, writeConfig(t, tc.name, tc.content))

@@ -109,7 +109,6 @@ func (r *Runner) Options() core.Options {
 	opts := core.Options{
 		MaxOffset:    r.cfg.Analysis.MaxOffset,
 		SkipFindings: !r.cfg.Analysis.FindingsOn(),
-		KeepPayloads: r.cfg.Analysis.KeepPayloads,
 		EvictIdle:    r.cfg.Exec.EvictIdle.Std(),
 		Metrics:      r.reg,
 		Tracer:       r.tracer,

@@ -42,7 +42,9 @@ const (
 	labelSRTCPSalt       = 0x05
 )
 
-// Context holds the session keys derived from one master key/salt pair.
+// Context holds the session keys derived from one master key/salt pair,
+// and the AES ciphers of the two encryption keys, expanded once here
+// instead of per packet.
 type Context struct {
 	srtpEncKey   []byte
 	srtpAuthKey  []byte
@@ -50,6 +52,8 @@ type Context struct {
 	srtcpEncKey  []byte
 	srtcpAuthKey []byte
 	srtcpSalt    []byte
+
+	srtpBlock, srtcpBlock cipher.Block
 }
 
 // Errors returned by decryption/verification.
@@ -82,14 +86,19 @@ func NewContext(masterKey, masterSalt []byte) (*Context, error) {
 		cipher.NewCTR(block, iv[:]).XORKeyStream(out, out)
 		return out
 	}
-	return &Context{
+	c := &Context{
 		srtpEncKey:   derive(labelSRTPEncryption, SessionKeyLen),
 		srtpAuthKey:  derive(labelSRTPAuth, AuthKeyLen),
 		srtpSalt:     derive(labelSRTPSalt, MasterSaltLen),
 		srtcpEncKey:  derive(labelSRTCPEncryption, SessionKeyLen),
 		srtcpAuthKey: derive(labelSRTCPAuth, AuthKeyLen),
 		srtcpSalt:    derive(labelSRTCPSalt, MasterSaltLen),
-	}, nil
+	}
+	// Session keys are SessionKeyLen (16) bytes, a valid AES key size,
+	// so neither call can fail.
+	c.srtpBlock, _ = aes.NewCipher(c.srtpEncKey)
+	c.srtcpBlock, _ = aes.NewCipher(c.srtcpEncKey)
+	return c, nil
 }
 
 // aesCMKeystreamIV computes the AES-CM IV: (salt << 16) XOR
@@ -109,11 +118,7 @@ func aesCMKeystreamIV(salt []byte, ssrc uint32, index uint64) [16]byte {
 	return iv
 }
 
-func xorKeystream(key, salt []byte, ssrc uint32, index uint64, data []byte) {
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		panic("srtp: session key invalid: " + err.Error())
-	}
+func xorKeystream(block cipher.Block, salt []byte, ssrc uint32, index uint64, data []byte) {
 	iv := aesCMKeystreamIV(salt, ssrc, index)
 	cipher.NewCTR(block, iv[:]).XORKeyStream(data, data)
 }
@@ -122,7 +127,7 @@ func xorKeystream(key, salt []byte, ssrc uint32, index uint64, data []byte) {
 // RTP payload in place. index is the 48-bit packet index
 // (65536*ROC + SEQ).
 func (c *Context) EncryptRTPPayload(payload []byte, ssrc uint32, index uint64) {
-	xorKeystream(c.srtpEncKey, c.srtpSalt, ssrc, index, payload)
+	xorKeystream(c.srtpBlock, c.srtpSalt, ssrc, index, payload)
 }
 
 // RTPAuthTag computes the 80-bit SRTP authentication tag over the
@@ -148,7 +153,7 @@ func (c *Context) ProtectRTCP(plain []byte, index uint32, omitAuthTag bool) ([]b
 	ssrc := binary.BigEndian.Uint32(plain[4:8])
 	out := make([]byte, len(plain), len(plain)+SRTCPIndexLen+AuthTagLen)
 	copy(out, plain)
-	xorKeystream(c.srtcpEncKey, c.srtcpSalt, ssrc, uint64(index&0x7fffffff), out[8:])
+	xorKeystream(c.srtcpBlock, c.srtcpSalt, ssrc, uint64(index&0x7fffffff), out[8:])
 	var trailer [4]byte
 	binary.BigEndian.PutUint32(trailer[:], 1<<31|index&0x7fffffff) // E=1
 	out = append(out, trailer[:]...)
@@ -180,7 +185,7 @@ func (c *Context) UnprotectRTCP(packet []byte) ([]byte, uint32, error) {
 	copy(body, packet[:authEnd-SRTCPIndexLen])
 	if encrypted {
 		ssrc := binary.BigEndian.Uint32(body[4:8])
-		xorKeystream(c.srtcpEncKey, c.srtcpSalt, ssrc, uint64(index), body[8:])
+		xorKeystream(c.srtcpBlock, c.srtcpSalt, ssrc, uint64(index), body[8:])
 	}
 	return body, index, nil
 }

@@ -86,6 +86,22 @@ func TestRTPPayloadKeystreamDependsOnSSRCAndIndex(t *testing.T) {
 	}
 }
 
+// TestEncryptRTPPayloadAllocs pins that the AES key schedule is built
+// once per Context: the remaining allocations are the CTR stream and
+// its keystream buffer, not a cipher per packet.
+func TestEncryptRTPPayloadAllocs(t *testing.T) {
+	c := testContext(t)
+	payload := make([]byte, 160)
+	var index uint64
+	n := testing.AllocsPerRun(100, func() {
+		index++
+		c.EncryptRTPPayload(payload, 0x1234, index)
+	})
+	if n > 2 {
+		t.Errorf("EncryptRTPPayload: %.0f allocs per call, want at most 2", n)
+	}
+}
+
 func TestRTPAuthTag(t *testing.T) {
 	c := testContext(t)
 	tag := c.RTPAuthTag([]byte("header+payload"), 3)
