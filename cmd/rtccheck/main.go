@@ -204,11 +204,12 @@ func main() {
 
 // printProtocols renders the registered protocol listing backing
 // `make proto-list`: one row per handler with its reporting family,
-// demultiplexing precedences, wire fingerprint, and fuzz target.
+// the demultiplexing precedences of its pass-2 probers, wire
+// fingerprint, and fuzz target.
 func printProtocols(w io.Writer) {
 	reg := proto.Default()
 	precs := make(map[proto.ID][]int)
-	for _, p := range reg.Probers() {
+	for _, p := range reg.Pass2Plan().Probers() {
 		precs[p.ID] = append(precs[p.ID], p.Precedence)
 	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -360,9 +361,6 @@ func printHeaderInference(w io.Writer, path string, ca *rtcc.CaptureAnalysis, k 
 		return err
 	}
 	engine := &dpi.Engine{MaxOffset: k}
-	if k <= 0 {
-		engine = dpi.NewEngine()
-	}
 	for _, rtc := range ca.Filter.RTC {
 		if rtc.Key.Proto != layers.IPProtocolUDP {
 			continue

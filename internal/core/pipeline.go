@@ -84,13 +84,7 @@ type Options struct {
 }
 
 func (o Options) engine() *dpi.Engine {
-	e := dpi.NewEngine()
-	if o.MaxOffset > 0 {
-		e.MaxOffset = o.MaxOffset
-	}
-	e.Metrics = o.Metrics
-	e.Registry = o.Registry
-	return e
+	return &dpi.Engine{MaxOffset: o.MaxOffset, Metrics: o.Metrics, Registry: o.Registry}
 }
 
 // CaptureInput is one capture to analyze. It is an alias of

@@ -90,7 +90,6 @@ func (slowScanHandler) Meta() proto.Meta {
 func (slowScanHandler) Probers() []proto.Prober {
 	return []proto.Prober{{
 		Precedence: 10,
-		Pass1:      true,
 		Probe: func(c proto.Candidate, _ *proto.ScanState) (int, bool) {
 			if c.Offset == 0 {
 				time.Sleep(scanDelay)

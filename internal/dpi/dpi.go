@@ -5,11 +5,11 @@
 // For each UDP datagram payload, the engine slides a cursor from byte
 // offset 0 up to the configured limit k (200 by default, per §4.1.1 of
 // the paper) and tries the wire-format prober of every registered
-// protocol at each offset, in demultiplexing-precedence order. The
-// probers and their validation heuristics live in the protocol drivers
-// under internal/proto; the engine itself knows no protocol — it
-// iterates the registry, so adding a protocol never touches this
-// package.
+// protocol whose raw-byte gate admits each offset, in
+// demultiplexing-precedence order. The probers and their validation
+// heuristics live in the protocol drivers under internal/proto; the
+// engine itself knows no protocol — it iterates the registry, so
+// adding a protocol never touches this package.
 //
 // The engine then classifies each datagram (§4.1.2):
 //
@@ -125,7 +125,8 @@ func NewStreamContext() *StreamContext {
 // Engine runs Algorithm 1.
 type Engine struct {
 	// MaxOffset is k, the deepest byte offset candidate extraction will
-	// shift to. The paper found 200 sufficient (§4.1.1).
+	// shift to; zero or less selects the paper's 200, which it found
+	// sufficient (§4.1.1).
 	MaxOffset int
 	// Metrics, when non-nil, receives the counts only Algorithm 1
 	// sees, from each StreamInspector.Finalize: extracted messages per
@@ -142,7 +143,16 @@ type Engine struct {
 // NewEngine returns an engine with the paper's default k=200 probing
 // the default registry.
 func NewEngine() *Engine {
-	return &Engine{MaxOffset: 200}
+	return &Engine{}
+}
+
+// maxOffset returns k: MaxOffset, or the paper's 200 when it is not
+// positive.
+func (e *Engine) maxOffset() int {
+	if e.MaxOffset <= 0 {
+		return 200
+	}
+	return e.MaxOffset
 }
 
 func (e *Engine) registry() *proto.Registry {
@@ -180,10 +190,7 @@ func (e *Engine) Inspect(payload []byte, ctx *StreamContext) Result {
 		ctx.msgArena = ctx.msgArena[:0]
 	}
 	start := len(ctx.msgArena)
-	limit := e.MaxOffset
-	if limit <= 0 {
-		limit = 200
-	}
+	limit := e.maxOffset()
 	plan := reg.Pass2Plan()
 	i := 0
 	for i < len(payload) {
@@ -194,7 +201,7 @@ func (e *Engine) Inspect(payload []byte, ctx *StreamContext) Result {
 		if i >= end {
 			break
 		}
-		i = e.region(reg, plan, payload, i, end, ctx)
+		i = e.region(plan, payload, i, end, ctx)
 		if i == end {
 			break
 		}
@@ -240,10 +247,11 @@ func (e *Engine) Inspect(payload []byte, ctx *StreamContext) Result {
 // region walks one region of payload from its first offset i up to
 // end and returns the offset of the first match, with the message in
 // ctx.scratch, or end when none matches.
-func (e *Engine) region(reg *proto.Registry, plan *proto.ScanPlan, payload []byte, i, end int, ctx *StreamContext) int {
+func (e *Engine) region(plan *proto.ScanPlan, payload []byte, i, end int, ctx *StreamContext) int {
 	tracing := ctx.Span != nil
+	probers := plan.Probers()
 	ctx.shiftAttempts++
-	if e.matchAt(reg, payload, i, &ctx.State, &ctx.scratch) {
+	if matchAt(probers, payload, i, &ctx.State, &ctx.scratch) {
 		return i
 	}
 	if tracing {
@@ -262,7 +270,7 @@ func (e *Engine) region(reg *proto.Registry, plan *proto.ScanPlan, payload []byt
 			return end
 		}
 		ctx.shiftAttempts++
-		if e.matchAt(reg, payload, j, &ctx.State, &ctx.scratch) {
+		if matchAt(probers, payload, j, &ctx.State, &ctx.scratch) {
 			return j
 		}
 		if tracing {
@@ -272,21 +280,25 @@ func (e *Engine) region(reg *proto.Registry, plan *proto.ScanPlan, payload []byt
 	}
 }
 
-// matchAt tries the registry's probers admitted by the first payload byte
-// at payload[i:], in registry precedence order: protocols with stronger
-// structural signatures win (STUN's magic cookie before ChannelData
-// framing before the RTCP type range before QUIC and DTLS before the
-// weak classic-STUN and RTP patterns). The registry's first-byte table
-// (RFC 7983-style demultiplexing) skips probers whose wire format
-// cannot start with that byte.
+// matchAt tries pass 2's probers at payload[i:], in registry
+// precedence order: protocols with stronger structural signatures win
+// (STUN's magic cookie before ChannelData framing before the RTCP type
+// range before QUIC and DTLS before the weak classic-STUN and RTP
+// patterns). It reads the candidate's gate window once and calls only
+// the validators whose gate admits it; a gate is necessary for its
+// validator, so the rest could not match.
 //
 // A match is written through out, with its Offset set; a miss leaves
 // out untouched, as every prober's does (DESIGN.md §11).
-func (e *Engine) matchAt(reg *proto.Registry, payload []byte, i int, st *proto.StreamState, out *Message) bool {
+func matchAt(probers []proto.Prober, payload []byte, i int, st *proto.StreamState, out *Message) bool {
 	c := proto.Candidate{Payload: payload, Offset: i}
-	probers := reg.ProbersFor(payload[i])
+	w := proto.Window(payload, i)
 	for k := range probers {
-		if probers[k].Validate(c, st, out) {
+		p := &probers[k]
+		if !p.Gate.Admits(w) || !p.Gate.Fits(w, len(payload)-i) {
+			continue
+		}
+		if p.Validate(c, st, out) {
 			out.Offset = i
 			return true
 		}

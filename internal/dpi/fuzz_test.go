@@ -147,22 +147,22 @@ func FuzzParityWithBaseline(f *testing.F) {
 	})
 }
 
-// referenceInspectStream is InspectStream with both passes as the
-// per-offset walks that predate the gates and the scan plans, so
-// neither pass has a gate or a skip. Pass 1 tries, at every offset up
-// to k, the pass-1 probers its first byte admits, in precedence order.
-// Validation evidence builds across all datagrams before pass 2, as in
-// one Finalize, so pass 2 runs in validated mode. Pass 2 is
+// referenceInspectStream is InspectStream with both passes as
+// per-offset walks with no gate, no table and no skip, so the engine's
+// gates are checked against the probers alone. Pass 1 tries, at every
+// offset up to k, every pass-1 prober in precedence order. Validation
+// evidence builds across all datagrams before pass 2, as in one
+// Finalize, so pass 2 runs in validated mode. Pass 2 is
 // referencePass2. It returns the results and pass 2's shift-attempt
 // count; with a span, pass 2 emits its decision trace into it.
 func referenceInspectStream(e *Engine, payloads [][]byte, span *obs.Span) ([]Result, int) {
 	reg := e.registry()
 	sc := proto.NewScanState()
 	for _, p := range payloads {
-		for i := 0; i < len(p) && i <= e.MaxOffset; {
+		for i := 0; i < len(p) && i <= e.maxOffset(); {
 			c := proto.Candidate{Payload: p, Offset: i}
 			consumed := 0
-			for _, pr := range reg.Pass1ProbersFor(p[i]) {
+			for _, pr := range reg.Pass1Plan().Probers() {
 				if n, ok := pr.Probe(c, sc); ok {
 					consumed = n
 					break
@@ -185,9 +185,9 @@ func referenceInspectStream(e *Engine, payloads [][]byte, span *obs.Span) ([]Res
 	return out, r.attempts
 }
 
-// referencePass2 is pass 2 as the cursor walk that predates the scan
-// plan: every offset up to k (and, after the first match, to the
-// payload end) tries the probers its first byte admits, in precedence
+// referencePass2 is pass 2 as a per-offset cursor walk with no gate,
+// no table and no skip: every offset up to k (and, after the first
+// match, to the payload end) tries every pass-2 prober, in precedence
 // order. The RTP driver's Accept keeps the stream's sequence state,
 // but the cut it makes is replaced by strongCandidate's, a
 // byte-by-byte walk, so a word search that misses a strong second
@@ -208,13 +208,13 @@ func (r *referencePass2) inspect(payload []byte) Result {
 	}
 	var msgs []Message
 	for i := 0; i < len(payload); {
-		if i > r.e.MaxOffset && len(msgs) == 0 {
+		if i > r.e.maxOffset() && len(msgs) == 0 {
 			break
 		}
 		r.attempts++
 		var m Message
 		ok := false
-		for _, pr := range r.reg.ProbersFor(payload[i]) {
+		for _, pr := range r.reg.Pass2Plan().Probers() {
 			if pr.Validate(proto.Candidate{Payload: payload, Offset: i}, &r.st, &m) {
 				m.Offset, ok = i, true
 				break

@@ -31,7 +31,7 @@ import (
 // literally:
 //
 //   - Pass 1 visits every not-yet-consumed offset of every datagram
-//     that some Pass1 prober's gate admits, and runs there the probers
+//     that some pass-1 prober's gate admits, and runs there the probers
 //     whose gates admit it: strong-signature probers consume their
 //     span, weak-signature probers (the RTP driver) tally per-SSRC
 //     validation evidence into the scan state. A gate is a necessary
@@ -43,9 +43,9 @@ import (
 //     strongly-signatured protocols immediately and RTP only for
 //     validated SSRCs in sequence order. Its scan plan visits only the
 //     offsets where some validator could accept, given the probers'
-//     declared Needs and the stream state, with the validated SSRCs as
-//     search words; the output, the shift-attempt count and the
-//     decision trace are those of trying every offset.
+//     gates and the stream state, with the validated SSRCs as search
+//     words; the output, the shift-attempt count and the decision
+//     trace are those of trying every offset.
 //
 // Because pass 2 of a datagram consults the validated-SSRC set, a
 // single Finalize over the whole stream reproduces the batch
@@ -104,29 +104,26 @@ func (si *StreamInspector) Feed(payload []byte) {
 
 // scanOne advances pass 1 over one buffered payload.
 func (si *StreamInspector) scanOne(payload []byte) {
-	limit := si.e.MaxOffset
-	if limit <= 0 {
-		limit = 200
-	}
-	end := min(len(payload), limit+1)
+	end := min(len(payload), si.e.maxOffset()+1)
 	// The registry's pass-1 plan jumps, eight offsets per step, to the
 	// next offset whose first four bytes (and framed length) some
 	// prober's gate admits, or that carries an anchored gate's word
 	// (the STUN cookie). Every offset passed over is one no gate
 	// admits, so no prober could have matched or tallied there.
+	plan := si.reg.Pass1Plan()
+	probers := plan.Probers()
 	walk := &si.walk
-	si.reg.Pass1Plan().Begin(walk, payload, end, &si.scan.Scratch)
+	plan.Begin(walk, payload, end, &si.scan.Scratch)
 	for i := walk.Next(0); i < end; i = walk.Next(i) {
 		// Strong-signature probers consume their span so their
 		// payloads (e.g. a ChannelData body) are not scanned here;
 		// weak-signature probers tally evidence without consuming, so
 		// candidate headers advance by one byte because they are not
-		// yet trusted. The first-byte table and then each prober's
-		// full gate settle most admitted offsets without a call.
+		// yet trusted. Each prober's full gate settles most admitted
+		// offsets without a call.
 		c := proto.Candidate{Payload: payload, Offset: i}
 		w := proto.Window(payload, i)
 		consumed := 0
-		probers := si.reg.Pass1ProbersFor(payload[i])
 		for k := range probers {
 			if g := probers[k].Gate; !g.Admits(w) || !g.Fits(w, len(payload)-i) {
 				continue

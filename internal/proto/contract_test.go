@@ -1,6 +1,7 @@
 package proto_test
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -25,7 +26,7 @@ func TestValidateMissLeavesOutUntouched(t *testing.T) {
 	sentinel := proto.Message{Protocol: proto.MaxIDs - 1, Offset: -1, Length: -1}
 	for _, validated := range []map[uint32]bool{nil, {contractSSRC: true}} {
 		st := &proto.StreamState{ValidatedSSRC: validated}
-		for _, p := range proto.Default().Probers() {
+		for _, p := range proto.Default().Pass2Plan().Probers() {
 			for _, b := range payloads {
 				for off := range b {
 					out := sentinel
@@ -47,10 +48,7 @@ func TestValidateMissLeavesOutUntouched(t *testing.T) {
 func TestGateIsNecessaryForProbe(t *testing.T) {
 	payloads := contractPayloads()
 	fresh := proto.NewScanState()
-	for _, p := range proto.Default().Probers() {
-		if !p.Pass1 {
-			continue
-		}
+	for _, p := range proto.Default().Pass1Plan().Probers() {
 		for _, b := range payloads {
 			for off := range b {
 				sc := proto.NewScanState()
@@ -64,19 +62,20 @@ func TestGateIsNecessaryForProbe(t *testing.T) {
 	}
 }
 
-// TestNeedsAreNecessaryForValidate pins the contract pass 2's scan plan
-// relies on: at every offset of the contract payloads where a prober's
-// Validate matches, its declared gate admits the window and a plan
-// built from that prober's Needs alone admits the offset. It runs in four stream states: permissive mode,
-// validated mode with and without SawSTUN, and validated mode after a
-// QUIC long header established a short-header DCID length.
-func TestNeedsAreNecessaryForValidate(t *testing.T) {
+// TestGateIsNecessaryForValidate pins the contract pass 2's scan plan
+// and matchAt rely on: at every offset of the contract payloads where a
+// prober's Validate matches, its gate admits the window and a plan
+// built from that prober alone admits the offset. It runs in four
+// stream states: permissive mode, validated mode with and without
+// SawSTUN, and validated mode after a QUIC long header established a
+// short-header DCID length.
+func TestGateIsNecessaryForValidate(t *testing.T) {
 	payloads := contractPayloads()
 	quic := &proto.StreamState{ValidatedSSRC: map[uint32]bool{contractSSRC: true}}
 	long := quicwire.BuildLong(quicwire.TypeInitial, quicwire.Version1, contractDCID, []byte{9}, nil, make([]byte, 24))
 	var m proto.Message
 	established := false
-	for _, p := range proto.Default().ProbersFor(long[0]) {
+	for _, p := range proto.Default().Pass2Plan().Probers() {
 		if p.ID == proto.QUIC && p.Validate(proto.Candidate{Payload: long}, quic, &m) {
 			established = true
 		}
@@ -96,7 +95,7 @@ func TestNeedsAreNecessaryForValidate(t *testing.T) {
 	}
 	matches := 0
 	for name, state := range states {
-		for _, p := range proto.Default().Probers() {
+		for _, p := range proto.Default().Pass2Plan().Probers() {
 			r := proto.NewRegistry()
 			r.Register(oneProber{p})
 			plan := r.Pass2Plan()
@@ -110,7 +109,7 @@ func TestNeedsAreNecessaryForValidate(t *testing.T) {
 						continue
 					}
 					matches++
-					if g, win := p.Needs.Gate, proto.Window(b, off); !g.Admits(win) || !g.Fits(win, len(b)-off) {
+					if g, win := p.Gate, proto.Window(b, off); !g.Admits(win) || !g.Fits(win, len(b)-off) {
 						t.Fatalf("%s: %v prober (precedence %d) matched at offset %d of % x, which its gate %#x/%#x rejects",
 							name, p.ID, p.Precedence, off, b, g.Mask, g.Want)
 					}
@@ -145,9 +144,9 @@ func (oneProber) Comply(dst []proto.Checked, _ proto.Message, _ time.Time, _ *pr
 // bits zero, which stun.LooksLikeHeader requires.
 func TestClassicGateAdmitsDefinedTypes(t *testing.T) {
 	var classic proto.Gate
-	for _, p := range proto.Default().Probers() {
-		if p.ID == proto.STUN && !p.Pass1 {
-			classic = p.Needs.Gate
+	for _, p := range proto.Default().Pass2Plan().Probers() {
+		if p.ID == proto.STUN && p.Probe == nil {
+			classic = p.Gate
 		}
 	}
 	if classic.Mask == 0 {
@@ -164,6 +163,62 @@ func TestClassicGateAdmitsDefinedTypes(t *testing.T) {
 	}
 	if defined == 0 {
 		t.Fatal("no defined message types")
+	}
+}
+
+// TestFirstByteSlices pins each pass's first-byte demultiplexing: for
+// every first byte, the probers whose gate admits it (byte 0 of the
+// gate is the prober's first-byte slice), in precedence order, against
+// the table below. DESIGN.md §11 sets the table beside RFC 7983 §7
+// (STUN 0-3, ZRTP 16-19, DTLS 20-63, TURN channels 64-79, RTP/RTCP
+// 128-191) and gives the reason for each difference.
+func TestFirstByteSlices(t *testing.T) {
+	type slice struct {
+		prober string
+		bytes  []int
+	}
+	span := func(lo, hi int) []int {
+		var out []int
+		for b := lo; b <= hi; b++ {
+			out = append(out, b)
+		}
+		return out
+	}
+	cookie := slice{"STUN/TURN@10", span(0, 63)}
+	channel := slice{"ChannelData@20", span(64, 79)}
+	rtcpRange := slice{"RTCP@30", span(128, 191)}
+	dtls := slice{"DTLS@45", span(20, 23)}
+	want := map[string][]slice{
+		"pass 1": {cookie, channel, rtcpRange, dtls,
+			// RTP tallies only version 2 with a zero CSRC count.
+			{"RTP@60", []int{0x80, 0x90, 0xA0, 0xB0}}},
+		"pass 2": {cookie, channel, rtcpRange,
+			{"QUIC@40", span(128, 255)}, // long header
+			{"QUIC@40", span(64, 127)},  // short header
+			dtls,
+			{"STUN/TURN@50", span(0, 3)}, // classic RFC 3489
+			{"RTP@60", span(128, 191)}},
+	}
+	plans := map[string]*proto.ScanPlan{"pass 1": proto.Default().Pass1Plan(), "pass 2": proto.Default().Pass2Plan()}
+	for pass, plan := range plans {
+		var wantAt, gotAt [256][]string
+		for _, s := range want[pass] {
+			for _, b := range s.bytes {
+				wantAt[b] = append(wantAt[b], s.prober)
+			}
+		}
+		for _, p := range plan.Probers() {
+			for b := range 256 {
+				if byte(b)&byte(p.Gate.Mask>>56) == byte(p.Gate.Want>>56) {
+					gotAt[b] = append(gotAt[b], fmt.Sprintf("%v@%d", p.ID, p.Precedence))
+				}
+			}
+		}
+		for b := range 256 {
+			if !reflect.DeepEqual(gotAt[b], wantAt[b]) {
+				t.Errorf("%s, first byte %d: probers %v, want %v", pass, b, gotAt[b], wantAt[b])
+			}
+		}
 	}
 }
 

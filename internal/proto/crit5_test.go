@@ -50,9 +50,11 @@ func judgeSeq(t *testing.T, payloads [][]byte) []proto.Checked {
 	return out
 }
 
+// validateOne tries every pass-2 prober at offset 0 of b, with no gate,
+// in precedence order, and returns the first match.
 func validateOne(st *proto.StreamState, b []byte) (proto.Message, bool) {
 	var m proto.Message
-	for _, p := range proto.Default().ProbersFor(b[0]) {
+	for _, p := range proto.Default().Pass2Plan().Probers() {
 		if p.Validate(proto.Candidate{Payload: b}, st, &m) {
 			return m, true
 		}

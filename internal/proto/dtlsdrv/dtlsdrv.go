@@ -16,10 +16,9 @@ func init() {
 	proto.Register(handler{})
 }
 
-// Precedence orders DTLS between QUIC and the weak probers. Its RFC
-// 7983 first-byte slice (20-63) cannot collide with STUN, ChannelData,
-// RTCP, or RTP fingerprints, but the record-chain walk is cheaper than
-// the classic-STUN and RTP validations and so runs before them.
+// Precedence orders DTLS between QUIC and the weak probers. Its first
+// bytes, the assigned content types 20-23 inside RFC 7983's DTLS slice
+// 20-63, overlap only the STUN cookie form's 0-63, which probes first.
 const Precedence = 45
 
 type handler struct{}
@@ -37,21 +36,16 @@ func (handler) Meta() proto.Meta {
 }
 
 // gate is Match's raw-byte precondition: an assigned content type
-// (20-23) has its top two bits clear, and every DTLS version word
-// starts 0xFE.
-var gate = proto.Gate{Mask: 0xC0FF << 48, Want: 0x00FE << 48}
+// (20-23), and a version word starting 0xFE, as every DTLS version's
+// does.
+var gate = proto.Gate{Mask: 0xFCFF << 48, Want: 0x14FE << 48}
 
 func (handler) Probers() []proto.Prober {
 	return []proto.Prober{{
 		Precedence: Precedence,
-		Pass1:      true,
-		// RFC 7983 allocates 20-63 to DTLS; assigned content types all
-		// fall inside it, and every DTLS version word starts 0xFE.
-		First:    func(b byte) bool { return b >= 20 && b <= 63 },
-		Gate:     gate,
-		Probe:    proto.ConsumeProbe(Match),
-		Needs:    proto.Needs{Gate: gate},
-		Validate: Match,
+		Gate:       gate,
+		Probe:      proto.ConsumeProbe(Match),
+		Validate:   Match,
 	}}
 }
 

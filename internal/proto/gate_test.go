@@ -117,12 +117,12 @@ func admitsAt(g Gate, b []byte, i int) bool {
 // gate's word at bytes 4-7, counting words that zero padding completes
 // past the end.
 func TestScanPlanAnchorIsExact(t *testing.T) {
-	needs := []Needs{
+	probers := []Prober{
 		{Gate: Gate{Mask: 0xC0000000_FFFFFFFF, Want: 0x2112A442}},
 		// A word ending in zero bytes can be completed by padding.
 		{Gate: Gate{Mask: 0x00000000_FFFFFFFF, Want: 0x77880000}},
 	}
-	plan := newScanPlan(needs)
+	plan := newScanPlan(probers)
 	words := [][]byte{{0x21, 0x12, 0xA4, 0x42}, {0x77, 0x88, 0x00, 0x00}}
 	r := rand.New(rand.NewPCG(7, 8))
 	var w Walk
@@ -139,8 +139,8 @@ func TestScanPlanAnchorIsExact(t *testing.T) {
 		for end := 0; end <= len(b); end++ {
 			var want, got []int
 			for o := 0; o < end; o++ {
-				for _, n := range needs {
-					if uint32(Window(b, o)) == uint32(n.Gate.Want) {
+				for _, p := range probers {
+					if uint32(Window(b, o)) == uint32(p.Gate.Want) {
 						want = append(want, o)
 						break
 					}

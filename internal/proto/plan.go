@@ -1,37 +1,13 @@
 package proto
 
-// Needs is a Validate prober's declared precondition in pass 2. The
-// registry derives pass 2's scan plan from the probers' Needs, so the
-// engine visits only the offsets where some validator could accept.
-// Each field is a necessary condition of Validate and may only reject;
-// the validator still confirms every hit. (Pass 1's plan is derived
-// the same way from the pass-1 probers' gates alone.)
-type Needs struct {
-	// Gate is Validate's raw-byte precondition, necessary in every
-	// stream state. A gate that pins the whole word at window bytes
-	// 4-7 (the STUN magic cookie) is an anchor: the scan searches for
-	// the word and visits exactly the offsets that carry it.
-	Gate Gate
-	// SSRCAt, when nonzero, declares that in validated mode (a non-nil
-	// StreamState.ValidatedSSRC) Validate matches only where the 4
-	// bytes at +SSRCAt lie inside the payload and name a validated
-	// SSRC. Pass 2 then visits exactly the offsets that carry one of
-	// those words, unless the set is too large to search for, in which
-	// case the prober's gate lane stands in.
-	SSRCAt int
-	// Ready, when non-nil, is the driver's own test of whether
-	// Validate can match at all in stream state st. Pass 2 drops the
-	// prober's lane and anchors while it reports false. It may read
-	// only state that changes when some prober matches.
-	Ready func(st *StreamState) bool
-}
-
-// ScanPlan is one pass's scan plan, derived from its probers' Needs in
-// precedence order: one lane per prober, the anchors of the gates that
-// pin bytes 4-7, the readiness tests, and the validated-SSRC anchors.
-// A prober without a gate has a lane that admits every offset, so a
-// registry with one walks every offset.
+// ScanPlan is one pass's scan plan over its probers in precedence
+// order: one lane per prober's gate, the anchors of the gates that pin
+// bytes 4-7, the readiness tests, and the validated-SSRC anchors. Each
+// is a necessary condition of its prober and may only reject; the
+// prober still confirms every hit. A prober without a gate has a lane
+// that admits every offset, so a plan with one walks every offset.
 type ScanPlan struct {
+	probers []Prober
 	lanes   Lanes
 	anchors []anchor
 	ready   []readyTest
@@ -45,22 +21,26 @@ type readyTest struct {
 
 type ssrcAnchor struct{ lane, at int }
 
-func newScanPlan(needs []Needs) ScanPlan {
-	gates := make([]Gate, len(needs))
-	p := ScanPlan{}
-	for k, n := range needs {
-		gates[k] = n.Gate
-		if n.Ready != nil {
-			p.ready = append(p.ready, readyTest{k, n.Ready})
+func newScanPlan(probers []Prober) ScanPlan {
+	gates := make([]Gate, len(probers))
+	p := ScanPlan{probers: probers}
+	for k, pr := range probers {
+		gates[k] = pr.Gate
+		if pr.Ready != nil {
+			p.ready = append(p.ready, readyTest{k, pr.Ready})
 		}
-		if n.SSRCAt != 0 {
-			p.ssrc = append(p.ssrc, ssrcAnchor{k, n.SSRCAt})
+		if pr.SSRCAt != 0 {
+			p.ssrc = append(p.ssrc, ssrcAnchor{k, pr.SSRCAt})
 		}
 	}
 	p.lanes = NewLanes(gates...)
 	p.anchors = anchorsOf(gates)
 	return p
 }
+
+// Probers lists the plan's probers in precedence order. Callers must
+// not mutate the returned slice.
+func (p *ScanPlan) Probers() []Prober { return p.probers }
 
 // Walk is one walk of a scan plan over a payload (in pass 2, over one
 // region): a lane cursor for the probers the plan tests by lane, and a

@@ -121,7 +121,8 @@ type Message struct {
 
 // Prober is one wire-format fingerprint of a protocol. A handler may
 // register several (STUN registers the magic-cookie form and the
-// classic RFC 3489 form at different precedences).
+// classic RFC 3489 form at different precedences). A prober joins
+// pass 1 when it has a Probe and pass 2 when it has a Validate.
 type Prober struct {
 	// ID is the owning protocol, filled in by the registry.
 	ID ID
@@ -131,34 +132,34 @@ type Prober struct {
 	// cookie, ChannelData framing, the RTCP type range) before weak
 	// ones (RTP's version bits).
 	Precedence int
-	// Pass1 includes the prober in the stream-level pass 1: Probe is
-	// called at each not-yet-consumed payload offset.
-	Pass1 bool
-	// First is the one-byte wire-format fingerprint: it reports
-	// whether a candidate starting with byte b could possibly match
-	// (RFC 7983-style demultiplexing). It must be a superset of the
-	// prober's own acceptance — Probe/Validate still reject fully —
-	// and lets the registry build the per-first-byte dispatch tables
-	// the scan loops use. Nil means the prober is tried at every
-	// offset.
-	First func(b byte) bool
-	// Gate is the pass-1 prober's raw-byte precondition over the
-	// candidate's first 8 bytes and, when it declares one, its
-	// framed-length rule: Probe neither matches nor changes the scan
-	// state at a candidate the gate rejects. The registry derives pass
-	// 1's skip plan from the gates; the zero Gate admits every offset.
+	// Gate is the prober's raw-byte precondition over the candidate's
+	// first 8 bytes and, when it declares one, its framed-length rule.
+	// It is a necessary condition of both Probe and Validate: neither
+	// matches, and Probe never changes the scan state, at a candidate
+	// the gate rejects. The scan loops test it before every call, and
+	// the registry derives both passes' scan plans from it; byte 0 of
+	// the gate is the prober's RFC 7983 first-byte slice. The zero Gate
+	// admits every offset.
 	Gate Gate
+	// Ready, when non-nil, is the driver's own test of whether the
+	// prober can act at all in stream state st. A scan plan drops the
+	// prober's lane and anchors while it reports false: pass 2 asks in
+	// the stream's state, pass 1 in its permissive Scratch state. It
+	// may read only state that changes when some prober matches.
+	Ready func(st *StreamState) bool
+	// SSRCAt, when nonzero, declares that in validated mode (a non-nil
+	// StreamState.ValidatedSSRC) Validate matches only where the 4
+	// bytes at +SSRCAt lie inside the payload and name a validated
+	// SSRC. Pass 2 then visits exactly the offsets that carry one of
+	// those words, unless the set is too large to search for, in which
+	// case the prober's gate lane stands in.
+	SSRCAt int
 	// Probe advances pass 1 at one offset. A prober with a strong
 	// signature validates structurally against sc.Scratch and returns
 	// the length of the matched span so the engine skips it; a
 	// weak-signature prober (RTP) tallies validation evidence into sc
-	// and returns false. Nil when Pass1 is false.
+	// and returns false.
 	Probe func(c Candidate, sc *ScanState) (int, bool)
-	// Needs is Validate's declared precondition: a raw-byte gate that
-	// holds in every stream state, plus the stream-state conditions
-	// Validate needs. The registry derives pass 2's scan plan from
-	// them; the zero Needs admits every offset.
-	Needs Needs
 	// Validate runs the fingerprint plus stream-state validation at one
 	// offset during pass 2. On a match it writes the extracted message
 	// to out and returns true; on a miss it returns false and leaves out

@@ -17,8 +17,10 @@ func init() {
 }
 
 // Precedence orders QUIC after the RTC protocols' stronger fingerprints
-// (RFC 7983 would put it at first-byte 128+, but the RTP/RTCP version
-// bits overlap) and before the weak classic-STUN and RTP probers.
+// and before the weak classic-STUN and RTP probers. RFC 7983 assigns
+// QUIC no first-byte slice of its own: short headers (64-127) overlap
+// the TURN channel range and long headers (128-255) the RTP/RTCP
+// range, so precedence decides.
 const Precedence = 40
 
 type handler struct{}
@@ -35,8 +37,8 @@ func (handler) Meta() proto.Meta {
 	}
 }
 
-// The two header forms are two probers at one precedence; their first
-// bytes are disjoint, so at most one runs at any offset.
+// The two header forms are two probers at one precedence; their gates'
+// first bytes are disjoint, so at most one runs at any offset.
 func (handler) Probers() []proto.Prober {
 	return []proto.Prober{
 		{
@@ -44,16 +46,15 @@ func (handler) Probers() []proto.Prober {
 			// Long headers set the form bit, and only version 1 and
 			// Version Negotiation (0) are accepted: version bytes 1-3
 			// are zero and byte 4 is 0 or 1.
-			First:    func(b byte) bool { return b&0x80 != 0 },
-			Needs:    proto.Needs{Gate: proto.Gate{Mask: 0x80FFFFFF_FE000000, Want: 0x80 << 56}},
+			Gate:     proto.Gate{Mask: 0x80FFFFFF_FE000000, Want: 0x80 << 56},
 			Validate: matchLong,
 		},
 		{
 			Precedence: Precedence,
 			// Short headers clear the form bit and set the fixed bit,
 			// and need a DCID length a long header established.
-			First:    func(b byte) bool { return b&0xc0 == 0x40 },
-			Needs:    proto.Needs{Gate: proto.Gate{Mask: 0xC0 << 56, Want: 0x40 << 56}, Ready: shortReady},
+			Gate:     proto.Gate{Mask: 0xC0 << 56, Want: 0x40 << 56},
+			Ready:    shortReady,
 			Validate: matchShort,
 		},
 	}
@@ -82,11 +83,9 @@ func matchLong(c proto.Candidate, st *proto.StreamState, out *proto.Message) boo
 	if !quicwire.IsLongHeader(b) {
 		return false
 	}
-	// Every offset whose first byte has the form bit set reaches
-	// here, so reject on the raw bytes first: a long header is at
-	// least 7 bytes, and only version 1 and Version Negotiation
-	// (version 0) are accepted below. The checks after the parse
-	// still confirm every survivor.
+	// Reject on the raw bytes first: a long header is at least 7
+	// bytes, and only version 1 and Version Negotiation (version 0)
+	// are accepted. The parse reads the version from the same bytes.
 	if len(b) < 7 {
 		return false
 	}
@@ -97,9 +96,6 @@ func matchLong(c proto.Candidate, st *proto.StreamState, out *proto.Message) boo
 	// offsets are rejected, so the heap copy waits for acceptance.
 	var probe quicwire.Header
 	if quicwire.ParseLongInto(&probe, b) != nil {
-		return false
-	}
-	if probe.Version != quicwire.Version1 && probe.Version != quicwire.VersionNegotiation {
 		return false
 	}
 	if probe.Version == quicwire.Version1 && !probe.FixedBit {

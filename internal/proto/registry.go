@@ -5,8 +5,8 @@ import (
 	"sort"
 )
 
-// Registry holds a set of protocol handlers and the derived lookup
-// structures the engines iterate. Registration happens at init time
+// Registry holds a set of protocol handlers and the per-pass scan
+// plans the engines iterate. Registration happens at init time
 // (drivers self-register into the default registry) or explicitly via
 // NewRegistry + Register; a registry is read-only once in use.
 type Registry struct {
@@ -16,15 +16,8 @@ type Registry struct {
 	observers [MaxIDs]Observer
 	ids       []ID
 	probers   []Prober
-	// table and pass1Table index probers by the first payload byte
-	// (RFC 7983-style demultiplexing): entry b lists, in precedence
-	// order, the probers whose First fingerprint admits byte b. The
-	// scan loops consult them so each offset only tries probers whose
-	// wire format can start there.
-	table      [256][]Prober
-	pass1Table [256][]Prober
-	// pass1Plan is pass 1's scan plan, built from the pass-1 probers'
-	// gates; pass2Plan is pass 2's, built from every prober's Needs.
+	// pass1Plan is pass 1's scan plan, over the probers with a Probe;
+	// pass2Plan is pass 2's, over those with a Validate.
 	pass1Plan ScanPlan
 	pass2Plan ScanPlan
 }
@@ -65,10 +58,8 @@ func (r *Registry) Register(h Handler) {
 	}
 	r.ids = append(r.ids, m.ID)
 	for _, p := range h.Probers() {
-		for _, g := range []Gate{p.Gate, p.Needs.Gate} {
-			if g.Want&^g.Mask != 0 {
-				panic(fmt.Sprintf("proto: handler %q declares a gate that admits nothing (%#x/%#x)", m.Name, g.Mask, g.Want))
-			}
+		if g := p.Gate; g.Want&^g.Mask != 0 {
+			panic(fmt.Sprintf("proto: handler %q declares a gate that admits nothing (%#x/%#x)", m.Name, g.Mask, g.Want))
 		}
 		p.ID = m.ID
 		r.probers = append(r.probers, p)
@@ -76,34 +67,17 @@ func (r *Registry) Register(h Handler) {
 	sort.SliceStable(r.probers, func(i, j int) bool {
 		return r.probers[i].Precedence < r.probers[j].Precedence
 	})
-	r.rebuildTables()
-}
-
-// rebuildTables derives the first-byte dispatch tables and both scan
-// plans from the sorted prober list.
-func (r *Registry) rebuildTables() {
-	for b := 0; b < 256; b++ {
-		r.table[b] = nil
-		r.pass1Table[b] = nil
-		for _, p := range r.probers {
-			if p.First != nil && !p.First(byte(b)) {
-				continue
-			}
-			r.table[b] = append(r.table[b], p)
-			if p.Pass1 && p.Probe != nil {
-				r.pass1Table[b] = append(r.pass1Table[b], p)
-			}
-		}
-	}
-	var gates, needs []Needs
+	var pass1, pass2 []Prober
 	for _, p := range r.probers {
-		if p.Pass1 && p.Probe != nil {
-			gates = append(gates, Needs{Gate: p.Gate})
+		if p.Probe != nil {
+			pass1 = append(pass1, p)
 		}
-		needs = append(needs, p.Needs)
+		if p.Validate != nil {
+			pass2 = append(pass2, p)
+		}
 	}
-	r.pass1Plan = newScanPlan(gates)
-	r.pass2Plan = newScanPlan(needs)
+	r.pass1Plan = newScanPlan(pass1)
+	r.pass2Plan = newScanPlan(pass2)
 }
 
 // Handler returns the handler registered for an ID (nil when absent).
@@ -161,25 +135,12 @@ func (r *Registry) Families() []ID {
 	return out
 }
 
-// Probers lists every registered prober sorted by demultiplexing
-// precedence. Callers must not mutate the returned slice.
-func (r *Registry) Probers() []Prober { return r.probers }
-
-// ProbersFor lists, in precedence order, the probers whose wire-format
-// fingerprint admits a candidate starting with byte b. Callers must not
-// mutate the returned slice.
-func (r *Registry) ProbersFor(b byte) []Prober { return r.table[b] }
-
-// Pass1ProbersFor is ProbersFor restricted to the stream-level pass-1
-// probers.
-func (r *Registry) Pass1ProbersFor(b byte) []Prober { return r.pass1Table[b] }
-
-// Pass1Plan returns pass 1's scan plan: pass 1 need only visit the
-// offsets its walks return.
+// Pass1Plan returns pass 1's scan plan: its probers, and walks that
+// visit only the offsets where one of them could act.
 func (r *Registry) Pass1Plan() *ScanPlan { return &r.pass1Plan }
 
-// Pass2Plan returns pass 2's scan plan: pass 2 need only visit the
-// offsets its walks return.
+// Pass2Plan returns pass 2's scan plan: its probers, and walks that
+// visit only the offsets where one of them could match.
 func (r *Registry) Pass2Plan() *ScanPlan { return &r.pass2Plan }
 
 // Without returns a copy of the registry with the given protocols

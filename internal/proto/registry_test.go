@@ -35,7 +35,7 @@ func TestRegisterSortsProbersAndFillsIDs(t *testing.T) {
 			{Precedence: 10, Validate: noopValidate},
 		},
 	})
-	ps := r.Probers()
+	ps := r.Pass2Plan().Probers()
 	if len(ps) != 3 {
 		t.Fatalf("probers = %d, want 3", len(ps))
 	}
@@ -114,47 +114,6 @@ func TestMetasSortByOrderThenID(t *testing.T) {
 	}
 }
 
-func TestFirstByteTables(t *testing.T) {
-	r := NewRegistry()
-	r.Register(fakeHandler{
-		meta: Meta{ID: STUN, Name: "gated"},
-		probers: []Prober{{
-			Precedence: 10,
-			Pass1:      true,
-			First:      func(b byte) bool { return b < 0x40 },
-			Probe:      ConsumeProbe(noopValidate),
-			Validate:   noopValidate,
-		}},
-	})
-	r.Register(fakeHandler{
-		meta: Meta{ID: RTP, Name: "ungated"},
-		probers: []Prober{{
-			Precedence: 60,
-			Validate:   noopValidate,
-		}},
-	})
-	// A nil First admits every byte; a gate restricts its prober to its
-	// slice of the first-byte space.
-	if got := len(r.ProbersFor(0x00)); got != 2 {
-		t.Errorf("ProbersFor(0x00) = %d probers, want 2", got)
-	}
-	if got := r.ProbersFor(0x80); len(got) != 1 || got[0].ID != RTP {
-		t.Errorf("ProbersFor(0x80) = %v, want just the ungated prober", got)
-	}
-	// Pass-1 tables only list probers with Pass1 set and a Probe.
-	if got := len(r.Pass1ProbersFor(0x00)); got != 1 {
-		t.Errorf("Pass1ProbersFor(0x00) = %d probers, want 1", got)
-	}
-	if got := len(r.Pass1ProbersFor(0x80)); got != 0 {
-		t.Errorf("Pass1ProbersFor(0x80) = %d probers, want 0", got)
-	}
-	// Admitted probers keep precedence order.
-	ps := r.ProbersFor(0x10)
-	if len(ps) != 2 || ps[0].Precedence != 10 || ps[1].Precedence != 60 {
-		t.Errorf("ProbersFor(0x10) out of precedence order: %v", ps)
-	}
-}
-
 func TestWithoutDropsHandlerAndRebuildsTables(t *testing.T) {
 	r := NewRegistry()
 	r.Register(fakeHandler{
@@ -163,7 +122,7 @@ func TestWithoutDropsHandlerAndRebuildsTables(t *testing.T) {
 	})
 	r.Register(fakeHandler{
 		meta:    Meta{ID: DTLS, Name: "d", Order: 5},
-		probers: []Prober{{Precedence: 45, First: func(b byte) bool { return b >= 20 && b <= 63 }, Validate: noopValidate}},
+		probers: []Prober{{Precedence: 45, Gate: Gate{Mask: 0xFC << 56, Want: 0x14 << 56}, Validate: noopValidate}},
 	})
 	sub := r.Without(DTLS)
 	if sub.Handler(DTLS) != nil {
@@ -172,13 +131,13 @@ func TestWithoutDropsHandlerAndRebuildsTables(t *testing.T) {
 	if sub.Handler(STUN) == nil {
 		t.Error("Without dropped a kept handler")
 	}
-	for _, p := range sub.ProbersFor(22) {
+	for _, p := range sub.Pass2Plan().Probers() {
 		if p.ID == DTLS {
-			t.Error("Without left the dropped protocol in the first-byte table")
+			t.Error("Without left the dropped protocol in the pass-2 plan")
 		}
 	}
 	// The original registry is untouched.
-	if r.Handler(DTLS) == nil || len(r.ProbersFor(22)) != 2 {
+	if r.Handler(DTLS) == nil || len(r.Pass2Plan().Probers()) != 2 {
 		t.Error("Without mutated the source registry")
 	}
 }

@@ -46,13 +46,9 @@ func (handler) Meta() proto.Meta {
 func (handler) Probers() []proto.Prober {
 	return []proto.Prober{{
 		Precedence: Precedence,
-		Pass1:      true,
-		// Version bits 2 in the top two bit positions.
-		First:    func(b byte) bool { return b>>6 == 2 },
-		Gate:     Gate,
-		Probe:    proto.ConsumeProbe(Match),
-		Needs:    proto.Needs{Gate: Gate},
-		Validate: Match,
+		Gate:       Gate,
+		Probe:      proto.ConsumeProbe(Match),
+		Validate:   Match,
 	}}
 }
 

@@ -43,20 +43,25 @@ func (handler) Meta() proto.Meta {
 	}
 }
 
+// The two passes read different fingerprints, so RTP registers two
+// probers at one precedence: pass 1 tallies only version-2 candidates
+// with a zero CSRC count, while Match accepts any CSRC count, and in
+// stream-validated mode only a validated SSRC, which sits at +8.
+// Giving the tally the wider gate would admit 16 times the offsets.
 func (handler) Probers() []proto.Prober {
-	return []proto.Prober{{
-		Precedence: Precedence,
-		Pass1:      true,
-		// Version bits 2 in the top two bit positions; pass 1 tallies
-		// only candidates with a zero CSRC count.
-		First: func(b byte) bool { return b>>6 == 2 },
-		Gate:  proto.Gate{Mask: 0xCF << 56, Want: 0x80 << 56},
-		Probe: tallyProbe,
-		// Match accepts any CSRC count, and in stream-validated mode
-		// only a validated SSRC, which sits at +8.
-		Needs:    proto.Needs{Gate: proto.Gate{Mask: 0xC0 << 56, Want: 0x80 << 56}, SSRCAt: 8},
-		Validate: Match,
-	}}
+	return []proto.Prober{
+		{
+			Precedence: Precedence,
+			Gate:       proto.Gate{Mask: 0xCF << 56, Want: 0x80 << 56},
+			Probe:      tallyProbe,
+		},
+		{
+			Precedence: Precedence,
+			Gate:       proto.Gate{Mask: 0xC0 << 56, Want: 0x80 << 56},
+			SSRCAt:     8,
+			Validate:   Match,
+		},
+	}
 }
 
 // streamState is RTP's per-stream pass-2 state: last accepted sequence

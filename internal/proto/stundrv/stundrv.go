@@ -55,25 +55,17 @@ func (stunHandler) Probers() []proto.Prober {
 	return []proto.Prober{
 		{
 			Precedence: PrecedenceCookie,
-			Pass1:      true,
-			First:      stunFirst,
 			Gate:       cookieGate,
 			Probe:      proto.ConsumeProbe(MatchCookie),
-			Needs:      proto.Needs{Gate: cookieGate},
 			Validate:   MatchCookie,
 		},
 		{
 			Precedence: PrecedenceClassic,
-			First:      stunFirst,
-			Needs:      proto.Needs{Gate: classicGate},
+			Gate:       classicGate,
 			Validate:   matchClassic,
 		},
 	}
 }
-
-// stunFirst is the RFC 7983 first-byte slice shared by both STUN
-// probers: the two top bits of the message type word are zero.
-func stunFirst(b byte) bool { return b&0xc0 == 0 }
 
 // MatchCookie matches RFC 5389+ STUN: the magic cookie is the
 // validation anchor. The message type is deliberately unrestricted
@@ -82,9 +74,6 @@ func stunFirst(b byte) bool { return b&0xc0 == 0 }
 func MatchCookie(c proto.Candidate, st *proto.StreamState, out *proto.Message) bool {
 	b := c.Bytes()
 	if !stun.LooksLikeHeader(b) {
-		return false
-	}
-	if len(b) < stun.HeaderLen {
 		return false
 	}
 	cookie := uint32(b[4])<<24 | uint32(b[5])<<16 | uint32(b[6])<<8 | uint32(b[7])
@@ -156,11 +145,9 @@ var channelDataGate = proto.Gate{Mask: 0xF0 << 56, Want: 0x40 << 56, Bias: 4, Sl
 func (channelDataHandler) Probers() []proto.Prober {
 	return []proto.Prober{{
 		Precedence: PrecedenceChannelData,
-		Pass1:      true,
-		First:      func(b byte) bool { return b >= 0x40 && b <= 0x4f },
 		Gate:       channelDataGate,
+		Ready:      channelDataReady,
 		Probe:      proto.ConsumeProbe(matchChannelData),
-		Needs:      proto.Needs{Gate: channelDataGate, Ready: channelDataReady},
 		Validate:   matchChannelData,
 	}}
 }
