@@ -19,7 +19,6 @@ package appsim
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"time"
 
 	"github.com/rtc-compliance/rtcc/internal/ice"
@@ -261,9 +260,7 @@ func (e *env) jitter(ms int) time.Duration {
 
 // finish sorts events and assembles the Call.
 func (e *env) finish() *Call {
-	sort.SliceStable(e.events, func(i, j int) bool {
-		return e.events[i].At.Before(e.events[j].At)
-	})
+	natsim.SortByTime(e.events)
 	return &Call{
 		Config:    e.cfg,
 		Mode:      e.mode,
@@ -300,24 +297,26 @@ func newMediaStream(rng *ice.Rand, ssrc uint32, pt uint8, tsStep uint32) *mediaS
 	}
 }
 
-// next builds the next RTP packet with an encrypted payload of n bytes
-// and the given optional extension. marker is set on request.
-func (m *mediaStream) next(n int, ext *rtp.Extension, marker bool) *rtp.Packet {
-	payload := make([]byte, n)
-	m.srtpCtx.EncryptRTPPayload(payload, m.ssrc, m.index)
-	m.index++
-	p := &rtp.Packet{
+// appendNext appends the stream's next RTP packet to dst: the header
+// with the given optional extension (marker set on request), then an
+// encrypted payload of n bytes, encrypted in place.
+func (m *mediaStream) appendNext(dst []byte, n int, ext *rtp.Extension, marker bool) []byte {
+	p := rtp.Packet{
 		Marker:         marker,
 		PayloadType:    m.pt,
 		SequenceNumber: m.seq,
 		Timestamp:      m.ts,
 		SSRC:           m.ssrc,
-		Payload:        payload,
 		Extension:      ext,
 	}
+	dst = p.AppendHeader(dst)
+	start := len(dst)
+	dst = append(dst, make([]byte, n)...)
+	m.srtpCtx.EncryptRTPPayload(dst[start:], m.ssrc, m.index)
+	m.index++
 	m.seq++
 	m.ts += m.tsStep
-	return p
+	return dst
 }
 
 // ntpTime converts a wall-clock time to a 64-bit NTP timestamp.

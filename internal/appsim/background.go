@@ -71,10 +71,10 @@ func GenerateBackground(cfg BackgroundConfig) []Dgram {
 	// the in-window ones are what stage 2 must catch).
 	for i := 0; i < 12; i++ {
 		at := cfg.PreStart.Add(time.Duration(i) * total / 12)
-		q := append([]byte{byte(i), 0x01, 0x01, 0x00, 0x00, 0x01}, rng.Bytes(18)...)
+		q := rng.AppendBytes(append(make([]byte, 0, 24), byte(i), 0x01, 0x01, 0x00, 0x00, 0x01), 18)
 		src := netip.AddrPortFrom(cfg.Device, uint16(52000+i))
 		pushUDP(&events, at, src, dns, q)
-		pushUDP(&events, at.Add(18*time.Millisecond), dns, src, append(q, rng.Bytes(16)...))
+		pushUDP(&events, at.Add(18*time.Millisecond), dns, src, rng.AppendBytes(append(make([]byte, 0, 40), q...), 16))
 	}
 
 	// 2. APNS-style persistent connection: fixed destination 3-tuple,

@@ -89,6 +89,7 @@ func generateDiscord(e *env) {
 			}
 
 			var ext *rtp.Extension
+			var extData [8]byte
 			switch {
 			case tick%39 == 0: // ≈2.58%: undefined profile, pt 120 only
 				st.ms.pt = 120
@@ -96,7 +97,7 @@ func generateDiscord(e *env) {
 				if profile == rtp.ProfileOneByte || profile&rtp.ProfileTwoByteMask == rtp.ProfileTwoByteBase {
 					profile = 0x0085
 				}
-				ext = &rtp.Extension{Profile: profile, Data: e.rng.Bytes(8)}
+				ext = &rtp.Extension{Profile: profile, Data: e.rng.AppendBytes(extData[:0], 8)}
 			case tick%21 == 7: // ≈4.91%: BEDE with ID=0 and a length
 				ext = &rtp.Extension{
 					Profile: rtp.ProfileOneByte,
@@ -107,14 +108,15 @@ func generateDiscord(e *env) {
 			case tick%5 == 0: // ordinary compliant extension
 				ext = &rtp.Extension{
 					Profile:  rtp.ProfileOneByte,
-					Elements: []rtp.ExtensionElement{{ID: 1, Payload: e.rng.Bytes(3)}},
+					Elements: []rtp.ExtensionElement{{ID: 1, Payload: e.rng.AppendBytes(extData[:0], 3)}},
 				}
 			}
-			e.push(e.mediaAt(at, video, 3), src, dst, st.ms.next(size, ext, false).Encode())
+			// Every extension above encodes to at most 12 bytes.
+			e.push(e.mediaAt(at, video, 3), src, dst, st.ms.appendNext(make([]byte, 0, rtp.HeaderLen+12+size), size, ext, false))
 
 			// Fully proprietary control datagrams ≈0.7%.
 			if tick%141 == 0 {
-				e.push(at.Add(e.jitter(4)), src, dst, append([]byte{0x13, 0x37}, e.rng.Bytes(20)...))
+				e.push(at.Add(e.jitter(4)), src, dst, e.rng.AppendBytes(append(make([]byte, 0, 22), 0x13, 0x37), 20))
 			}
 		}
 	}

@@ -35,15 +35,16 @@ var faceTimeRTPPayloads = []uint8{100, 104, 108, 13, 20}
 
 var faceTimeExtProfiles = []uint16{0x8001, 0x8500, 0x8D00}
 
-// faceTimeHeader builds the 0x6000 relay proprietary header wrapping an
-// encoded message. Header length varies 8-19 bytes total.
-func faceTimeHeader(e *env, msg []byte) []byte {
+// faceTimeHeaderMax is the longest header appendFaceTimeHeader writes.
+const faceTimeHeaderMax = 19
+
+// appendFaceTimeHeader appends the 0x6000 relay proprietary header for
+// a message of msgLen bytes, which the caller appends after it. Header
+// length varies 8-19 bytes total.
+func appendFaceTimeHeader(e *env, dst []byte, msgLen int) []byte {
 	extra := 4 + e.rng.IntN(12) // bytes between the length field and msg
-	h := make([]byte, 0, 4+extra+len(msg))
-	h = append(h, 0x60, 0x00)
-	h = append(h, byte((extra+len(msg))>>8), byte(extra+len(msg)))
-	h = append(h, e.rng.Bytes(extra)...)
-	return append(h, msg...)
+	dst = append(dst, 0x60, 0x00, byte((extra+msgLen)>>8), byte(extra+msgLen))
+	return e.rng.AppendBytes(dst, extra)
 }
 
 func generateFaceTime(e *env) {
@@ -174,8 +175,9 @@ func generateFaceTime(e *env) {
 				size = e.mediaSize(at, true, 600+e.rng.IntN(400))
 			}
 			profile := faceTimeExtProfiles[tick%len(faceTimeExtProfiles)]
-			ext := &rtp.Extension{Profile: profile, Data: e.rng.Bytes(8)}
-			pkt := st.ms.next(size, ext, false).Encode()
+			var extData [8]byte
+			ext := &rtp.Extension{Profile: profile, Data: e.rng.AppendBytes(extData[:0], len(extData))}
+			msgLen := rtp.HeaderLen + 4 + len(extData) + size
 
 			// Relay mode: 89.2% of datagrams behind the 0x6000 header.
 			// P2P: a small fixed number per call.
@@ -186,9 +188,11 @@ func generateFaceTime(e *env) {
 				wrap = true
 				p2pHeaderBudget--
 			}
+			pkt := make([]byte, 0, faceTimeHeaderMax+msgLen)
 			if wrap {
-				pkt = faceTimeHeader(e, pkt)
+				pkt = appendFaceTimeHeader(e, pkt, msgLen)
 			}
+			pkt = st.ms.appendNext(pkt, size, ext, false)
 			e.push(e.mediaAt(at, st.video, 3), src, dst, pkt)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/rtc-compliance/rtcc/internal/rtcp"
+	"github.com/rtc-compliance/rtcc/internal/rtp"
 	"github.com/rtc-compliance/rtcc/internal/stun"
 )
 
@@ -165,7 +166,12 @@ func generateZoomGroup(e *env, cfg GroupCallConfig) {
 					Info: rtcp.SenderInfo{NTPTimestamp: ntpTime(at), RTPTimestamp: st.ms.ts, PacketCount: uint32(tick), OctetCount: uint32(tick) * 500},
 				})
 				sdes := rtcp.EncodeSDES(&rtcp.SDES{Chunks: []rtcp.SDESChunk{{SSRC: st.ms.ssrc, Items: []rtcp.SDESItem{{Type: rtcp.SDESCNAME, Text: "zoom-client"}}}}})
-				e.push(at.Add(e.jitter(3)), src, dst, append(zoomHeader(e, dir, zoomTypeRTCP, st.mediaID, false), rtcp.Compound(sr, sdes)...))
+				// The jitter is drawn before the header's random
+				// fields; the rng order fixes the capture's bytes.
+				ts := at.Add(e.jitter(3))
+				compound := rtcp.Compound(sr, sdes)
+				payload := appendZoomHeader(e, make([]byte, 0, zoomHeaderMax+len(compound)), dir, zoomTypeRTCP, st.mediaID, false)
+				e.push(ts, src, dst, append(payload, compound...))
 				continue
 			}
 			pt := zoomRTPPayloadTypes[ptIdx%len(zoomRTPPayloadTypes)]
@@ -177,8 +183,9 @@ func generateZoomGroup(e *env, cfg GroupCallConfig) {
 				size = 600 + e.rng.IntN(300)
 				mType = zoomTypeVideo
 			}
-			pkt := st.ms.next(size, nil, false)
-			e.push(at.Add(e.jitter(3)), src, dst, append(zoomHeader(e, dir, mType, st.mediaID, false), pkt.Encode()...))
+			ts := at.Add(e.jitter(3))
+			payload := appendZoomHeader(e, make([]byte, 0, zoomHeaderMax+rtp.HeaderLen+size), dir, mType, st.mediaID, false)
+			e.push(ts, src, dst, st.ms.appendNext(payload, size, nil, false))
 		}
 	}
 }
@@ -242,9 +249,8 @@ func generateMeetGroup(e *env, cfg GroupCallConfig) {
 			if st.video {
 				size = 500 + e.rng.IntN(400)
 			}
-			pkt := st.ms.next(size, nil, false).Encode()
-			cd := &stun.ChannelData{ChannelNumber: 0x4000, Data: pkt}
-			e.push(at.Add(e.jitter(3)), src, dst, cd.Encode())
+			payload := stun.AppendChannelDataHeader(make([]byte, 0, 4+rtp.HeaderLen+size), 0x4000, rtp.HeaderLen+size)
+			e.push(at.Add(e.jitter(3)), src, dst, st.ms.appendNext(payload, size, nil, false))
 		}
 	}
 }

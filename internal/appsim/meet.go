@@ -6,6 +6,7 @@ import (
 
 	"github.com/rtc-compliance/rtcc/internal/ice"
 	"github.com/rtc-compliance/rtcc/internal/rtcp"
+	"github.com/rtc-compliance/rtcc/internal/rtp"
 	"github.com/rtc-compliance/rtcc/internal/srtp"
 	"github.com/rtc-compliance/rtcc/internal/stun"
 )
@@ -194,20 +195,20 @@ func generateMeet(e *env) {
 			if st.video {
 				size = e.mediaSize(ts, true, 600+e.rng.IntN(400))
 			}
-			pkt := st.ms.next(size, nil, false).Encode()
 			// Relay mode: media rides in ChannelData on the bound
 			// channel — this is what drives Meet's outsized STUN/TURN
 			// message share in Table 2 and, by volume, makes STUN/TURN
 			// the most compliant protocol after QUIC.
+			pkt := make([]byte, 0, 4+rtp.HeaderLen+size)
 			if relayNow {
-				cd := &stun.ChannelData{ChannelNumber: 0x4000, Data: pkt}
-				pkt = cd.Encode()
+				pkt = stun.AppendChannelDataHeader(pkt, 0x4000, rtp.HeaderLen+size)
 			}
+			pkt = st.ms.appendNext(pkt, size, nil, false)
 			e.push(e.mediaAt(ts, st.video, 3), src, dst, pkt)
 
 			// Fully proprietary ≈1.3%.
 			if tick%77 == 0 {
-				e.push(ts.Add(e.jitter(4)), src, dst, append([]byte{0x21, 0x07}, e.rng.Bytes(24)...))
+				e.push(ts.Add(e.jitter(4)), src, dst, e.rng.AppendBytes(append(make([]byte, 0, 26), 0x21, 0x07), 24))
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/rtc-compliance/rtcc/internal/ice"
 	"github.com/rtc-compliance/rtcc/internal/rtcp"
+	"github.com/rtc-compliance/rtcc/internal/rtp"
 	"github.com/rtc-compliance/rtcc/internal/stun"
 )
 
@@ -266,10 +267,10 @@ func generateMeta(e *env, p metaProfile) {
 			if video {
 				size = e.mediaSize(at, true, 500+e.rng.IntN(500))
 			}
-			e.push(e.mediaAt(at, video, 3), src, dst, st.ms.next(size, nil, false).Encode())
+			e.push(e.mediaAt(at, video, 3), src, dst, st.ms.appendNext(make([]byte, 0, rtp.HeaderLen+size), size, nil, false))
 
 			if tick%p.propEvery == 0 {
-				e.push(at.Add(e.jitter(4)), src, dst, append([]byte{0x2f, 0x01}, e.rng.Bytes(30)...))
+				e.push(at.Add(e.jitter(4)), src, dst, e.rng.AppendBytes(append(make([]byte, 0, 32), 0x2f, 0x01), 30))
 			}
 		}
 	}

@@ -1,11 +1,13 @@
 package appsim
 
 import (
+	"encoding/binary"
 	"math"
 	"net/netip"
 	"time"
 
 	"github.com/rtc-compliance/rtcc/internal/rtcp"
+	"github.com/rtc-compliance/rtcc/internal/rtp"
 	"github.com/rtc-compliance/rtcc/internal/stun"
 )
 
@@ -60,25 +62,27 @@ var zoomRTPPayloadTypes = func() []uint8 {
 	return append(pts, 123, 126, 127)
 }()
 
-// zoomHeader builds the proprietary header. The header length varies
-// 24-39 bytes; wrapped packets carry the type-7 byte plus the inner
-// media type.
-func zoomHeader(e *env, dirByte byte, mediaType byte, mediaID uint32, wrap bool) []byte {
-	h := make([]byte, 0, 39)
-	h = append(h, dirByte, 0x10)
-	h = append(h, byte(mediaID>>24), byte(mediaID>>16), byte(mediaID>>8), byte(mediaID))
+// zoomHeaderMax is the longest proprietary header appendZoomHeader
+// writes.
+const zoomHeaderMax = 39
+
+// appendZoomHeader appends the proprietary header to dst. The header
+// length varies 24-39 bytes; wrapped packets carry the type-7 byte plus
+// the inner media type.
+func appendZoomHeader(e *env, dst []byte, dirByte byte, mediaType byte, mediaID uint32, wrap bool) []byte {
+	dst = append(dst, dirByte, 0x10)
+	dst = binary.BigEndian.AppendUint32(dst, mediaID)
 	// Opaque SFU fields (timestamps, flags). Drawn from the seeded rng;
 	// kept odd-valued in the length-like positions so they can never
 	// satisfy a classic-STUN exact-length parse.
-	h = append(h, e.rng.Bytes(8)...)
+	dst = e.rng.AppendBytes(dst, 8)
 	if wrap {
-		h = append(h, zoomTypeWrapper)
-		h = append(h, e.rng.Bytes(4)...)
+		dst = append(dst, zoomTypeWrapper)
+		dst = e.rng.AppendBytes(dst, 4)
 	}
-	h = append(h, mediaType)
+	dst = append(dst, mediaType)
 	// Trailing opaque media-section fields; vary the total length.
-	h = append(h, e.rng.Bytes(9+e.rng.IntN(7))...)
-	return h
+	return e.rng.AppendBytes(dst, 9+e.rng.IntN(7))
 }
 
 func generateZoom(e *env) {
@@ -195,8 +199,9 @@ func generateZoom(e *env) {
 					SSRC:  st.ms.ssrc,
 					Items: []rtcp.SDESItem{{Type: rtcp.SDESCNAME, Text: "zoom-client"}},
 				}}})
-				payload := append(zoomHeader(e, dOut, zoomTypeRTCP, st.mediaID, false), rtcp.Compound(sr, sdes)...)
-				e.push(at.Add(e.jitter(3)), src, dst, payload)
+				compound := rtcp.Compound(sr, sdes)
+				payload := appendZoomHeader(e, make([]byte, 0, zoomHeaderMax+len(compound)), dOut, zoomTypeRTCP, st.mediaID, false)
+				e.push(at.Add(e.jitter(3)), src, dst, append(payload, compound...))
 				continue
 			}
 
@@ -214,11 +219,14 @@ func generateZoom(e *env) {
 			// 0.21% of RTP datagrams carry two RTP messages (§5.3).
 			if mediaCount%480 == 50 {
 				st.ms.pt = 110
-				first := st.ms.next(7, nil, false)
-				second := st.ms.next(size, nil, false)
-				second.Timestamp = first.Timestamp // shared timestamp
-				payload := append(zoomHeader(e, dOut, mType, st.mediaID, false), first.Encode()...)
-				payload = append(payload, second.Encode()...)
+				payload := make([]byte, 0, zoomHeaderMax+2*rtp.HeaderLen+7+size)
+				payload = appendZoomHeader(e, payload, dOut, mType, st.mediaID, false)
+				payload = st.ms.appendNext(payload, 7, nil, false)
+				// The second message shares the first's timestamp; the
+				// stream's timestamp still advances by two steps.
+				st.ms.ts -= st.ms.tsStep
+				payload = st.ms.appendNext(payload, size, nil, false)
+				st.ms.ts += st.ms.tsStep
 				e.push(e.mediaAt(at, st.video, 3), src, dst, payload)
 				continue
 			}
@@ -230,13 +238,13 @@ func generateZoom(e *env) {
 			if wrap {
 				dir = dOut7
 			}
-			pkt := st.ms.next(size, nil, false)
-			payload := append(zoomHeader(e, dir, mType, st.mediaID, wrap), pkt.Encode()...)
+			payload := appendZoomHeader(e, make([]byte, 0, zoomHeaderMax+rtp.HeaderLen+size), dir, mType, st.mediaID, wrap)
+			payload = st.ms.appendNext(payload, size, nil, false)
 			e.push(e.mediaAt(at, st.video, 3), src, dst, payload)
 
 			// Other fully proprietary control datagrams.
 			if fillerEvery > 0 && tick%fillerEvery == 0 {
-				ctrl := append([]byte{0xAA, 0x55}, e.rng.Bytes(46)...)
+				ctrl := e.rng.AppendBytes(append(make([]byte, 0, 48), 0xAA, 0x55), 46)
 				e.push(at.Add(e.jitter(4)), src, dst, ctrl)
 			}
 		}

@@ -111,9 +111,11 @@ type streamState struct {
 }
 
 // Analyzer is the incremental analysis pipeline: Feed advances packet
-// decoding, flow grouping, online filtering, and DPI per frame; Close
-// reconciles the online filter verdicts against the full two-stage
-// filter and assembles the CaptureAnalysis. Without eviction the result
+// decoding, flow grouping and online filtering per frame, and buffers
+// each kept UDP payload in its stream's DPI inspector; both DPI passes
+// run when a stream's buffered datagrams are finalized, at idle
+// eviction or at Close. Close reconciles the online filter verdicts
+// against the full two-stage filter and assembles the CaptureAnalysis. Without eviction the result
 // equals the test-side batch reference's; the offline entry points are
 // thin wrappers over this type. Results carry verdicts, not packets: no
 // stream in a result holds per-packet records.
@@ -253,7 +255,8 @@ func (a *Analyzer) FeedBatch(batch []Datagram) error {
 }
 
 // feedOne is the shared per-frame pipeline step behind Feed and
-// FeedBatch: decode, flow grouping, online filtering, and DPI pass 1.
+// FeedBatch: decode, flow grouping, online filtering, and buffering
+// the payload for DPI, whose passes run at the stream's finalization.
 func (a *Analyzer) feedOne(ts time.Time, frame []byte, seq uint64) {
 	if a.frames == 0 {
 		a.firstTS = ts
@@ -322,7 +325,7 @@ func (a *Analyzer) feedOne(ts time.Time, frame []byte, seq uint64) {
 		if pkt.TCP != nil {
 			flags = pkt.TCP.Flags
 		}
-		a.table.AddToStream(s, ts, dir, src, dst, pkt.Payload, flags, keep)
+		a.table.AddToStream(s, ts, dir, dst, pkt.Payload, flags, keep)
 	} else {
 		var ok bool
 		s, ok = a.table.AddPacket(ts, pkt, keep)

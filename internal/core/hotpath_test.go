@@ -38,7 +38,7 @@ func hotRTPFrame(src, dst netip.Addr, srcPort, dstPort uint16, ssrc uint32, seq 
 	for i := range p.Payload {
 		p.Payload[i] = 0x5a
 	}
-	return layers.EncodeUDPv4(src, dst, srcPort, dstPort, p.Encode())
+	return layers.AppendUDPv4(nil, src, dst, srcPort, dstPort, p.Encode())
 }
 
 // patchSeq rewrites the RTP sequence number (and matching media
@@ -98,11 +98,11 @@ func TestHotPathAllocs(t *testing.T) {
 		// Warm both the record slice and the 3-tuple memo, then measure
 		// the pool-mode steady state: records retained, then truncated
 		// as the analyzer's drop path does.
-		table.AddToStream(s, ts, dir, src, dst, pkt.Payload, 0, true)
+		table.AddToStream(s, ts, dir, dst, pkt.Payload, 0, true)
 		s.Packets = s.Packets[:0]
 		allocs := testing.AllocsPerRun(500, func() {
 			ts = ts.Add(time.Millisecond)
-			table.AddToStream(s, ts, dir, src, dst, pkt.Payload, 0, true)
+			table.AddToStream(s, ts, dir, dst, pkt.Payload, 0, true)
 			s.Packets = s.Packets[:0]
 		})
 		if allocs != 0 {

@@ -115,7 +115,7 @@ func TestStageSecondsDPIFinalizeCoversPass1(t *testing.T) {
 	for i, payload := range [][]byte{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}} {
 		frames = append(frames, pcap.Packet{
 			Timestamp: t0.Add(time.Duration(i) * 20 * time.Millisecond),
-			Data:      layers.EncodeUDPv4(hotSrc, hotDst, 50000, 4444, payload),
+			Data:      layers.AppendUDPv4(nil, hotSrc, hotDst, 50000, 4444, payload),
 		})
 	}
 	m := metrics.NewRegistry()

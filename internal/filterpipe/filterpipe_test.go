@@ -150,7 +150,7 @@ func TestWindowSlackDefault(t *testing.T) {
 	src := netip.MustParseAddr("203.0.113.7")
 	table := flow.NewTable()
 	add := func(ts time.Time, dst string) {
-		frame := layers.EncodeUDPv4(src, netip.MustParseAddr(dst), 50000, 3478, []byte{1})
+		frame := layers.AppendUDPv4(nil, src, netip.MustParseAddr(dst), 50000, 3478, []byte{1})
 		pkt, err := layers.Decode(pcap.LinkTypeRaw, frame)
 		if err != nil {
 			t.Fatal(err)
@@ -200,14 +200,19 @@ func TestIdempotent(t *testing.T) {
 	for _, s := range res.RTC {
 		for _, p := range s.Packets {
 			// Rebuild a decoded packet the quick way: re-encode as UDP
-			// or TCP frame and decode it.
+			// or TCP frame and decode it. The record's endpoints are the
+			// stream key's, in the order its direction gives.
+			src, dst := s.Key.A, s.Key.B
+			if p.Dir == flow.DirBToA {
+				src, dst = dst, src
+			}
 			var frame []byte
 			if s.Key.Proto == layers.IPProtocolTCP {
-				frame = layers.EncodeTCPv4(p.Src.Addr, p.Dst.Addr, layers.TCP{SrcPort: p.Src.Port, DstPort: p.Dst.Port, Flags: p.TCPFlags}, p.Payload)
-			} else if p.Src.Addr.Is6() {
-				frame = layers.EncodeUDPv6(p.Src.Addr, p.Dst.Addr, p.Src.Port, p.Dst.Port, p.Payload)
+				frame = layers.AppendTCPv4(nil, src.Addr, dst.Addr, layers.TCP{SrcPort: src.Port, DstPort: dst.Port, Flags: p.TCPFlags}, p.Payload)
+			} else if src.Addr.Is6() {
+				frame = layers.AppendUDPv6(nil, src.Addr, dst.Addr, src.Port, dst.Port, p.Payload)
 			} else {
-				frame = layers.EncodeUDPv4(p.Src.Addr, p.Dst.Addr, p.Src.Port, p.Dst.Port, p.Payload)
+				frame = layers.AppendUDPv4(nil, src.Addr, dst.Addr, src.Port, dst.Port, p.Payload)
 			}
 			pkt, err := layers.Decode(pcap.LinkTypeRaw, frame)
 			if err != nil {

@@ -62,16 +62,15 @@ const (
 	DirBToA
 )
 
-// Packet is one packet assigned to a stream.
+// Packet is one packet assigned to a stream. Its endpoints are the
+// stream key's, in the order Dir gives: A to B for DirAToB.
 type Packet struct {
 	Timestamp time.Time
 	Dir       Direction
-	// Src and Dst are the actual packet endpoints (not canonicalized).
-	Src, Dst Endpoint
-	// Payload is the transport payload.
-	Payload []byte
 	// TCPFlags preserves the TCP flag byte for TCP segments (0 for UDP).
 	TCPFlags uint8
+	// Payload is the transport payload.
+	Payload []byte
 }
 
 // Stream is a bidirectional transport conversation.
@@ -182,7 +181,7 @@ func (t *Table) AddPacket(ts time.Time, pkt *layers.Packet, keep bool) (*Stream,
 	if pkt.TCP != nil {
 		flags = pkt.TCP.Flags
 	}
-	t.AddToStream(s, ts, dir, src, dst, pkt.Payload, flags, keep)
+	t.AddToStream(s, ts, dir, dst, pkt.Payload, flags, keep)
 	return s, true
 }
 
@@ -190,16 +189,14 @@ func (t *Table) AddPacket(ts time.Time, pkt *layers.Packet, keep bool) (*Stream,
 // skipping the key canonicalization and stream-map lookup of AddPacket.
 // It is the batched analyzer's fast path for runs of packets on the
 // same stream: the caller guarantees s came from this table and that
-// (dir, src, dst) are consistent with s.Key.
-func (t *Table) AddToStream(s *Stream, ts time.Time, dir Direction, src, dst Endpoint, payload []byte, tcpFlags uint8, keep bool) {
+// (dir, dst) are consistent with s.Key.
+func (t *Table) AddToStream(s *Stream, ts time.Time, dir Direction, dst Endpoint, payload []byte, tcpFlags uint8, keep bool) {
 	if keep {
 		s.Packets = append(s.Packets, Packet{
 			Timestamp: ts,
 			Dir:       dir,
-			Src:       src,
-			Dst:       dst,
-			Payload:   payload,
 			TCPFlags:  tcpFlags,
+			Payload:   payload,
 		})
 	}
 	if ts.Before(s.FirstSeen) {

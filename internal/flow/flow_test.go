@@ -29,8 +29,8 @@ func decode(t *testing.T, frame []byte) *layers.Packet {
 func TestBidirectionalGrouping(t *testing.T) {
 	tbl := NewTable()
 	// A->B then B->A: one stream, two directions.
-	tbl.Add(t0, decode(t, layers.EncodeUDPv4(hostA, hostB, 5000, 6000, []byte("req"))))
-	tbl.Add(t0.Add(time.Second), decode(t, layers.EncodeUDPv4(hostB, hostA, 6000, 5000, []byte("resp"))))
+	tbl.Add(t0, decode(t, layers.AppendUDPv4(nil, hostA, hostB, 5000, 6000, []byte("req"))))
+	tbl.Add(t0.Add(time.Second), decode(t, layers.AppendUDPv4(nil, hostB, hostA, 6000, 5000, []byte("resp"))))
 	if tbl.Len() != 1 {
 		t.Fatalf("streams = %d, want 1", tbl.Len())
 	}
@@ -52,11 +52,11 @@ func TestBidirectionalGrouping(t *testing.T) {
 
 func TestDistinctStreams(t *testing.T) {
 	tbl := NewTable()
-	tbl.Add(t0, decode(t, layers.EncodeUDPv4(hostA, hostB, 5000, 6000, []byte("x"))))
-	tbl.Add(t0, decode(t, layers.EncodeUDPv4(hostA, hostB, 5001, 6000, []byte("x")))) // different src port
-	tbl.Add(t0, decode(t, layers.EncodeUDPv4(hostA, hostC, 5000, 6000, []byte("x")))) // different dst addr
+	tbl.Add(t0, decode(t, layers.AppendUDPv4(nil, hostA, hostB, 5000, 6000, []byte("x"))))
+	tbl.Add(t0, decode(t, layers.AppendUDPv4(nil, hostA, hostB, 5001, 6000, []byte("x")))) // different src port
+	tbl.Add(t0, decode(t, layers.AppendUDPv4(nil, hostA, hostC, 5000, 6000, []byte("x")))) // different dst addr
 	seg := layers.TCP{SrcPort: 5000, DstPort: 6000, Flags: layers.TCPSyn}
-	tbl.Add(t0, decode(t, layers.EncodeTCPv4(hostA, hostB, seg, nil))) // same tuple, TCP
+	tbl.Add(t0, decode(t, layers.AppendTCPv4(nil, hostA, hostB, seg, nil))) // same tuple, TCP
 	if tbl.Len() != 4 {
 		t.Fatalf("streams = %d, want 4", tbl.Len())
 	}
@@ -68,7 +68,7 @@ func TestDistinctStreams(t *testing.T) {
 func TestTCPFlagsPreserved(t *testing.T) {
 	tbl := NewTable()
 	seg := layers.TCP{SrcPort: 1, DstPort: 2, Flags: layers.TCPSyn | layers.TCPAck}
-	tbl.Add(t0, decode(t, layers.EncodeTCPv4(hostA, hostB, seg, nil)))
+	tbl.Add(t0, decode(t, layers.AppendTCPv4(nil, hostA, hostB, seg, nil)))
 	p := tbl.Streams()[0].Packets[0]
 	if p.TCPFlags != layers.TCPSyn|layers.TCPAck {
 		t.Errorf("flags = %#x", p.TCPFlags)
@@ -95,8 +95,8 @@ func TestThreeTupleIndex(t *testing.T) {
 	tbl := NewTable()
 	// Two different source ports to the same destination: one 3-tuple,
 	// two streams. This is the APNS NAT-rebinding pattern.
-	tbl.Add(t0, decode(t, layers.EncodeUDPv4(hostA, hostB, 5000, 443, []byte("x"))))
-	tbl.Add(t0.Add(time.Minute), decode(t, layers.EncodeUDPv4(hostA, hostB, 5050, 443, []byte("x"))))
+	tbl.Add(t0, decode(t, layers.AppendUDPv4(nil, hostA, hostB, 5000, 443, []byte("x"))))
+	tbl.Add(t0.Add(time.Minute), decode(t, layers.AppendUDPv4(nil, hostA, hostB, 5050, 443, []byte("x"))))
 	if tbl.Len() != 2 {
 		t.Fatalf("streams = %d", tbl.Len())
 	}
@@ -136,9 +136,9 @@ func TestSpanExtend(t *testing.T) {
 
 func TestCount(t *testing.T) {
 	tbl := NewTable()
-	tbl.Add(t0, decode(t, layers.EncodeUDPv4(hostA, hostB, 1, 2, []byte("abc"))))
-	tbl.Add(t0, decode(t, layers.EncodeUDPv4(hostA, hostB, 1, 2, []byte("de"))))
-	tbl.Add(t0, decode(t, layers.EncodeUDPv4(hostA, hostC, 1, 2, []byte("f"))))
+	tbl.Add(t0, decode(t, layers.AppendUDPv4(nil, hostA, hostB, 1, 2, []byte("abc"))))
+	tbl.Add(t0, decode(t, layers.AppendUDPv4(nil, hostA, hostB, 1, 2, []byte("de"))))
+	tbl.Add(t0, decode(t, layers.AppendUDPv4(nil, hostA, hostC, 1, 2, []byte("f"))))
 	c := Count(tbl.Streams())
 	if c.Streams != 2 || c.Packets != 3 || c.Bytes != 6 {
 		t.Errorf("counts = %+v", c)
@@ -147,9 +147,9 @@ func TestCount(t *testing.T) {
 
 func TestStreamsInsertionOrder(t *testing.T) {
 	tbl := NewTable()
-	tbl.Add(t0, decode(t, layers.EncodeUDPv4(hostA, hostB, 1, 2, nil)))
-	tbl.Add(t0, decode(t, layers.EncodeUDPv4(hostA, hostC, 3, 4, nil)))
-	tbl.Add(t0, decode(t, layers.EncodeUDPv4(hostA, hostB, 1, 2, nil)))
+	tbl.Add(t0, decode(t, layers.AppendUDPv4(nil, hostA, hostB, 1, 2, nil)))
+	tbl.Add(t0, decode(t, layers.AppendUDPv4(nil, hostA, hostC, 3, 4, nil)))
+	tbl.Add(t0, decode(t, layers.AppendUDPv4(nil, hostA, hostB, 1, 2, nil)))
 	ss := tbl.Streams()
 	if len(ss) != 2 {
 		t.Fatalf("streams = %d", len(ss))
@@ -176,7 +176,7 @@ func TestQuickGroupingInvariants(t *testing.T) {
 				src, dst = dst, src
 				sp, dp = dp, sp
 			}
-			frame := layers.EncodeUDPv4(src, dst, sp, dp, []byte{1})
+			frame := layers.AppendUDPv4(nil, src, dst, sp, dp, []byte{1})
 			pkt, err := layers.Decode(pcap.LinkTypeRaw, frame)
 			if err != nil {
 				return false
@@ -200,7 +200,7 @@ func TestQuickGroupingInvariants(t *testing.T) {
 
 func TestGetByKey(t *testing.T) {
 	tbl := NewTable()
-	tbl.Add(t0, decode(t, layers.EncodeUDPv4(hostA, hostB, 1, 2, []byte("x"))))
+	tbl.Add(t0, decode(t, layers.AppendUDPv4(nil, hostA, hostB, 1, 2, []byte("x"))))
 	key := KeyFor(layers.IPProtocolUDP, Endpoint{Addr: hostA, Port: 1}, Endpoint{Addr: hostB, Port: 2})
 	if s := tbl.Get(key); s == nil || len(s.Packets) != 1 {
 		t.Errorf("Get = %v", s)

@@ -12,6 +12,7 @@ package ice
 import (
 	"math/rand/v2"
 	"net/netip"
+	"slices"
 
 	"github.com/rtc-compliance/rtcc/internal/stun"
 )
@@ -37,10 +38,14 @@ func (r *Rand) TxID() [12]byte {
 }
 
 // Bytes returns n random bytes.
-func (r *Rand) Bytes(n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte(r.Uint32())
+func (r *Rand) Bytes(n int) []byte { return r.AppendBytes(make([]byte, 0, n), n) }
+
+// AppendBytes appends n random bytes to b: the bytes Bytes(n) would
+// return, drawing the same values from the source.
+func (r *Rand) AppendBytes(b []byte, n int) []byte {
+	b = slices.Grow(b, n)
+	for i := 0; i < n; i++ {
+		b = append(b, byte(r.Uint32()))
 	}
 	return b
 }

@@ -211,3 +211,20 @@ func TestGoogPing(t *testing.T) {
 		t.Error("GOOG-PING should be registry-defined")
 	}
 }
+
+// TestAppendBytesMatchesBytes checks that AppendBytes appends the
+// bytes Bytes returns on the same seed, and draws the same values.
+func TestAppendBytesMatchesBytes(t *testing.T) {
+	r1, r2 := NewRand(9), NewRand(9)
+	prefix := []byte{0xAA, 0x55}
+	for _, n := range []int{0, 1, 3, 8, 17, 1200} {
+		want := r1.Bytes(n)
+		got := r2.AppendBytes(append([]byte(nil), prefix...), n)
+		if !bytes.Equal(got[:2], prefix) || !bytes.Equal(got[2:], want) {
+			t.Fatalf("n=%d: AppendBytes = %x, want %x after the prefix", n, got, want)
+		}
+	}
+	if r1.Uint64() != r2.Uint64() {
+		t.Error("AppendBytes and Bytes left the sources in different states")
+	}
+}

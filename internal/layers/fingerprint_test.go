@@ -81,16 +81,16 @@ func TestFingerprintDirectionInvariance(t *testing.T) {
 	payload := []byte("rtp-ish payload")
 	frames := map[string][2][]byte{
 		"udp4": {
-			layers.EncodeUDPv4(addrA, addrB, 5004, 3478, payload),
-			layers.EncodeUDPv4(addrB, addrA, 3478, 5004, payload),
+			layers.AppendUDPv4(nil, addrA, addrB, 5004, 3478, payload),
+			layers.AppendUDPv4(nil, addrB, addrA, 3478, 5004, payload),
 		},
 		"udp6": {
-			layers.EncodeUDPv6(addr6, addr7, 443, 50000, payload),
-			layers.EncodeUDPv6(addr7, addr6, 50000, 443, payload),
+			layers.AppendUDPv6(nil, addr6, addr7, 443, 50000, payload),
+			layers.AppendUDPv6(nil, addr7, addr6, 50000, 443, payload),
 		},
 		"tcp4": {
-			layers.EncodeTCPv4(addrA, addrB, layers.TCP{SrcPort: 443, DstPort: 61000, DataOffset: 5}, payload),
-			layers.EncodeTCPv4(addrB, addrA, layers.TCP{SrcPort: 61000, DstPort: 443, DataOffset: 5}, payload),
+			layers.AppendTCPv4(nil, addrA, addrB, layers.TCP{SrcPort: 443, DstPort: 61000, DataOffset: 5}, payload),
+			layers.AppendTCPv4(nil, addrB, addrA, layers.TCP{SrcPort: 61000, DstPort: 443, DataOffset: 5}, payload),
 		},
 	}
 	for name, pair := range frames {
@@ -105,8 +105,8 @@ func TestFingerprintDirectionInvariance(t *testing.T) {
 	}
 	// Distinct flows must not collide on these hand-built cases: a
 	// port change is a different conversation.
-	x, _ := layers.FlowFingerprint(pcap.LinkTypeRaw, layers.EncodeUDPv4(addrA, addrB, 5004, 3478, payload))
-	y, _ := layers.FlowFingerprint(pcap.LinkTypeRaw, layers.EncodeUDPv4(addrA, addrB, 5005, 3478, payload))
+	x, _ := layers.FlowFingerprint(pcap.LinkTypeRaw, layers.AppendUDPv4(nil, addrA, addrB, 5004, 3478, payload))
+	y, _ := layers.FlowFingerprint(pcap.LinkTypeRaw, layers.AppendUDPv4(nil, addrA, addrB, 5005, 3478, payload))
 	if x == y {
 		t.Error("different ports produced the same fingerprint")
 	}
@@ -116,7 +116,7 @@ func TestFingerprintDirectionInvariance(t *testing.T) {
 // path is unsure about — truncation, IPv4 options, unsupported
 // transports, empty input — declines rather than guesses.
 func TestFingerprintDeclines(t *testing.T) {
-	udp := layers.EncodeUDPv4(addrA, addrB, 1000, 2000, []byte("x"))
+	udp := layers.AppendUDPv4(nil, addrA, addrB, 1000, 2000, []byte("x"))
 	cases := map[string][]byte{
 		"empty":           nil,
 		"one-byte":        {0x45},
@@ -142,7 +142,7 @@ func TestFingerprintDeclines(t *testing.T) {
 // TestFingerprintEthernetFraming checks the Ethernet offsets against
 // the raw framing of the same inner packet.
 func TestFingerprintEthernetFraming(t *testing.T) {
-	inner := layers.EncodeUDPv4(addrA, addrB, 5004, 3478, []byte("media"))
+	inner := layers.AppendUDPv4(nil, addrA, addrB, 5004, 3478, []byte("media"))
 	eth := make([]byte, 14+len(inner))
 	eth[12], eth[13] = 0x08, 0x00 // EtherType IPv4
 	copy(eth[14:], inner)

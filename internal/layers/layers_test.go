@@ -19,7 +19,7 @@ var (
 
 func TestUDPv4RoundTrip(t *testing.T) {
 	payload := []byte("hello rtc")
-	frame := EncodeUDPv4(addrA, addrB, 5004, 3478, payload)
+	frame := AppendUDPv4(nil, addrA, addrB, 5004, 3478, payload)
 	pkt, err := Decode(pcap.LinkTypeRaw, frame)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +43,7 @@ func TestUDPv4RoundTrip(t *testing.T) {
 }
 
 func TestUDPv4ChecksumValid(t *testing.T) {
-	frame := EncodeUDPv4(addrA, addrB, 1234, 5678, []byte{1, 2, 3})
+	frame := AppendUDPv4(nil, addrA, addrB, 1234, 5678, []byte{1, 2, 3})
 	// Verify IPv4 header checksum folds to zero.
 	if got := foldChecksum(checksum16(0, frame[:20])); got != 0 {
 		t.Errorf("ipv4 checksum verify = %#04x, want 0", got)
@@ -63,7 +63,7 @@ func TestUDPv4ChecksumValid(t *testing.T) {
 func TestTCPv4RoundTrip(t *testing.T) {
 	payload := []byte("GET / HTTP/1.1\r\n")
 	seg := TCP{SrcPort: 49152, DstPort: 443, Seq: 1000, Ack: 2000, Flags: TCPPsh | TCPAck, Window: 65535}
-	frame := EncodeTCPv4(addrA, addrB, seg, payload)
+	frame := AppendTCPv4(nil, addrA, addrB, seg, payload)
 	pkt, err := Decode(pcap.LinkTypeRaw, frame)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestTCPv4RoundTrip(t *testing.T) {
 
 func TestUDPv6RoundTrip(t *testing.T) {
 	payload := []byte{0xde, 0xad}
-	frame := EncodeUDPv6(addr6, addr7, 9000, 9001, payload)
+	frame := AppendUDPv6(nil, addr6, addr7, 9000, 9001, payload)
 	pkt, err := Decode(pcap.LinkTypeRaw, frame)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestUDPv6RoundTrip(t *testing.T) {
 }
 
 func TestEthernetFrame(t *testing.T) {
-	inner := EncodeUDPv4(addrA, addrB, 1, 2, []byte("x"))
+	inner := AppendUDPv4(nil, addrA, addrB, 1, 2, []byte("x"))
 	eth := make([]byte, 14+len(inner))
 	copy(eth[0:6], []byte{0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff})
 	copy(eth[6:12], []byte{0x11, 0x22, 0x33, 0x44, 0x55, 0x66})
@@ -126,7 +126,7 @@ func TestEthernetFrame(t *testing.T) {
 }
 
 func TestDecodeTrailingPaddingTrimmed(t *testing.T) {
-	frame := EncodeUDPv4(addrA, addrB, 1, 2, []byte("abc"))
+	frame := AppendUDPv4(nil, addrA, addrB, 1, 2, []byte("abc"))
 	padded := append(append([]byte{}, frame...), 0, 0, 0, 0) // link-layer pad
 	pkt, err := Decode(pcap.LinkTypeRaw, padded)
 	if err != nil {
@@ -163,7 +163,7 @@ func TestDecodeErrors(t *testing.T) {
 }
 
 func TestDecodeUnknownIPProto(t *testing.T) {
-	frame := EncodeUDPv4(addrA, addrB, 1, 2, []byte("abc"))
+	frame := AppendUDPv4(nil, addrA, addrB, 1, 2, []byte("abc"))
 	frame[9] = 47 // GRE
 	// Recompute header checksum so only the protocol is "wrong".
 	frame[10], frame[11] = 0, 0
@@ -187,11 +187,11 @@ func TestIPProtocolString(t *testing.T) {
 	}
 }
 
-// Property: EncodeUDPv4 → Decode is the identity on (ports, payload) for
+// Property: AppendUDPv4 → Decode is the identity on (ports, payload) for
 // arbitrary payloads.
 func TestQuickUDPv4Identity(t *testing.T) {
 	f := func(sp, dp uint16, payload []byte) bool {
-		frame := EncodeUDPv4(addrA, addrB, sp, dp, payload)
+		frame := AppendUDPv4(nil, addrA, addrB, sp, dp, payload)
 		pkt, err := Decode(pcap.LinkTypeRaw, frame)
 		if err != nil {
 			return false

@@ -3,7 +3,6 @@ package natsim
 import (
 	"math/rand/v2"
 	"net/netip"
-	"sort"
 	"time"
 
 	"github.com/rtc-compliance/rtcc/internal/layers"
@@ -139,15 +138,13 @@ func (p Profile) ImpairWithStats(seed uint64, in []Datagram) ([]Datagram, Impair
 
 	rebinds, rebindAddr := p.rebindSchedule(in)
 
-	type tagged struct {
-		d   Datagram
-		idx int
-	}
-	tmp := make([]tagged, 0, len(in)+len(in)/16)
+	// out[j] came from in[src[j]].
+	out := make([]Datagram, 0, len(in)+len(in)/16)
+	src := make([]int, 0, cap(out))
 	good := true
 	for i, d := range in {
 		if d.Proto != layers.IPProtocolUDP {
-			tmp = append(tmp, tagged{d, i})
+			out, src = append(out, d), append(src, i)
 			continue
 		}
 		if p.gilbert() {
@@ -189,7 +186,7 @@ func (p Profile) ImpairWithStats(seed uint64, in []Datagram) ([]Datagram, Impair
 			}
 			d.At = d.At.Add(time.Millisecond + time.Duration(rng.Int64N(int64(spike))))
 		}
-		tmp = append(tmp, tagged{d, i})
+		out, src = append(out, d), append(src, i)
 		if p.Dup > 0 && rng.Float64() < p.Dup {
 			dup := d
 			delay := p.DupDelay
@@ -197,21 +194,19 @@ func (p Profile) ImpairWithStats(seed uint64, in []Datagram) ([]Datagram, Impair
 				delay = 2 * time.Millisecond
 			}
 			dup.At = dup.At.Add(delay)
-			tmp = append(tmp, tagged{dup, i})
+			out, src = append(out, dup), append(src, i)
 			st.Duplicated++
 		}
 	}
 
-	sort.SliceStable(tmp, func(a, b int) bool { return tmp[a].d.At.Before(tmp[b].d.At) })
-	out := make([]Datagram, 0, len(tmp))
+	sortByTime(out, src)
 	maxIdx := -1
-	for _, t := range tmp {
-		if t.idx < maxIdx {
+	for _, idx := range src {
+		if idx < maxIdx {
 			st.Reordered++
 		} else {
-			maxIdx = t.idx
+			maxIdx = idx
 		}
-		out = append(out, t.d)
 	}
 	st.Out = len(out)
 	return out, st

@@ -9,6 +9,7 @@
 package rtp
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -264,7 +265,20 @@ func parseTwoByte(data []byte) ([]ExtensionElement, bool) {
 // If Padding is true, PaddingLen zero bytes (with the count in the final
 // byte) are appended.
 func (p *Packet) Encode() []byte {
-	w := bytesutil.NewWriter(HeaderLen + len(p.Payload) + 16)
+	b := p.AppendHeader(make([]byte, 0, HeaderLen+4*len(p.CSRC)+len(p.Payload)+16))
+	b = append(b, p.Payload...)
+	if p.Padding && p.PaddingLen > 0 {
+		b = append(b, make([]byte, int(p.PaddingLen)-1)...)
+		b = append(b, p.PaddingLen)
+	}
+	p.Raw = b
+	return b
+}
+
+// AppendHeader appends the packet's header to b: the fixed header, the
+// CSRCs and the extension, its data zero-padded to whole words. The
+// payload and any padding are the caller's to append.
+func (p *Packet) AppendHeader(b []byte) []byte {
 	b0 := byte(Version << 6)
 	if p.Padding && p.PaddingLen > 0 {
 		b0 |= 0x20
@@ -273,61 +287,53 @@ func (p *Packet) Encode() []byte {
 		b0 |= 0x10
 	}
 	b0 |= uint8(len(p.CSRC)) & 0x0f
-	w.Uint8(b0)
 	b1 := p.PayloadType & 0x7f
 	if p.Marker {
 		b1 |= 0x80
 	}
-	w.Uint8(b1)
-	w.Uint16(p.SequenceNumber)
-	w.Uint32(p.Timestamp)
-	w.Uint32(p.SSRC)
+	b = append(b, b0, b1)
+	b = binary.BigEndian.AppendUint16(b, p.SequenceNumber)
+	b = binary.BigEndian.AppendUint32(b, p.Timestamp)
+	b = binary.BigEndian.AppendUint32(b, p.SSRC)
 	for _, c := range p.CSRC {
-		w.Write([]byte{byte(c >> 24), byte(c >> 16), byte(c >> 8), byte(c)})
+		b = binary.BigEndian.AppendUint32(b, c)
 	}
-	if p.Extension != nil {
-		data := p.Extension.Data
-		if data == nil && p.Extension.Elements != nil {
-			data = encodeElements(p.Extension)
+	if e := p.Extension; e != nil {
+		b = binary.BigEndian.AppendUint16(b, e.Profile)
+		lenAt := len(b)
+		b = append(b, 0, 0)
+		if e.Data == nil && e.Elements != nil {
+			b = appendElements(b, e)
+		} else {
+			b = append(b, e.Data...)
 		}
 		// Pad the extension payload to a whole number of words.
-		padded := append([]byte(nil), data...)
-		for len(padded)%4 != 0 {
-			padded = append(padded, 0)
+		for (len(b)-lenAt-2)%4 != 0 {
+			b = append(b, 0)
 		}
-		w.Uint16(p.Extension.Profile)
-		w.Uint16(uint16(len(padded) / 4))
-		w.Write(padded)
+		binary.BigEndian.PutUint16(b[lenAt:], uint16((len(b)-lenAt-2)/4))
 	}
-	w.Write(p.Payload)
-	if p.Padding && p.PaddingLen > 0 {
-		w.Zero(int(p.PaddingLen) - 1)
-		w.Uint8(p.PaddingLen)
-	}
-	p.Raw = w.Bytes()
-	return p.Raw
+	return b
 }
 
-// encodeElements serializes Elements in the form selected by Profile.
-func encodeElements(e *Extension) []byte {
-	w := bytesutil.NewWriter(16)
+// appendElements appends Elements in the form selected by Profile.
+func appendElements(b []byte, e *Extension) []byte {
 	if e.Profile == ProfileOneByte {
 		for _, el := range e.Elements {
 			n := len(el.Payload)
 			if n == 0 {
 				n = 1 // one-byte form cannot express zero-length
 			}
-			w.Uint8(el.ID<<4 | uint8(n-1)&0x0f)
-			w.Write(el.Payload)
+			b = append(b, el.ID<<4|uint8(n-1)&0x0f)
+			b = append(b, el.Payload...)
 		}
-	} else {
-		for _, el := range e.Elements {
-			w.Uint8(el.ID)
-			w.Uint8(uint8(len(el.Payload)))
-			w.Write(el.Payload)
-		}
+		return b
 	}
-	return w.Bytes()
+	for _, el := range e.Elements {
+		b = append(b, el.ID, uint8(len(el.Payload)))
+		b = append(b, el.Payload...)
+	}
+	return b
 }
 
 // HeaderSize reports the byte length of the header (fixed + CSRC +

@@ -376,11 +376,16 @@ func DecodeChannelData(b []byte) (*ChannelData, error) {
 
 // Encode serializes the ChannelData frame (no padding; UDP transport).
 func (c *ChannelData) Encode() []byte {
-	w := bytesutil.NewWriter(4 + len(c.Data))
-	w.Uint16(c.ChannelNumber)
-	w.Uint16(uint16(len(c.Data)))
-	w.Write(c.Data)
-	return w.Bytes()
+	b := AppendChannelDataHeader(make([]byte, 0, 4+len(c.Data)), c.ChannelNumber, len(c.Data))
+	return append(b, c.Data...)
+}
+
+// AppendChannelDataHeader appends the 4-byte header of a ChannelData
+// frame on channel ch carrying n bytes of data, so the caller can
+// write the data in place after it.
+func AppendChannelDataHeader(b []byte, ch uint16, n int) []byte {
+	b = binary.BigEndian.AppendUint16(b, ch)
+	return binary.BigEndian.AppendUint16(b, uint16(n))
 }
 
 // DecodedLen reports the encoded frame size.

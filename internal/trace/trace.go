@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"sort"
 	"time"
 
 	"github.com/rtc-compliance/rtcc/internal/appsim"
@@ -104,7 +103,7 @@ func Generate(cfg CaptureConfig) (*Capture, error) {
 		events, cap.Impair = cfg.Impair.ImpairWithStats(cfg.Seed, events)
 	}
 	cap.RTCEvents = len(events)
-	cap.Events = append(cap.Events, events...)
+	cap.Events = events
 	if cfg.Background {
 		bg := appsim.GenerateBackground(appsim.BackgroundConfig{
 			Seed:      cfg.Seed,
@@ -118,9 +117,7 @@ func Generate(cfg CaptureConfig) (*Capture, error) {
 		})
 		cap.Events = append(cap.Events, bg...)
 	}
-	sort.SliceStable(cap.Events, func(i, j int) bool {
-		return cap.Events[i].At.Before(cap.Events[j].At)
-	})
+	natsim.SortByTime(cap.Events)
 	return cap, nil
 }
 
@@ -140,19 +137,26 @@ func lanPeer(n appsim.Network) addr {
 
 // Frames encodes the capture's events as raw-IP frames with timestamps,
 // maintaining simple per-stream TCP sequence numbers so segment payloads
-// reassemble trivially.
+// reassemble trivially. Every frame is a capacity-capped subslice of
+// one buffer sized up front, so frames are disjoint and the capture's
+// encoding allocates per capture, not per frame.
 func (c *Capture) Frames() []pcap.Packet {
-	type seqKey struct{ src, dst string }
-	seqs := make(map[seqKey]uint32)
+	size := 0
+	for i := range c.Events {
+		size += frameLen(&c.Events[i])
+	}
+	arena := make([]byte, 0, size)
+	seqs := make(map[[2]netip.AddrPort]uint32)
 	out := make([]pcap.Packet, 0, len(c.Events))
-	for _, ev := range c.Events {
-		var frame []byte
+	for i := range c.Events {
+		ev := &c.Events[i]
+		start := len(arena)
 		switch {
 		case ev.Proto == layers.IPProtocolTCP:
-			k := seqKey{ev.Src.String(), ev.Dst.String()}
+			k := [2]netip.AddrPort{ev.Src, ev.Dst}
 			seq := seqs[k]
 			seqs[k] = seq + uint32(len(ev.Payload))
-			frame = layers.EncodeTCPv4(ev.Src.Addr(), ev.Dst.Addr(), layers.TCP{
+			arena = layers.AppendTCPv4(arena, ev.Src.Addr(), ev.Dst.Addr(), layers.TCP{
 				SrcPort: ev.Src.Port(),
 				DstPort: ev.Dst.Port(),
 				Seq:     1000 + seq,
@@ -160,13 +164,24 @@ func (c *Capture) Frames() []pcap.Packet {
 				Window:  65535,
 			}, ev.Payload)
 		case ev.Src.Addr().Is6():
-			frame = layers.EncodeUDPv6(ev.Src.Addr(), ev.Dst.Addr(), ev.Src.Port(), ev.Dst.Port(), ev.Payload)
+			arena = layers.AppendUDPv6(arena, ev.Src.Addr(), ev.Dst.Addr(), ev.Src.Port(), ev.Dst.Port(), ev.Payload)
 		default:
-			frame = layers.EncodeUDPv4(ev.Src.Addr(), ev.Dst.Addr(), ev.Src.Port(), ev.Dst.Port(), ev.Payload)
+			arena = layers.AppendUDPv4(arena, ev.Src.Addr(), ev.Dst.Addr(), ev.Src.Port(), ev.Dst.Port(), ev.Payload)
 		}
-		out = append(out, pcap.Packet{Timestamp: ev.At, Data: frame})
+		out = append(out, pcap.Packet{Timestamp: ev.At, Data: arena[start:len(arena):len(arena)]})
 	}
 	return out
+}
+
+// frameLen is the length of the frame Frames encodes for ev.
+func frameLen(ev *appsim.Dgram) int {
+	switch {
+	case ev.Proto == layers.IPProtocolTCP:
+		return layers.TCPv4Overhead + len(ev.Payload)
+	case ev.Src.Addr().Is6():
+		return layers.UDPv6Overhead + len(ev.Payload)
+	}
+	return layers.UDPv4Overhead + len(ev.Payload)
 }
 
 // Input is one fully-assembled analysis input: the encoded frames in

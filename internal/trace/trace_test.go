@@ -7,6 +7,7 @@ import (
 
 	"github.com/rtc-compliance/rtcc/internal/appsim"
 	"github.com/rtc-compliance/rtcc/internal/layers"
+	"github.com/rtc-compliance/rtcc/internal/natsim"
 	"github.com/rtc-compliance/rtcc/internal/pcap"
 )
 
@@ -177,5 +178,55 @@ func TestTCPSequenceNumbersAdvance(t *testing.T) {
 	}
 	if !sawAdvance {
 		t.Error("TCP sequence numbers never advance")
+	}
+}
+
+// TestFramesAreDisjoint checks that every frame is capacity-capped, so
+// appending to one frame can never overwrite the next one in the
+// shared buffer.
+func TestFramesAreDisjoint(t *testing.T) {
+	c, err := Generate(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := c.Frames()
+	want := make([][]byte, len(frames))
+	for i, f := range frames {
+		if len(f.Data) != cap(f.Data) {
+			t.Fatalf("frame %d: len %d, cap %d", i, len(f.Data), cap(f.Data))
+		}
+		want[i] = bytes.Clone(f.Data)
+	}
+	for i := range frames {
+		_ = append(frames[i].Data, 0xEE)
+	}
+	for i, f := range frames {
+		if !bytes.Equal(f.Data, want[i]) {
+			t.Fatalf("frame %d changed after appending to its neighbour", i)
+		}
+	}
+}
+
+// TestMonotonicStartWritesSameBytes generates a capture from a start
+// time that carries a monotonic clock reading, as time.Now() returns
+// one, and from the same instant without one: the written bytes must
+// be equal.
+func TestMonotonicStartWritesSameBytes(t *testing.T) {
+	now := time.Now()
+	var out [2]bytes.Buffer
+	for i, start := range []time.Time{now, now.Round(0)} {
+		cfg := testConfig()
+		cfg.Start = start
+		cfg.Impair, _ = natsim.ProfileByName("jitter30")
+		c, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WritePCAP(&out[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(out[0].Bytes(), out[1].Bytes()) {
+		t.Error("a start with a monotonic reading writes different bytes")
 	}
 }
