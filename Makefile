@@ -129,9 +129,10 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
 # Regenerate the hot-path throughput baseline: the scenario matrix
-# (Feed / FeedBatch / batch over relay, P2P, and media-heavy loads)
-# measured best-of-N and written as BENCH_hotpath.json. Run on a quiet
-# machine and commit the result alongside the change that moved it.
+# (FeedBatch / batch over relay, P2P, and media-heavy loads, plus the
+# sharded tier on media-heavy) measured best-of-N and written as
+# BENCH_hotpath.json. Run on a quiet machine and commit the result
+# alongside the change that moved it.
 bench-json:
 	$(GO) run ./cmd/rtcbench -out BENCH_hotpath.json
 

@@ -763,9 +763,8 @@ func BenchmarkFilter_StageAblation(b *testing.B) {
 }
 
 // BenchmarkHotPath runs the internal/bench scenario matrix — every
-// ingestion mode (per-packet Feed, pooled FeedBatch, AnalyzeCapture's
-// in-memory batch, sharded) over the relay, P2P, and media-heavy
-// cells. The same harness backs
+// ingestion mode (pooled FeedBatch, AnalyzeCapture's in-memory batch,
+// sharded) over the relay, P2P, and media-heavy cells. The same harness backs
 // `make bench-json` and the CI regression gate, so these numbers and
 // the committed BENCH_hotpath.json baseline measure identical code.
 // The pkts/s metric counts only time inside the ingestion loop

@@ -1,7 +1,7 @@
 // Command rtcbench measures the analyzer's hot-path throughput over
-// the internal/bench scenario matrix — every ingestion mode
-// (per-packet Feed, pooled FeedBatch, buffered batch, sharded ingest)
-// over the relay, P2P, and media-heavy synthetic captures — and writes
+// the internal/bench scenario matrix — every ingestion mode (pooled
+// FeedBatch, in-memory batch, sharded ingest) over the relay, P2P, and
+// media-heavy synthetic captures — and writes
 // or checks a machine-readable baseline.
 //
 // Usage:

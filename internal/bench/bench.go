@@ -1,7 +1,7 @@
 // Package bench is the shared harness behind the hot-path benchmark
 // suite: it prepares synthetic app captures and drives the analyzer
-// through each ingestion mode (per-packet Feed, pooled FeedBatch,
-// AnalyzeCapture's in-memory batch, sharded). The root-package
+// through each ingestion mode (pooled FeedBatch, AnalyzeCapture's
+// in-memory batch, sharded). The root-package
 // BenchmarkHotPath and the rtcbench command (make bench-json, CI
 // regression gate) run the same scenarios through this package, so the
 // committed BENCH_hotpath.json baseline and `go test -bench` measure
@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"github.com/rtc-compliance/rtcc/internal/appsim"
-	"github.com/rtc-compliance/rtcc/internal/bufpool"
 	"github.com/rtc-compliance/rtcc/internal/core"
 	"github.com/rtc-compliance/rtcc/internal/ingest"
 	"github.com/rtc-compliance/rtcc/internal/pcap"
@@ -38,12 +37,9 @@ import (
 type Mode string
 
 const (
-	// ModeFeed is the streaming per-packet baseline: one Analyzer.Feed
-	// call per frame, no buffer pool.
-	ModeFeed Mode = "feed"
-	// ModeFeedBatch is the pooled hot path: frames copied through a
-	// reused reader ring and delivered in 64-frame FeedBatch calls,
-	// payload bytes kept in recycled arena chunks.
+	// ModeFeedBatch is core.AnalyzePCAP's configuration: frames
+	// delivered in 64-frame FeedBatch calls, kept payload bytes copied
+	// into recycled arena chunks.
 	ModeFeedBatch Mode = "feedbatch"
 	// ModeBatch is core.AnalyzeCapture's configuration: the whole
 	// capture in memory and referenced in place (FramesStable), one
@@ -82,13 +78,12 @@ type Scenario struct {
 	Shards int
 }
 
-// Scenarios returns the benchmark matrix: every ingestion mode over a
-// relay-heavy pairing, a P2P pairing, and a media-heavy relay load.
-// Three cells per mode keep `make bench-json` under a minute while
-// covering both traffic shapes (TURN-relayed Zoom, peer-to-peer Meet)
-// plus the media-dominated load where per-packet buffer churn is the
-// cost that matters — the cell the FeedBatch speedup criterion is
-// measured on.
+// Scenarios returns the benchmark matrix: every serial ingestion mode
+// over a relay-heavy pairing, a P2P pairing, and a media-heavy relay
+// load. Three cells per mode keep `make bench-json` under a minute
+// while covering both traffic shapes (TURN-relayed Zoom, peer-to-peer
+// Meet) plus the media-dominated load where per-packet buffer churn is
+// the cost that matters.
 func Scenarios() []Scenario {
 	var out []Scenario
 	cells := []struct {
@@ -105,7 +100,7 @@ func Scenarios() []Scenario {
 		{"p2p", appsim.GoogleMeet, appsim.WiFiP2P, 25, false, true, 6 * time.Second, 4 * time.Second},
 		{"media-heavy", appsim.Zoom, appsim.WiFiRelay, 120, true, false, 10 * time.Second, 1 * time.Second},
 	}
-	for _, mode := range []Mode{ModeFeed, ModeFeedBatch, ModeBatch} {
+	for _, mode := range []Mode{ModeFeedBatch, ModeBatch} {
 		for _, c := range cells {
 			out = append(out, Scenario{
 				Name:         fmt.Sprintf("%s/%s", mode, c.label),
@@ -193,13 +188,10 @@ func (p *Prepared) RunOnce() (time.Duration, error) {
 		CallEnd:   p.end,
 	}
 	switch p.Scenario.Mode {
-	case ModeFeedBatch:
-		cfg.Pool = bufpool.Global()
 	case ModeSharded:
 		// Same retention discipline as ModeFeedBatch (pooled arena
 		// payloads), so the delta against it is purely the routing and
 		// queueing cost — and, on multi-core hosts, the shard speedup.
-		cfg.Pool = bufpool.Global()
 		return p.runSharded(cfg)
 	case ModeBatch:
 		cfg.FramesStable = true
@@ -209,14 +201,12 @@ func (p *Prepared) RunOnce() (time.Duration, error) {
 		return 0, err
 	}
 	t0 := time.Now()
-	switch p.Scenario.Mode {
-	case ModeFeedBatch:
-		// Both modes hand the analyzer the same stable capture frames,
-		// so each pays exactly its own internal copy: Feed's per-packet
-		// make+copy versus FeedBatch's arena append. FeedBatch only
-		// requires the frames to stay valid during the call (DESIGN.md
-		// §14), which stable buffers trivially satisfy — an upstream
-		// reader ring would add a second copy FeedBatch never needs.
+	if p.Scenario.Mode == ModeFeedBatch {
+		// The capture frames are stable, but FeedBatch only requires
+		// them to stay valid during the call (DESIGN.md §14), so this
+		// cell pays exactly the analyzer's own arena append — an
+		// upstream reader ring would add a second copy FeedBatch never
+		// needs.
 		batch := p.batch[:0]
 		for _, f := range p.frames {
 			batch = append(batch, core.Datagram{Timestamp: f.Timestamp, Frame: f.Data})
@@ -230,7 +220,7 @@ func (p *Prepared) RunOnce() (time.Duration, error) {
 		if err := a.FeedBatch(batch); err != nil {
 			return 0, err
 		}
-	default:
+	} else {
 		for _, f := range p.frames {
 			if err := a.Feed(f.Timestamp, f.Data); err != nil {
 				return 0, err

@@ -9,12 +9,12 @@ import (
 // TestScenarioMatrix pins the shape of the benchmark matrix: every
 // serial ingestion mode crossed with every traffic cell, plus the
 // shard-scaling curve on the media-heavy cell, unique names
-// throughout — media-heavy is the cell both the FeedBatch speedup and
-// the shard-scaling criteria are recorded on.
+// throughout — media-heavy is the cell the shard-scaling criterion is
+// recorded on.
 func TestScenarioMatrix(t *testing.T) {
 	scs := Scenarios()
-	if len(scs) != 12 {
-		t.Fatalf("Scenarios() = %d cells, want 12 (3 modes x 3 cells + 3 shard counts)", len(scs))
+	if len(scs) != 9 {
+		t.Fatalf("Scenarios() = %d cells, want 9 (2 modes x 3 cells + 3 shard counts)", len(scs))
 	}
 	seen := map[string]bool{}
 	perMode := map[Mode]int{}
@@ -39,12 +39,12 @@ func TestScenarioMatrix(t *testing.T) {
 			shardCounts[sc.Shards] = true
 		}
 	}
-	for _, m := range []Mode{ModeFeed, ModeFeedBatch, ModeBatch} {
+	for _, m := range []Mode{ModeFeedBatch, ModeBatch} {
 		if perMode[m] != 3 {
 			t.Errorf("mode %s has %d cells, want 3", m, perMode[m])
 		}
 	}
-	if mediaHeavy != 6 {
+	if mediaHeavy != 5 {
 		t.Errorf("media-heavy cells = %d, want one per serial mode plus three shard counts", mediaHeavy)
 	}
 	for _, n := range []int{1, 2, 4} {
@@ -120,7 +120,7 @@ func TestHarnessRuns(t *testing.T) {
 			t.Errorf("%s: non-positive measurement %+v", sc.Name, res)
 		}
 	}
-	if packets[ModeFeed] != packets[ModeFeedBatch] || packets[ModeFeed] != packets[ModeBatch] {
+	if len(packets) != 2 || packets[ModeFeedBatch] != packets[ModeBatch] {
 		t.Errorf("modes saw different captures: %v", packets)
 	}
 }

@@ -23,12 +23,17 @@ type AnalyzerConfig struct {
 	Label string
 	// LinkType describes the fed frames.
 	LinkType pcap.LinkType
-	// CallStart and CallEnd delimit the annotated call window.
+	// CallStart and CallEnd delimit the annotated call window. A zero
+	// CallStart marks the capture unannotated: the window is then the
+	// span of the fed timestamps, known only at Close, so until Close
+	// only window-independent filter rules run online.
 	CallStart, CallEnd time.Time
-	// DefaultWindowToSpan defaults the call window, when CallStart is
-	// zero, to the span of the fed timestamps at Close — the AnalyzePCAP
-	// convention for unannotated captures. Until Close the window is
-	// then unknown, so only window-independent filter rules run online.
+	// DefaultWindowToSpan is ignored: a zero CallStart always defaults
+	// the window to the fed span.
+	//
+	// Deprecated: ignored. Its last setters are perfbench/pcapmedia.go
+	// and perfbench/mirror.go in the nested benchmark module; the field
+	// goes once those files stop setting it.
 	DefaultWindowToSpan bool
 	// KeepPayloads is ignored: results carry no per-packet records. A
 	// UDP stream's records live from admission until its DPI
@@ -40,16 +45,17 @@ type AnalyzerConfig struct {
 	KeepPayloads bool
 	// FramesStable promises that fed frame buffers stay valid and
 	// unmodified for the Analyzer's lifetime, letting it reference
-	// payload bytes instead of copying them. Readers that reuse their
-	// frame buffer must leave it false.
+	// payload bytes instead of copying them. Otherwise every kept
+	// payload is copied into its stream's arena in the process-wide
+	// buffer pool (DESIGN.md §14). Readers that reuse their frame
+	// buffer must leave it false.
 	FramesStable bool
-	// Pool, when non-nil, copies kept UDP payloads into per-stream
-	// arenas drawn from this pool instead of heap-allocating each copy,
-	// and releases a stream's arena when its payloads are dropped (an
-	// online filter removal, a chunk finalization, or Close). Together
-	// with FeedBatch this makes the steady-state datagram path
-	// allocation-free. Ownership rules are in DESIGN.md §14. Ignored
-	// when FramesStable promises stable frames (nothing is copied then).
+	// Pool is ignored: kept payloads that need a copy always go to the
+	// process-wide buffer pool.
+	//
+	// Deprecated: ignored. Its last setter is perfbench/pcapmedia.go in
+	// the nested benchmark module; the field goes once that file stops
+	// setting it.
 	Pool *bufpool.Pool
 	// ExternalSeq makes FeedBatch take each datagram's arrival index
 	// from its Seq field instead of the Analyzer's own feed counter.
@@ -85,8 +91,9 @@ type streamState struct {
 	// off); it buffers events until the analyzer flushes it at a
 	// deterministic point.
 	span *obs.Span
-	// arena holds the stream's pooled payload copies (pool mode only);
-	// released whenever the stream's buffered payloads are dropped.
+	// arena holds the stream's pooled payload copies (nil under
+	// FramesStable); released whenever the stream's buffered payloads
+	// are dropped.
 	arena *bufpool.Arena
 	// prev/next link the stream into the analyzer's intrusive recency
 	// list (least-recent first); inList marks membership (false while
@@ -152,7 +159,7 @@ type Analyzer struct {
 	firstSeq, lastSeq uint64
 
 	// ev is the §3.2 filter evidence gathered so far, over table. Its
-	// window stays unknown while DefaultWindowToSpan defers it to Close.
+	// window stays unknown until Close when CallStart is zero.
 	ev *filterpipe.Evidence
 
 	active, peak int
@@ -189,7 +196,7 @@ func NewAnalyzer(cfg AnalyzerConfig, opts Options) (*Analyzer, error) {
 		am:     newAnalyzerMetrics(opts.Metrics, cfg.Label),
 	}
 	a.ev = filterpipe.NewEvidence(a.table)
-	if !(cfg.DefaultWindowToSpan && cfg.CallStart.IsZero()) {
+	if !cfg.CallStart.IsZero() {
 		a.ev.SetWindow(cfg.CallStart, cfg.CallEnd)
 	}
 	return a, nil
@@ -226,10 +233,10 @@ type Datagram struct {
 // feeding the datagrams one at a time — batching changes scheduling,
 // never results.
 //
-// Unless FramesStable is set, every frame is copied out (to the pool's
-// arenas in pool mode) before FeedBatch returns, so the caller may
-// reuse the frame buffers — but not before the call returns, which is
-// what lets readers batch frames in a reused ring.
+// Unless FramesStable is set, every payload the analyzer keeps is
+// copied into the pool's arenas before FeedBatch returns, so the
+// caller may reuse the frame buffers — but not before the call
+// returns, which is what lets readers batch frames in a reused ring.
 func (a *Analyzer) FeedBatch(batch []Datagram) error {
 	if a.closed {
 		return errors.New("core: Feed after Close")
@@ -281,65 +288,28 @@ func (a *Analyzer) feedOne(ts time.Time, frame []byte, seq uint64) {
 	var st *streamState
 	if a.lastSt != nil && key == a.lastKey {
 		st = a.lastSt
-	} else {
-		st = a.states[key]
+	} else if st = a.states[key]; st == nil {
+		st = &streamState{s: a.table.Open(key, ts), birth: seq}
+		a.states[key] = st
 	}
-	isNew := st == nil
+	a.lastKey, a.lastSt = key, st
+	s := st.s
 
 	// Retention: only provisionally-RTC UDP streams need their records
 	// (payload for DPI, timestamp for compliance, direction for
 	// findings), and only until their DPI finalization.
-	keep := proto == layers.IPProtocolUDP && (isNew || !st.removed)
+	keep := proto == layers.IPProtocolUDP && !st.removed
 	if keep && !a.cfg.FramesStable {
-		if a.cfg.Pool != nil {
-			// Pool mode: the copy lands in the stream's arena, which
-			// requires the state up front (flow.AddPacket cannot fail
-			// past the proto check above, so pre-creating is safe).
-			if isNew {
-				st = &streamState{birth: seq}
-				a.states[key] = st
-			}
-			if st.arena == nil {
-				st.arena = a.cfg.Pool.NewArena()
-			}
-			pkt.Payload = st.arena.Append(pkt.Payload)
-		} else {
-			// make+copy (not append to nil) so a zero-length payload
-			// stays a non-nil empty slice, exactly as the batch decoder
-			// leaves it.
-			cp := make([]byte, len(pkt.Payload))
-			copy(cp, pkt.Payload)
-			pkt.Payload = cp
+		if st.arena == nil {
+			st.arena = bufpool.Global().NewArena()
 		}
+		pkt.Payload = st.arena.Append(pkt.Payload)
 	}
-	var s *flow.Stream
-	if st != nil && st.s != nil {
-		// Known stream: append directly, skipping the key
-		// re-canonicalization and stream-map lookup.
-		s = st.s
-		dir := flow.DirAToB
-		if key.A != src {
-			dir = flow.DirBToA
-		}
-		var flags uint8
-		if pkt.TCP != nil {
-			flags = pkt.TCP.Flags
-		}
-		a.table.AddToStream(s, ts, dir, dst, pkt.Payload, flags, keep)
-	} else {
-		var ok bool
-		s, ok = a.table.AddPacket(ts, pkt, keep)
-		if !ok {
-			return
-		}
+	dir := flow.DirAToB
+	if key.A != src {
+		dir = flow.DirBToA
 	}
-	if st == nil {
-		st = &streamState{s: s, birth: seq}
-		a.states[key] = st
-	} else if st.s == nil {
-		st.s = s
-	}
-	a.lastKey, a.lastSt = key, st
+	a.table.AddToStream(s, ts, dir, dst, pkt.Payload, keep)
 
 	a.ev.Observe(ts, key)
 	if proto == layers.IPProtocolTCP && !st.sniOK && len(pkt.Payload) > 0 {
@@ -471,7 +441,9 @@ func (a *Analyzer) finalizeChunk(st *streamState) {
 		// here is a deterministic export point for the chunk's events.
 		st.span.Flush()
 	}
-	a.dropRecords(s)
+	// The records go; their array stays for the next chunk.
+	clear(s.Packets)
+	s.Packets = s.Packets[:0]
 	if st.arena != nil {
 		// Everything in the chunk has been consumed (verdicts and trace
 		// windows copy the bytes they keep); the payload copies go back
@@ -499,18 +471,6 @@ func (a *Analyzer) consumeChunk(st *streamState) {
 	start = a.am.check.Start()
 	st.partial.consume(st.s.Packets, results, st.session, a.opts.SkipFindings)
 	a.am.check.ObserveSince(start)
-}
-
-// dropRecords releases a stream's per-packet records. In pool mode the
-// record storage is recycled in place (the next chunk reuses the
-// array); otherwise it is handed to the GC.
-func (a *Analyzer) dropRecords(s *flow.Stream) {
-	if a.cfg.Pool != nil {
-		clear(s.Packets)
-		s.Packets = s.Packets[:0]
-		return
-	}
-	s.Packets = nil
 }
 
 // ErrNoDecodable is the error Close wraps when frames were fed but none
@@ -542,7 +502,7 @@ func (a *Analyzer) Close() (*CaptureAnalysis, error) {
 func (a *Analyzer) finalize(workers int) (*CaptureAnalysis, error) {
 	start := a.am.close.Start()
 	callStart, callEnd := a.cfg.CallStart, a.cfg.CallEnd
-	if a.cfg.DefaultWindowToSpan && callStart.IsZero() && a.frames > 0 {
+	if callStart.IsZero() && a.frames > 0 {
 		callStart, callEnd = a.firstTS, a.lastTS
 	}
 	if a.table.Len() == 0 && a.frames > 0 {

@@ -14,9 +14,10 @@ import (
 // FuzzFeedBatch is the differential fuzzer for the pooled hot path:
 // whatever frame bytes and batch sizing the fuzzer invents, the pooled
 // FeedBatch analyzer (poison-on-release armed, frames recycled through
-// reused reader buffers) must produce exactly the analysis the simple
-// unpooled per-packet Feed path produces. Divergence means either a
-// batching bug or a pooled buffer read after release.
+// reused reader buffers) must produce exactly the analysis of per-packet
+// Feed over the same frames held stable (FramesStable), a reference
+// that neither copies nor pools. Divergence means either a batching
+// bug or a pooled buffer read after release.
 //
 // Frames are encoded as a flat byte stream of [2-byte big-endian
 // length][frame bytes] records so the fuzzer can grow, shrink, and
@@ -86,8 +87,11 @@ func FuzzFeedBatch(f *testing.F) {
 		opts := Options{Workers: 1, EvictIdle: 5 * time.Millisecond}
 		ts := func(i int) time.Time { return start.Add(time.Duration(i) * time.Millisecond) }
 
-		// Reference: unpooled, one Feed per frame.
-		ref, err := NewAnalyzer(cfg, opts)
+		// Reference: one Feed per frame, payloads referenced in the
+		// fuzz input itself, so no pool code runs.
+		rcfg := cfg
+		rcfg.FramesStable = true
+		ref, err := NewAnalyzer(rcfg, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,9 +108,7 @@ func FuzzFeedBatch(f *testing.F) {
 		// frame copied through a reader buffer that the next batch
 		// overwrites. Poison armed so a use-after-release diverges.
 		defer bufpool.EnablePoison(bufpool.EnablePoison(true))
-		pcfg := cfg
-		pcfg.Pool = bufpool.Global()
-		sub, err := NewAnalyzer(pcfg, opts)
+		sub, err := NewAnalyzer(cfg, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -96,13 +96,13 @@ func TestHotPathAllocs(t *testing.T) {
 			dir = flow.DirBToA
 		}
 		// Warm both the record slice and the 3-tuple memo, then measure
-		// the pool-mode steady state: records retained, then truncated
-		// as the analyzer's drop path does.
-		table.AddToStream(s, ts, dir, dst, pkt.Payload, 0, true)
+		// the steady state: records retained, then truncated as the
+		// analyzer's chunk finalization does.
+		table.AddToStream(s, ts, dir, dst, pkt.Payload, true)
 		s.Packets = s.Packets[:0]
 		allocs := testing.AllocsPerRun(500, func() {
 			ts = ts.Add(time.Millisecond)
-			table.AddToStream(s, ts, dir, dst, pkt.Payload, 0, true)
+			table.AddToStream(s, ts, dir, dst, pkt.Payload, true)
 			s.Packets = s.Packets[:0]
 		})
 		if allocs != 0 {
@@ -185,7 +185,6 @@ func TestHotPathAllocs(t *testing.T) {
 			LinkType:  pcap.LinkTypeRaw,
 			CallStart: time.Unix(1700000000, 0),
 			CallEnd:   time.Unix(1700000000, 0).Add(time.Hour),
-			Pool:      bufpool.Global(),
 		}, Options{SkipFindings: true, EvictIdle: time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
@@ -293,7 +292,6 @@ func analyzePooledBatchedErr(frames []pcap.Packet, start, end time.Time, errp *e
 		LinkType:  pcap.LinkTypeRaw,
 		CallStart: start,
 		CallEnd:   end,
-		Pool:      bufpool.Global(),
 	}, Options{Workers: 1})
 	if err != nil {
 		*errp = err

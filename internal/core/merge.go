@@ -60,7 +60,7 @@ func MergeAnalyzers(shards []*Analyzer) (*CaptureAnalysis, error) {
 		c, b := sh.cfg, base.cfg
 		if c.Label != b.Label || c.LinkType != b.LinkType ||
 			!c.CallStart.Equal(b.CallStart) || !c.CallEnd.Equal(b.CallEnd) ||
-			c.DefaultWindowToSpan != b.DefaultWindowToSpan || c.ExternalSeq != b.ExternalSeq {
+			c.ExternalSeq != b.ExternalSeq {
 			return nil, fmt.Errorf("core: MergeAnalyzers: shard %d config differs from shard 0", i+1)
 		}
 	}
@@ -104,9 +104,6 @@ func MergeAnalyzers(shards []*Analyzer) (*CaptureAnalysis, error) {
 	}
 	sort.Slice(states, func(i, j int) bool { return states[i].birth < states[j].birth })
 	for _, st := range states {
-		if st.s == nil {
-			continue
-		}
 		if err := m.table.AbsorbStream(st.s); err != nil {
 			return nil, err
 		}

@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"time"
 
-	"github.com/rtc-compliance/rtcc/internal/bufpool"
 	"github.com/rtc-compliance/rtcc/internal/compliance"
 	"github.com/rtc-compliance/rtcc/internal/dpi"
 	"github.com/rtc-compliance/rtcc/internal/filterpipe"
@@ -371,13 +370,7 @@ func StreamCapture(r io.Reader, open func(pcap.LinkType) (FrameSink, error)) (*C
 // per-packet records. A zero callStart defaults the call window to the
 // capture's span.
 func AnalyzePCAP(r io.Reader, label string, callStart, callEnd time.Time, opts Options) (*CaptureAnalysis, error) {
-	cfg := AnalyzerConfig{
-		Label:               label,
-		CallStart:           callStart,
-		CallEnd:             callEnd,
-		DefaultWindowToSpan: true,
-		Pool:                bufpool.Global(),
-	}
+	cfg := AnalyzerConfig{Label: label, CallStart: callStart, CallEnd: callEnd}
 	return StreamCapture(r, func(lt pcap.LinkType) (FrameSink, error) {
 		cfg.LinkType = lt
 		return NewAnalyzer(cfg, opts)

@@ -192,6 +192,43 @@ func TestStreamingPCAPEvictionEquivalence(t *testing.T) {
 	}
 }
 
+// TestZeroCallStartDefaultsToSpan pins the window rule: an Analyzer
+// with a zero CallStart judges the capture against the span of the fed
+// timestamps, exactly as one given that span as its window, and the
+// deprecated DefaultWindowToSpan changes nothing.
+func TestZeroCallStartDefaultsToSpan(t *testing.T) {
+	frames := streamingCapture(t, appsim.Zoom, appsim.WiFiRelay, 3).Frames()
+	analyze := func(cfg AnalyzerConfig) *CaptureAnalysis {
+		t.Helper()
+		cfg.Label, cfg.LinkType = "zoom", pcap.LinkTypeRaw
+		a, err := NewAnalyzer(cfg, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fr := range frames {
+			if err := a.Feed(fr.Timestamp, fr.Data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ca, err := a.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ca
+	}
+	span := AnalyzerConfig{CallStart: frames[0].Timestamp, CallEnd: frames[len(frames)-1].Timestamp}
+	want := analyze(span)
+	if got := analyze(AnalyzerConfig{}); !reflect.DeepEqual(got, want) {
+		t.Error("zero CallStart did not default to the fed span")
+	}
+	// perfbench's pcap-media configuration: a set window plus the flag.
+	flagged := span
+	flagged.DefaultWindowToSpan = true
+	if got := analyze(flagged); !reflect.DeepEqual(got, want) {
+		t.Error("DefaultWindowToSpan changed the analysis of a set window")
+	}
+}
+
 // TestAnalyzerMisuse pins the Analyzer's lifecycle and configuration
 // errors.
 func TestAnalyzerMisuse(t *testing.T) {

@@ -208,7 +208,7 @@ func TestIdempotent(t *testing.T) {
 			}
 			var frame []byte
 			if s.Key.Proto == layers.IPProtocolTCP {
-				frame = layers.AppendTCPv4(nil, src.Addr, dst.Addr, layers.TCP{SrcPort: src.Port, DstPort: dst.Port, Flags: p.TCPFlags}, p.Payload)
+				frame = layers.AppendTCPv4(nil, src.Addr, dst.Addr, layers.TCP{SrcPort: src.Port, DstPort: dst.Port}, p.Payload)
 			} else if src.Addr.Is6() {
 				frame = layers.AppendUDPv6(nil, src.Addr, dst.Addr, src.Port, dst.Port, p.Payload)
 			} else {

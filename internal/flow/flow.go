@@ -67,8 +67,6 @@ const (
 type Packet struct {
 	Timestamp time.Time
 	Dir       Direction
-	// TCPFlags preserves the TCP flag byte for TCP segments (0 for UDP).
-	TCPFlags uint8
 	// Payload is the transport payload.
 	Payload []byte
 }
@@ -153,12 +151,9 @@ func (t *Table) Add(ts time.Time, pkt *layers.Packet) bool {
 	return ok
 }
 
-// AddPacket assigns a decoded packet to its stream and returns the
-// stream. When keep is false the per-packet record is not appended —
-// only the stream and 3-tuple summaries advance — which is how the
-// streaming analyzer keeps resident memory independent of stream
-// length for streams whose payloads it no longer needs. Packets
-// without a transport layer are ignored and reported as (nil, false).
+// AddPacket assigns a decoded packet to its stream (Open, then
+// AddToStream) and returns the stream. Packets without a transport
+// layer are ignored and reported as (nil, false).
 func (t *Table) AddPacket(ts time.Time, pkt *layers.Packet, keep bool) (*Stream, bool) {
 	proto, srcPort, dstPort := pkt.Transport()
 	if proto == 0 {
@@ -167,37 +162,38 @@ func (t *Table) AddPacket(ts time.Time, pkt *layers.Packet, keep bool) (*Stream,
 	src := Endpoint{Addr: pkt.Src(), Port: srcPort}
 	dst := Endpoint{Addr: pkt.Dst(), Port: dstPort}
 	key := KeyFor(proto, src, dst)
+	s := t.Open(key, ts)
+	dir := DirAToB
+	if key.A != src {
+		dir = DirBToA
+	}
+	t.AddToStream(s, ts, dir, dst, pkt.Payload, keep)
+	return s, true
+}
+
+// Open returns the stream for key, first creating it, seen first at
+// ts, when the table does not hold it yet.
+func (t *Table) Open(key Key, ts time.Time) *Stream {
 	s, ok := t.streams[key]
 	if !ok {
 		s = &Stream{Key: key, FirstSeen: ts, LastSeen: ts}
 		t.streams[key] = s
 		t.order = append(t.order, key)
 	}
-	dir := DirAToB
-	if key.A != src {
-		dir = DirBToA
-	}
-	var flags uint8
-	if pkt.TCP != nil {
-		flags = pkt.TCP.Flags
-	}
-	t.AddToStream(s, ts, dir, dst, pkt.Payload, flags, keep)
-	return s, true
+	return s
 }
 
-// AddToStream appends a packet directly to an already-resolved stream,
-// skipping the key canonicalization and stream-map lookup of AddPacket.
-// It is the batched analyzer's fast path for runs of packets on the
-// same stream: the caller guarantees s came from this table and that
-// (dir, dst) are consistent with s.Key.
-func (t *Table) AddToStream(s *Stream, ts time.Time, dir Direction, dst Endpoint, payload []byte, tcpFlags uint8, keep bool) {
+// AddToStream adds a packet to an already-resolved stream, skipping
+// the key canonicalization and stream-map lookup of AddPacket. The
+// caller guarantees s came from this table (Open or AddPacket) and
+// that (dir, dst) are consistent with s.Key. When keep is false the
+// per-packet record is not appended — only the stream and 3-tuple
+// summaries advance — which is how the streaming analyzer keeps
+// resident memory independent of stream length for streams whose
+// payloads it no longer needs.
+func (t *Table) AddToStream(s *Stream, ts time.Time, dir Direction, dst Endpoint, payload []byte, keep bool) {
 	if keep {
-		s.Packets = append(s.Packets, Packet{
-			Timestamp: ts,
-			Dir:       dir,
-			TCPFlags:  tcpFlags,
-			Payload:   payload,
-		})
+		s.Packets = append(s.Packets, Packet{Timestamp: ts, Dir: dir, Payload: payload})
 	}
 	if ts.Before(s.FirstSeen) {
 		s.FirstSeen = ts

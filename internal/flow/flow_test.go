@@ -65,16 +65,6 @@ func TestDistinctStreams(t *testing.T) {
 	}
 }
 
-func TestTCPFlagsPreserved(t *testing.T) {
-	tbl := NewTable()
-	seg := layers.TCP{SrcPort: 1, DstPort: 2, Flags: layers.TCPSyn | layers.TCPAck}
-	tbl.Add(t0, decode(t, layers.AppendTCPv4(nil, hostA, hostB, seg, nil)))
-	p := tbl.Streams()[0].Packets[0]
-	if p.TCPFlags != layers.TCPSyn|layers.TCPAck {
-		t.Errorf("flags = %#x", p.TCPFlags)
-	}
-}
-
 func TestKeyCanonicalization(t *testing.T) {
 	e1 := Endpoint{Addr: hostA, Port: 5000}
 	e2 := Endpoint{Addr: hostB, Port: 6000}

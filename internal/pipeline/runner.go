@@ -286,14 +286,13 @@ type LiveSession struct {
 }
 
 // NewLiveSession builds the analyzer for one live session. The live
-// path always analyzes raw-IP frames with the call window defaulted to
-// the received span, under livePolicy.
+// path always analyzes raw-IP frames with no call start, so the window
+// defaults to the received span, under livePolicy.
 func (r *Runner) NewLiveSession() (*LiveSession, error) {
 	sa, err := ingest.New(core.AnalyzerConfig{
-		Label:               r.cfg.Source.EffectiveLabel(),
-		LinkType:            pcap.LinkTypeRaw,
-		DefaultWindowToSpan: true,
-		FramesStable:        true, // each decapsulated frame is freshly allocated
+		Label:        r.cfg.Source.EffectiveLabel(),
+		LinkType:     pcap.LinkTypeRaw,
+		FramesStable: true, // each decapsulated frame is freshly allocated
 	}, r.Options(), ingest.Config{Shards: r.shards, Policy: r.livePolicy()})
 	if err != nil {
 		return nil, err

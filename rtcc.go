@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"github.com/rtc-compliance/rtcc/internal/appsim"
-	"github.com/rtc-compliance/rtcc/internal/bufpool"
 	"github.com/rtc-compliance/rtcc/internal/core"
 	"github.com/rtc-compliance/rtcc/internal/dpi"
 	"github.com/rtc-compliance/rtcc/internal/ingest"
@@ -253,7 +252,11 @@ const (
 // socket, a message queue) without buffering the capture.
 type Analyzer = core.Analyzer
 
-// AnalyzerConfig parameterizes an incremental Analyzer.
+// AnalyzerConfig parameterizes an incremental Analyzer. A zero
+// CallStart defaults the call window to the span of the fed frames.
+// The analyzer references fed payloads in place when FramesStable
+// promises the frames outlive it, and otherwise copies the payloads it
+// keeps into a process-wide buffer pool (DESIGN.md §14).
 type AnalyzerConfig = core.AnalyzerConfig
 
 // Datagram is one timestamped link-layer frame, the unit of the
@@ -262,15 +265,6 @@ type AnalyzerConfig = core.AnalyzerConfig
 // duration of the call (DESIGN.md §14), so readers may reuse their
 // buffers between batches.
 type Datagram = core.Datagram
-
-// BufferPool recycles packet buffers through the analyzer: assign one
-// to AnalyzerConfig.Pool and the ingestion path stores payload bytes
-// in pooled arena chunks instead of allocating per packet. See
-// DESIGN.md §14 for the ownership rules.
-type BufferPool = bufpool.Pool
-
-// GlobalBufferPool returns the process-wide shared buffer pool.
-func GlobalBufferPool() *BufferPool { return bufpool.Global() }
 
 // NewAnalyzer returns an incremental analyzer; see Analyzer.
 func NewAnalyzer(cfg AnalyzerConfig, opts Options) (*Analyzer, error) {
