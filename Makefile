@@ -62,6 +62,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/rtp
 	$(GO) test -run='^$$' -fuzz=FuzzParseLong -fuzztime=$(FUZZTIME) ./internal/quicwire
 	$(GO) test -run='^$$' -fuzz=FuzzDTLSProbe -fuzztime=$(FUZZTIME) ./internal/proto/dtlsdrv
+	$(GO) test -run='^$$' -fuzz=FuzzTallyMatchesDecode -fuzztime=$(FUZZTIME) ./internal/proto/rtpdrv
 	$(GO) test -run='^$$' -fuzz=FuzzDecapsulate -fuzztime=$(FUZZTIME) ./internal/live
 	$(GO) test -run='^$$' -fuzz=FuzzFeedBatch -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzImpair -fuzztime=$(FUZZTIME) ./internal/natsim
@@ -137,11 +138,11 @@ bench-json:
 	$(GO) run ./cmd/rtcbench -out BENCH_hotpath.json
 
 # Regression gate against the committed baseline: fails on >15% ingest
-# slowdown or any allocs/op increase beyond jitter in any scenario.
-# When the current host differs from the baseline's recorded host
-# (CPU model, core count, GOMAXPROCS), timing regressions demote to
-# warnings — hardware deltas are not regressions — while the
-# allocation gate stays hard. On hosts with >= 4 CPUs the gate also
+# slowdown, any allocs/op increase beyond jitter, or >5% more B/op in
+# any scenario. When the current host differs from the baseline's
+# recorded host (CPU model, core count, GOMAXPROCS), timing regressions
+# demote to warnings — hardware deltas are not regressions — while the
+# allocs/op and B/op gates stay hard. On hosts with >= 4 CPUs the gate also
 # requires sharded4/media-heavy >= 3x sharded1 throughput.
 bench-check:
 	$(GO) run ./cmd/rtcbench -baseline BENCH_hotpath.json

@@ -12,7 +12,8 @@
 //
 // With -baseline, rtcbench exits non-zero when any scenario regresses
 // against the committed baseline: ingest time more than 15% slower,
-// or allocations up beyond measurement jitter. Each scenario runs
+// allocations up beyond measurement jitter, or bytes allocated more
+// than 5% up. Each scenario runs
 // best-of-N repetitions (-reps) so a noisy neighbor on the CI machine
 // reads as a slow repetition that gets discarded, not a regression;
 // scenarios that still look regressed are re-measured (up to twice,
@@ -23,8 +24,8 @@
 // The baseline records the host it was measured on. When the current
 // machine differs (CPU model, core count, or GOMAXPROCS), timing
 // comparisons are demoted to warnings — cross-host wall-clock deltas
-// are hardware facts, not regressions — while the allocation gate
-// stays hard, since allocs/op is host-independent.
+// are hardware facts, not regressions — while the allocation gates
+// stay hard, since allocs/op and B/op are host-independent.
 //
 // On hosts with 4 or more CPUs, the gate additionally requires the
 // sharded tier to scale: sharded4/media-heavy must reach at least 3x
@@ -58,6 +59,12 @@ const nsTolerance = 0.15
 // allocs/op by thousands on these captures.
 const allocTolerance = 0.02
 const allocSlack = 64
+
+// bytesTolerance is the relative B/op growth tolerated over a row that
+// holds the cell's maximum over GOMAXPROCS 1, 2 and 4 (B/op moves a few
+// percent between those), while a buffer that grows with the capture
+// moves it by tens of percent without adding allocations.
+const bytesTolerance = 0.05
 
 // scalingFloor is the minimum sharded4:sharded1 throughput ratio on
 // the media-heavy load, enforced on hosts with at least scalingMinCPU
@@ -131,7 +138,8 @@ func main() {
 		}
 		// Cross-host comparisons demote timing failures to warnings:
 		// a different CPU's wall clock is a hardware fact. Allocation
-		// regressions stay hard — allocs/op does not depend on the host.
+		// regressions stay hard — allocs/op and B/op do not depend on
+		// the host.
 		sameHost := baseHost.Comparable(host)
 		if !sameHost {
 			fmt.Printf("warning: baseline host differs (%s, %d CPUs) from this host (%s, %d CPUs); timing regressions reported as warnings only\n",
@@ -221,6 +229,11 @@ func compare(results []bench.Result, base map[string]bench.Result, enforceTiming
 		if r.AllocsPerOp > b.AllocsPerOp*(1+allocTolerance)+allocSlack {
 			fmt.Printf("REGRESSION %-24s allocs/op %.0f vs baseline %.0f\n",
 				r.Name, r.AllocsPerOp, b.AllocsPerOp)
+			bad = true
+		}
+		if r.BytesPerOp > b.BytesPerOp*(1+bytesTolerance) {
+			fmt.Printf("REGRESSION %-24s B/op %.0f vs baseline %.0f (>%.0f%% more)\n",
+				r.Name, r.BytesPerOp, b.BytesPerOp, bytesTolerance*100)
 			bad = true
 		}
 		if bad {

@@ -23,13 +23,15 @@ type AnalyzerConfig struct {
 	Label string
 	// LinkType describes the fed frames.
 	LinkType pcap.LinkType
-	// CallStart and CallEnd delimit the annotated call window. A zero
-	// CallStart marks the capture unannotated: the window is then the
-	// span of the fed timestamps, known only at Close, so until Close
-	// only window-independent filter rules run online.
+	// CallStart and CallEnd delimit the annotated call window. Each
+	// zero bound defaults to the fed span's: a zero CallStart to the
+	// first fed timestamp, a zero CallEnd to the last. A defaulted
+	// bound is known only at Close, so until Close only
+	// window-independent filter rules run online. Close fails when a
+	// defaulted window ends before it starts.
 	CallStart, CallEnd time.Time
-	// DefaultWindowToSpan is ignored: a zero CallStart always defaults
-	// the window to the fed span.
+	// DefaultWindowToSpan is ignored: each zero bound always defaults
+	// to the fed span's.
 	//
 	// Deprecated: ignored. Its last setters are perfbench/pcapmedia.go
 	// and perfbench/mirror.go in the nested benchmark module; the field
@@ -159,7 +161,7 @@ type Analyzer struct {
 	firstSeq, lastSeq uint64
 
 	// ev is the §3.2 filter evidence gathered so far, over table. Its
-	// window stays unknown until Close when CallStart is zero.
+	// window stays unknown until Close when a bound is zero.
 	ev *filterpipe.Evidence
 
 	active, peak int
@@ -183,8 +185,9 @@ type Analyzer struct {
 // NewAnalyzer validates the configuration and returns an empty
 // Analyzer.
 func NewAnalyzer(cfg AnalyzerConfig, opts Options) (*Analyzer, error) {
-	if cfg.CallEnd.Before(cfg.CallStart) {
-		return nil, errors.New("core: call window end precedes start")
+	bounded := !cfg.CallStart.IsZero() && !cfg.CallEnd.IsZero()
+	if bounded && cfg.CallEnd.Before(cfg.CallStart) {
+		return nil, errInvertedWindow
 	}
 	a := &Analyzer{
 		cfg:    cfg,
@@ -196,11 +199,13 @@ func NewAnalyzer(cfg AnalyzerConfig, opts Options) (*Analyzer, error) {
 		am:     newAnalyzerMetrics(opts.Metrics, cfg.Label),
 	}
 	a.ev = filterpipe.NewEvidence(a.table)
-	if !cfg.CallStart.IsZero() {
+	if bounded {
 		a.ev.SetWindow(cfg.CallStart, cfg.CallEnd)
 	}
 	return a, nil
 }
+
+var errInvertedWindow = errors.New("core: call window end precedes start")
 
 // Feed advances the pipeline by one captured frame: a one-element
 // FeedBatch. Decode failures are tolerated and counted, exactly as in
@@ -502,11 +507,19 @@ func (a *Analyzer) Close() (*CaptureAnalysis, error) {
 func (a *Analyzer) finalize(workers int) (*CaptureAnalysis, error) {
 	start := a.am.close.Start()
 	callStart, callEnd := a.cfg.CallStart, a.cfg.CallEnd
-	if callStart.IsZero() && a.frames > 0 {
-		callStart, callEnd = a.firstTS, a.lastTS
-	}
-	if a.table.Len() == 0 && a.frames > 0 {
-		return nil, fmt.Errorf("%w (%d frames, %d decode errors)", ErrNoDecodable, a.frames, a.decodeErrs)
+	if a.frames > 0 {
+		if callStart.IsZero() {
+			callStart = a.firstTS
+		}
+		if callEnd.IsZero() {
+			callEnd = a.lastTS
+		}
+		if a.table.Len() == 0 {
+			return nil, fmt.Errorf("%w (%d frames, %d decode errors)", ErrNoDecodable, a.frames, a.decodeErrs)
+		}
+		if callEnd.Before(callStart) {
+			return nil, errInvertedWindow
+		}
 	}
 
 	filterStart := a.am.filter.Start()

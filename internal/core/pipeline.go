@@ -367,8 +367,9 @@ func StreamCapture(r io.Reader, open func(pcap.LinkType) (FrameSink, error)) (*C
 // through StreamCapture. Buffered payload bytes live in pooled buffers
 // (internal/bufpool) that return to the process-wide pool as streams
 // are filtered out, evicted, or finalized, and the result holds no
-// per-packet records. A zero callStart defaults the call window to the
-// capture's span.
+// per-packet records. Each zero bound of the call window defaults to
+// the capture span's: a zero callStart to the first frame's timestamp,
+// a zero callEnd to the last.
 func AnalyzePCAP(r io.Reader, label string, callStart, callEnd time.Time, opts Options) (*CaptureAnalysis, error) {
 	cfg := AnalyzerConfig{Label: label, CallStart: callStart, CallEnd: callEnd}
 	return StreamCapture(r, func(lt pcap.LinkType) (FrameSink, error) {

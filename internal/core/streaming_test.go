@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -200,21 +201,7 @@ func TestZeroCallStartDefaultsToSpan(t *testing.T) {
 	frames := streamingCapture(t, appsim.Zoom, appsim.WiFiRelay, 3).Frames()
 	analyze := func(cfg AnalyzerConfig) *CaptureAnalysis {
 		t.Helper()
-		cfg.Label, cfg.LinkType = "zoom", pcap.LinkTypeRaw
-		a, err := NewAnalyzer(cfg, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, fr := range frames {
-			if err := a.Feed(fr.Timestamp, fr.Data); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ca, err := a.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ca
+		return analyzeFrames(t, cfg, frames)
 	}
 	span := AnalyzerConfig{CallStart: frames[0].Timestamp, CallEnd: frames[len(frames)-1].Timestamp}
 	want := analyze(span)
@@ -227,6 +214,68 @@ func TestZeroCallStartDefaultsToSpan(t *testing.T) {
 	if got := analyze(flagged); !reflect.DeepEqual(got, want) {
 		t.Error("DefaultWindowToSpan changed the analysis of a set window")
 	}
+}
+
+// TestLoneBoundDefaultsToSpan pins the per-bound window rule: a lone
+// CallEnd judges the capture against [first fed timestamp, CallEnd],
+// a lone CallStart against [CallStart, last fed timestamp], and a
+// lone bound outside the fed span fails Close as an inverted window.
+func TestLoneBoundDefaultsToSpan(t *testing.T) {
+	capt := streamingCapture(t, appsim.Zoom, appsim.WiFiRelay, 3)
+	frames := capt.Frames()
+	first, last := frames[0].Timestamp, frames[len(frames)-1].Timestamp
+	span := analyzeFrames(t, AnalyzerConfig{}, frames)
+	for _, c := range []struct {
+		name       string
+		lone, want AnalyzerConfig
+	}{
+		{"lone end", AnalyzerConfig{CallEnd: capt.CallEnd}, AnalyzerConfig{CallStart: first, CallEnd: capt.CallEnd}},
+		{"lone start", AnalyzerConfig{CallStart: capt.CallStart}, AnalyzerConfig{CallStart: capt.CallStart, CallEnd: last}},
+	} {
+		want := analyzeFrames(t, c.want, frames)
+		if reflect.DeepEqual(want, span) {
+			t.Fatalf("%s: the window %v..%v judges the capture as its span does", c.name, c.want.CallStart, c.want.CallEnd)
+		}
+		if got := analyzeFrames(t, c.lone, frames); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the missing bound did not default to the fed span's", c.name)
+		}
+	}
+	for _, cfg := range []AnalyzerConfig{{CallEnd: first.Add(-time.Second)}, {CallStart: last.Add(time.Second)}} {
+		cfg.LinkType = pcap.LinkTypeRaw
+		a, err := NewAnalyzer(cfg, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fr := range frames {
+			if err := a.Feed(fr.Timestamp, fr.Data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := a.Close(); err == nil || !strings.Contains(err.Error(), "end precedes start") {
+			t.Errorf("window %v..%v outside the fed span: Close error %v", cfg.CallStart, cfg.CallEnd, err)
+		}
+	}
+}
+
+// analyzeFrames runs a Zoom-labelled raw-IP Analyzer with cfg over
+// frames.
+func analyzeFrames(t *testing.T, cfg AnalyzerConfig, frames []pcap.Packet) *CaptureAnalysis {
+	t.Helper()
+	cfg.Label, cfg.LinkType = "zoom", pcap.LinkTypeRaw
+	a, err := NewAnalyzer(cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fr := range frames {
+		if err := a.Feed(fr.Timestamp, fr.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ca, err := a.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ca
 }
 
 // TestAnalyzerMisuse pins the Analyzer's lifecycle and configuration

@@ -250,10 +250,15 @@ type CaptureReader struct {
 	ng      *NGReader
 }
 
+// captureBufSize is the CaptureReader's read buffer: 64 KB makes one
+// read syscall per tens of frames, where bufio's 4 KB default makes
+// one per few.
+const captureBufSize = 64 << 10
+
 // NewCaptureReader detects the format from the first four bytes of r
 // and parses the file header.
 func NewCaptureReader(r io.Reader) (*CaptureReader, error) {
-	br := bufio.NewReader(r)
+	br := bufio.NewReaderSize(r, captureBufSize)
 	head, err := br.Peek(4)
 	if err != nil {
 		return nil, fmt.Errorf("pcap: read capture header: %w", err)

@@ -129,6 +129,52 @@ func TestGateIsNecessaryForValidate(t *testing.T) {
 	}
 }
 
+// TestPlanWalksMatchPerOffsetScan pins both registry plans' live lane
+// sets: under every combination of the lanes a walk can skip (the
+// anchored, Ready and SSRCAt probers' lanes), one walk of the plan's
+// lanes visits exactly the offsets where a per-offset scan of every
+// unskipped prober's lane admits. The payloads are the contract
+// payloads and short ones over bytes that the gates test.
+func TestPlanWalksMatchPerOffsetScan(t *testing.T) {
+	payloads := contractPayloads()
+	r := rand.New(rand.NewPCG(3, 4))
+	for i := 0; i < 300; i++ {
+		b := make([]byte, r.IntN(48))
+		for j := range b {
+			b[j] = []byte{0x00, 0x01, 0x03, 0x14, 0x40, 0x41, 0x80, 0x90, 0xC8, 0xFE, 0xFF}[r.IntN(11)]
+		}
+		payloads = append(payloads, b)
+	}
+	plans := map[string]*proto.ScanPlan{"pass 1": proto.Default().Pass1Plan(), "pass 2": proto.Default().Pass2Plan()}
+	for pass, plan := range plans {
+		probers := plan.Probers()
+		skippable := proto.PlanSkippable(plan)
+		if skippable == 0 {
+			t.Fatalf("%s: no skippable lane", pass)
+		}
+		// Every subset of skippable, from skippable itself down to 0.
+		for skip := skippable; ; skip = (skip - 1) & skippable {
+			for _, b := range payloads {
+				var want []int
+				for o := range b {
+					for k, p := range probers {
+						if skip>>k&1 == 0 && proto.LaneAdmitsAt(p.Gate, b, o, o&^7) {
+							want = append(want, o)
+							break
+						}
+					}
+				}
+				if got := proto.WalkPlanLanes(plan, b, len(b), skip); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s, skip %b, over % x: walk visits %v, per-offset scan %v", pass, skip, b, got, want)
+				}
+			}
+			if skip == 0 {
+				break
+			}
+		}
+	}
+}
+
 // oneProber registers a single prober under its protocol's ID.
 type oneProber struct{ p proto.Prober }
 

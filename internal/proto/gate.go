@@ -56,12 +56,23 @@ func Window(b []byte, i int) uint64 {
 }
 
 // lane is one gate's tests of window bytes 0-3, each broadcast to all
-// eight byte lanes of a word, plus its framed-length rule. wide marks
-// a lane that tests byte 2 or 3.
+// eight byte lanes of a word, plus its framed-length rule. A live set
+// keeps it whole for a wide gate and as a narrowLane for a narrow one.
 type lane struct {
 	m0, w0, m1, w1, m2, w2, m3, w3 uint64
 	bias, slack                    int
-	wide                           bool
+}
+
+// narrowLane is the test of a gate that reads window bytes 0-1 only
+// and declares no framed length.
+type narrowLane struct{ m0, w0, m1, w1 uint64 }
+
+// laneSet is the live lanes of one skip combination, in two groups:
+// narrow lanes test window bytes 0-1 only; wide lanes also test bytes
+// 2-3 or a framed length, so only a set with a wide lane loads them.
+type laneSet struct {
+	narrow []narrowLane
+	wide   []lane
 }
 
 const (
@@ -73,48 +84,99 @@ const (
 // with no carry between byte lanes.
 func zeroBytes(x uint64) uint64 { return ^((x&laneLow7 + laneLow7) | x | laneLow7) }
 
+// maxSkippable bounds the lanes a Lanes may skip: it builds one live
+// set per combination of them.
+const maxSkippable = 8
+
 // Lanes tests candidate offsets eight at a time against the first four
 // bytes of a set of gates and their framed-length rules. Byte lane L
 // of four overlapping little-endian loads at i..i+3 holds offset
 // i+L's bytes 0-3, so one SWAR step settles eight offsets for every
-// gate. The loads at i+2 and i+3 happen only when some lane reads
-// those bytes.
+// gate. A skip mask turns lanes off; the lanes it may name are fixed
+// at construction, and each combination of them has its live lanes
+// built once, so a step visits only the lanes it tests.
 type Lanes struct {
-	ls   []lane
-	wide bool
+	// skippable is the mask of lanes a skip mask may name; sets holds
+	// the live lanes of each skip mask, at its index.
+	skippable uint64
+	sets      []laneSet
 }
 
 // NewLanes returns the lane tests of the given gates, in order: lane k
-// tests gates[k].
-func NewLanes(gates ...Gate) Lanes {
-	ls := Lanes{ls: make([]lane, len(gates))}
+// tests gates[k]. A skip mask passed to Next may name only the lanes
+// set in skippable, at most maxSkippable of them.
+func NewLanes(skippable uint64, gates ...Gate) Lanes {
+	if skippable>>len(gates) != 0 || bits.OnesCount64(skippable) > maxSkippable {
+		panic("proto: skippable lanes out of range")
+	}
+	b := func(j int, v uint64) uint64 { return laneOnes * (v >> (56 - 8*j) & 0xff) }
+	all := make([]lane, len(gates))
 	for k, g := range gates {
-		b := func(j int, v uint64) uint64 { return laneOnes * (v >> (56 - 8*j) & 0xff) }
-		l := lane{
+		all[k] = lane{
 			m0: b(0, g.Mask), w0: b(0, g.Want), m1: b(1, g.Mask), w1: b(1, g.Want),
 			m2: b(2, g.Mask), w2: b(2, g.Want), m3: b(3, g.Mask), w3: b(3, g.Want),
 			bias: g.Bias, slack: g.Slack,
 		}
-		l.wide = l.m2|l.m3 != 0 || l.bias != 0
-		ls.wide = ls.wide || l.wide
-		ls.ls[k] = l
 	}
-	return ls
+	ls := Lanes{skippable: skippable, sets: make([]laneSet, 1<<bits.OnesCount64(skippable))}
+	// Every subset of skippable, from skippable itself down to 0.
+	for skip := skippable; ; skip = (skip - 1) & skippable {
+		s := &ls.sets[ls.index(skip)]
+		for k, l := range all {
+			switch {
+			case skip>>k&1 != 0:
+			case l.m2|l.m3 != 0 || l.bias != 0:
+				s.wide = append(s.wide, l)
+			default:
+				s.narrow = append(s.narrow, narrowLane{l.m0, l.w0, l.m1, l.w1})
+			}
+		}
+		if skip == 0 {
+			return ls
+		}
+	}
 }
 
+// index returns the position in sets of skip, a subset of skippable:
+// its bit k is set when skip holds skippable's k-th lowest lane.
+func (ls Lanes) index(skip uint64) int {
+	c := 0
+	for k, m := 0, ls.skippable; m != 0; k, m = k+1, m&(m-1) {
+		if skip&m&-m != 0 {
+			c |= 1 << k
+		}
+	}
+	return c
+}
+
+// set returns the live lanes when the lanes in skip are skipped. The
+// zero Lanes (an empty registry's plan) has none.
+func (ls Lanes) set(skip uint64) *laneSet {
+	if skip&^ls.skippable != 0 {
+		panic("proto: skip mask names a lane that is not skippable")
+	}
+	if ls.sets == nil {
+		return &noLanes
+	}
+	return &ls.sets[ls.index(skip)]
+}
+
+// noLanes is the zero Lanes' live set; nothing writes it.
+var noLanes laneSet
+
 // step returns the admitted lanes of the eight offsets at i as a mask
-// with the high bit of byte lane L set when some unskipped gate admits
+// with the high bit of byte lane L set when some live gate admits
 // offset i+L. The word tests are exact; the framed-length test is a
 // necessary condition: over one step L's admissible values span at
 // most 8+Slack consecutive integers, so its high byte (window byte 2)
 // takes at most two values, which the step compares against. A caller
 // applies Gate.Fits at each admitted offset.
-func (ls Lanes) step(b []byte, i int, skip uint64) uint64 {
+func (s *laneSet) step(b []byte, i int) uint64 {
 	var v0, v1, v2, v3 uint64
 	if i+11 <= len(b) {
 		v0 = binary.LittleEndian.Uint64(b[i:])
 		v1 = binary.LittleEndian.Uint64(b[i+1:])
-		if ls.wide {
+		if len(s.wide) > 0 {
 			v2 = binary.LittleEndian.Uint64(b[i+2:])
 			v3 = binary.LittleEndian.Uint64(b[i+3:])
 		}
@@ -130,19 +192,15 @@ func (ls Lanes) step(b []byte, i int, skip uint64) uint64 {
 		v3 = binary.LittleEndian.Uint64(pad[3:])
 	}
 	var hit uint64
-	for k := range ls.ls {
-		if skip>>k&1 != 0 {
-			continue
-		}
-		l := &ls.ls[k]
+	for k := range s.narrow {
 		// x has a zero byte exactly in the lanes whose word test the
 		// gate passes.
-		x := (v0&l.m0 ^ l.w0) | (v1&l.m1 ^ l.w1)
-		if !l.wide {
-			hit |= zeroBytes(x)
-			continue
-		}
-		x |= (v2&l.m2 ^ l.w2) | (v3&l.m3 ^ l.w3)
+		l := &s.narrow[k]
+		hit |= zeroBytes((v0&l.m0 ^ l.w0) | (v1&l.m1 ^ l.w1))
+	}
+	for k := range s.wide {
+		l := &s.wide[k]
+		x := (v0&l.m0 ^ l.w0) | (v1&l.m1 ^ l.w1) | (v2&l.m2 ^ l.w2) | (v3&l.m3 ^ l.w3)
 		if l.bias == 0 {
 			hit |= zeroBytes(x)
 			continue
@@ -165,8 +223,8 @@ func (ls Lanes) step(b []byte, i int, skip uint64) uint64 {
 }
 
 // Next returns the least offset o in [from, end) whose window some lane
-// admits, skipping lane k when bit k of skip is set. It returns end
-// when no offset qualifies. The word tests are exact and the
+// admits, skipping lane k when bit k of skip is set (skip may name only
+// skippable lanes). It returns end when no offset qualifies. The word tests are exact and the
 // framed-length test is necessary, so every offset it passes over is
 // one that every unskipped gate rejects.
 func (ls Lanes) Next(b []byte, from, end int, skip uint64) int {
@@ -175,15 +233,14 @@ func (ls Lanes) Next(b []byte, from, end int, skip uint64) int {
 	return c.Next(from)
 }
 
-// cursor walks the offsets of one payload that a Lanes admits, in
-// increasing order. It keeps the current step's hit mask, so an
+// cursor walks the offsets of one payload that a live lane set admits,
+// in increasing order. It keeps the current step's hit mask, so an
 // admitted offset costs no second step: the next one in the same
 // eight comes from the mask.
 type cursor struct {
-	ls   Lanes
-	b    []byte
-	end  int
-	skip uint64
+	set *laneSet
+	b   []byte
+	end int
 	// base is the first offset of the step hit belongs to; hit holds
 	// that step's admitted lanes at or after pos.
 	base int
@@ -196,7 +253,7 @@ type cursor struct {
 // Reset starts the cursor over the offsets [0, end) of b, skipping the
 // lanes set in skip.
 func (c *cursor) Reset(ls Lanes, b []byte, end int, skip uint64) {
-	*c = cursor{ls: ls, b: b, end: end, skip: skip, base: -8, pos: -1}
+	*c = cursor{set: ls.set(skip), b: b, end: end, base: -8, pos: -1}
 }
 
 // Next returns the least admitted offset o with from <= o < end, or
@@ -215,7 +272,7 @@ func (c *cursor) Next(from int) int {
 		from = c.base + 8
 	}
 	for i := from; i < c.end; i += 8 {
-		if h := c.ls.step(c.b, i, c.skip); h != 0 {
+		if h := c.set.step(c.b, i); h != 0 {
 			c.base, c.hit = i, h
 			c.pos = min(i+bits.TrailingZeros64(h)/8, c.end)
 			return c.pos

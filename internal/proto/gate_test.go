@@ -19,7 +19,7 @@ func TestLanesNextIsExact(t *testing.T) {
 		{Mask: 0x80FFFFFF << 32, Want: 0x80 << 56},
 		{Mask: 0xFCE00003 << 32, Want: 0},
 	}
-	ls := NewLanes(gates...)
+	ls := NewLanes(0x3f, gates...)
 	r := rand.New(rand.NewPCG(5, 6))
 	for iter := 0; iter < 200; iter++ {
 		b := make([]byte, r.IntN(40))
@@ -68,7 +68,7 @@ func TestLanesFrameIsNecessary(t *testing.T) {
 		{Mask: 0xF0 << 56, Want: 0x40 << 56, Bias: 4, Slack: 3},
 		{Mask: 0xFCE00003 << 32, Bias: 20},
 	}
-	ls := NewLanes(gates...)
+	ls := NewLanes(0x3, gates...)
 	r := rand.New(rand.NewPCG(9, 10))
 	for iter := 0; iter < 3000; iter++ {
 		n := r.IntN(600)
@@ -103,6 +103,96 @@ func TestLanesFrameIsNecessary(t *testing.T) {
 			from = got + 1 + r.IntN(3)
 		}
 	}
+}
+
+// TestLiveLanesMatchPerOffsetScan pins the live lane sets: under every
+// combination of skipped lanes, one walk visits exactly the offsets a
+// per-offset scan of every unskipped lane admits. The gates mix narrow
+// lanes (bytes 0-1), wide ones (bytes 2-3) and framed lengths, so a
+// lane in the wrong group admits offsets the scan does not.
+func TestLiveLanesMatchPerOffsetScan(t *testing.T) {
+	gates := []Gate{
+		{Mask: 0xC0E0 << 48, Want: 0x80C0 << 48},
+		{Mask: 0xF0 << 56, Want: 0x40 << 56, Bias: 4, Slack: 3},
+		{Mask: 0x80FFFFFF << 32, Want: 0x80 << 56},
+		{Mask: 0xFCFF << 48, Want: 0x14FE << 48},
+		{Mask: 0xFCE00003 << 32, Bias: 20},
+	}
+	ls := NewLanes(1<<len(gates)-1, gates...)
+	r := rand.New(rand.NewPCG(11, 12))
+	for iter := 0; iter < 300; iter++ {
+		b := make([]byte, r.IntN(64))
+		for j := range b {
+			b[j] = []byte{0x00, 0x01, 0x14, 0x41, 0x80, 0xC8, 0xFE, 0xFF}[r.IntN(8)]
+		}
+		end := r.IntN(len(b) + 1)
+		for skip := uint64(0); skip < 1<<len(gates); skip++ {
+			got, want := walkLanes(ls, b, end, skip), scanLanes(gates, b, end, skip)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("skip %05b over % x below %d: walk visits %v, per-offset scan %v", skip, b, end, got, want)
+			}
+		}
+	}
+}
+
+// TestZeroLanesAdmitNothing pins the zero Lanes, an empty registry's
+// plan: it builds no live set and admits no offset.
+func TestZeroLanesAdmitNothing(t *testing.T) {
+	var ls Lanes
+	b := []byte{0x80, 0x00, 0x40, 0x00, 0x00, 0x00}
+	if got := ls.Next(b, 0, len(b), 0); got != len(b) {
+		t.Fatalf("zero Lanes admitted offset %d", got)
+	}
+}
+
+// walkLanes returns the offsets below end of b that one cursor over ls
+// visits, with the lanes in skip turned off. Its steps start at
+// multiples of 8.
+func walkLanes(ls Lanes, b []byte, end int, skip uint64) []int {
+	var c cursor
+	c.Reset(ls, b, end, skip)
+	var out []int
+	for o := c.Next(0); o < end; o = c.Next(o + 1) {
+		out = append(out, o)
+	}
+	return out
+}
+
+// scanLanes is walkLanes' reference: it tests every unskipped gate's
+// lane at every offset on its own.
+func scanLanes(gates []Gate, b []byte, end int, skip uint64) []int {
+	var out []int
+	for o := 0; o < end; o++ {
+		for k, g := range gates {
+			if skip>>k&1 == 0 && laneAdmitsAt(g, b, o, o&^7) {
+				out = append(out, o)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// laneAdmitsAt reports whether g's lane admits offset o of b in the
+// step that starts at base: the zero-padded window's bytes 0-3 pass
+// g's word test, and for a framed gate byte 2, the length's high byte,
+// is that of the least or the greatest length that frames a message
+// from some offset of the step.
+func laneAdmitsAt(g Gate, b []byte, o, base int) bool {
+	w := Window(b, o)
+	if uint32(w>>32)&uint32(g.Mask>>32) != uint32(g.Want>>32) {
+		return false
+	}
+	if g.Bias == 0 {
+		return true
+	}
+	hi := len(b) - base - g.Bias
+	lo := hi - 7 - g.Slack
+	if hi < 0 || lo > 0xffff {
+		return false
+	}
+	h := int(byte(w >> 40))
+	return h == max(lo, 0)>>8 || h == min(hi, 0xffff)>>8
 }
 
 // admitsAt reports whether the candidate at offset i of b passes both

@@ -6,6 +6,10 @@ package proto
 // is a necessary condition of its prober and may only reject; the
 // prober still confirms every hit. A prober without a gate has a lane
 // that admits every offset, so a plan with one walks every offset.
+//
+// A walk skips the lanes of the anchored gates, of the probers not
+// ready, and of the SSRC anchors it searches for by word; the plan
+// builds the live lanes of each combination of those once.
 type ScanPlan struct {
 	probers []Prober
 	lanes   Lanes
@@ -24,17 +28,23 @@ type ssrcAnchor struct{ lane, at int }
 func newScanPlan(probers []Prober) ScanPlan {
 	gates := make([]Gate, len(probers))
 	p := ScanPlan{probers: probers}
+	var skippable uint64
 	for k, pr := range probers {
 		gates[k] = pr.Gate
 		if pr.Ready != nil {
 			p.ready = append(p.ready, readyTest{k, pr.Ready})
+			skippable |= 1 << k
 		}
 		if pr.SSRCAt != 0 {
 			p.ssrc = append(p.ssrc, ssrcAnchor{k, pr.SSRCAt})
+			skippable |= 1 << k
 		}
 	}
-	p.lanes = NewLanes(gates...)
 	p.anchors = anchorsOf(gates)
+	for _, a := range p.anchors {
+		skippable |= 1 << a.lane
+	}
+	p.lanes = NewLanes(skippable, gates...)
 	return p
 }
 

@@ -128,20 +128,24 @@ func state(st *proto.StreamState) *streamState {
 	return s
 }
 
-// scanState is RTP's pass-1 state: per-SSRC candidate tallies and the
-// decode scratch for sightings. Tallies are stored by value, so a new
-// candidate SSRC costs no allocation beyond map growth.
+// scanState is RTP's pass-1 state: per-SSRC candidate tallies. Tallies
+// are stored by value, so a new candidate SSRC costs no allocation
+// beyond map growth. The table stays a Go map, whose hash is seeded
+// per map: peers choose their SSRCs freely, so a fixed hash would let
+// one send colliding SSRCs.
 type scanState struct {
 	cands map[uint32]candTally
-	probe rtp.Packet
 }
 
 // candTally is the incremental form of pass 1's per-SSRC observation
 // list: validation only ever compares adjacent sightings, so the last
-// sighting carries the same information.
+// sighting carries the same information. validated mirrors the SSRC's
+// entry in ScanState.ValidatedSSRC, so a sighting costs one lookup
+// and one store; it fits in the struct's padding (8 bytes either way).
 type candTally struct {
-	lastSeq uint16
-	lastTS  uint32
+	lastSeq   uint16
+	validated bool
+	lastTS    uint32
 }
 
 func scan(sc *proto.ScanState) *scanState {
@@ -164,20 +168,35 @@ func tallyProbe(c proto.Candidate, sc *proto.ScanState) (int, bool) {
 	}
 	// A sighting is only recorded for zero-CSRC candidates, and the
 	// CSRC count is the low nibble of the first byte: settling the
-	// common nonzero case here skips the state lookup and header
-	// decode for ~15/16 of the version-2 windows the scan visits.
+	// common nonzero case here skips the state lookup for ~15/16 of
+	// the version-2 windows the scan visits.
 	if b[0]&0x0F != 0 {
 		return 0, false
 	}
-	s := scan(sc)
-	// Decode into the scan state's scratch: the sighting only needs
-	// header fields, so nothing escapes the iteration. The CSRC count
-	// is already known to be zero from the pre-check above.
-	p := &s.probe
-	if rtp.DecodeInto(p, b) == nil {
-		s.note(sc, p.SSRC, p.SequenceNumber, p.Timestamp)
+	// rtp.LooksLikeHeader has checked the extension length, so only the
+	// padding can make rtp.DecodeInto reject the window; the sighting
+	// reads its three fields at their fixed offsets, decoding no header.
+	if paddingFits(b) {
+		scan(sc).note(sc, binary.BigEndian.Uint32(b[8:]), binary.BigEndian.Uint16(b[2:]), binary.BigEndian.Uint32(b[4:]))
 	}
 	return 0, false
+}
+
+// paddingFits reports whether rtp.DecodeInto accepts the zero-CSRC
+// window b, which rtp.LooksLikeHeader accepts: with the padding bit
+// set, at least one byte must follow the header and its extension, and
+// the last byte, the padding count, must be nonzero and no larger than
+// what follows.
+func paddingFits(b []byte) bool {
+	if b[0]&0x20 == 0 {
+		return true
+	}
+	rest := len(b) - rtp.HeaderLen
+	if b[0]&0x10 != 0 {
+		rest -= 4 + 4*int(binary.BigEndian.Uint16(b[rtp.HeaderLen+2:]))
+	}
+	pl := int(b[len(b)-1])
+	return rest > 0 && pl != 0 && pl <= rest
 }
 
 // note records one pass-1 candidate sighting. An SSRC is validated by
@@ -187,10 +206,12 @@ func tallyProbe(c proto.Candidate, sc *proto.ScanState) (int, bool) {
 // sequence bytes (so sequence continuity alone can be fooled) but their
 // inherited timestamp field jumps by 2^24 per packet.
 func (s *scanState) note(sc *proto.ScanState, ssrc uint32, seq uint16, ts uint32) {
-	if o, ok := s.cands[ssrc]; ok && !sc.ValidatedSSRC[ssrc] && seqClose(o.lastSeq, seq) && tsClose(o.lastTS, ts) {
+	o, ok := s.cands[ssrc]
+	if ok && !o.validated && seqClose(o.lastSeq, seq) && tsClose(o.lastTS, ts) {
+		o.validated = true
 		sc.ValidatedSSRC[ssrc] = true
 	}
-	s.cands[ssrc] = candTally{lastSeq: seq, lastTS: ts}
+	s.cands[ssrc] = candTally{lastSeq: seq, validated: o.validated, lastTS: ts}
 }
 
 // seqClose reports whether b is a plausible successor of sequence
@@ -283,7 +304,7 @@ func (handler) Accept(payload []byte, m proto.Message, st *proto.StreamState) pr
 
 // rtcpLanes finds RTCP's version/type-range pair eight offsets at a
 // time.
-var rtcpLanes = proto.NewLanes(rtcpdrv.Gate)
+var rtcpLanes = proto.NewLanes(0, rtcpdrv.Gate)
 
 // cookieWord is the STUN magic cookie as it appears on the wire.
 var cookieWord = func() (w [4]byte) {

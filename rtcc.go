@@ -253,7 +253,8 @@ const (
 type Analyzer = core.Analyzer
 
 // AnalyzerConfig parameterizes an incremental Analyzer. A zero
-// CallStart defaults the call window to the span of the fed frames.
+// CallStart or CallEnd defaults to the first or last fed frame's
+// timestamp.
 // The analyzer references fed payloads in place when FramesStable
 // promises the frames outlive it, and otherwise copies the payloads it
 // keeps into a process-wide buffer pool (DESIGN.md §14).
