@@ -7,10 +7,12 @@
 // committed BENCH_hotpath.json baseline and `go test -bench` measure
 // identical code.
 //
-// Timing covers the ingestion loop only — the Feed/FeedBatch calls —
-// with analyzer construction and Close outside the clock: the hot-path
-// comparison is between the ingestion APIs themselves, and Close's
-// finalization runs the same code in every mode. Heap counters span
+// Timing covers the ingestion loop only — the Feed/FeedBatch calls,
+// which include DPI pass 1 over every 64-datagram batch a stream fills
+// (the analyzer scans as it feeds) — with analyzer construction and
+// Close outside the clock: the hot-path comparison is between the
+// ingestion APIs themselves, and Close's finalization (pass 1's tails
+// and pass 2) runs the same code in every mode. Heap counters span
 // whole iterations (ingest plus Close): reading MemStats inside each
 // iteration would flush the allocator caches and perturb the very
 // loop being timed, and the per-stage allocation discipline has its
@@ -178,8 +180,9 @@ func Prepare(sc Scenario) (*Prepared, error) {
 
 // RunOnce performs one full analysis of the prepared capture in the
 // scenario's mode, discards the result, and reports the wall time
-// spent inside the ingestion loop. Analyzer construction and Close
-// sit outside the measured window.
+// spent inside the ingestion loop, DPI pass 1 of every full batch
+// included. Analyzer construction and Close sit outside the measured
+// window.
 func (p *Prepared) RunOnce() (time.Duration, error) {
 	cfg := core.AnalyzerConfig{
 		Label:     string(p.Scenario.App),
@@ -269,8 +272,8 @@ func (p *Prepared) runSharded(cfg core.AnalyzerConfig) (time.Duration, error) {
 // Result is one scenario's measurement, the unit BENCH_hotpath.json
 // records. An "op" is one analysis of the scenario's whole capture:
 // NsPerOp and PktsPerSec count only the ingestion loop (the Feed or
-// FeedBatch calls), while BytesPerOp and AllocsPerOp cover the whole
-// iteration including finalization.
+// FeedBatch calls, with the DPI pass 1 they run), while BytesPerOp and
+// AllocsPerOp cover the whole iteration including finalization.
 type Result struct {
 	Name        string  `json:"name"`
 	Packets     int     `json:"packets"`

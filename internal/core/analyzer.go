@@ -121,13 +121,15 @@ type streamState struct {
 
 // Analyzer is the incremental analysis pipeline: Feed advances packet
 // decoding, flow grouping and online filtering per frame, and buffers
-// each kept UDP payload in its stream's DPI inspector; both DPI passes
-// run when a stream's buffered datagrams are finalized, at idle
-// eviction or at Close. Close reconciles the online filter verdicts
-// against the full two-stage filter and assembles the CaptureAnalysis. Without eviction the result
-// equals the test-side batch reference's; the offline entry points are
-// thin wrappers over this type. Results carry verdicts, not packets: no
-// stream in a result holds per-packet records.
+// each kept UDP payload in its stream's DPI inspector, which runs
+// Algorithm 1's pass 1 over every full batch of 64 buffered datagrams
+// as it fills; pass 2, with the rest of pass 1, runs when a stream's
+// buffered datagrams are finalized, at idle eviction or at Close.
+// Close reconciles the online filter verdicts against the full
+// two-stage filter and assembles the CaptureAnalysis. Without eviction
+// the result equals the test-side batch reference's; the offline entry
+// points are thin wrappers over this type. Results carry verdicts, not
+// packets: no stream in a result holds per-packet records.
 type Analyzer struct {
 	cfg  AnalyzerConfig
 	opts Options
@@ -267,8 +269,10 @@ func (a *Analyzer) FeedBatch(batch []Datagram) error {
 }
 
 // feedOne is the shared per-frame pipeline step behind Feed and
-// FeedBatch: decode, flow grouping, online filtering, and buffering
-// the payload for DPI, whose passes run at the stream's finalization.
+// FeedBatch: decode, flow grouping, online filtering, and handing the
+// payload to the stream's DPI inspector, which buffers it and scans
+// pass 1 over each full batch of 64 (so a FeedBatch call pays that
+// scan); pass 2 runs at the stream's finalization.
 func (a *Analyzer) feedOne(ts time.Time, frame []byte, seq uint64) {
 	if a.frames == 0 {
 		a.firstTS = ts

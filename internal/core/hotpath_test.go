@@ -110,38 +110,10 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 	})
 
-	t.Run("dpi-two-pass", func(t *testing.T) {
-		engine := Options{}.engine()
-		si := engine.NewStreamInspector()
-		const chunk = 16
-		payloads := make([][]byte, chunk)
-		for i := range payloads {
-			frame := hotRTPFrame(hotSrc, hotDst, 50000, 4444, 0xbeef, uint16(i))
-			payloads[i] = frame[28:] // UDP payload view
-		}
-		seq := uint16(0)
-		feedChunk := func() {
-			for i := range payloads {
-				// payloads[i] starts at the RTP header, so the sequence
-				// number and media timestamp sit at offsets 2 and 4.
-				binary.BigEndian.PutUint16(payloads[i][2:], seq)
-				binary.BigEndian.PutUint32(payloads[i][4:], uint32(seq)*960)
-				seq++
-				si.Feed(payloads[i])
-			}
-			if got := si.Finalize(); len(got) != chunk {
-				t.Fatalf("Finalize returned %d results, want %d", len(got), chunk)
-			}
-		}
-		// Warm-up validates the SSRC and sizes the arenas/slabs.
-		for i := 0; i < 4; i++ {
-			feedChunk()
-		}
-		allocs := testing.AllocsPerRun(200, feedChunk)
-		if allocs != 0 {
-			t.Errorf("StreamInspector chunk (feed %d + finalize) allocates %.1f/op, want 0", chunk, allocs)
-		}
-	})
+	// 16 datagrams per Finalize are all pass 1's tail; 160 are two full
+	// batches, which Feed scans, and a tail of 32.
+	t.Run("dpi-two-pass", func(t *testing.T) { dpiTwoPassAllocs(t, 16) })
+	t.Run("dpi-two-pass-feed-scan", func(t *testing.T) { dpiTwoPassAllocs(t, 160) })
 
 	t.Run("compliance-check", func(t *testing.T) {
 		engine := Options{}.engine()
@@ -231,6 +203,40 @@ func TestHotPathAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// dpiTwoPassAllocs pins a StreamInspector's steady state, chunk
+// datagrams fed and then finalized, to 0 allocs/op.
+func dpiTwoPassAllocs(t *testing.T, chunk int) {
+	engine := Options{}.engine()
+	si := engine.NewStreamInspector()
+	payloads := make([][]byte, chunk)
+	for i := range payloads {
+		frame := hotRTPFrame(hotSrc, hotDst, 50000, 4444, 0xbeef, uint16(i))
+		payloads[i] = frame[28:] // UDP payload view
+	}
+	seq := uint16(0)
+	feedChunk := func() {
+		for i := range payloads {
+			// payloads[i] starts at the RTP header, so the sequence
+			// number and media timestamp sit at offsets 2 and 4.
+			binary.BigEndian.PutUint16(payloads[i][2:], seq)
+			binary.BigEndian.PutUint32(payloads[i][4:], uint32(seq)*960)
+			seq++
+			si.Feed(payloads[i])
+		}
+		if got := si.Finalize(); len(got) != chunk {
+			t.Fatalf("Finalize returned %d results, want %d", len(got), chunk)
+		}
+	}
+	// Warm-up validates the SSRC and sizes the arenas/slabs.
+	for i := 0; i < 4; i++ {
+		feedChunk()
+	}
+	allocs := testing.AllocsPerRun(200, feedChunk)
+	if allocs != 0 {
+		t.Errorf("StreamInspector chunk (feed %d + finalize) allocates %.1f/op, want 0", chunk, allocs)
+	}
 }
 
 // TestFeedBatchPoisonHammer drives 16 per-shard analyzers concurrently

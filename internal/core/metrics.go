@@ -20,8 +20,8 @@ type analyzerMetrics struct {
 	// The stage_seconds{app,stage} family, one histogram per stage,
 	// named after the bench ledger's layers (BENCHMARK.json per_layer)
 	// so /metrics and the ledger agree.
-	feed     *metrics.Histogram // core.feed: one FeedBatch call
-	finalize *metrics.Histogram // dpi.finalize: one stream chunk's StreamInspector.Finalize
+	feed     *metrics.Histogram // core.feed: one FeedBatch call, with pass 1 of the DPI batches it fills
+	finalize *metrics.Histogram // dpi.finalize: one stream chunk's StreamInspector.Finalize (pass 1's tail, pass 2)
 	check    *metrics.Histogram // compliance.check: one stream chunk's streamPartial.consume
 	filter   *metrics.Histogram // filterpipe.run: the two-stage filter at Close
 	close    *metrics.Histogram // core.close: one whole finalize (Close, or the shard merge's)

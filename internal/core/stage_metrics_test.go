@@ -87,12 +87,20 @@ func (slowScanHandler) Meta() proto.Meta {
 	return proto.Meta{ID: proto.MaxIDs - 1, Name: "slow", Slug: "slow"}
 }
 
-func (slowScanHandler) Probers() []proto.Prober {
+func (slowScanHandler) Probers() []proto.Prober { return sleepingProbers(scanDelay) }
+
+func (slowScanHandler) Comply(dst []proto.Checked, _ proto.Message, _ time.Time, _ *proto.Session) []proto.Checked {
+	return dst
+}
+
+// sleepingProbers is a pass-1 probe that sleeps for delay at the first
+// offset of every datagram and a pass-2 validator that rejects at once.
+func sleepingProbers(delay time.Duration) []proto.Prober {
 	return []proto.Prober{{
 		Precedence: 10,
 		Probe: func(c proto.Candidate, _ *proto.ScanState) (int, bool) {
 			if c.Offset == 0 {
-				time.Sleep(scanDelay)
+				time.Sleep(delay)
 			}
 			return 0, false
 		},
@@ -100,13 +108,11 @@ func (slowScanHandler) Probers() []proto.Prober {
 	}}
 }
 
-func (slowScanHandler) Comply(dst []proto.Checked, _ proto.Message, _ time.Time, _ *proto.Session) []proto.Checked {
-	return dst
-}
-
 // TestStageSecondsDPIFinalizeCoversPass1 pins that the dpi.finalize
-// stage times a stream chunk's whole DPI sweep, pass 1 included: one
-// RTC stream finalized in one chunk gives one observation, and with a
+// stage times the pass 1 a stream chunk still owes at Finalize. Its
+// stream's 3 datagrams are fewer than a pass-1 batch, so Feed scans
+// none of them and all three are the tail Finalize scans: one RTC
+// stream finalized in one chunk gives one observation, and with a
 // pass 1 that sleeps per datagram its sum must cover the sleeps.
 func TestStageSecondsDPIFinalizeCoversPass1(t *testing.T) {
 	reg := proto.NewRegistry()
@@ -135,5 +141,59 @@ func TestStageSecondsDPIFinalizeCoversPass1(t *testing.T) {
 	}
 	if want := (time.Duration(len(frames)) * scanDelay).Seconds(); h.SumSeconds < want {
 		t.Errorf("dpi.finalize sum = %.4fs, want at least the %.4fs pass 1 slept", h.SumSeconds, want)
+	}
+}
+
+// tickScanHandler is slowScanHandler with a pass 1 that sleeps 200 µs
+// per datagram.
+type tickScanHandler struct{ slowScanHandler }
+
+const tickDelay = 200 * time.Microsecond
+
+func (tickScanHandler) Probers() []proto.Prober { return sleepingProbers(tickDelay) }
+
+// TestStageSecondsSplitPass1 pins where pass 1 is timed once a stream
+// fills a pass-1 batch: fed 2x64+8 datagrams in FeedBatchSize batches,
+// a stream whose pass 1 sleeps per datagram pays the two full batches'
+// sleeps inside FeedBatch (core.feed) and the 8-datagram tail's inside
+// Finalize (dpi.finalize).
+func TestStageSecondsSplitPass1(t *testing.T) {
+	reg := proto.NewRegistry()
+	reg.Register(tickScanHandler{})
+	m := metrics.NewRegistry()
+	a, err := NewAnalyzer(AnalyzerConfig{
+		Label: "tick", LinkType: pcap.LinkTypeRaw, FramesStable: true,
+		CallStart: t0, CallEnd: t0.Add(time.Second),
+	}, Options{Registry: reg, Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const full, tail = 2 * FeedBatchSize, 8
+	var batch []Datagram
+	for i := range full + tail {
+		batch = append(batch, Datagram{
+			Timestamp: t0.Add(time.Duration(i) * 5 * time.Millisecond),
+			Frame:     layers.AppendUDPv4(nil, hotSrc, hotDst, 50000, 4444, []byte{byte(i), 2, 3}),
+		})
+		if len(batch) == FeedBatchSize || i == full+tail-1 {
+			if err := a.FeedBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			batch = nil
+		}
+	}
+	ca, err := a.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ca.Filter.RTCUDP.Streams != 1 {
+		t.Fatalf("RTC UDP streams = %d, want the one probe stream", ca.Filter.RTCUDP.Streams)
+	}
+	s := m.Snapshot()
+	if h, want := stageHistogram(s, "tick", "core.feed"), (full * tickDelay).Seconds(); h.SumSeconds < want {
+		t.Errorf("core.feed sum = %.4fs, want at least the %.4fs the two full batches' pass 1 slept", h.SumSeconds, want)
+	}
+	if h, want := stageHistogram(s, "tick", "dpi.finalize"), (tail * tickDelay).Seconds(); h.Count != 1 || h.SumSeconds < want {
+		t.Errorf("dpi.finalize count %d, sum %.4fs, want one chunk of at least the %.4fs the tail's pass 1 slept", h.Count, h.SumSeconds, want)
 	}
 }

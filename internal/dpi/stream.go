@@ -6,21 +6,27 @@ import (
 )
 
 // StreamInspector runs Algorithm 1 over the datagrams of one transport
-// stream incrementally. Feed buffers the payload; Finalize runs pass 1
-// (the registered probers' stream-level scans) as one batched sweep
-// over everything buffered since the previous Finalize, then pass 2
-// over the same chunk, and releases the payload references, so a
+// stream incrementally. Feed buffers the payload and, once scanBatch
+// fed datagrams await pass 1 (the registered probers' stream-level
+// scans), scans them in feed order; Finalize scans the fewer than
+// scanBatch still waiting, runs pass 2 over everything buffered since
+// the previous Finalize, and releases the payload references, so a
 // caller that finalizes periodically never holds payload bytes past
 // the DPI stage.
 //
-// Running pass 1 at the chunk boundary instead of per Feed changes no
-// output: pass 2 of a chunk consults the validated-SSRC evidence as of
-// the chunk's end, and whether that evidence was tallied datagram by
-// datagram as each arrived or in one sweep over the buffered chunk,
-// the sightings happen in the same stream order over the same bytes.
-// What it changes is cost shape: the ingestion path does per-packet
-// bookkeeping only, and the two scan passes run back to back over
-// payloads that are still warm in cache.
+// Running pass 1 as datagrams arrive instead of at the chunk boundary
+// changes no output: pass 1 is a fold over the stream's datagrams in
+// feed order whose result only Finalize reads, and pass 2 of a chunk
+// consults the validated-SSRC evidence as of the chunk's last
+// datagram, which is the same whenever in between the sightings were
+// tallied. Each datagram is scanned once, in order, over the bytes
+// pass 2 later reads (the pipeline's payloads stay unmodified until
+// the chunk is finalized, DESIGN.md §14), and pass 1 emits no trace
+// event and counts no shift attempt. What it changes is where the time
+// goes: the feeding goroutine (a shard worker on the sharded tier)
+// pays pass 1 while it reads, so the chunk's Finalize, which is what a
+// capture's or a daemon epoch's close waits for, runs pass 2 and a
+// short tail of pass 1 only.
 //
 // RTP is the one target protocol whose header pattern is weak (any
 // version-2 first byte passes), so candidate extraction alone produces
@@ -66,6 +72,9 @@ type StreamInspector struct {
 	// backing array is reused across chunks (references are cleared at
 	// Finalize so released pool buffers are not pinned).
 	payloads [][]byte
+	// scanned counts the leading payloads pass 1 has already scanned;
+	// payloads[scanned:] await it.
+	scanned int
 	// results is the reused Finalize output buffer; each Finalize
 	// overwrites the previous chunk's results, which the pipeline has
 	// consumed by then (DESIGN.md §14).
@@ -95,11 +104,29 @@ func (e *Engine) NewStreamInspector() *StreamInspector {
 	}
 }
 
-// Feed buffers one datagram payload for the next Finalize. The payload
-// is retained by reference until then; both scan passes run over the
-// buffered chunk at Finalize.
+// scanBatch is how many fed datagrams wait for pass 1 before Feed
+// scans them, the batch size the pipeline's feeding loops hand
+// core.Analyzer.FeedBatch. Scanning at every Feed measured slower end
+// to end; larger batches measured no faster.
+const scanBatch = 64
+
+// Feed buffers one datagram payload for the next Finalize, retaining
+// it by reference until then, and runs pass 1 over the buffered
+// datagrams whenever scanBatch of them await it.
 func (si *StreamInspector) Feed(payload []byte) {
 	si.payloads = append(si.payloads, payload)
+	if len(si.payloads)-si.scanned >= scanBatch {
+		si.scanPending()
+	}
+}
+
+// scanPending advances pass 1 over the buffered datagrams it has not
+// scanned yet, in feed order.
+func (si *StreamInspector) scanPending() {
+	for _, p := range si.payloads[si.scanned:] {
+		si.scanOne(p)
+	}
+	si.scanned = len(si.payloads)
 }
 
 // scanOne advances pass 1 over one buffered payload.
@@ -144,12 +171,13 @@ func (si *StreamInspector) scanOne(payload []byte) {
 // Pending reports how many fed datagrams await Finalize.
 func (si *StreamInspector) Pending() int { return len(si.payloads) }
 
-// Finalize runs pass 1 and then pass 2 over the buffered datagrams
-// (pass 2 with the validated-SSRC set as known after pass 1), counts
-// the extracted messages, releases the payload buffer, and returns
-// one Result per buffered datagram in feed order. The inspector remains
-// usable: later Feeds start a new chunk that continues the same stream
-// state.
+// Finalize completes pass 1 over the buffered datagrams Feed has not
+// scanned, then runs pass 2 over every datagram buffered since the
+// previous Finalize (with the validated-SSRC set as known after the
+// last of them), counts the extracted messages, releases the payload
+// buffer, and returns one Result per buffered datagram in feed order.
+// The inspector remains usable: later Feeds start a new chunk that
+// continues the same stream state.
 //
 // The returned slice (and the message storage behind it) is a
 // per-inspector scratch buffer, valid only until the next Finalize on
@@ -163,11 +191,9 @@ func (si *StreamInspector) Finalize() []Result {
 	// everything extracted in the previous chunk has been consumed.
 	si.ctx.State.Epoch++
 	si.ctx.Span = si.span
-	// Pass 1: one batched sweep over the chunk, tallying validation
-	// evidence in feed order before any pass-2 decision is made.
-	for _, p := range si.payloads {
-		si.scanOne(p)
-	}
+	// Pass 1's tail: the evidence is complete through the chunk's last
+	// datagram before any pass-2 decision is made.
+	si.scanPending()
 	si.ctx.State.ValidatedSSRC = si.scan.ValidatedSSRC
 	// Size the results and the message arena to the chunk up front, so
 	// pass 2 does not leave a trail of doubled-and-dropped buffers.
@@ -194,6 +220,7 @@ func (si *StreamInspector) Finalize() []Result {
 	// but keep the backing array for the next chunk.
 	clear(si.payloads)
 	si.payloads = si.payloads[:0]
+	si.scanned = 0
 	si.results = out
 	return out
 }

@@ -61,6 +61,15 @@ type Daemon struct {
 
 	total   Accounting // conservation ledger across every session
 	started chan struct{}
+	// gapLost is the collectors' estimate of frames lost before they
+	// arrived (live.Collector.Dropped, from gaps in the exporter's
+	// sequence numbers) as of the last epoch's end, summed over every
+	// collector the daemon has bound (guarded by mu). Those frames
+	// never reach fed, so the ledger cannot show them.
+	gapLost uint64
+	// gapBanked sums the last estimates of the collectors a reload
+	// replaced (loop goroutine only).
+	gapBanked int
 
 	// health backs /healthz (guarded by mu).
 	epochs     uint64
@@ -298,6 +307,7 @@ func (d *Daemon) applyReload() error {
 	d.dispatch = alert.NewDispatcher(cfg.Alerts.BuildSinks(d.out),
 		cfg.Alerts.Retries, cfg.Alerts.Backoff.Std(), d.out, d.reg)
 	if cfg.Source.Listen != oldListen {
+		d.gapBanked += d.col.Dropped
 		d.col.Close()
 		if err := d.listen(); err != nil {
 			return fmt.Errorf("pipeline: rebinding %s: %w", cfg.Source.Listen, err)
@@ -356,6 +366,7 @@ func (d *Daemon) runEpoch() error {
 	}
 	d.mu.Lock()
 	d.total.Add(acct)
+	d.gapLost = uint64(d.gapBanked + d.col.Dropped)
 	d.epochs++
 	d.mu.Unlock()
 
@@ -393,9 +404,10 @@ func (d *Daemon) runEpoch() error {
 }
 
 // healthzHandler serves the daemon's readiness report: epoch progress,
-// last reload outcome, and ingest back-pressure accounting. Status is
-// "ok", or "degraded" when the most recent reload failed (the daemon
-// keeps serving the previous config, so it stays HTTP 200 — a
+// last reload outcome, and ingest back-pressure accounting, next to
+// the collector's estimate of frames lost before they arrived. Status
+// is "ok", or "degraded" when the most recent reload failed (the
+// daemon keeps serving the previous config, so it stays HTTP 200 — a
 // supervisor distinguishes the cases from the body).
 func (d *Daemon) healthzHandler() http.Handler {
 	type healthz struct {
@@ -410,6 +422,7 @@ func (d *Daemon) healthzHandler() http.Handler {
 			Fed      uint64 `json:"fed"`
 			Analyzed uint64 `json:"analyzed"`
 			Dropped  uint64 `json:"dropped"`
+			GapLost  uint64 `json:"gap_lost"`
 		} `json:"backpressure"`
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
@@ -429,6 +442,7 @@ func (d *Daemon) healthzHandler() http.Handler {
 		h.Backpressure.Fed = d.total.Fed
 		h.Backpressure.Analyzed = d.total.Analyzed
 		h.Backpressure.Dropped = d.total.Dropped
+		h.Backpressure.GapLost = d.gapLost
 		d.mu.Unlock()
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		enc := json.NewEncoder(w)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -397,6 +398,94 @@ func TestHealthzLiveDefaultPolicy(t *testing.T) {
 		if health.Backpressure.Policy != tc.policy || health.Backpressure.Shards != tc.shards {
 			t.Fatalf("exec %q: healthz backpressure = %+v, want %s on %d shards", tc.exec, health.Backpressure, tc.policy, tc.shards)
 		}
+	}
+}
+
+// TestHealthzReportsGapLoss: /healthz reports the collector's estimate
+// of frames lost before they arrived. Frames sent with a forward jump
+// of k in the exporter's sequence numbers read k-1 lost, and the
+// estimate keeps its sum when a reload rebinds the collector.
+func TestHealthzReportsGapLoss(t *testing.T) {
+	dir := t.TempDir()
+	cfgPath := filepath.Join(dir, "daemon.yaml")
+	writeConfig := func(listen string) {
+		cfg := strings.Replace(daemonConfig("alpha", 1, "", "127.0.0.1:0"),
+			`listen: "127.0.0.1:0"`, fmt.Sprintf("listen: %q", listen), 1)
+		if err := os.WriteFile(cfgPath, []byte(cfg), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeConfig("127.0.0.1:0")
+	d, errCh := startDaemon(t, cfgPath, &syncBuf{})
+	defer func() { stopDaemon(t, d, errCh) }()
+	frames := testFrames(t, 4)[:30]
+	// sendWithGap sends the frames with sequence numbers 1..15, then
+	// jumps by k for the remaining 15.
+	sendWithGap := func(addr string, k uint32) {
+		conn, err := net.Dial("udp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		for i, f := range frames {
+			seq := uint32(i + 1)
+			if i >= 15 {
+				seq += k - 1
+			}
+			if _, err := conn.Write(live.Encapsulate(seq, f)); err != nil {
+				t.Fatal(err)
+			}
+			if i%10 == 9 {
+				time.Sleep(2 * time.Millisecond)
+			}
+		}
+	}
+	gapLost := func() uint64 {
+		var health struct {
+			Backpressure struct {
+				GapLost uint64 `json:"gap_lost"`
+			} `json:"backpressure"`
+		}
+		getJSON(t, "http://"+d.MetricsAddr()+"/healthz", &health)
+		return health.Backpressure.GapLost
+	}
+
+	sendWithGap(d.Addr(), 5)
+	waitFed(t, d, uint64(len(frames)))
+	if got := gapLost(); got != 4 {
+		t.Fatalf("/healthz gap_lost = %d after a jump of 5, want 4", got)
+	}
+
+	// A reload that moves source.listen binds a new collector, whose
+	// estimate starts at 0; /healthz keeps the old one's in the sum.
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := pc.LocalAddr().String()
+	pc.Close()
+	writeConfig(next)
+	d.Reload()
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		d.mu.Lock()
+		reloads, last := d.reloads, d.lastReload
+		d.mu.Unlock()
+		if reloads == 1 {
+			if !last.OK {
+				t.Fatalf("reload onto %s failed: %s", next, last.Error)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("timeout waiting for the reload")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	sendWithGap(next, 3)
+	waitFed(t, d, 2*uint64(len(frames)))
+	if got := gapLost(); got != 4+2 {
+		t.Fatalf("/healthz gap_lost = %d after jumps of 5 and 3 on two collectors, want 6", got)
 	}
 }
 

@@ -4,7 +4,8 @@
 # regression (replay Discord traffic under the same label as compliant
 # Zoom traffic) and assert the configured exec-sink alert fires exactly
 # once; verify the firing state survives a SIGHUP reload and shows up
-# on /compliance/alerts, /healthz, and /metrics?format=prom (which must
+# on /compliance/alerts, /healthz (which must also report the
+# collector's gap_lost estimate), and /metrics?format=prom (which must
 # also carry the core.close stage timing and the verdict tallies); then
 # SIGHUP-reload with a changed label, replay more traffic under the
 # new config, and assert a clean SIGTERM drain. Everything runs on
@@ -142,8 +143,13 @@ done
 # The firing episode is visible on the HTTP surfaces.
 fetch "http://$http/compliance/alerts" | grep -q '"firing": 1' \
     || fail "/compliance/alerts does not report the firing episode"
-fetch "http://$http/healthz" | grep -q '"status": "ok"' \
+fetch "http://$http/healthz" > "$dir/healthz.json" \
+    || fail "could not fetch /healthz"
+grep -q '"status": "ok"' "$dir/healthz.json" \
     || fail "/healthz is not ok"
+# The collector's sequence-gap loss estimate sits next to the ledger.
+grep -q '"gap_lost": [0-9][0-9]*' "$dir/healthz.json" \
+    || fail "/healthz does not report the collector's gap_lost"
 fetch "http://$http/metrics?format=prom" > "$dir/metrics.prom" \
     || fail "could not scrape /metrics?format=prom"
 grep -q '^rtcc_alerts_fired_total 1$' "$dir/metrics.prom" \
