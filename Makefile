@@ -89,7 +89,10 @@ cover:
 # trace, and validate the JSONL against the event-schema linter. The
 # -explain query must name the failing criterion for the seeded
 # non-compliant STUN message. The export must be byte-identical on one
-# shard and on four.
+# shard and on four. A FaceTime capture, whose RTP types carry several
+# violation reasons each, checks the JSON report the same way: -manifest
+# must honour -json (a text report has no "reason"), and the report
+# must be byte-identical across runs and on one shard and on four.
 trace-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) run ./cmd/rtcgen -out $$dir -app Zoom -network wifi-p2p -duration 5s -runs 1 >/dev/null && \
@@ -99,7 +102,12 @@ trace-smoke:
 	$(GO) run ./cmd/rtccheck -manifest $$dir/manifest.json -shards 1 -trace-out $$dir/trace1.jsonl >/dev/null && \
 	$(GO) run ./cmd/rtccheck -manifest $$dir/manifest.json -shards 4 -trace-out $$dir/trace4.jsonl >/dev/null && \
 	cmp $$dir/trace1.jsonl $$dir/trace4.jsonl && \
-	echo "trace-smoke: export, lint, explain, and 1-vs-4-shard parity OK"
+	$(GO) run ./cmd/rtcgen -out $$dir/ft -app FaceTime -network wifi-p2p -duration 5s -runs 1 >/dev/null && \
+	$(GO) run ./cmd/rtccheck -manifest $$dir/ft/manifest.json -json > $$dir/ft.json && \
+	$(GO) run ./cmd/rtccheck -manifest $$dir/ft/manifest.json -json -shards 1 > $$dir/ft1.json && \
+	$(GO) run ./cmd/rtccheck -manifest $$dir/ft/manifest.json -json -shards 4 > $$dir/ft4.json && \
+	grep -q '"reason"' $$dir/ft.json && cmp $$dir/ft.json $$dir/ft1.json && cmp $$dir/ft1.json $$dir/ft4.json && \
+	echo "trace-smoke: export, lint, explain, 1-vs-4-shard parity and JSON report determinism OK"
 
 # Reduced impairment matrix under the race detector: -short trims the
 # differential suite to 2 apps x 3 profiles x 2 seeds, the same cells

@@ -141,11 +141,7 @@ func dpiOverMatrix(b *testing.B, engine *dpi.Engine, visit func(app rtcc.App, r 
 			if s.Key.Proto != layers.IPProtocolUDP {
 				continue
 			}
-			payloads := make([][]byte, len(s.Packets))
-			for k, p := range s.Packets {
-				payloads[k] = p.Payload
-			}
-			for _, r := range engine.InspectStream(payloads) {
+			for _, r := range engine.NewStreamInspector().Finalize(s.Packets) {
 				visit(caps[j].Config.App, r)
 			}
 		}
@@ -310,23 +306,15 @@ func BenchmarkFigure5_TypeComplianceRatio(b *testing.B) {
 func BenchmarkDPI_OffsetSweep(b *testing.B) {
 	caps := matrixCaptures(b)
 	tables := decodedStreams(b)
-	type streamSet struct {
-		payloads [][]byte
-	}
-	var streams []streamSet
+	var streams [][]flow.Packet
 	for j, table := range tables {
 		res := filterpipe.Run(table, filterpipe.Config{
 			CallStart: caps[j].CallStart, CallEnd: caps[j].CallEnd,
 		})
 		for _, s := range res.RTC {
-			if s.Key.Proto != layers.IPProtocolUDP {
-				continue
+			if s.Key.Proto == layers.IPProtocolUDP {
+				streams = append(streams, s.Packets)
 			}
-			payloads := make([][]byte, len(s.Packets))
-			for k, p := range s.Packets {
-				payloads[k] = p.Payload
-			}
-			streams = append(streams, streamSet{payloads})
 		}
 	}
 	for _, k := range []int{16, 64, 200, 1500} {
@@ -335,8 +323,8 @@ func BenchmarkDPI_OffsetSweep(b *testing.B) {
 			msgs := 0
 			for i := 0; i < b.N; i++ {
 				msgs = 0
-				for _, ss := range streams {
-					for _, r := range engine.InspectStream(ss.payloads) {
+				for _, recs := range streams {
+					for _, r := range engine.NewStreamInspector().Finalize(recs) {
 						msgs += len(r.Messages)
 					}
 				}
@@ -669,27 +657,22 @@ func maxInt(a, b int) int {
 func BenchmarkDPI_BaselineComparison(b *testing.B) {
 	caps := matrixCaptures(b)
 	tables := decodedStreams(b)
-	var streams [][][]byte
+	var streams [][]flow.Packet
 	for j, table := range tables {
 		res := filterpipe.Run(table, filterpipe.Config{
 			CallStart: caps[j].CallStart, CallEnd: caps[j].CallEnd,
 		})
 		for _, s := range res.RTC {
-			if s.Key.Proto != layers.IPProtocolUDP {
-				continue
+			if s.Key.Proto == layers.IPProtocolUDP {
+				streams = append(streams, s.Packets)
 			}
-			payloads := make([][]byte, len(s.Packets))
-			for k, p := range s.Packets {
-				payloads[k] = p.Payload
-			}
-			streams = append(streams, payloads)
 		}
 	}
 
 	custom := dpi.NewEngine()
 	customMsgs := 0
-	for _, payloads := range streams {
-		for _, r := range custom.InspectStream(payloads) {
+	for _, recs := range streams {
+		for _, r := range custom.NewStreamInspector().Finalize(recs) {
 			customMsgs += len(r.Messages)
 		}
 	}
@@ -699,9 +682,9 @@ func BenchmarkDPI_BaselineComparison(b *testing.B) {
 		msgs := 0
 		for i := 0; i < b.N; i++ {
 			msgs = 0
-			for _, payloads := range streams {
-				for _, r := range e.InspectStream(payloads) {
-					msgs += len(r.Messages)
+			for _, recs := range streams {
+				for k := range recs {
+					msgs += len(e.Inspect(recs[k].Payload).Messages)
 				}
 			}
 		}
@@ -712,8 +695,8 @@ func BenchmarkDPI_BaselineComparison(b *testing.B) {
 		msgs := 0
 		for i := 0; i < b.N; i++ {
 			msgs = 0
-			for _, payloads := range streams {
-				for _, r := range custom.InspectStream(payloads) {
+			for _, recs := range streams {
+				for _, r := range custom.NewStreamInspector().Finalize(recs) {
 					msgs += len(r.Messages)
 				}
 			}

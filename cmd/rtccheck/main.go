@@ -183,9 +183,9 @@ func main() {
 	}
 
 	if *c.manifest != "" {
-		err = runManifest(*c.manifest, c, runner)
+		err = runManifest(os.Stdout, *c.manifest, c, runner)
 	} else {
-		err = runOne(c, cfg, runner)
+		err = runOne(os.Stdout, c, cfg, runner)
 	}
 	if err == nil {
 		err = runner.FlushTrace(os.Stderr)
@@ -228,7 +228,7 @@ func printProtocols(w io.Writer) {
 	tw.Flush()
 }
 
-func runOne(c *cliFlags, cfg pipeline.Config, runner *pipeline.Runner) error {
+func runOne(w io.Writer, c *cliFlags, cfg pipeline.Config, runner *pipeline.Runner) error {
 	start, end, err := cfg.Source.Window()
 	if err != nil {
 		return err
@@ -242,14 +242,26 @@ func runOne(c *cliFlags, cfg pipeline.Config, runner *pipeline.Runner) error {
 	if err != nil {
 		return err
 	}
-	if cfg.Sinks.Report == "json" {
-		return printJSON(ca)
-	}
-	if cfg.Sinks.Report != "none" {
-		printAnalysis(ca, *c.verbose)
+	return c.report(w, cfg, ca, cfg.Source.Path)
+}
+
+// report writes one capture's report in the form cfg.Sinks.Report
+// selects (JSON, text, or none), then, under -infer-headers, the
+// inferred structure of its proprietary headers, re-read from the
+// capture file at path. Every capture goes through here, alone or
+// from a manifest.
+func (c *cliFlags) report(w io.Writer, cfg pipeline.Config, ca *rtcc.CaptureAnalysis, path string) error {
+	switch cfg.Sinks.Report {
+	case "json":
+		if err := printJSON(w, ca); err != nil {
+			return err
+		}
+	case "none":
+	default:
+		printAnalysis(w, ca, *c.verbose)
 	}
 	if *c.inferHdr {
-		return printHeaderInference(os.Stdout, cfg.Source.Path, ca, cfg.Analysis.MaxOffset)
+		return printHeaderInference(w, path, ca, cfg.Analysis.MaxOffset)
 	}
 	return nil
 }
@@ -292,7 +304,7 @@ type jsonFinding struct {
 	Count  int    `json:"count"`
 }
 
-func printJSON(ca *rtcc.CaptureAnalysis) error {
+func printJSON(w io.Writer, ca *rtcc.CaptureAnalysis) error {
 	var rep jsonReport
 	rep.Label = ca.Label
 	rep.DecodeErrors = ca.DecodeErrors
@@ -325,17 +337,13 @@ func printJSON(ca *rtcc.CaptureAnalysis) error {
 		rep.VolumeCompliance = &r
 	}
 	for key, ts := range ca.Stats.Types {
-		jt := jsonType{
+		rep.Types = append(rep.Types, jsonType{
 			Protocol:     key.Protocol.String(),
 			Label:        key.Label,
 			Messages:     ts.Total,
 			NonCompliant: ts.NonCompliant,
-		}
-		for reason := range ts.Reasons {
-			jt.Reason = reason
-			break
-		}
-		rep.Types = append(rep.Types, jt)
+			Reason:       ts.TopReason(),
+		})
 	}
 	sort.Slice(rep.Types, func(i, j int) bool {
 		if rep.Types[i].Protocol != rep.Types[j].Protocol {
@@ -346,7 +354,7 @@ func printJSON(ca *rtcc.CaptureAnalysis) error {
 	for _, fd := range ca.Findings {
 		rep.Findings = append(rep.Findings, jsonFinding{Kind: fd.Kind, Detail: fd.Detail, Count: fd.Count})
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
 }
@@ -369,12 +377,8 @@ func printHeaderInference(w io.Writer, path string, ca *rtcc.CaptureAnalysis, k 
 		if s == nil { // the file changed since the analysis read it
 			continue
 		}
-		payloads := make([][]byte, len(s.Packets))
-		for i, p := range s.Packets {
-			payloads[i] = p.Payload
-		}
 		var samples []propheader.Sample
-		for i, r := range engine.InspectStream(payloads) {
+		for i, r := range engine.NewStreamInspector().Finalize(s.Packets) {
 			if r.Class != dpi.ClassProprietaryHeader {
 				continue
 			}
@@ -385,7 +389,7 @@ func printHeaderInference(w io.Writer, path string, ca *rtcc.CaptureAnalysis, k 
 			samples = append(samples, propheader.Sample{
 				Header:    r.ProprietaryHeader,
 				Dir:       dir,
-				Remainder: len(payloads[i]) - len(r.ProprietaryHeader),
+				Remainder: len(s.Packets[i].Payload) - len(r.ProprietaryHeader),
 			})
 		}
 		if len(samples) < 8 {
@@ -444,7 +448,11 @@ type manifestEntry struct {
 	CallEnd   time.Time `json:"call_end"`
 }
 
-func runManifest(path string, c *cliFlags, runner *pipeline.Runner) error {
+// runManifest analyzes every capture the manifest at path lists and
+// writes each one's report. A text report opens with a header naming
+// the capture and ends with a blank line; a JSON report is one object
+// per capture, named by its label.
+func runManifest(w io.Writer, path string, c *cliFlags, runner *pipeline.Runner) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -454,20 +462,23 @@ func runManifest(path string, c *cliFlags, runner *pipeline.Runner) error {
 		return fmt.Errorf("parse manifest: %w", err)
 	}
 	dir := filepath.Dir(path)
+	cfg := runner.Config()
+	text := cfg.Sinks.Report != "json" && cfg.Sinks.Report != "none"
 	for _, e := range entries {
 		ca, err := analyzeEntry(dir, e, runner)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.File, err)
 		}
 		ca.Stats.App = e.App
-		fmt.Printf("=== %s (%s) ===\n", e.File, e.App)
-		printAnalysis(ca, *c.verbose)
-		if *c.inferHdr {
-			if err := printHeaderInference(os.Stdout, filepath.Join(dir, e.File), ca, runner.Config().Analysis.MaxOffset); err != nil {
-				return fmt.Errorf("%s: %w", e.File, err)
-			}
+		if text {
+			fmt.Fprintf(w, "=== %s (%s) ===\n", e.File, e.App)
 		}
-		fmt.Println()
+		if err := c.report(w, cfg, ca, filepath.Join(dir, e.File)); err != nil {
+			return fmt.Errorf("%s: %w", e.File, err)
+		}
+		if text {
+			fmt.Fprintln(w)
+		}
 	}
 	return nil
 }
@@ -491,7 +502,7 @@ func analyzeEntry(dir string, e manifestEntry, runner *pipeline.Runner) (*rtcc.C
 	return runner.AnalyzeReader(f, label, e.CallStart, e.CallEnd)
 }
 
-func printAnalysis(ca *rtcc.CaptureAnalysis, verbose bool) {
+func printAnalysis(w io.Writer, ca *rtcc.CaptureAnalysis, verbose bool) {
 	f := ca.Filter
 	decoded := f.RawUDP.Packets + f.RawTCP.Packets
 	datagrams := 0
@@ -503,26 +514,26 @@ func printAnalysis(ca *rtcc.CaptureAnalysis, verbose bool) {
 		messages += ps.Messages
 		compliant += ps.Compliant
 	}
-	fmt.Printf("pipeline: %d frames in (%d decode errors) -> %d packets -> dropped %d stage1 + %d stage2 -> %d RTC packets -> %d datagrams -> %d messages (%d compliant)\n",
+	fmt.Fprintf(w, "pipeline: %d frames in (%d decode errors) -> %d packets -> dropped %d stage1 + %d stage2 -> %d RTC packets -> %d datagrams -> %d messages (%d compliant)\n",
 		decoded+ca.DecodeErrors, ca.DecodeErrors, decoded,
 		f.Stage1UDP.Packets+f.Stage1TCP.Packets,
 		f.Stage2UDP.Packets+f.Stage2TCP.Packets,
 		f.RTCUDP.Packets+f.RTCTCP.Packets,
 		datagrams, messages, compliant)
-	fmt.Printf("streams: raw %d UDP / %d TCP; removed stage1 %d, stage2 %d; RTC %d UDP / %d TCP\n",
+	fmt.Fprintf(w, "streams: raw %d UDP / %d TCP; removed stage1 %d, stage2 %d; RTC %d UDP / %d TCP\n",
 		f.RawUDP.Streams, f.RawTCP.Streams,
 		f.Stage1UDP.Streams+f.Stage1TCP.Streams,
 		f.Stage2UDP.Streams+f.Stage2TCP.Streams,
 		f.RTCUDP.Streams, f.RTCTCP.Streams)
 	if ca.DecodeErrors > 0 {
-		fmt.Printf("decode errors: %d undecodable frames dropped\n", ca.DecodeErrors)
+		fmt.Fprintf(w, "decode errors: %d undecodable frames dropped\n", ca.DecodeErrors)
 	}
 
 	total := 0
 	for _, n := range ca.Stats.Datagrams {
 		total += n
 	}
-	fmt.Printf("datagrams: %d total; %d standard, %d proprietary-header, %d fully-proprietary\n",
+	fmt.Fprintf(w, "datagrams: %d total; %d standard, %d proprietary-header, %d fully-proprietary\n",
 		total,
 		ca.Stats.Datagrams[dpi.ClassStandard],
 		ca.Stats.Datagrams[dpi.ClassProprietaryHeader],
@@ -533,40 +544,34 @@ func printAnalysis(ca *rtcc.CaptureAnalysis, verbose bool) {
 		if ps == nil || ps.Messages == 0 {
 			continue
 		}
-		fmt.Printf("%-10s %7d messages, %6.2f%% compliant\n",
+		fmt.Fprintf(w, "%-10s %7d messages, %6.2f%% compliant\n",
 			fam, ps.Messages, 100*float64(ps.Compliant)/float64(ps.Messages))
 	}
 	if r, ok := ca.Stats.VolumeCompliance(); ok {
-		fmt.Printf("overall volume compliance: %.2f%%\n", 100*r)
+		fmt.Fprintf(w, "overall volume compliance: %.2f%%\n", 100*r)
 	}
 	c, t := ca.Stats.TypeCompliance(dpi.ProtoUnknown)
-	fmt.Printf("message types: %d/%d compliant\n", c, t)
+	fmt.Fprintf(w, "message types: %d/%d compliant\n", c, t)
 
 	if verbose {
 		type row struct {
-			key    string
-			stat   *report.TypeStat
-			reason string
+			key  string
+			stat *report.TypeStat
 		}
 		var rows []row
 		for key, ts := range ca.Stats.Types {
-			reason := ""
-			for r := range ts.Reasons {
-				reason = r
-				break
-			}
-			rows = append(rows, row{key.String(), ts, reason})
+			rows = append(rows, row{key.String(), ts})
 		}
 		sort.Slice(rows, func(i, j int) bool { return rows[i].key < rows[j].key })
 		for _, r := range rows {
 			status := "compliant"
 			if !r.stat.Compliant() {
-				status = "NON-COMPLIANT: " + r.reason
+				status = "NON-COMPLIANT: " + r.stat.TopReason()
 			}
-			fmt.Printf("  %-28s %6d msgs  %s\n", r.key, r.stat.Total, status)
+			fmt.Fprintf(w, "  %-28s %6d msgs  %s\n", r.key, r.stat.Total, status)
 		}
 	}
 	for _, fd := range ca.Findings {
-		fmt.Printf("finding: %s: %s\n", fd.Kind, fd.Detail)
+		fmt.Fprintf(w, "finding: %s: %s\n", fd.Kind, fd.Detail)
 	}
 }

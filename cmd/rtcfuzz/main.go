@@ -88,13 +88,9 @@ func run(pcapPath, outDir string, n int, seed uint64, strategy string, keepSeeds
 		if s.Key.Proto != layers.IPProtocolUDP {
 			continue
 		}
-		payloads := make([][]byte, len(s.Packets))
-		for i, p := range s.Packets {
-			payloads[i] = p.Payload
-		}
-		for i, res := range engine.InspectStream(payloads) {
+		for i, res := range engine.NewStreamInspector().Finalize(s.Packets) {
 			for _, m := range res.Messages {
-				msg := payloads[i][m.Offset : m.Offset+m.Length]
+				msg := s.Packets[i].Payload[m.Offset : m.Offset+m.Length]
 				seedMsgs = append(seedMsgs, msg)
 			}
 		}

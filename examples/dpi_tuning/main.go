@@ -32,7 +32,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		streams := streamPayloads(cap)
+		streams := streamRecords(cap)
 
 		// Reference: full-payload extraction.
 		ref := countMessages(streams, 1500)
@@ -55,7 +55,7 @@ func main() {
 	fmt.Println("fraction of the full-scan cost on proprietary-heavy traffic (Zoom).")
 }
 
-func streamPayloads(cap *rtcc.Capture) [][][]byte {
+func streamRecords(cap *rtcc.Capture) [][]flow.Packet {
 	table := flow.NewTable()
 	for _, f := range cap.Frames() {
 		pkt, err := layers.Decode(pcap.LinkTypeRaw, f.Data)
@@ -64,21 +64,16 @@ func streamPayloads(cap *rtcc.Capture) [][][]byte {
 		}
 		table.Add(f.Timestamp, pkt)
 	}
-	var out [][][]byte
+	var out [][]flow.Packet
 	for _, s := range table.Streams() {
-		if s.Key.Proto != layers.IPProtocolUDP {
-			continue
+		if s.Key.Proto == layers.IPProtocolUDP {
+			out = append(out, s.Packets)
 		}
-		payloads := make([][]byte, len(s.Packets))
-		for i, p := range s.Packets {
-			payloads[i] = p.Payload
-		}
-		out = append(out, payloads)
 	}
 	return out
 }
 
-func datagramCount(streams [][][]byte) int {
+func datagramCount(streams [][]flow.Packet) int {
 	n := 0
 	for _, s := range streams {
 		n += len(s)
@@ -86,20 +81,13 @@ func datagramCount(streams [][][]byte) int {
 	return n
 }
 
-func countMessages(streams [][][]byte, k int) int {
+func countMessages(streams [][]flow.Packet, k int) int {
 	engine := &dpi.Engine{MaxOffset: k}
 	n := 0
-	for _, payloads := range streams {
-		for _, r := range engine.InspectStream(payloads) {
+	for _, recs := range streams {
+		for _, r := range engine.NewStreamInspector().Finalize(recs) {
 			n += len(r.Messages)
 		}
 	}
 	return n
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -51,10 +51,7 @@ func main() {
 		if ts.Compliant() {
 			continue
 		}
-		for reason := range ts.Reasons {
-			fmt.Printf("  non-compliant %-18s %s\n", key.String()+":", reason)
-			break
-		}
+		fmt.Printf("  non-compliant %-18s %s\n", key.String()+":", ts.TopReason())
 	}
 
 	for _, finding := range res.Findings {

@@ -54,10 +54,9 @@ type TypeKey = proto.TypeKey
 type Checked = proto.Checked
 
 // Session holds per-stream state for criterion 5. Create one per
-// transport stream and feed it messages in capture order via Check.
-// Its Trace hook, when set, observes every judged message with its
-// verdicts — the decision-trace layer attaches per-stream reason
-// reporting there.
+// transport stream and feed it messages in capture order via Check;
+// the caller records the returned verdicts, in its statistics and, when
+// tracing, in the stream's decision trace.
 type Session = proto.Session
 
 // Checker binds sessions to the protocol registry that judges them.

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/rtc-compliance/rtcc/internal/bufpool"
-	"github.com/rtc-compliance/rtcc/internal/compliance"
 	"github.com/rtc-compliance/rtcc/internal/dpi"
 	"github.com/rtc-compliance/rtcc/internal/filterpipe"
 	"github.com/rtc-compliance/rtcc/internal/flow"
@@ -83,19 +82,18 @@ type streamState struct {
 	sni   string
 	sniOK bool
 	// insp is the incremental DPI state for provisionally-RTC UDP
-	// streams.
+	// streams; it reads the stream's records (s.Packets) in place.
 	insp *dpi.StreamInspector
-	// session and partial carry compliance and findings state across
+	// partial carries the compliance, findings and QoE state across
 	// chunked finalizations (eviction mode).
-	session *compliance.Session
 	partial *streamPartial
 	// span is the stream's decision-trace span (nil when tracing is
 	// off); it buffers events until the analyzer flushes it at a
 	// deterministic point.
 	span *obs.Span
 	// arena holds the stream's pooled payload copies (nil under
-	// FramesStable); released whenever the stream's buffered payloads
-	// are dropped.
+	// FramesStable); released whenever the stream's records are
+	// dropped.
 	arena *bufpool.Arena
 	// prev/next link the stream into the analyzer's intrusive recency
 	// list (least-recent first); inList marks membership (false while
@@ -120,11 +118,11 @@ type streamState struct {
 }
 
 // Analyzer is the incremental analysis pipeline: Feed advances packet
-// decoding, flow grouping and online filtering per frame, and buffers
-// each kept UDP payload in its stream's DPI inspector, which runs
-// Algorithm 1's pass 1 over every full batch of 64 buffered datagrams
-// as it fills; pass 2, with the rest of pass 1, runs when a stream's
-// buffered datagrams are finalized, at idle eviction or at Close.
+// decoding, flow grouping and online filtering per frame, and keeps a
+// record of each datagram of a provisionally-RTC UDP stream, over
+// which the stream's DPI inspector runs Algorithm 1's pass 1 a full
+// batch of 64 records at a time; pass 2, with the rest of pass 1, runs
+// when a stream's records are finalized, at idle eviction or at Close.
 // Close reconciles the online filter verdicts against the full
 // two-stage filter and assembles the CaptureAnalysis. Without eviction
 // the result equals the test-side batch reference's; the offline entry
@@ -270,9 +268,9 @@ func (a *Analyzer) FeedBatch(batch []Datagram) error {
 
 // feedOne is the shared per-frame pipeline step behind Feed and
 // FeedBatch: decode, flow grouping, online filtering, and handing the
-// payload to the stream's DPI inspector, which buffers it and scans
-// pass 1 over each full batch of 64 (so a FeedBatch call pays that
-// scan); pass 2 runs at the stream's finalization.
+// stream's records to its DPI inspector, which scans pass 1 over each
+// full batch of 64 (so a FeedBatch call pays that scan); pass 2 runs
+// at the stream's finalization.
 func (a *Analyzer) feedOne(ts time.Time, frame []byte, seq uint64) {
 	if a.frames == 0 {
 		a.firstTS = ts
@@ -345,18 +343,12 @@ func (a *Analyzer) feedOne(ts time.Time, frame []byte, seq uint64) {
 		}
 		// The online filter: a rule the stream fails on partial
 		// evidence still fails it at Close (filterpipe.Evidence), so
-		// its payloads can go now.
+		// its records can go now.
 		if !st.removed {
 			if rule, _ := a.ev.Check(s, st.sni); rule != "" {
 				st.removed = true
-				s.Packets = nil
 				st.insp = nil
-				if st.arena != nil {
-					// The records and inspector buffer are gone; the
-					// copies are dead, so the chunks go back to the pool.
-					st.arena.Release()
-					st.arena = nil
-				}
+				st.dropRecords()
 			}
 		}
 	}
@@ -368,7 +360,19 @@ func (a *Analyzer) feedOne(ts time.Time, frame []byte, seq uint64) {
 				st.insp.SetSpan(st.span)
 			}
 		}
-		st.insp.Feed(pkt.Payload)
+		st.insp.Feed(s.Packets)
+	}
+}
+
+// dropRecords drops the stream's records and returns their payload
+// copies to the pool: nothing references them once the stream is
+// removed or finished, since verdicts and trace windows copy the bytes
+// they keep.
+func (st *streamState) dropRecords() {
+	st.s.Packets = nil
+	if st.arena != nil {
+		st.arena.Release()
+		st.arena = nil
 	}
 }
 
@@ -440,11 +444,12 @@ func (a *Analyzer) evictIdle(now time.Time) {
 }
 
 // finalizeChunk runs DPI pass 2, compliance, and findings over a
-// stream's buffered records and releases them. The per-stream contexts
-// persist in the state, so a later chunk continues seamlessly.
+// stream's records and releases them. The per-stream contexts persist
+// in the state, so a later chunk continues seamlessly.
 func (a *Analyzer) finalizeChunk(st *streamState) {
 	s := st.s
-	if s.Key.Proto == layers.IPProtocolUDP && !st.removed && st.insp != nil && st.insp.Pending() > 0 {
+	// Only a provisionally-RTC UDP stream keeps records.
+	if len(s.Packets) > 0 {
 		a.consumeChunk(st)
 		// Eviction happens during the single-goroutine Feed, so flushing
 		// here is a deterministic export point for the chunk's events.
@@ -463,22 +468,22 @@ func (a *Analyzer) finalizeChunk(st *streamState) {
 
 // consumeChunk is one stream chunk's DPI sweep and compliance pass, the
 // step both an evicted chunk and a final-RTC stream at Close run: it
-// creates the stream's partial and compliance session on first use,
-// then, if the inspector holds datagrams, finalizes them (dpi.finalize)
-// and folds the results into the partial (compliance.check).
+// creates the stream's partial on first use, then, if the stream holds
+// records, finalizes them (dpi.finalize) and folds the results into
+// the partial (compliance.check).
 func (a *Analyzer) consumeChunk(st *streamState) {
 	if st.partial == nil {
-		st.partial = newStreamPartial(st.span, st.s.Key.String(), a.opts.QoE)
-		st.session = compliance.NewCheckerWith(a.opts.Registry).NewSession()
+		st.partial = newStreamPartial(st.span, st.s.Key.String(), a.opts)
 	}
-	if st.insp == nil || st.insp.Pending() == 0 {
+	recs := st.s.Packets
+	if len(recs) == 0 {
 		return
 	}
 	start := a.am.finalize.Start()
-	results := st.insp.Finalize()
+	results := st.insp.Finalize(recs)
 	a.am.finalize.ObserveSince(start)
 	start = a.am.check.Start()
-	st.partial.consume(st.s.Packets, results, st.session, a.opts.SkipFindings)
+	st.partial.consume(recs, results)
 	a.am.check.ObserveSince(start)
 }
 
@@ -571,11 +576,7 @@ func (a *Analyzer) finalize(workers int) (*CaptureAnalysis, error) {
 			st.partial = nil
 			st.span = nil
 		}
-		s.Packets = nil
-		if st.arena != nil {
-			st.arena.Release()
-			st.arena = nil
-		}
+		st.dropRecords()
 	}
 
 	// Finalize the surviving UDP RTC streams, fanned out over workers,
@@ -591,7 +592,7 @@ func (a *Analyzer) finalize(workers int) (*CaptureAnalysis, error) {
 		partials[i] = a.finishStream(udp[i])
 		return nil
 	})
-	foldPartials(ca, partials, a.opts.SkipFindings)
+	foldPartials(ca, partials)
 
 	if a.trace != nil {
 		for _, f := range ca.Findings {
@@ -614,13 +615,7 @@ func (a *Analyzer) finalize(workers int) (*CaptureAnalysis, error) {
 func (a *Analyzer) finishStream(s *flow.Stream) *streamPartial {
 	st := a.states[s.Key]
 	a.consumeChunk(st)
-	s.Packets = nil
-	if st.arena != nil {
-		// The verdicts and trace events copied whatever bytes they
-		// keep, so the stream's pooled copies are dead; the shared pool
-		// is safe to return to from concurrent workers.
-		st.arena.Release()
-		st.arena = nil
-	}
+	// The shared pool is safe to return to from concurrent workers.
+	st.dropRecords()
 	return st.partial
 }

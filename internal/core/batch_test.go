@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"github.com/rtc-compliance/rtcc/internal/compliance"
 	"github.com/rtc-compliance/rtcc/internal/filterpipe"
 	"github.com/rtc-compliance/rtcc/internal/flow"
 	"github.com/rtc-compliance/rtcc/internal/layers"
@@ -69,7 +68,7 @@ func BatchAnalyzeCapture(in CaptureInput, opts Options) (*CaptureAnalysis, error
 		}
 		partials = append(partials, analyzeStream(s, opts))
 	}
-	foldPartials(ca, partials, opts.SkipFindings)
+	foldPartials(ca, partials)
 	// Results carry verdicts, not packets: drop every stream's records,
 	// as the Analyzer does, so whole results compare with DeepEqual.
 	for _, s := range table.Streams() {
@@ -80,18 +79,11 @@ func BatchAnalyzeCapture(in CaptureInput, opts Options) (*CaptureAnalysis, error
 }
 
 // analyzeStream runs DPI extraction and compliance checking over one
-// UDP RTC stream with fresh per-stream state: its own engine, session,
-// and findings evidence.
+// UDP RTC stream with fresh per-stream state: its own inspector,
+// session, and findings evidence.
 func analyzeStream(s *flow.Stream, opts Options) *streamPartial {
-	engine := opts.engine()
-	checker := compliance.NewCheckerWith(opts.Registry)
-	p := newStreamPartial(nil, s.Key.String(), opts.QoE)
-	payloads := make([][]byte, len(s.Packets))
-	for i, pkt := range s.Packets {
-		payloads[i] = pkt.Payload
-	}
-	results := engine.InspectStream(payloads)
-	p.consume(s.Packets, results, checker.NewSession(), opts.SkipFindings)
+	p := newStreamPartial(nil, s.Key.String(), opts)
+	p.consume(s.Packets, opts.engine().NewStreamInspector().Finalize(s.Packets))
 	return p
 }
 

@@ -53,90 +53,69 @@ type findingsContext struct {
 	hdr6000OK   int
 	trailerDirs map[flow.Direction]map[byte]int
 	headerDirs  map[flow.Direction]map[byte]int
-	// reg resolves per-message findings evidence through the protocol
-	// drivers' Observer hooks; nil selects the default registry.
-	reg *proto.Registry
 }
 
-func (f *findingsContext) registry() *proto.Registry {
-	if f.reg != nil {
-		return f.reg
+// datagram records one RTC datagram's evidence: its DPI result, and
+// media, the number of its messages the registry observed as media.
+// The evidence is commutative, so the order datagrams and chunks
+// arrive in does not change the accumulated totals.
+func (f *findingsContext) datagram(rec *flow.Packet, r dpi.Result, media int) {
+	payload := rec.Payload
+	switch r.Class {
+	case dpi.ClassFullyProprietary:
+		// Zoom filler: large datagrams of one repeated byte.
+		if len(payload) >= 800 && uniformBytes(payload) {
+			f.filler++
+		}
+		// FaceTime keepalive: fixed 36-byte 0xDEADBEEFCAFE frames.
+		if len(payload) == 36 && bytes.HasPrefix(payload, []byte{0xDE, 0xAD, 0xBE, 0xEF, 0xCA, 0xFE}) {
+			f.keepalive++
+		}
+	case dpi.ClassProprietaryHeader:
+		hdr := r.ProprietaryHeader
+		// FaceTime 0x6000 header: 2-byte magic then a length field
+		// covering the rest of the datagram.
+		if len(hdr) >= 4 && hdr[0] == 0x60 && hdr[1] == 0x00 {
+			f.hdr6000++
+			declared := int(binary.BigEndian.Uint16(hdr[2:4]))
+			if declared == len(payload)-4 {
+				f.hdr6000OK++
+			}
+		}
+		// Direction-correlated first header byte (Zoom's 0x00/0x04).
+		if len(hdr) > 0 {
+			addDir(&f.headerDirs, rec.Dir, hdr[0], 1)
+		}
 	}
-	return proto.Default()
+	if media > 0 {
+		f.rtpDgrams++
+		if media > 1 {
+			f.doubleRTP++
+		}
+	}
 }
 
-// scanStream inspects one RTC stream's packets and DPI results. pkts
-// and results are index-aligned; chunked callers (the streaming
-// analyzer's eviction path) pass each chunk's records — the evidence is
-// commutative, so chunking does not change the accumulated totals.
-func (f *findingsContext) scanStream(pkts []flow.Packet, results []dpi.Result) {
-	if f.trailerDirs == nil {
-		f.trailerDirs = map[flow.Direction]map[byte]int{}
-		f.headerDirs = map[flow.Direction]map[byte]int{}
+// message records the findings evidence of one message's observation.
+func (f *findingsContext) message(dir flow.Direction, o *proto.Observation) {
+	// Direction-correlated trailer byte (Discord).
+	if o.HasTrailerByte {
+		addDir(&f.trailerDirs, dir, o.TrailerByte, 1)
 	}
-	reg := f.registry()
-	var obs proto.Observation
-	for i, r := range results {
-		pkt := pkts[i]
-		payload := pkt.Payload
+	f.fbTotal += o.FeedbackMessages
+	f.zeroSSRC += o.ZeroSSRCFeedback
+}
 
-		switch r.Class {
-		case dpi.ClassFullyProprietary:
-			// Zoom filler: large datagrams of one repeated byte.
-			if len(payload) >= 800 && uniformBytes(payload) {
-				f.filler++
-			}
-			// FaceTime keepalive: fixed 36-byte 0xDEADBEEFCAFE frames.
-			if len(payload) == 36 && bytes.HasPrefix(payload, []byte{0xDE, 0xAD, 0xBE, 0xEF, 0xCA, 0xFE}) {
-				f.keepalive++
-			}
-		case dpi.ClassProprietaryHeader:
-			hdr := r.ProprietaryHeader
-			// FaceTime 0x6000 header: 2-byte magic then a length field
-			// covering the rest of the datagram.
-			if len(hdr) >= 4 && hdr[0] == 0x60 && hdr[1] == 0x00 {
-				f.hdr6000++
-				declared := int(binary.BigEndian.Uint16(hdr[2:4]))
-				if declared == len(payload)-4 {
-					f.hdr6000OK++
-				}
-			}
-			// Direction-correlated first header byte (Zoom's 0x00/0x04).
-			if len(hdr) > 0 {
-				m := f.headerDirs[pkt.Dir]
-				if m == nil {
-					m = map[byte]int{}
-					f.headerDirs[pkt.Dir] = m
-				}
-				m[hdr[0]]++
-			}
-		}
-
-		rtpCount := 0
-		for _, msg := range r.Messages {
-			reg.Observe(msg, &obs)
-			if obs.MediaMessage {
-				rtpCount++
-			}
-			// Direction-correlated trailer byte (Discord).
-			if obs.HasTrailerByte {
-				m := f.trailerDirs[pkt.Dir]
-				if m == nil {
-					m = map[byte]int{}
-					f.trailerDirs[pkt.Dir] = m
-				}
-				m[obs.TrailerByte]++
-			}
-			f.fbTotal += obs.FeedbackMessages
-			f.zeroSSRC += obs.ZeroSSRCFeedback
-		}
-		if rtpCount > 0 {
-			f.rtpDgrams++
-			if rtpCount > 1 {
-				f.doubleRTP++
-			}
-		}
+// addDir counts n sightings of byte v in direction dir.
+func addDir(dirs *map[flow.Direction]map[byte]int, dir flow.Direction, v byte, n int) {
+	if *dirs == nil {
+		*dirs = map[flow.Direction]map[byte]int{}
 	}
+	m := (*dirs)[dir]
+	if m == nil {
+		m = map[byte]int{}
+		(*dirs)[dir] = m
+	}
+	m[v] += n
 }
 
 // merge folds another context's evidence into f. All evidence is
@@ -152,26 +131,16 @@ func (f *findingsContext) merge(o *findingsContext) {
 	f.fbTotal += o.fbTotal
 	f.hdr6000 += o.hdr6000
 	f.hdr6000OK += o.hdr6000OK
-	mergeDirs := func(dst *map[flow.Direction]map[byte]int, src map[flow.Direction]map[byte]int) {
-		if len(src) == 0 {
-			return
-		}
-		if *dst == nil {
-			*dst = map[flow.Direction]map[byte]int{}
-		}
-		for dir, m := range src {
-			d := (*dst)[dir]
-			if d == nil {
-				d = map[byte]int{}
-				(*dst)[dir] = d
-			}
-			for v, n := range m {
-				d[v] += n
-			}
+	for dir, m := range o.trailerDirs {
+		for v, n := range m {
+			addDir(&f.trailerDirs, dir, v, n)
 		}
 	}
-	mergeDirs(&f.trailerDirs, o.trailerDirs)
-	mergeDirs(&f.headerDirs, o.headerDirs)
+	for dir, m := range o.headerDirs {
+		for v, n := range m {
+			addDir(&f.headerDirs, dir, v, n)
+		}
+	}
 }
 
 func uniformBytes(b []byte) bool {
@@ -333,11 +302,4 @@ func dedupFindings(in []Finding) []Finding {
 		out = append(out, f)
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

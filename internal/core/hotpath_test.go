@@ -116,15 +116,11 @@ func TestHotPathAllocs(t *testing.T) {
 	t.Run("dpi-two-pass-feed-scan", func(t *testing.T) { dpiTwoPassAllocs(t, 160) })
 
 	t.Run("compliance-check", func(t *testing.T) {
-		engine := Options{}.engine()
-		si := engine.NewStreamInspector()
-		var payloads [][]byte
-		for i := 0; i < 4; i++ {
-			frame := hotRTPFrame(hotSrc, hotDst, 50000, 4444, 0xbeef, uint16(i))
-			payloads = append(payloads, frame[28:])
-			si.Feed(frame[28:])
+		recs := make([]flow.Packet, 4)
+		for i := range recs {
+			recs[i].Payload = hotRTPFrame(hotSrc, hotDst, 50000, 4444, 0xbeef, uint16(i))[28:]
 		}
-		results := si.Finalize()
+		results := Options{}.engine().NewStreamInspector().Finalize(recs)
 		msgIdx := -1
 		for i := len(results) - 1; i >= 0; i-- {
 			if len(results[i].Messages) > 0 {
@@ -210,22 +206,22 @@ func TestHotPathAllocs(t *testing.T) {
 func dpiTwoPassAllocs(t *testing.T, chunk int) {
 	engine := Options{}.engine()
 	si := engine.NewStreamInspector()
-	payloads := make([][]byte, chunk)
-	for i := range payloads {
+	recs := make([]flow.Packet, chunk)
+	for i := range recs {
 		frame := hotRTPFrame(hotSrc, hotDst, 50000, 4444, 0xbeef, uint16(i))
-		payloads[i] = frame[28:] // UDP payload view
+		recs[i].Payload = frame[28:] // UDP payload view
 	}
 	seq := uint16(0)
 	feedChunk := func() {
-		for i := range payloads {
-			// payloads[i] starts at the RTP header, so the sequence
+		for i := range recs {
+			// The payload starts at the RTP header, so the sequence
 			// number and media timestamp sit at offsets 2 and 4.
-			binary.BigEndian.PutUint16(payloads[i][2:], seq)
-			binary.BigEndian.PutUint32(payloads[i][4:], uint32(seq)*960)
+			binary.BigEndian.PutUint16(recs[i].Payload[2:], seq)
+			binary.BigEndian.PutUint32(recs[i].Payload[4:], uint32(seq)*960)
 			seq++
-			si.Feed(payloads[i])
+			si.Feed(recs[:i+1])
 		}
-		if got := si.Finalize(); len(got) != chunk {
+		if got := si.Finalize(recs); len(got) != chunk {
 			t.Fatalf("Finalize returned %d results, want %d", len(got), chunk)
 		}
 	}

@@ -22,14 +22,13 @@ import (
 //     insertion order a serial analyzer would have used.
 //
 // The merge constructs a synthetic Analyzer holding the union of the
-// shard state — stream table, per-stream pipeline state and trace
-// spans, filter evidence (3-tuple spans, pre-call address pairs), frame
-// tallies — and then runs the very finalize step Close runs, with the
-// surviving streams fanned out over one goroutine per shard. Per-shard online
-// filter verdicts are safe to carry over because every online rule is
-// monotone on evidence that only grows from shard to union; the final
-// two-stage filter then re-judges every stream against the full merged
-// evidence. The result is therefore byte-identical to a serial Analyzer
+// shard state — stream table with its 3-tuple spans, per-stream
+// pipeline state and trace spans, frame tallies — and then runs the
+// very finalize step Close runs, with the surviving streams fanned out
+// over one goroutine per shard. Per-shard online filter verdicts are
+// safe to carry over because every online rule is monotone on evidence
+// that only grows from shard to union; the final two-stage filter then
+// re-judges every stream against the full merged evidence. The result is therefore byte-identical to a serial Analyzer
 // fed the same datagrams in Seq order — by construction, not by testing
 // alone.
 //
@@ -85,11 +84,13 @@ func MergeAnalyzers(shards []*Analyzer) (*CaptureAnalysis, error) {
 		}
 	}
 
-	// Filter evidence first — the 3-tuple span union and the pre-call
-	// pairs — so stream absorption can re-point each stream's
-	// per-direction span memos at the merged (full-evidence) spans.
+	// The 3-tuple span union first, so stream absorption can re-point
+	// each stream's per-direction span memos at the merged spans. The
+	// shards' other online evidence (the pre-call address pairs) is not
+	// carried over: finalize's filter rebuilds its evidence from the
+	// merged table.
 	for _, sh := range shards {
-		m.ev.Absorb(sh.ev)
+		m.table.AbsorbSpans(sh.table)
 	}
 
 	// Rebuild the serial insertion order: each stream was created by

@@ -45,7 +45,7 @@ type Options struct {
 	// order-independent sums, identical for serial and sharded runs.
 	Metrics *metrics.Registry
 	// EvictIdle, when positive, finalizes the pipeline state of streams
-	// idle for longer than this: their buffered payloads are inspected,
+	// idle for longer than this: their kept records are inspected,
 	// checked, and released, so resident memory is bounded by the
 	// active streams. A stream that wakes up again resumes its
 	// per-stream contexts. Eviction trades the strict batch guarantee
@@ -143,8 +143,9 @@ func AnalyzeCapture(in CaptureInput, opts Options) (*CaptureAnalysis, error) {
 // that produced the partials only buffered; this fold is the single
 // deterministic export and merge point every pipeline shares: Close,
 // the test-side batch reference, and (through finalize) the cross-shard
-// MergeAnalyzers.
-func foldPartials(ca *CaptureAnalysis, partials []*streamPartial, skipFindings bool) {
+// MergeAnalyzers. Under Options.SkipFindings the partials gathered no
+// findings evidence, so the capture reports none.
+func foldPartials(ca *CaptureAnalysis, partials []*streamPartial) {
 	var fctx findingsContext
 	for _, p := range partials {
 		mergeStats(ca.Stats, p.stats)
@@ -163,9 +164,7 @@ func foldPartials(ca *CaptureAnalysis, partials []*streamPartial, skipFindings b
 	if ca.QoE != nil {
 		ca.QoE.Summary = qoe.Summarize(ca.QoE.Streams)
 	}
-	if !skipFindings {
-		ca.Findings = fctx.findings()
-	}
+	ca.Findings = fctx.findings()
 }
 
 // streamPartial is the analysis outcome of one RTC stream, produced on
@@ -175,14 +174,19 @@ type streamPartial struct {
 	fctx  findingsContext
 	ssrcs map[uint32]bool
 
+	// session judges the stream's messages; its criterion-5 state
+	// carries across chunked finalizations. reg is its registry, which
+	// also resolves the findings evidence and the trace's protocol
+	// names. findings is false under Options.SkipFindings.
+	session  *compliance.Session
+	reg      *proto.Registry
+	findings bool
+
 	// span receives the stream's verdict trace (nil when tracing is
 	// off). dgramBase numbers datagrams cumulatively across chunked
-	// finalizations; curDgram and curPayload hand the Session.Trace
-	// hook its datagram context while consume iterates.
-	span       *obs.Span
-	dgramBase  int
-	curDgram   int
-	curPayload []byte
+	// finalizations.
+	span      *obs.Span
+	dgramBase int
 
 	// obs is scratch for Registry.Observe: passing the address of a
 	// stack local would force a heap allocation per consume call.
@@ -197,70 +201,79 @@ type streamPartial struct {
 	key string
 }
 
-func newStreamPartial(span *obs.Span, key string, qcfg *qoe.Config) *streamPartial {
+func newStreamPartial(span *obs.Span, key string, opts Options) *streamPartial {
+	session := compliance.NewCheckerWith(opts.Registry).NewSession()
 	p := &streamPartial{
-		stats: report.NewAppStats(""),
-		ssrcs: make(map[uint32]bool),
-		span:  span,
-		key:   key,
+		stats:    report.NewAppStats(""),
+		ssrcs:    make(map[uint32]bool),
+		session:  session,
+		reg:      session.Checker().Registry(),
+		findings: !opts.SkipFindings,
+		span:     span,
+		key:      key,
 	}
-	if qcfg != nil {
-		p.qoe = qoe.NewStream(*qcfg)
+	if opts.QoE != nil {
+		p.qoe = qoe.NewStream(*opts.QoE)
 	}
 	return p
 }
 
 // consume folds one chunk of DPI results — index-aligned with the
-// packet records they came from — into the partial: datagram classes,
-// compliance verdicts, observed SSRCs, and findings evidence. Both the
-// batch path (one chunk per stream) and the streaming analyzer's
-// chunked finalization go through here.
-func (p *streamPartial) consume(recs []flow.Packet, results []dpi.Result, session *compliance.Session, skipFindings bool) {
-	reg := session.Checker().Registry()
-	p.fctx.reg = reg
-	if p.span != nil && session.Trace == nil {
-		session.Trace = p.traceVerdict
-	}
+// packet records they came from — into the partial, in one pass: per
+// datagram its class, QoE evidence and class findings evidence; per
+// message its compliance verdicts (traced when the stream has a span)
+// and one Registry.Observe for both the SSRC set and the message
+// findings evidence. Both the batch reference (one chunk per stream)
+// and the streaming analyzer's chunked finalization go through here.
+func (p *streamPartial) consume(recs []flow.Packet, results []dpi.Result) {
 	o := &p.obs
 	for i, r := range results {
-		p.curDgram = p.dgramBase + i + 1
-		p.curPayload = recs[i].Payload
+		rec := &recs[i]
 		if p.qoe != nil {
-			p.qoe.Observe(recs[i].Timestamp, len(recs[i].Payload))
+			p.qoe.Observe(rec.Timestamp, len(rec.Payload))
 		}
 		p.stats.AddDatagram(r.Class)
+		media := 0
 		for _, m := range r.Messages {
-			for _, c := range session.Check(m, recs[i].Timestamp) {
+			out := p.session.Check(m, rec.Timestamp)
+			for _, c := range out {
 				p.stats.AddChecked(c)
 			}
-			reg.Observe(m, o)
+			if p.span != nil {
+				p.traceVerdicts(p.dgramBase+i+1, rec, m, out)
+			}
+			p.reg.Observe(m, o)
 			if o.HasSSRC {
 				p.ssrcs[o.SSRC] = true
 			}
+			if o.MediaMessage {
+				media++
+			}
+			if p.findings {
+				p.fctx.message(rec.Dir, o)
+			}
+		}
+		if p.findings {
+			p.fctx.datagram(rec, r, media)
 		}
 	}
 	p.dgramBase += len(results)
-	p.curPayload = nil
-	if !skipFindings {
-		p.fctx.scanStream(recs, results)
-	}
 }
 
-// traceVerdict is the Session.Trace hook: it forwards every judged
-// message's verdicts to the stream span with the datagram context the
-// consume loop maintains, including the message's own bytes so a
-// failing criterion can be shown against the wire data.
-func (p *streamPartial) traceVerdict(m proto.Message, ts time.Time, out []proto.Checked) {
+// traceVerdicts records one judged message's verdicts on the stream
+// span, with the message's own bytes so a failing criterion can be
+// shown against the wire data.
+func (p *streamPartial) traceVerdicts(dgram int, rec *flow.Packet, m proto.Message, out []proto.Checked) {
 	name := m.Protocol.String()
-	if meta, ok := p.fctx.reg.Meta(m.Protocol); ok {
+	if meta, ok := p.reg.Meta(m.Protocol); ok {
 		name = meta.Name
 	}
 	var window []byte
-	if end := m.Offset + m.Length; m.Offset >= 0 && end <= len(p.curPayload) {
-		window = p.curPayload[m.Offset:end]
+	if end := m.Offset + m.Length; m.Offset >= 0 && end <= len(rec.Payload) {
+		window = rec.Payload[m.Offset:end]
 	}
 	for _, c := range out {
-		p.span.Verdict(p.curDgram, ts, name, c.Type.Label,
+		p.span.Verdict(dgram, rec.Timestamp, name, c.Type.Label,
 			int(c.Verdict.Failed), c.Verdict.Reason, m.Offset, window)
 	}
 }

@@ -2,6 +2,10 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -75,37 +79,99 @@ func TestTraceSerialParallelIdentical(t *testing.T) {
 // Analyzer (the pipeline rejects it on more shards).
 func TestTraceEvictionDeterministic(t *testing.T) {
 	in := traceCapture(t, appsim.GoogleMeet, 31337)
-	run := func() []byte {
-		var buf bytes.Buffer
-		w := obs.NewJSONLWriter(&buf)
-		a, err := NewAnalyzer(AnalyzerConfig{
-			Label: in.Label, LinkType: in.LinkType,
-			CallStart: in.CallStart, CallEnd: in.CallEnd,
-			FramesStable: true,
-		}, Options{Tracer: w, EvictIdle: 500 * time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range in.Packets {
-			if err := a.Feed(p.Timestamp, p.Data); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := a.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	first := run()
+	first := evictedTraceJSONL(t, in)
 	if !strings.Contains(string(first), `"kind":"stream-evicted"`) {
 		t.Fatal("eviction config produced no stream-evicted events")
 	}
-	if second := run(); !bytes.Equal(first, second) {
+	if second := evictedTraceJSONL(t, in); !bytes.Equal(first, second) {
 		t.Error("eviction-path trace differs between two identical runs")
 	}
+}
+
+// evictedTraceJSONL analyzes in on one Analyzer with a 500 ms idle
+// eviction and returns the exported trace bytes.
+func evictedTraceJSONL(t *testing.T, in CaptureInput) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := obs.NewJSONLWriter(&buf)
+	a, err := NewAnalyzer(AnalyzerConfig{
+		Label: in.Label, LinkType: in.LinkType,
+		CallStart: in.CallStart, CallEnd: in.CallEnd,
+		FramesStable: true,
+	}, Options{Tracer: w, EvictIdle: 500 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range in.Packets {
+		if err := a.Feed(p.Timestamp, p.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestTraceGolden pins the decision trace itself, where the other
+// trace tests compare two runs of the same build: for one
+// golden-matrix capture per app (the networks rotate), the SHA-256 and
+// per-kind event counts of the JSONL export, serial and with a 500 ms
+// idle eviction, must match testdata/trace.golden, and the 8-shard
+// export must equal the serial one. Regenerate (only for a deliberate,
+// reviewed change to what the trace records) with:
+//
+//	RTCC_UPDATE_GOLDEN=1 go test ./internal/core -run TestTraceGolden
+func TestTraceGolden(t *testing.T) {
+	var got strings.Builder
+	seed := goldenSeeds[0]
+	for i, app := range appsim.Apps {
+		network := goldenNetworks[i%len(goldenNetworks)]
+		in := streamingCapture(t, app, network, seed).Input()
+		serial := traceJSONL(t, in, 1)
+		if sharded := traceJSONL(t, in, 8); !bytes.Equal(serial, sharded) {
+			t.Errorf("%s: the 8-shard trace differs from the serial one", app)
+		}
+		name := fmt.Sprintf("%s/%s/%d", app, network, seed)
+		fmt.Fprintf(&got, "%s serial %s\n", name, traceDigest(t, serial))
+		fmt.Fprintf(&got, "%s evict-idle %s\n", name, traceDigest(t, evictedTraceJSONL(t, in)))
+	}
+	path := filepath.Join("testdata", "trace.golden")
+	if os.Getenv("RTCC_UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing fixture (run with RTCC_UPDATE_GOLDEN=1): %v", err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("decision trace diverged from %s:\ngot:\n%swant:\n%s", path, got.String(), want)
+	}
+}
+
+// traceDigest summarizes one JSONL export as its SHA-256 and its event
+// count per kind, in taxonomy order.
+func traceDigest(t *testing.T, jsonl []byte) string {
+	t.Helper()
+	events, err := obs.ReadJSONL(bytes.NewReader(jsonl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make(map[obs.Kind]int)
+	for _, ev := range events {
+		counts[ev.Kind]++
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "sha256=%x", sha256.Sum256(jsonl))
+	for _, k := range obs.Kinds {
+		fmt.Fprintf(&b, " %s=%d", k, counts[k])
+	}
+	return b.String()
 }
 
 // TestTraceLintClean runs the lint invariants over real sharded exports

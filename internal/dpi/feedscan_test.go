@@ -5,35 +5,33 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"github.com/rtc-compliance/rtcc/internal/flow"
 	"github.com/rtc-compliance/rtcc/internal/metrics"
 	"github.com/rtc-compliance/rtcc/internal/obs"
 )
 
 // deferredInspector is the stream inspector as it was before Feed ran
-// pass 1: Feed only buffers, and Finalize runs pass 1 over the whole
-// chunk, then pass 2. It drives the scan and pass-2 state of its own
-// StreamInspector, so the two differ only in when pass 1 runs.
+// pass 1: Finalize runs pass 1 over the whole chunk, then pass 2. It
+// drives the scan and pass-2 state of its own StreamInspector, so the
+// two differ only in when pass 1 runs.
 type deferredInspector struct {
-	si       *StreamInspector
-	payloads [][]byte
+	si *StreamInspector
 }
 
-func (d *deferredInspector) Feed(payload []byte) { d.payloads = append(d.payloads, payload) }
-
-func (d *deferredInspector) Finalize() []Result {
+func (d *deferredInspector) Finalize(recs []flow.Packet) []Result {
 	si := d.si
 	if si.ctx == nil {
 		si.ctx = NewStreamContext()
 	}
 	si.ctx.State.Epoch++
 	si.ctx.Span = si.span
-	for _, p := range d.payloads {
-		si.scanOne(p)
+	for i := range recs {
+		si.scanOne(recs[i].Payload)
 	}
 	si.ctx.State.ValidatedSSRC = si.scan.ValidatedSSRC
-	out := make([]Result, 0, len(d.payloads))
-	for _, p := range d.payloads {
-		r := si.e.Inspect(p, si.ctx)
+	out := make([]Result, 0, len(recs))
+	for i := range recs {
+		r := si.e.Inspect(recs[i].Payload, si.ctx)
 		for _, msg := range r.Messages {
 			if int(msg.Protocol) < len(si.m.messages) {
 				si.m.messages[msg.Protocol].Inc()
@@ -43,8 +41,18 @@ func (d *deferredInspector) Finalize() []Result {
 	}
 	si.m.attempts.Add(uint64(si.ctx.shiftAttempts - si.drainedAttempts))
 	si.drainedAttempts = si.ctx.shiftAttempts
-	d.payloads = d.payloads[:0]
 	return out
+}
+
+// feedRecords feeds payloads to si as the analyzer does, one more
+// record per Feed, and returns the chunk's records for Finalize.
+func feedRecords(si *StreamInspector, payloads [][]byte) []flow.Packet {
+	recs := make([]flow.Packet, 0, len(payloads))
+	for _, p := range payloads {
+		recs = append(recs, flow.Packet{Payload: p})
+		si.Feed(recs)
+	}
+	return recs
 }
 
 // eventLog is a Tracer that keeps every event it receives.
@@ -73,21 +81,25 @@ func (s *feedScanSide) attempts() uint64 {
 	return s.reg.Counter("dpi_offset_shift_attempts_total").Value()
 }
 
-// checkFeedScan feeds stream to a StreamInspector and to the
-// deferredInspector reference and finalizes both after every chunk:
-// chunks[i] is the number of datagrams fed before the i-th Finalize
-// (0 finalizes with nothing pending), and the datagrams left after the
-// last chunk form one more. After every Finalize the two must return
-// the same results, count the same shift attempts, hold the same
-// validated SSRCs and have emitted the same decision trace.
+// checkFeedScan feeds stream to a StreamInspector and finalizes it
+// and the deferredInspector reference after every chunk: chunks[i] is
+// the number of datagrams fed before the i-th Finalize (0 finalizes
+// with nothing pending), and the datagrams left after the last chunk
+// form one more. Each chunk's records reuse the previous chunk's array,
+// so an inspector that kept reading records past their Finalize would
+// read the next chunk's. After every Finalize the two must return the
+// same results, count the same shift attempts, hold the same validated
+// SSRCs and have emitted the same decision trace.
 func checkFeedScan(t *testing.T, stream [][]byte, chunks []byte) {
 	t.Helper()
 	got, ref := newFeedScanSide(), newFeedScanSide()
 	deferred := &deferredInspector{si: ref.si}
+	var recs []flow.Packet
 	fed := 0
 	finalize := func(step int) {
 		t.Helper()
-		g, w := summarize(got.si.Finalize()), summarize(deferred.Finalize())
+		g, w := summarize(got.si.Finalize(recs)), summarize(deferred.Finalize(recs))
+		recs = recs[:0]
 		if g != w {
 			t.Fatalf("Finalize %d after %d datagrams: results differ from scanning at Finalize:\nfeed scan:     %s\nfinalize scan: %s", step, fed, g, w)
 		}
@@ -111,8 +123,8 @@ func checkFeedScan(t *testing.T, stream [][]byte, chunks []byte) {
 	}
 	feed := func(n int) {
 		for end := min(fed+n, len(stream)); fed < end; fed++ {
-			got.si.Feed(stream[fed])
-			deferred.Feed(stream[fed])
+			recs = append(recs, flow.Packet{Payload: stream[fed]})
+			got.si.Feed(recs)
 		}
 	}
 	for step, n := range chunks {
@@ -240,10 +252,7 @@ func TestScanAtFeedMatchesScanAtFinalize(t *testing.T) {
 			continue
 		}
 		si := NewEngine().NewStreamInspector()
-		for _, p := range stream {
-			si.Feed(p)
-		}
-		si.Finalize()
+		si.Finalize(feedRecords(si, stream))
 		for k := range 3 {
 			if !si.scan.ValidatedSSRC[feedScanSSRC(k)] {
 				t.Errorf("stream seed %d: RTP run %d never validates", seed, k)

@@ -314,10 +314,7 @@ func FuzzStreamParity(f *testing.F) {
 		ref, refAttempts := referenceInspectStream(e, stream, nil)
 		want := summarize(ref)
 		si := e.NewStreamInspector()
-		for _, p := range stream {
-			si.Feed(p)
-		}
-		if got := summarize(si.Finalize()); got != want {
+		if got := summarize(si.Finalize(feedRecords(si, stream))); got != want {
 			t.Fatalf("stream inspector diverged from the per-offset reference:\ninspector: %s\nreference: %s", got, want)
 		}
 		if got := si.ctx.shiftAttempts; got != refAttempts {

@@ -1,18 +1,20 @@
 package dpi
 
 import (
+	"github.com/rtc-compliance/rtcc/internal/flow"
 	"github.com/rtc-compliance/rtcc/internal/obs"
 	"github.com/rtc-compliance/rtcc/internal/proto"
 )
 
 // StreamInspector runs Algorithm 1 over the datagrams of one transport
-// stream incrementally. Feed buffers the payload and, once scanBatch
-// fed datagrams await pass 1 (the registered probers' stream-level
-// scans), scans them in feed order; Finalize scans the fewer than
-// scanBatch still waiting, runs pass 2 over everything buffered since
-// the previous Finalize, and releases the payload references, so a
-// caller that finalizes periodically never holds payload bytes past
-// the DPI stage.
+// stream incrementally, reading the caller's own records of the stream
+// in place: the chunk is every record since the previous Finalize, in
+// feed order. Feed runs pass 1 (the registered probers' stream-level
+// scans) over the records it has not scanned once scanBatch of them
+// await it; Finalize scans the fewer than scanBatch still waiting,
+// then runs pass 2 over the whole chunk. Between calls the inspector
+// holds an index into the chunk, never a payload reference, so the
+// caller alone decides when payload bytes are released.
 //
 // Running pass 1 as datagrams arrive instead of at the chunk boundary
 // changes no output: pass 1 is a fold over the stream's datagrams in
@@ -68,12 +70,8 @@ type StreamInspector struct {
 	// ctx is the pass-2 context, persistent across Finalize calls so a
 	// resumed (fed-again) stream continues its sequence state.
 	ctx *StreamContext
-	// payloads buffers datagrams fed since the last Finalize. The
-	// backing array is reused across chunks (references are cleared at
-	// Finalize so released pool buffers are not pinned).
-	payloads [][]byte
-	// scanned counts the leading payloads pass 1 has already scanned;
-	// payloads[scanned:] await it.
+	// scanned counts the leading records of the current chunk pass 1
+	// has already scanned; the chunk's records from there on await it.
 	scanned int
 	// results is the reused Finalize output buffer; each Finalize
 	// overwrites the previous chunk's results, which the pipeline has
@@ -110,26 +108,27 @@ func (e *Engine) NewStreamInspector() *StreamInspector {
 // to end; larger batches measured no faster.
 const scanBatch = 64
 
-// Feed buffers one datagram payload for the next Finalize, retaining
-// it by reference until then, and runs pass 1 over the buffered
-// datagrams whenever scanBatch of them await it.
-func (si *StreamInspector) Feed(payload []byte) {
-	si.payloads = append(si.payloads, payload)
-	if len(si.payloads)-si.scanned >= scanBatch {
-		si.scanPending()
+// Feed runs pass 1 over the chunk's records it has not scanned yet
+// whenever scanBatch of them await it. recs is every record of the
+// stream since the previous Finalize, in feed order: each call's recs
+// extends the previous call's. Feed keeps no reference to recs, which
+// must stay unmodified until the Finalize that ends the chunk.
+func (si *StreamInspector) Feed(recs []flow.Packet) {
+	if len(recs)-si.scanned >= scanBatch {
+		si.scanPending(recs)
 	}
 }
 
-// scanPending advances pass 1 over the buffered datagrams it has not
-// scanned yet, in feed order.
-func (si *StreamInspector) scanPending() {
-	for _, p := range si.payloads[si.scanned:] {
-		si.scanOne(p)
+// scanPending advances pass 1 over the records it has not scanned yet,
+// in feed order.
+func (si *StreamInspector) scanPending(recs []flow.Packet) {
+	for i := si.scanned; i < len(recs); i++ {
+		si.scanOne(recs[i].Payload)
 	}
-	si.scanned = len(si.payloads)
+	si.scanned = len(recs)
 }
 
-// scanOne advances pass 1 over one buffered payload.
+// scanOne advances pass 1 over one payload.
 func (si *StreamInspector) scanOne(payload []byte) {
 	end := min(len(payload), si.e.maxOffset()+1)
 	// The registry's pass-1 plan jumps, eight offsets per step, to the
@@ -168,22 +167,19 @@ func (si *StreamInspector) scanOne(payload []byte) {
 	}
 }
 
-// Pending reports how many fed datagrams await Finalize.
-func (si *StreamInspector) Pending() int { return len(si.payloads) }
-
-// Finalize completes pass 1 over the buffered datagrams Feed has not
-// scanned, then runs pass 2 over every datagram buffered since the
-// previous Finalize (with the validated-SSRC set as known after the
-// last of them), counts the extracted messages, releases the payload
-// buffer, and returns one Result per buffered datagram in feed order.
-// The inspector remains usable: later Feeds start a new chunk that
-// continues the same stream state.
+// Finalize completes pass 1 over the chunk's records Feed has not
+// scanned, then runs pass 2 over every record of the chunk (with the
+// validated-SSRC set as known after the last of them), counts the
+// extracted messages, and returns one Result per record in feed order.
+// recs is the chunk Feed saw, with any records since appended. The
+// inspector remains usable: the caller's next records start a new
+// chunk that continues the same stream state.
 //
 // The returned slice (and the message storage behind it) is a
 // per-inspector scratch buffer, valid only until the next Finalize on
 // the same inspector; the pipeline consumes each chunk's results
 // before feeding the next (DESIGN.md §14).
-func (si *StreamInspector) Finalize() []Result {
+func (si *StreamInspector) Finalize(recs []flow.Packet) []Result {
 	if si.ctx == nil {
 		si.ctx = NewStreamContext()
 	}
@@ -193,11 +189,12 @@ func (si *StreamInspector) Finalize() []Result {
 	si.ctx.Span = si.span
 	// Pass 1's tail: the evidence is complete through the chunk's last
 	// datagram before any pass-2 decision is made.
-	si.scanPending()
+	si.scanPending(recs)
+	si.scanned = 0
 	si.ctx.State.ValidatedSSRC = si.scan.ValidatedSSRC
 	// Size the results and the message arena to the chunk up front, so
 	// pass 2 does not leave a trail of doubled-and-dropped buffers.
-	n := len(si.payloads)
+	n := len(recs)
 	if cap(si.results) < n {
 		si.results = make([]Result, 0, n)
 	}
@@ -205,8 +202,8 @@ func (si *StreamInspector) Finalize() []Result {
 		si.ctx.msgArena = make([]Message, 0, n)
 	}
 	out := si.results[:0]
-	for _, p := range si.payloads {
-		r := si.e.Inspect(p, si.ctx)
+	for i := range recs {
+		r := si.e.Inspect(recs[i].Payload, si.ctx)
 		for _, msg := range r.Messages {
 			if int(msg.Protocol) < len(si.m.messages) {
 				si.m.messages[msg.Protocol].Inc()
@@ -216,26 +213,22 @@ func (si *StreamInspector) Finalize() []Result {
 	}
 	si.m.attempts.Add(uint64(si.ctx.shiftAttempts - si.drainedAttempts))
 	si.drainedAttempts = si.ctx.shiftAttempts
-	// Drop the payload references (the buffers may return to a pool)
-	// but keep the backing array for the next chunk.
-	clear(si.payloads)
-	si.payloads = si.payloads[:0]
-	si.scanned = 0
 	si.results = out
 	return out
 }
 
 // InspectStream runs Algorithm 1 over all datagrams of one transport
-// stream, in capture order, with full two-stage validation: a
-// StreamInspector fed every payload and finalized once, which makes the
-// batch and streaming paths the same code by construction.
+// stream, in capture order, with full two-stage validation: one
+// Finalize of a fresh StreamInspector over records holding the
+// payloads. It serves callers that hold bare payloads; a caller with
+// the stream's records hands them to Finalize directly.
 //
 // Single-datagram Inspect remains available for stateless use, but the
-// pipeline always uses InspectStream or a StreamInspector.
+// pipeline always uses a StreamInspector.
 func (e *Engine) InspectStream(payloads [][]byte) []Result {
-	si := e.NewStreamInspector()
-	for _, p := range payloads {
-		si.Feed(p)
+	recs := make([]flow.Packet, len(payloads))
+	for i, p := range payloads {
+		recs[i].Payload = p
 	}
-	return si.Finalize()
+	return e.NewStreamInspector().Finalize(recs)
 }

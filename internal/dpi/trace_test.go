@@ -214,10 +214,7 @@ func TestStreamTraceMatchesReference(t *testing.T) {
 		gotSpan, gotBuf := span()
 		si := e.NewStreamInspector()
 		si.SetSpan(gotSpan)
-		for _, p := range stream {
-			si.Feed(p)
-		}
-		si.Finalize()
+		si.Finalize(feedRecords(si, stream))
 		gotSpan.Flush()
 
 		got, want := gotBuf.Events(), refBuf.Events()

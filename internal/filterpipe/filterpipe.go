@@ -216,16 +216,6 @@ func (e *Evidence) Observe(ts time.Time, k flow.Key) {
 	}
 }
 
-// Absorb unions o into e: its table's 3-tuple spans and its pre-call
-// pairs. It is the evidence half of the cross-shard merge; both sides
-// must share the call window.
-func (e *Evidence) Absorb(o *Evidence) {
-	e.table.AbsorbSpans(o.table)
-	for pair := range o.preCall {
-		e.preCall[pair] = true
-	}
-}
-
 // Check returns the first §3.2 rule stream s fails on the evidence so
 // far, in the paper's order — timespan (stage 1), then 3-tuple timing,
 // TLS SNI, local IP and port (stage 2) — or "" when it fails none. For

@@ -154,14 +154,9 @@ func BuildProfile(stats *report.AppStats) Profile {
 
 // classify maps a non-compliant type's dominant criterion to a shim.
 func classify(ts *report.TypeStat) ShimKind {
-	// Pick the most frequent reason and infer the criterion from its
-	// phrasing (reasons are produced by the compliance package).
-	best, bestN := "", 0
-	for r, n := range ts.Reasons {
-		if n > bestN || (n == bestN && r < best) {
-			best, bestN = r, n
-		}
-	}
+	// Infer the criterion from the most frequent reason's phrasing
+	// (reasons are produced by the compliance package).
+	best := ts.TopReason()
 	switch {
 	case strings.Contains(best, "message type"), strings.Contains(best, "packet type"):
 		return ShimTypeRegistry

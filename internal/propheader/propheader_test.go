@@ -190,12 +190,8 @@ func harvest(t *testing.T, app appsim.App, nw appsim.Network) []Sample {
 		if s.Key.Proto != layers.IPProtocolUDP {
 			continue
 		}
-		payloads := make([][]byte, len(s.Packets))
-		for i, p := range s.Packets {
-			payloads[i] = p.Payload
-		}
 		var samples []Sample
-		for i, r := range engine.InspectStream(payloads) {
+		for i, r := range engine.NewStreamInspector().Finalize(s.Packets) {
 			if r.Class != dpi.ClassProprietaryHeader {
 				continue
 			}
@@ -206,7 +202,7 @@ func harvest(t *testing.T, app appsim.App, nw appsim.Network) []Sample {
 			samples = append(samples, Sample{
 				Header:    r.ProprietaryHeader,
 				Dir:       dir,
-				Remainder: len(payloads[i]) - len(r.ProprietaryHeader),
+				Remainder: len(s.Packets[i].Payload) - len(r.ProprietaryHeader),
 			})
 		}
 		if len(samples) > len(best) {

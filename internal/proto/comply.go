@@ -104,12 +104,6 @@ func (c *Checker) Registry() *Registry { return c.reg }
 // tracking, SRTCP index monotonicity, QUIC connection IDs, DTLS
 // handshake progress) in per-ID slots.
 type Session struct {
-	// Trace, when non-nil, observes every Check call with the judged
-	// message and its verdicts — the per-stream reason-reporting hook
-	// the decision-trace layer (internal/obs) attaches so failing
-	// criteria can be replayed with the offending bytes.
-	Trace func(m Message, ts time.Time, out []Checked)
-
 	checker *Checker
 	slots   [MaxIDs]any
 	// scratch is the reused Check output buffer; see Check.
@@ -133,8 +127,8 @@ func (s *Session) SetSlot(id ID, v any) { s.slots[id] = v }
 // Messages of unregistered protocols yield nil.
 //
 // The returned slice is a per-session scratch buffer, valid only until
-// the next Check on the same session; callers (and the Trace hook)
-// must copy any Checked values they retain. Sessions are per-stream
+// the next Check on the same session; callers must copy any Checked
+// values they retain. Sessions are per-stream
 // and single-writer, so this is safe by the pipeline's ownership
 // discipline (DESIGN.md §14). Check tallies nothing: callers fold the
 // returned verdicts into their own statistics.
@@ -145,8 +139,5 @@ func (s *Session) Check(m Message, ts time.Time) []Checked {
 	}
 	out := h.Comply(s.scratch[:0], m, ts, s)
 	s.scratch = out
-	if s.Trace != nil {
-		s.Trace(m, ts, out)
-	}
 	return out
 }

@@ -32,6 +32,19 @@ type TypeStat struct {
 // Compliant reports whether the type passes the message-type metric.
 func (t *TypeStat) Compliant() bool { return t.NonCompliant == 0 }
 
+// TopReason returns the type's most frequent violation reason, ties
+// going to the lexically smallest, or "" when it has none: the one
+// reason a summary names for the type, the same on every run.
+func (t *TypeStat) TopReason() string {
+	best, bestN := "", 0
+	for r, n := range t.Reasons {
+		if n > bestN || (n == bestN && r < best) {
+			best, bestN = r, n
+		}
+	}
+	return best
+}
+
 // ProtoStat tracks one protocol family under the volume metric.
 type ProtoStat struct {
 	Messages  int
