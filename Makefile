@@ -119,14 +119,15 @@ impair-smoke:
 # Sharded-ingest smoke under the race detector: the shard-count
 # invariance sweep, sharded trace parity, the accounting semantics,
 # the one-shard eviction rule, the inline single shard, and the race
-# hammer; plus the serial streaming differential pinned at
-# GOMAXPROCS=2, where scheduler interleavings differ from both the
-# 1-CPU and many-CPU shapes.
+# hammer; plus the serial streaming differential and the restarted
+# pass-2 differential (the shard workers run pass 2 and the fold of
+# full batches) pinned at GOMAXPROCS=2, where scheduler interleavings
+# differ from both the 1-CPU and many-CPU shapes.
 shard-smoke:
 	$(GO) test -short -race -count=1 \
 		-run 'TestShardCountInvariance|TestShardInvarianceUnderImpairment|TestShardedPCAPMatchesSerial|TestShardedTraceMatchesSerial|TestDropConservation|TestFlushBarrier|TestEvictionRunsOnOneShard|TestOneShardRunsInline|TestShardRaceHammer' \
 		./internal/ingest
-	GOMAXPROCS=2 $(GO) test -short -race -count=1 -run 'TestStreamingBatchEquivalence' ./internal/core
+	GOMAXPROCS=2 $(GO) test -short -race -count=1 -run 'TestStreamingBatchEquivalence|TestFeedPass2RestartMatchesBatch' ./internal/core
 
 # End-to-end daemon smoke: start the rtclive compliance daemon against
 # appsim traffic on ephemeral ports, scrape /compliance/trend,
@@ -154,8 +155,10 @@ bench-json:
 # allocs/op and B/op gates stay hard. On hosts with >= 4 CPUs the gate also
 # requires sharded4/media-heavy >= 3x sharded1 throughput. Ingest is the
 # FeedBatch loop, which includes DPI pass 1 over every full 64-datagram
-# batch (Close, with pass 2, is untimed); the committed ns/op rows
-# predate that, so media-heavy cells read slower than their rows.
+# batch and, on each stream's first chunk, pass 2 and the compliance
+# fold over it too (Close, with the rest, is untimed); the committed
+# ns/op rows predate that, so media-heavy cells read slower than their
+# rows.
 bench-check:
 	$(GO) run ./cmd/rtcbench -baseline BENCH_hotpath.json
 

@@ -246,16 +246,25 @@ func runOne(w io.Writer, c *cliFlags, cfg pipeline.Config, runner *pipeline.Runn
 }
 
 // report writes one capture's report in the form cfg.Sinks.Report
-// selects (JSON, text, or none), then, under -infer-headers, the
+// selects (JSON, text, or none), with, under -infer-headers, the
 // inferred structure of its proprietary headers, re-read from the
-// capture file at path. Every capture goes through here, alone or
+// capture file at path: a header_inference field of the JSON report,
+// or text after the others. Every capture goes through here, alone or
 // from a manifest.
 func (c *cliFlags) report(w io.Writer, cfg pipeline.Config, ca *rtcc.CaptureAnalysis, path string) error {
 	switch cfg.Sinks.Report {
 	case "json":
-		if err := printJSON(w, ca); err != nil {
-			return err
+		rep := newJSONReport(ca)
+		if *c.inferHdr {
+			inferred, err := inferHeaderStructure(path, ca, cfg.Analysis.MaxOffset)
+			if err != nil {
+				return err
+			}
+			rep.HeaderInference = newJSONHeaderInference(inferred)
 		}
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(rep)
 	case "none":
 	default:
 		printAnalysis(w, ca, *c.verbose)
@@ -288,6 +297,8 @@ type jsonReport struct {
 	VolumeCompliance *float64      `json:"volume_compliance,omitempty"`
 	Types            []jsonType    `json:"message_types"`
 	Findings         []jsonFinding `json:"findings,omitempty"`
+	// HeaderInference is present, possibly empty, under -infer-headers.
+	HeaderInference *[]jsonHeaders `json:"header_inference,omitempty"`
 }
 
 type jsonType struct {
@@ -304,7 +315,61 @@ type jsonFinding struct {
 	Count  int    `json:"count"`
 }
 
-func printJSON(w io.Writer, ca *rtcc.CaptureAnalysis) error {
+// jsonHeaders is one stream's inferred proprietary-header structure,
+// the JSON form of a propheader.Report.
+type jsonHeaders struct {
+	Key          string            `json:"key"`
+	Samples      int               `json:"samples"`
+	HeaderLenMin int               `json:"header_len_min"`
+	HeaderLenMax int               `json:"header_len_max"`
+	Fields       []jsonHeaderField `json:"fields"`
+}
+
+// jsonHeaderField is one byte offset of an inferred header. Value is
+// set for a constant, PerDirection (keyed a_to_b and b_to_a) for a
+// direction flag, and, for the high byte of a 16-bit length, exactly
+// one of LengthBias (the header bytes after the field it also covers,
+// 0 included) and CoversRest (it covers every header byte after it).
+type jsonHeaderField struct {
+	Offset       int             `json:"offset"`
+	Kind         string          `json:"kind"`
+	Value        *uint8          `json:"value,omitempty"`
+	PerDirection map[string]byte `json:"per_direction,omitempty"`
+	LengthBias   *int            `json:"length_bias,omitempty"`
+	CoversRest   bool            `json:"covers_rest,omitempty"`
+}
+
+func newJSONHeaderInference(inferred []streamHeaders) *[]jsonHeaders {
+	out := []jsonHeaders{}
+	for _, h := range inferred {
+		jh := jsonHeaders{
+			Key: h.key.String(), Samples: h.rep.Samples,
+			HeaderLenMin: h.rep.MinLen, HeaderLenMax: h.rep.MaxLen,
+			Fields: []jsonHeaderField{},
+		}
+		for _, f := range h.rep.Fields {
+			jf := jsonHeaderField{Offset: f.Offset, Kind: string(f.Kind)}
+			switch f.Kind {
+			case propheader.KindConstant:
+				jf.Value = &f.Value
+			case propheader.KindDirection:
+				jf.PerDirection = map[string]byte{
+					"a_to_b": f.PerDirection[propheader.DirAToB],
+					"b_to_a": f.PerDirection[propheader.DirBToA],
+				}
+			case propheader.KindLengthHi:
+				if jf.CoversRest = f.CoversRest; !f.CoversRest {
+					jf.LengthBias = &f.LengthBias
+				}
+			}
+			jh.Fields = append(jh.Fields, jf)
+		}
+		out = append(out, jh)
+	}
+	return &out
+}
+
+func newJSONReport(ca *rtcc.CaptureAnalysis) *jsonReport {
 	var rep jsonReport
 	rep.Label = ca.Label
 	rep.DecodeErrors = ca.DecodeErrors
@@ -354,20 +419,40 @@ func printJSON(w io.Writer, ca *rtcc.CaptureAnalysis) error {
 	for _, fd := range ca.Findings {
 		rep.Findings = append(rep.Findings, jsonFinding{Kind: fd.Kind, Detail: fd.Detail, Count: fd.Count})
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	return &rep
 }
 
-// printHeaderInference re-reads the capture at path for the records of
-// ca's final-RTC UDP streams (an analysis result holds none), re-runs
-// the DPI per stream to collect the proprietary header regions, and
-// prints the inferred structure of each stream with enough samples.
+// printHeaderInference prints the inferred proprietary-header structure
+// of each of ca's streams with enough samples (inferHeaderStructure) as
+// text.
 func printHeaderInference(w io.Writer, path string, ca *rtcc.CaptureAnalysis, k int) error {
-	table, err := readRTCStreams(path, ca)
+	inferred, err := inferHeaderStructure(path, ca, k)
 	if err != nil {
 		return err
 	}
+	for _, h := range inferred {
+		fmt.Fprintf(w, "proprietary header structure on %v:\n%s", h.key, propheader.Describe(h.rep))
+	}
+	return nil
+}
+
+// streamHeaders is one stream's inferred proprietary-header structure.
+type streamHeaders struct {
+	key flow.Key
+	rep propheader.Report
+}
+
+// inferHeaderStructure re-reads the capture at path for the records of
+// ca's final-RTC UDP streams (an analysis result holds none), re-runs
+// the DPI per stream to collect the proprietary header regions, and
+// infers the structure of each stream with enough samples, in ca's RTC
+// stream order.
+func inferHeaderStructure(path string, ca *rtcc.CaptureAnalysis, k int) ([]streamHeaders, error) {
+	table, err := readRTCStreams(path, ca)
+	if err != nil {
+		return nil, err
+	}
+	var out []streamHeaders
 	engine := &dpi.Engine{MaxOffset: k}
 	for _, rtc := range ca.Filter.RTC {
 		if rtc.Key.Proto != layers.IPProtocolUDP {
@@ -395,9 +480,9 @@ func printHeaderInference(w io.Writer, path string, ca *rtcc.CaptureAnalysis, k 
 		if len(samples) < 8 {
 			continue
 		}
-		fmt.Fprintf(w, "proprietary header structure on %v:\n%s", s.Key, propheader.Describe(propheader.Infer(samples)))
+		out = append(out, streamHeaders{s.Key, propheader.Infer(samples)})
 	}
-	return nil
+	return out, nil
 }
 
 // readRTCStreams reads the capture at path into a stream table holding

@@ -14,6 +14,7 @@ import (
 
 	"github.com/rtc-compliance/rtcc/internal/appsim"
 	"github.com/rtc-compliance/rtcc/internal/pipeline"
+	"github.com/rtc-compliance/rtcc/internal/propheader"
 	"github.com/rtc-compliance/rtcc/internal/report"
 	"github.com/rtc-compliance/rtcc/internal/trace"
 )
@@ -181,11 +182,7 @@ func TestManifestHonoursReportSink(t *testing.T) {
 		t.Errorf("-manifest -json: output continues past the %d reports (%v)", len(entries), err)
 	}
 
-	config := filepath.Join(dir, "none.yaml")
-	if err := os.WriteFile(config, []byte("sinks:\n  report: none\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if out := runOutput(t, "-manifest", manifest, "-config", config); out != "" {
+	if out := runOutput(t, "-manifest", manifest, "-config", writeNoReport(t, dir)); out != "" {
 		t.Errorf("-manifest with sinks.report none printed:\n%s", out)
 	}
 
@@ -195,4 +192,98 @@ func TestManifestHonoursReportSink(t *testing.T) {
 			t.Errorf("-manifest text report lacks %q", header)
 		}
 	}
+}
+
+// TestJSONHeaderInference pins that -json carries -infer-headers in the
+// report: `rtccheck -pcap <relay call> -json -infer-headers` writes one
+// JSON object and nothing after it, and its header_inference field
+// lists the streams, in order, whose structure the text form prints.
+// Every length field carries exactly one of length_bias and
+// covers_rest (the FaceTime relay call has one).
+func TestJSONHeaderInference(t *testing.T) {
+	dir := t.TempDir()
+	lengths := 0
+	for _, app := range []appsim.App{appsim.Zoom, appsim.FaceTime} {
+		name, _ := writeCapture(t, dir, app, appsim.WiFiRelay)
+		path := filepath.Join(dir, name)
+
+		dec := json.NewDecoder(strings.NewReader(runOutput(t, "-pcap", path, "-json", "-infer-headers")))
+		var rep jsonReport
+		if err := dec.Decode(&rep); err != nil {
+			t.Fatal(err)
+		}
+		var extra json.RawMessage
+		if err := dec.Decode(&extra); err != io.EOF {
+			t.Fatalf("%s: -json -infer-headers: output continues past the report (%v)", app, err)
+		}
+		if rep.HeaderInference == nil {
+			t.Fatalf("%s: -json -infer-headers: the report has no header_inference field", app)
+		}
+		text := runOutput(t, "-pcap", path, "-infer-headers", "-config", writeNoReport(t, dir))
+		var keys []string
+		for _, line := range strings.Split(text, "\n") {
+			if key, ok := strings.CutPrefix(line, "proprietary header structure on "); ok {
+				keys = append(keys, strings.TrimSuffix(key, ":"))
+			}
+		}
+		if len(keys) == 0 {
+			t.Fatalf("%s: the text form infers no header structure: the capture proves nothing", app)
+		}
+		got := *rep.HeaderInference
+		if len(got) != len(keys) {
+			t.Fatalf("%s: header_inference lists %d streams, the text form %d", app, len(got), len(keys))
+		}
+		for i, h := range got {
+			if h.Key != keys[i] {
+				t.Errorf("%s: header_inference[%d] is stream %s, the text form's %s", app, i, h.Key, keys[i])
+			}
+			if h.Samples < 8 || h.HeaderLenMin == 0 || h.HeaderLenMin > h.HeaderLenMax || len(h.Fields) != h.HeaderLenMin {
+				t.Errorf("%s: header_inference[%d]: %d samples, header length %d-%d, %d fields", app, i, h.Samples, h.HeaderLenMin, h.HeaderLenMax, len(h.Fields))
+			}
+			for _, f := range h.Fields {
+				if f.Kind != string(propheader.KindLengthHi) {
+					continue
+				}
+				lengths++
+				if (f.LengthBias != nil) == f.CoversRest {
+					t.Errorf("%s: header_inference[%d] offset %d: a length field with length_bias %v and covers_rest %v, want exactly one", app, i, f.Offset, f.LengthBias, f.CoversRest)
+				}
+			}
+		}
+		if plain := runOutput(t, "-pcap", path, "-json"); strings.Contains(plain, "header_inference") {
+			t.Errorf("%s: -json without -infer-headers writes a header_inference field", app)
+		}
+	}
+	if lengths == 0 {
+		t.Error("header_inference holds no length field: the captures do not exercise length_bias")
+	}
+}
+
+// TestJSONLengthBiasZero pins that a length field covering no header
+// byte after it, a bias of 0, writes length_bias 0 instead of leaving
+// the key out, so a reader outside Go can tell it from covers_rest.
+func TestJSONLengthBiasZero(t *testing.T) {
+	rep := propheader.Report{Samples: 8, MinLen: 2, MaxLen: 2, Fields: []propheader.Field{
+		{Offset: 0, Kind: propheader.KindLengthHi},
+		{Offset: 1, Kind: propheader.KindLengthLo},
+	}}
+	b, err := json.Marshal(newJSONHeaderInference([]streamHeaders{{rep: rep}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"offset":0,"kind":"length16-hi","length_bias":0}`
+	if !strings.Contains(string(b), want) {
+		t.Errorf("header_inference = %s, want a field %s", b, want)
+	}
+}
+
+// writeNoReport writes a pipeline config selecting no report into dir
+// and returns its path.
+func writeNoReport(t *testing.T, dir string) string {
+	t.Helper()
+	config := filepath.Join(dir, "none.yaml")
+	if err := os.WriteFile(config, []byte("sinks:\n  report: none\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return config
 }

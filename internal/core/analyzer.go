@@ -85,8 +85,11 @@ type streamState struct {
 	// streams; it reads the stream's records (s.Packets) in place.
 	insp *dpi.StreamInspector
 	// partial carries the compliance, findings and QoE state across
-	// chunked finalizations (eviction mode).
+	// the DPI results folded so far, of this chunk and earlier ones
+	// (eviction mode); folded counts the leading records of the
+	// current chunk whose results it holds.
 	partial *streamPartial
+	folded  int
 	// span is the stream's decision-trace span (nil when tracing is
 	// off); it buffers events until the analyzer flushes it at a
 	// deterministic point.
@@ -121,13 +124,15 @@ type streamState struct {
 // decoding, flow grouping and online filtering per frame, and keeps a
 // record of each datagram of a provisionally-RTC UDP stream, over
 // which the stream's DPI inspector runs Algorithm 1's pass 1 a full
-// batch of 64 records at a time; pass 2, with the rest of pass 1, runs
-// when a stream's records are finalized, at idle eviction or at Close.
-// Close reconciles the online filter verdicts against the full
-// two-stage filter and assembles the CaptureAnalysis. Without eviction
-// the result equals the test-side batch reference's; the offline entry
-// points are thin wrappers over this type. Results carry verdicts, not
-// packets: no stream in a result holds per-packet records.
+// batch of 64 records at a time, and on a stream's first chunk pass 2
+// too, whose results the stream's partial folds at once; the rest of
+// both passes and of the fold runs when a stream's records are
+// finalized, at idle eviction or at Close. Close reconciles the online
+// filter verdicts against the full two-stage filter and assembles the
+// CaptureAnalysis. Without eviction the result equals the test-side
+// batch reference's; the offline entry points are thin wrappers over
+// this type. Results carry verdicts, not packets: no stream in a result
+// holds per-packet records.
 type Analyzer struct {
 	cfg  AnalyzerConfig
 	opts Options
@@ -269,8 +274,10 @@ func (a *Analyzer) FeedBatch(batch []Datagram) error {
 // feedOne is the shared per-frame pipeline step behind Feed and
 // FeedBatch: decode, flow grouping, online filtering, and handing the
 // stream's records to its DPI inspector, which scans pass 1 over each
-// full batch of 64 (so a FeedBatch call pays that scan); pass 2 runs
-// at the stream's finalization.
+// full batch of 64 and, on the stream's first chunk, runs pass 2 over
+// it, whose results are folded into the stream's partial here (so a
+// FeedBatch call pays both); the rest runs at the stream's
+// finalization.
 func (a *Analyzer) feedOne(ts time.Time, frame []byte, seq uint64) {
 	if a.frames == 0 {
 		a.firstTS = ts
@@ -348,6 +355,7 @@ func (a *Analyzer) feedOne(ts time.Time, frame []byte, seq uint64) {
 			if rule, _ := a.ev.Check(s, st.sni); rule != "" {
 				st.removed = true
 				st.insp = nil
+				st.partial = nil
 				st.dropRecords()
 			}
 		}
@@ -360,7 +368,9 @@ func (a *Analyzer) feedOne(ts time.Time, frame []byte, seq uint64) {
 				st.insp.SetSpan(st.span)
 			}
 		}
-		st.insp.Feed(s.Packets)
+		if results := st.insp.Feed(s.Packets); len(results) > 0 {
+			a.fold(st, results)
+		}
 	}
 }
 
@@ -370,6 +380,7 @@ func (a *Analyzer) feedOne(ts time.Time, frame []byte, seq uint64) {
 // they keep.
 func (st *streamState) dropRecords() {
 	st.s.Packets = nil
+	st.folded = 0
 	if st.arena != nil {
 		st.arena.Release()
 		st.arena = nil
@@ -458,6 +469,7 @@ func (a *Analyzer) finalizeChunk(st *streamState) {
 	// The records go; their array stays for the next chunk.
 	clear(s.Packets)
 	s.Packets = s.Packets[:0]
+	st.folded = 0
 	if st.arena != nil {
 		// Everything in the chunk has been consumed (verdicts and trace
 		// windows copy the bytes they keep); the payload copies go back
@@ -469,22 +481,42 @@ func (a *Analyzer) finalizeChunk(st *streamState) {
 // consumeChunk is one stream chunk's DPI sweep and compliance pass, the
 // step both an evicted chunk and a final-RTC stream at Close run: it
 // creates the stream's partial on first use, then, if the stream holds
-// records, finalizes them (dpi.finalize) and folds the results into
-// the partial (compliance.check).
+// records, finalizes those whose results Feed did not return
+// (dpi.finalize) and folds the results into the partial
+// (compliance.check).
 func (a *Analyzer) consumeChunk(st *streamState) {
-	if st.partial == nil {
-		st.partial = newStreamPartial(st.span, st.s.Key.String(), a.opts)
-	}
-	recs := st.s.Packets
-	if len(recs) == 0 {
+	if len(st.s.Packets) == 0 {
+		if st.partial == nil {
+			st.partial = a.newPartial(st)
+		}
 		return
 	}
 	start := a.am.finalize.Start()
-	results := st.insp.Finalize(recs)
+	results := st.insp.Finalize(st.s.Packets)
 	a.am.finalize.ObserveSince(start)
 	start = a.am.check.Start()
-	st.partial.consume(recs, results)
+	a.fold(st, results)
 	a.am.check.ObserveSince(start)
+}
+
+// fold folds DPI results, those of the stream's last len(results)
+// records, into its partial, creating the partial on first use.
+// Results that start below the records already folded come from a
+// restarted pass 2 (dpi.StreamInspector.Finalize), which re-runs a
+// stream's first chunk from its first record: the partial, which held
+// only that chunk, restarts empty.
+func (a *Analyzer) fold(st *streamState, results []dpi.Result) {
+	recs := st.s.Packets
+	from := len(recs) - len(results)
+	if st.partial == nil || from < st.folded {
+		st.partial = a.newPartial(st)
+	}
+	st.partial.consume(recs[from:], results)
+	st.folded = len(recs)
+}
+
+func (a *Analyzer) newPartial(st *streamState) *streamPartial {
+	return newStreamPartial(st.span, st.s.Key.String(), a.opts)
 }
 
 // ErrNoDecodable is the error Close wraps when frames were fed but none

@@ -13,6 +13,7 @@ import (
 	"github.com/rtc-compliance/rtcc/internal/appsim"
 	"github.com/rtc-compliance/rtcc/internal/bufpool"
 	"github.com/rtc-compliance/rtcc/internal/flow"
+	"github.com/rtc-compliance/rtcc/internal/metrics"
 )
 
 // The golden differential suite pins the analysis output of the
@@ -182,12 +183,17 @@ func TestGoldenMatrix(t *testing.T) {
 					}
 
 					// The remaining modes must match the same fixture.
+					// The streaming run's registry also shows that no
+					// stream's pass 2 at Feed was discarded: every
+					// stream's validated SSRCs are known within its
+					// first 64 datagrams.
+					reg := metrics.NewRegistry()
 					for _, mode := range []struct {
 						name string
 						run  func() (*CaptureAnalysis, error)
 					}{
 						{"streaming", func() (*CaptureAnalysis, error) {
-							return AnalyzeCapture(cap.Input(), Options{})
+							return AnalyzeCapture(cap.Input(), Options{Metrics: reg})
 						}},
 						{"sharded-8", func() (*CaptureAnalysis, error) {
 							return analyzeSharded(cap.Input(), Options{}, 8)
@@ -215,6 +221,9 @@ func TestGoldenMatrix(t *testing.T) {
 						if enc := encodeGolden(ca); !bytes.Equal(enc, want) {
 							t.Errorf("%s output diverged from golden fixture %s:\n%s", mode.name, path, diffHint(want, enc))
 						}
+					}
+					if n := reg.Counter("dpi_pass2_discarded_total").Value(); n != 0 {
+						t.Errorf("streaming: dpi_pass2_discarded_total = %d, want 0", n)
 					}
 				})
 			}

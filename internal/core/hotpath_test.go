@@ -111,9 +111,11 @@ func TestHotPathAllocs(t *testing.T) {
 	})
 
 	// 16 datagrams per Finalize are all pass 1's tail; 160 are two full
-	// batches, which Feed scans, and a tail of 32.
+	// batches, which Feed scans, and a tail of 32. After the warm-up's
+	// first chunk, every chunk's pass 2 runs at Finalize.
 	t.Run("dpi-two-pass", func(t *testing.T) { dpiTwoPassAllocs(t, 16) })
 	t.Run("dpi-two-pass-feed-scan", func(t *testing.T) { dpiTwoPassAllocs(t, 160) })
+	t.Run("dpi-first-chunk-feed", dpiFirstChunkAllocs)
 
 	t.Run("compliance-check", func(t *testing.T) {
 		recs := make([]flow.Packet, 4)
@@ -202,7 +204,8 @@ func TestHotPathAllocs(t *testing.T) {
 }
 
 // dpiTwoPassAllocs pins a StreamInspector's steady state, chunk
-// datagrams fed and then finalized, to 0 allocs/op.
+// datagrams fed and then finalized, to 0 allocs/op. Feed and Finalize
+// together return one result per datagram.
 func dpiTwoPassAllocs(t *testing.T, chunk int) {
 	engine := Options{}.engine()
 	si := engine.NewStreamInspector()
@@ -213,16 +216,17 @@ func dpiTwoPassAllocs(t *testing.T, chunk int) {
 	}
 	seq := uint16(0)
 	feedChunk := func() {
+		n := 0
 		for i := range recs {
 			// The payload starts at the RTP header, so the sequence
 			// number and media timestamp sit at offsets 2 and 4.
 			binary.BigEndian.PutUint16(recs[i].Payload[2:], seq)
 			binary.BigEndian.PutUint32(recs[i].Payload[4:], uint32(seq)*960)
 			seq++
-			si.Feed(recs[:i+1])
+			n += len(si.Feed(recs[:i+1]))
 		}
-		if got := si.Finalize(recs); len(got) != chunk {
-			t.Fatalf("Finalize returned %d results, want %d", len(got), chunk)
+		if n += len(si.Finalize(recs)); n != chunk {
+			t.Fatalf("Feed and Finalize returned %d results, want %d", n, chunk)
 		}
 	}
 	// Warm-up validates the SSRC and sizes the arenas/slabs.
@@ -232,6 +236,38 @@ func dpiTwoPassAllocs(t *testing.T, chunk int) {
 	allocs := testing.AllocsPerRun(200, feedChunk)
 	if allocs != 0 {
 		t.Errorf("StreamInspector chunk (feed %d + finalize) allocates %.1f/op, want 0", chunk, allocs)
+	}
+}
+
+// dpiFirstChunkAllocs pins pass 2 at Feed, on a stream's first chunk,
+// to 0 allocs per 64-record batch once its buffers are sized: each
+// batch's Feed scans pass 1, runs pass 2 over the batch and returns
+// its 64 results.
+func dpiFirstChunkAllocs(t *testing.T) {
+	const warm, runs = 4, 50
+	si := Options{}.engine().NewStreamInspector()
+	// The chunk never ends: every record stays readable until a
+	// Finalize, so each batch gets records of its own.
+	recs := make([]flow.Packet, (warm+runs+1)*FeedBatchSize)
+	for i := range recs {
+		recs[i].Payload = hotRTPFrame(hotSrc, hotDst, 50000, 4444, 0xbeef, uint16(i))[28:]
+	}
+	fed := 0
+	feedBatch := func() {
+		n := 0
+		for range FeedBatchSize {
+			fed++
+			n += len(si.Feed(recs[:fed]))
+		}
+		if n != FeedBatchSize {
+			t.Fatalf("Feed returned %d results for a batch of %d", n, FeedBatchSize)
+		}
+	}
+	for range warm {
+		feedBatch()
+	}
+	if allocs := testing.AllocsPerRun(runs, feedBatch); allocs != 0 {
+		t.Errorf("StreamInspector first-chunk batch (pass 1 and pass 2 at Feed) allocates %.1f/op, want 0", allocs)
 	}
 }
 

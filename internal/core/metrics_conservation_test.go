@@ -183,7 +183,10 @@ func assertCaptureEqual(t *testing.T, label string, want, got *CaptureAnalysis) 
 // side channel) and the recorded counter totals and histogram counts
 // must be identical — only latency values may differ. The core.feed
 // stage is the exception: it counts each analyzer's own FeedBatch
-// calls, which the shards split differently.
+// calls, which the shards split differently. The second capture
+// restarts the pass 2 a stream's first Feed batch ran, and a stream's
+// batches are its own at every shard count, so
+// dpi_pass2_discarded_total is nonzero and equal too.
 func TestMetricsSchedulingIndependence(t *testing.T) {
 	cap, err := trace.Generate(trace.CaptureConfig{
 		App: appsim.Zoom, Network: appsim.WiFiRelay, Seed: 31337,
@@ -193,11 +196,21 @@ func TestMetricsSchedulingIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := CaptureInput{
+	checkMetricsSchedulingIndependence(t, CaptureInput{
 		Label: "zoom", LinkType: pcap.LinkTypeRaw, Packets: cap.Frames(),
 		CallStart: cap.CallStart, CallEnd: cap.CallEnd,
+	}, metrics.NewRegistry())
+	restart := metrics.NewRegistry()
+	checkMetricsSchedulingIndependence(t, restartCapture(t), restart)
+	if restart.Counter("dpi_pass2_discarded_total").Value() == 0 {
+		t.Error("restart capture: dpi_pass2_discarded_total = 0")
 	}
-	regSerial := metrics.NewRegistry()
+}
+
+// checkMetricsSchedulingIndependence is TestMetricsSchedulingIndependence
+// on one capture, whose serial run records into regSerial.
+func checkMetricsSchedulingIndependence(t *testing.T, in CaptureInput, regSerial *metrics.Registry) {
+	t.Helper()
 	serial, err := AnalyzeCapture(in, Options{Metrics: regSerial})
 	if err != nil {
 		t.Fatal(err)

@@ -218,13 +218,14 @@ func newStreamPartial(span *obs.Span, key string, opts Options) *streamPartial {
 	return p
 }
 
-// consume folds one chunk of DPI results — index-aligned with the
+// consume folds one run of DPI results — index-aligned with the
 // packet records they came from — into the partial, in one pass: per
 // datagram its class, QoE evidence and class findings evidence; per
 // message its compliance verdicts (traced when the stream has a span)
 // and one Registry.Observe for both the SSRC set and the message
-// findings evidence. Both the batch reference (one chunk per stream)
-// and the streaming analyzer's chunked finalization go through here.
+// findings evidence. Both the batch reference (one run per stream)
+// and the streaming analyzer (a run per pass-2 call: Feed's batches,
+// then each chunk's Finalize) go through here.
 func (p *streamPartial) consume(recs []flow.Packet, results []dpi.Result) {
 	o := &p.obs
 	for i, r := range results {

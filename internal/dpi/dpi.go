@@ -105,8 +105,9 @@ type StreamContext struct {
 	// Inspect appends each datagram's messages here and hands out a
 	// capacity-capped subslice, so the steady-state extraction path
 	// allocates nothing. The arena rewinds when State.Epoch advances
-	// (one bump per StreamInspector.Finalize) — by then the previous
-	// chunk's Results have been consumed (DESIGN.md §14). If append
+	// (one bump per StreamInspector pass-2 call, Feed's or Finalize's)
+	// — by then the previous call's Results have been consumed
+	// (DESIGN.md §14). If append
 	// grows the arena mid-epoch, earlier subslices keep pointing into
 	// the old backing array, which is never written again, so they
 	// stay valid.
@@ -131,7 +132,9 @@ type Engine struct {
 	// Metrics, when non-nil, receives the counts only Algorithm 1
 	// sees, from each StreamInspector.Finalize: extracted messages per
 	// protocol (dpi_messages_total) and offset-shift attempts
-	// (dpi_offset_shift_attempts_total). Datagram classes and stage
+	// (dpi_offset_shift_attempts_total) of the results the chunk kept,
+	// and the records whose pass 2 a restart discarded
+	// (dpi_pass2_discarded_total). Datagram classes and stage
 	// latency are recorded from the finished analysis (internal/core).
 	// Nil disables collection at zero cost.
 	Metrics *metrics.Registry

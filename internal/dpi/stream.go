@@ -11,24 +11,37 @@ import (
 // in place: the chunk is every record since the previous Finalize, in
 // feed order. Feed runs pass 1 (the registered probers' stream-level
 // scans) over the records it has not scanned once scanBatch of them
-// await it; Finalize scans the fewer than scanBatch still waiting,
-// then runs pass 2 over the whole chunk. Between calls the inspector
-// holds an index into the chunk, never a payload reference, so the
-// caller alone decides when payload bytes are released.
+// await it and, on a stream's first chunk, pass 2 over them too;
+// Finalize scans the fewer than scanBatch still waiting, then runs
+// pass 2 over the records no earlier call returned. Between calls the
+// inspector holds indexes into the chunk, never a payload reference,
+// so the caller alone decides when payload bytes are released.
 //
 // Running pass 1 as datagrams arrive instead of at the chunk boundary
 // changes no output: pass 1 is a fold over the stream's datagrams in
-// feed order whose result only Finalize reads, and pass 2 of a chunk
-// consults the validated-SSRC evidence as of the chunk's last
-// datagram, which is the same whenever in between the sightings were
-// tallied. Each datagram is scanned once, in order, over the bytes
-// pass 2 later reads (the pipeline's payloads stay unmodified until
-// the chunk is finalized, DESIGN.md §14), and pass 1 emits no trace
-// event and counts no shift attempt. What it changes is where the time
-// goes: the feeding goroutine (a shard worker on the sharded tier)
-// pays pass 1 while it reads, so the chunk's Finalize, which is what a
-// capture's or a daemon epoch's close waits for, runs pass 2 and a
-// short tail of pass 1 only.
+// feed order whose result only pass 2 reads, each datagram is scanned
+// once, in order, over the bytes pass 2 later reads (the pipeline's
+// payloads stay unmodified until the chunk is finalized, DESIGN.md
+// §14), and pass 1 emits no trace event and counts no shift attempt.
+//
+// Pass 2 of a chunk consults the validated-SSRC set as of the chunk's
+// last datagram, which Feed cannot know. It runs pass 2 against the
+// set as it stands, and the results stay good as long as the set does
+// not grow: the set only gains entries, so an unchanged size is an
+// unchanged set, and results computed against it are the ones Finalize
+// would compute. Once the set has grown past results Feed returned,
+// Feed stops running pass 2 for the chunk, and Finalize restarts it
+// from a fresh context at the chunk's first record and returns results
+// for the whole chunk; the caller replaces what it held from there. So
+// a chunk's pass 2 restarts at most once, and the work a restart
+// discards is less than the chunk. A fresh context is the right start
+// state only on a stream's first chunk, so Feed runs pass 2 only
+// there, and not on a traced stream, whose export must keep each
+// chunk's probe events ahead of its verdict events. What moving the
+// work changes is where the time goes: the feeding goroutine (a shard
+// worker on the sharded tier) pays both passes while it reads, so the
+// chunk's Finalize, which is what a capture's or a daemon epoch's close
+// waits for, runs a short tail of them only.
 //
 // RTP is the one target protocol whose header pattern is weak (any
 // version-2 first byte passes), so candidate extraction alone produces
@@ -73,9 +86,20 @@ type StreamInspector struct {
 	// scanned counts the leading records of the current chunk pass 1
 	// has already scanned; the chunk's records from there on await it.
 	scanned int
-	// results is the reused Finalize output buffer; each Finalize
-	// overwrites the previous chunk's results, which the pipeline has
-	// consumed by then (DESIGN.md §14).
+	// done counts the leading records of the current chunk whose pass-2
+	// results an earlier call returned; validated is the size of the
+	// validated-SSRC set they were computed against.
+	done, validated int
+	// wait makes the chunk's pass 2 wait for Finalize: set on a traced
+	// stream, after the stream's first Finalize, and once the
+	// validated-SSRC set has grown past the results Feed returned.
+	wait bool
+	// messages counts the messages of the results the current chunk
+	// has kept, per protocol, for dpi_messages_total at Finalize.
+	messages [proto.MaxIDs]uint64
+	// results is the reused output buffer; each pass-2 call overwrites
+	// the previous call's results, which the pipeline has consumed by
+	// then (DESIGN.md §14).
 	results []Result
 	// drainedAttempts tracks how many shift attempts have already been
 	// recorded, so chunked Finalize calls add only the delta.
@@ -88,9 +112,15 @@ type StreamInspector struct {
 }
 
 // SetSpan attaches a decision-trace span; pass 2 of every subsequent
-// Finalize emits probe and extraction events into it. A nil span (the
-// default) keeps inspection trace-free.
-func (si *StreamInspector) SetSpan(sp *obs.Span) { si.span = sp }
+// Finalize emits probe and extraction events into it, and Feed leaves
+// pass 2 to Finalize. A nil span (the default) keeps inspection
+// trace-free. Attach it before the first Feed.
+func (si *StreamInspector) SetSpan(sp *obs.Span) {
+	si.span = sp
+	if sp != nil {
+		si.wait = true
+	}
+}
 
 // NewStreamInspector returns an inspector with empty per-stream state.
 func (e *Engine) NewStreamInspector() *StreamInspector {
@@ -109,14 +139,30 @@ func (e *Engine) NewStreamInspector() *StreamInspector {
 const scanBatch = 64
 
 // Feed runs pass 1 over the chunk's records it has not scanned yet
-// whenever scanBatch of them await it. recs is every record of the
-// stream since the previous Finalize, in feed order: each call's recs
-// extends the previous call's. Feed keeps no reference to recs, which
-// must stay unmodified until the Finalize that ends the chunk.
-func (si *StreamInspector) Feed(recs []flow.Packet) {
-	if len(recs)-si.scanned >= scanBatch {
-		si.scanPending(recs)
+// whenever scanBatch of them await it, then, on a stream's first
+// chunk, pass 2 over the records no earlier call returned. recs is
+// every record of the stream since the previous Finalize, in feed
+// order: each call's recs extends the previous call's. Feed keeps no
+// reference to recs, which must stay unmodified until the Finalize that
+// ends the chunk.
+//
+// Feed returns the pass-2 results of the last len(results) records of
+// recs, or none: none once the validated-SSRC set has grown past the
+// results it returned, which Finalize then replaces. The returned slice
+// (and the message storage behind it) is valid only until the
+// inspector's next call.
+func (si *StreamInspector) Feed(recs []flow.Packet) []Result {
+	if len(recs)-si.scanned < scanBatch {
+		return nil
 	}
+	si.scanPending(recs)
+	if si.stale() {
+		si.wait = true
+	}
+	if si.wait {
+		return nil
+	}
+	return si.pass2(recs)
 }
 
 // scanPending advances pass 1 over the records it has not scanned yet,
@@ -167,34 +213,28 @@ func (si *StreamInspector) scanOne(payload []byte) {
 	}
 }
 
-// Finalize completes pass 1 over the chunk's records Feed has not
-// scanned, then runs pass 2 over every record of the chunk (with the
-// validated-SSRC set as known after the last of them), counts the
-// extracted messages, and returns one Result per record in feed order.
-// recs is the chunk Feed saw, with any records since appended. The
-// inspector remains usable: the caller's next records start a new
-// chunk that continues the same stream state.
-//
-// The returned slice (and the message storage behind it) is a
-// per-inspector scratch buffer, valid only until the next Finalize on
-// the same inspector; the pipeline consumes each chunk's results
-// before feeding the next (DESIGN.md §14).
-func (si *StreamInspector) Finalize(recs []flow.Packet) []Result {
+// stale reports whether results an earlier call returned for the chunk
+// were computed against a validated-SSRC set that has grown since.
+func (si *StreamInspector) stale() bool {
+	return si.done > 0 && len(si.scan.ValidatedSSRC) != si.validated
+}
+
+// pass2 runs pass 2 over the chunk's records no earlier call returned,
+// against the validated-SSRC set as it stands, and returns their
+// results.
+func (si *StreamInspector) pass2(recs []flow.Packet) []Result {
 	if si.ctx == nil {
 		si.ctx = NewStreamContext()
 	}
 	// A new epoch recycles the per-stream message and packet arenas:
-	// everything extracted in the previous chunk has been consumed.
+	// everything the previous call returned has been consumed.
 	si.ctx.State.Epoch++
 	si.ctx.Span = si.span
-	// Pass 1's tail: the evidence is complete through the chunk's last
-	// datagram before any pass-2 decision is made.
-	si.scanPending(recs)
-	si.scanned = 0
 	si.ctx.State.ValidatedSSRC = si.scan.ValidatedSSRC
-	// Size the results and the message arena to the chunk up front, so
+	si.validated = len(si.scan.ValidatedSSRC)
+	// Size the results and the message arena to the run up front, so
 	// pass 2 does not leave a trail of doubled-and-dropped buffers.
-	n := len(recs)
+	n := len(recs) - si.done
 	if cap(si.results) < n {
 		si.results = make([]Result, 0, n)
 	}
@@ -202,18 +242,59 @@ func (si *StreamInspector) Finalize(recs []flow.Packet) []Result {
 		si.ctx.msgArena = make([]Message, 0, n)
 	}
 	out := si.results[:0]
-	for i := range recs {
+	for i := si.done; i < len(recs); i++ {
 		r := si.e.Inspect(recs[i].Payload, si.ctx)
 		for _, msg := range r.Messages {
-			if int(msg.Protocol) < len(si.m.messages) {
-				si.m.messages[msg.Protocol].Inc()
+			if int(msg.Protocol) < len(si.messages) {
+				si.messages[msg.Protocol]++
 			}
 		}
 		out = append(out, r)
 	}
+	si.done = len(recs)
+	si.results = out
+	return out
+}
+
+// Finalize completes pass 1 over the chunk's records Feed has not
+// scanned, then runs pass 2 over the records no earlier call returned,
+// with the validated-SSRC set as known after the chunk's last record.
+// If the set has grown since the results Feed returned, it discards
+// them, counts them in dpi_pass2_discarded_total, and restarts pass 2
+// from a fresh context at the chunk's first record: Feed returns
+// results only on a stream's first chunk, whose pass 2 started from a
+// fresh context. It returns the results of the last len(results)
+// records of recs, as Feed does: all of them unless Feed returned some
+// that stayed good. It then records the messages and shift attempts of
+// the chunk's kept results. recs is the chunk Feed saw, with any
+// records since appended. The inspector remains usable: the caller's
+// next records start a new chunk that continues the same stream state,
+// and their pass 2 waits for Finalize.
+//
+// The returned slice (and the message storage behind it) is valid only
+// until the inspector's next call; the pipeline consumes each call's
+// results before feeding on (DESIGN.md §14).
+func (si *StreamInspector) Finalize(recs []flow.Packet) []Result {
+	// Pass 1's tail: the evidence is complete through the chunk's last
+	// datagram before any pass-2 decision is kept.
+	si.scanPending(recs)
+	if si.stale() {
+		si.m.discarded.Add(uint64(si.done))
+		si.done = 0
+		si.ctx = nil
+		clear(si.messages[:])
+	}
+	out := si.pass2(recs)
+	for id, n := range si.messages {
+		if n > 0 {
+			si.m.messages[id].Add(n)
+		}
+	}
 	si.m.attempts.Add(uint64(si.ctx.shiftAttempts - si.drainedAttempts))
 	si.drainedAttempts = si.ctx.shiftAttempts
-	si.results = out
+	si.scanned, si.done = 0, 0
+	clear(si.messages[:])
+	si.wait = true
 	return out
 }
 

@@ -214,7 +214,7 @@ func TestStreamTraceMatchesReference(t *testing.T) {
 		gotSpan, gotBuf := span()
 		si := e.NewStreamInspector()
 		si.SetSpan(gotSpan)
-		si.Finalize(feedRecords(si, stream))
+		feedRecords(t, si, stream)
 		gotSpan.Flush()
 
 		got, want := gotBuf.Events(), refBuf.Events()

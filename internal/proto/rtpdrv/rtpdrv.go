@@ -90,8 +90,8 @@ const slabBlock = 64
 
 // pktSlab bump-allocates rtp.Packet values out of reusable fixed-size
 // blocks. Recycling is epoch-keyed: when the stream state's Epoch
-// advances (one bump per Finalize chunk), the slab rewinds and the
-// blocks are reused, because the previous chunk's messages have been
+// advances (one bump per pass-2 call), the slab rewinds and the
+// blocks are reused, because the previous call's messages have been
 // consumed by then (DESIGN.md §14). Within an epoch every next call
 // returns a distinct, stable packet.
 type pktSlab struct {

@@ -16,12 +16,12 @@ type StreamState struct {
 	// permissive single-datagram mode. The RTCP prober cross-validates
 	// unassigned packet types against it.
 	ValidatedSSRC map[uint32]bool
-	// Epoch counts pass-2 chunks: the stream inspector bumps it at the
-	// start of every Finalize. Drivers that arena-allocate per-message
-	// state (the RTP driver's packet slab) key their recycling on it —
-	// everything extracted in epoch N is dead once epoch N+1 begins,
-	// because the pipeline consumes each Finalize's results before
-	// feeding the next chunk (DESIGN.md §14).
+	// Epoch counts pass-2 calls: the stream inspector bumps it at the
+	// start of every pass-2 run, a Feed's or a Finalize's. Drivers that
+	// arena-allocate per-message state (the RTP driver's packet slab)
+	// key their recycling on it — everything extracted in epoch N is
+	// dead once epoch N+1 begins, because the pipeline consumes each
+	// call's results before its next call (DESIGN.md §14).
 	Epoch uint64
 
 	// words caches ValidatedWords: the validated SSRCs as of epoch
@@ -74,11 +74,16 @@ func (s *StreamState) SetSlot(id ID, v any) { s.slots[id] = v }
 // stays nil) plus the cross-protocol validation evidence under
 // construction. The engine hands ValidatedSSRC (the same map object,
 // so evidence accumulated after a chunked finalization stays visible)
-// to the pass-2 StreamState at each Finalize.
+// to the pass-2 StreamState at each pass-2 call.
 type ScanState struct {
 	Scratch StreamState
 	// ValidatedSSRC accumulates per-SSRC validation evidence written by
-	// weak-signature probers during pass 1.
+	// weak-signature probers during pass 1. It only gains entries, and
+	// each entry is true: an SSRC, once validated, stays validated. So
+	// pass-2 results computed while it held n entries equal the results
+	// computed against the set at a chunk's end if and only if it still
+	// holds n, which is what lets the stream inspector run pass 2 as
+	// datagrams arrive and keep the results whenever the size held.
 	ValidatedSSRC map[uint32]bool
 
 	// msg receives ConsumeProbe's structural matches; held here so the
